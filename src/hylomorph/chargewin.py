@@ -18,7 +18,8 @@ import numpy as np
 
 from .functionals import nlkg_deficiency, sigma_window
 from .gauge import kgm_functionals
-from .grid import RadialGrid, RadialProfile
+from .grid import RadialGrid, RadialProfile, gradient_sq_integral, integrate_radial
+from .minimize import InvariantError
 from .model import NonlinearSpec, eval_remainder, find_binding_amplitude
 
 # Best constant c3 with c3 * ||f||_6^2 <= ||grad f||_2^2 on R^3, evaluated
@@ -43,10 +44,8 @@ def dirichlet_l6_quotient(f: Callable[[np.ndarray], np.ndarray], r_max: float, n
     """Rayleigh quotient ||grad f||_2^2 / ||f||_6^2 of a radial trial function."""
     grid = RadialGrid(r_max, n)
     vals = np.asarray(f(grid.nodes), dtype=float)
-    d = np.diff(vals)
-    grad2 = float(grid.gradient_weights @ (d * d))
-    l6 = float(grid.volume_weights @ vals**6) ** (1.0 / 3.0)
-    return grad2 / l6
+    l6 = integrate_radial(grid, vals**6) ** (1.0 / 3.0)
+    return gradient_sq_integral(grid, vals) / l6
 
 
 def extremal_bubble(r: np.ndarray) -> np.ndarray:
@@ -260,7 +259,8 @@ def construct_for_charge(spec: NonlinearSpec, charge_target: float,
         raise ValueError("nonlinearity has no binding amplitude; construction hypotheses fail")
 
     alpha = 0.5 * (m2 - lam) / (m2 + 1.0)
-    assert lam < m2 * (1.0 - alpha) - alpha, "alpha midpoint left its admissible range"
+    if not lam < m2 * (1.0 - alpha) - alpha:
+        raise InvariantError("alpha midpoint left its admissible range")
     h2_lo = (lam + alpha) / (m2 * (1.0 - alpha))
     h = float(np.sqrt(0.5 * (h2_lo + 1.0)))
     r = 1.1 / ((1.0 - alpha) ** (-1.0 / 3.0) - 1.0)

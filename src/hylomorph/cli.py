@@ -37,59 +37,22 @@ class ConfigError(ValueError):
     pass
 
 
-_SCHEMA: dict[str, dict[str, type]] = {
-    "run": {"command": str, "seed": int},
-    "nonlinearity": {"family": str, "mass": float, "params": str},
-    "grid": {"r_max": float, "n": int, "z_max": float, "n_z": int},
-    "solver": {"tol": float, "max_iters": int},
-    "validate": {"s_max": float, "n_samples": int},
-    "window": {"q": float, "s1_values": str, "r_values": str},
-    "solve": {"sigma": float, "q": float, "ell": int, "init_s1": float, "init_r": float,
-              "torus_r0": float, "torus_width": float, "torus_amplitude": float},
-    "construct": {"charge_target": float, "c3": float},
-    "evolve": {"sigma": float, "t_final": float, "dt": float, "record_every": int,
-               "free": bool, "radius_factor": float},
-    "stability": {"sigma": float, "t_final": float, "dt": float, "delta": float,
-                  "record_every": int},
-}
-
-_DEFAULTS = {
-    ("run", "seed"): 0,
-    ("nonlinearity", "family"): "double_well",
-    ("nonlinearity", "mass"): 1.0,
-    ("nonlinearity", "params"): "1.0",
-    ("grid", "r_max"): 24.0,
-    ("grid", "n"): 2048,
-    ("grid", "z_max"): 12.0,
-    ("grid", "n_z"): 256,
-    ("solver", "tol"): 1e-6,
-    ("solver", "max_iters"): 50_000,
-    ("validate", "s_max"): 3.0,
-    ("validate", "n_samples"): 1000,
-    ("window", "q"): 0.0,
-    ("window", "s1_values"): "0.8,0.9,1.0,1.1,1.2",
-    ("window", "r_values"): "2,3,4,5,6,7,8,10",
-    ("solve", "sigma"): 300.0,
-    ("solve", "q"): 1.0,
-    ("solve", "ell"): 1,
-    ("solve", "init_s1"): 1.0,
-    ("solve", "init_r"): 5.0,
-    ("solve", "torus_r0"): 4.0,
-    ("solve", "torus_width"): 1.5,
-    ("solve", "torus_amplitude"): 1.0,
-    ("construct", "charge_target"): 10.0,
-    ("construct", "c3"): chargewin.SOBOLEV_C3,
-    ("evolve", "sigma"): 300.0,
-    ("evolve", "t_final"): 50.0,
-    ("evolve", "dt"): 0.0,          # 0 means h/2
-    ("evolve", "record_every"): 0,  # 0 means automatic
-    ("evolve", "free"): False,
-    ("evolve", "radius_factor"): 2.0,
-    ("stability", "sigma"): 300.0,
-    ("stability", "t_final"): 50.0,
-    ("stability", "dt"): 0.0,
-    ("stability", "delta"): 0.01,
-    ("stability", "record_every"): 0,
+# every accepted key with its default; a key's type is its default's type
+_SCHEMA: dict[str, dict[str, object]] = {
+    "run": {"command": None},  # checked against the requested command, never stored
+    "nonlinearity": {"family": "double_well", "mass": 1.0, "params": "1.0"},
+    "grid": {"r_max": 24.0, "n": 2048, "z_max": 12.0, "n_z": 256},
+    "solver": {"tol": 1e-6, "max_iters": 50_000},
+    "validate": {"s_max": 3.0, "n_samples": 1000},
+    "window": {"q": 0.0, "s1_values": "0.8,0.9,1.0,1.1,1.2", "r_values": "2,3,4,5,6,7,8,10"},
+    "solve": {"sigma": 300.0, "q": 1.0, "ell": 1, "init_s1": 1.0, "init_r": 5.0,
+              "torus_r0": 4.0, "torus_width": 1.5, "torus_amplitude": 1.0},
+    "construct": {"charge_target": 10.0, "c3": chargewin.SOBOLEV_C3},
+    "evolve": {"sigma": 300.0, "t_final": 50.0,
+               "dt": 0.0,           # 0 means h/2
+               "record_every": 0,   # 0 means automatic
+               "free": False, "radius_factor": 2.0},
+    "stability": {"sigma": 300.0, "t_final": 50.0, "dt": 0.0, "delta": 0.01, "record_every": 0},
 }
 
 
@@ -116,7 +79,7 @@ def _convert(raw: str, typ: type, where: str):
         raise ConfigError(f"bad value for {where}: {raw!r}") from exc
 
 
-def parse_config(path: Path, command: str, out_dir: Path, seed: int | None) -> RunConfig:
+def parse_config(path: Path, command: str, out_dir: Path) -> RunConfig:
     if command not in COMMANDS:
         raise ConfigError(f"unknown command {command!r}; expected one of {COMMANDS}")
     parser = configparser.ConfigParser()
@@ -128,7 +91,9 @@ def parse_config(path: Path, command: str, out_dir: Path, seed: int | None) -> R
     except configparser.Error as exc:
         raise ConfigError(f"cannot parse config {path}: {exc}") from exc
 
-    values: dict[tuple[str, str], object] = dict(_DEFAULTS)
+    values: dict[tuple[str, str], object] = {
+        (section, key): default for section, keys in _SCHEMA.items()
+        for key, default in keys.items() if default is not None}
     for section in parser.sections():
         if section not in _SCHEMA:
             raise ConfigError(f"unknown config section [{section}]")
@@ -139,9 +104,7 @@ def parse_config(path: Path, command: str, out_dir: Path, seed: int | None) -> R
                 if raw != command:
                     raise ConfigError(f"config names command {raw!r} but {command!r} was requested")
                 continue
-            values[(section, key)] = _convert(raw, _SCHEMA[section][key], f"[{section}] {key}")
-    if seed is not None:
-        values[("run", "seed")] = int(seed)
+            values[(section, key)] = _convert(raw, type(_SCHEMA[section][key]), f"[{section}] {key}")
 
     cfg = RunConfig(command=command, out_dir=out_dir, values=values)
     _validate_config(cfg)
@@ -368,6 +331,17 @@ def _write_ledger(out_dir: Path, name: str, ledger: evolve.EvolutionLedger) -> N
         "localization": arrays["localization"], "distance": arrays["distance"]})
 
 
+def _ledger_drifts(ledger: evolve.EvolutionLedger) -> dict[str, float]:
+    """Largest relative energy and charge drift over a ledger, and its final localization."""
+    arrays = ledger.arrays()
+    e0, c0 = arrays["energy"][0], arrays["charge"][0]
+    return {
+        "energy_drift": float(np.max(np.abs(arrays["energy"] - e0)) / abs(e0)),
+        "charge_drift": float(np.max(np.abs(arrays["charge"] - c0)) / abs(c0)),
+        "final_localization": float(arrays["localization"][-1]),
+    }
+
+
 def _run_evolve(cfg: RunConfig) -> dict[str, object]:
     spec, grid, res = _soliton_for_evolution(cfg, float(cfg.get("evolve", "sigma")))
     dt = float(cfg.get("evolve", "dt")) or grid.h / 2.0
@@ -379,17 +353,7 @@ def _run_evolve(cfg: RunConfig) -> dict[str, object]:
         reference=(res.u, res.omega), free_field=bool(cfg.get("evolve", "free")))
     _write_ledger(cfg.out_dir, "ledger.csv", ledger)
     write_profile_csv(cfg.out_dir, "profile.csv", {"r": grid.nodes, "u": np.abs(state.psi)})
-    arrays = ledger.arrays()
-    e0 = arrays["energy"][0]
-    c0 = arrays["charge"][0]
-    return {
-        "t_final": state.t,
-        "energy_drift": float(np.max(np.abs(arrays["energy"] - e0)) / abs(e0)),
-        "charge_drift": float(np.max(np.abs(arrays["charge"] - c0)) / abs(c0)),
-        "final_localization": float(arrays["localization"][-1]),
-        "omega": res.omega,
-        "sigma": res.charge,
-    }
+    return {"t_final": state.t, **_ledger_drifts(ledger), "omega": res.omega, "sigma": res.charge}
 
 
 def _run_stability(cfg: RunConfig) -> dict[str, object]:
@@ -433,14 +397,10 @@ def _run_stability(cfg: RunConfig) -> dict[str, object]:
     out: dict[str, object] = {"sigma": res.charge, "omega": res.omega, "delta": delta,
                               "localization_radius": radius, "reversal_error": reversal}
     for name, ledger in runs.items():
-        arrays = ledger.arrays()
-        e0, c0 = arrays["energy"][0], arrays["charge"][0]
-        out[f"{name}_energy_drift"] = float(np.max(np.abs(arrays["energy"] - e0)) / abs(e0))
-        out[f"{name}_charge_drift"] = float(np.max(np.abs(arrays["charge"] - c0)) / abs(c0))
-        out[f"{name}_final_localization"] = float(arrays["localization"][-1])
-        if np.isfinite(arrays["distance"]).all():
-            d0 = arrays["distance"][0]
-            out[f"{name}_distance_ratio"] = float(np.max(arrays["distance"]) / d0) if d0 > 0 else 0.0
+        out.update({f"{name}_{key}": value for key, value in _ledger_drifts(ledger).items()})
+        distance = ledger.arrays()["distance"]
+        if np.isfinite(distance).all():
+            out[f"{name}_distance_ratio"] = float(np.max(distance) / distance[0]) if distance[0] > 0 else 0.0
     return out
 
 
@@ -472,12 +432,11 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("command", choices=COMMANDS)
     parser.add_argument("--config", required=True, type=Path)
     parser.add_argument("--out", type=Path, default=None)
-    parser.add_argument("--seed", type=int, default=None)
     args = parser.parse_args(argv)
 
     out_dir = args.out if args.out is not None else Path("runs") / args.command
     try:
-        cfg = parse_config(args.config, args.command, out_dir, args.seed)
+        cfg = parse_config(args.config, args.command, out_dir)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -38,6 +38,8 @@ class EvolutionState:
         psi_t = np.asarray(self.psi_t, dtype=complex)
         if psi.shape != (self.grid.n + 1,) or psi_t.shape != psi.shape:
             raise ValueError("field samples do not match the grid")
+        if not (np.isfinite(psi).all() and np.isfinite(psi_t).all()):
+            raise ValueError("field samples must be finite")
         self.psi = psi
         self.psi_t = psi_t
 
@@ -140,15 +142,21 @@ def evolve_nlkg(
 ) -> tuple[EvolutionState, EvolutionLedger]:
     """Leapfrog the field to t_final, recording conserved quantities.
 
-    ``dt`` must stay below the grid spacing (unit wave speed).  The force
-    is the smooth ratio W'(s)/s times psi, which extends continuously by
-    the squared mass at zero amplitude; ``free_field`` replaces it by the
-    bare mass term.  Raises BlowUpError if the amplitude grows by six
-    orders of magnitude.
+    ``dt`` must satisfy the leapfrog stability bound
+    dt < 2 / sqrt(lambda_max(-lap) + m^2), about 0.816 h on this grid
+    because the origin row of the Laplacian carries 6/h^2.  The force is
+    the smooth ratio W'(s)/s times psi, which extends continuously by the
+    squared mass at zero amplitude; ``free_field`` replaces it by the bare
+    mass term.  Raises BlowUpError if the amplitude grows by six orders of
+    magnitude or stops being finite.
     """
     grid = init.grid
-    if not (0.0 < dt < grid.h):
-        raise ValueError("dt must be positive and below the grid spacing")
+    m2 = spec.mass**2
+    # the decoupled origin row of the Laplacian gives its largest eigenvalue
+    # 6/h^2 exactly; every other row's Gershgorin disc stays within 4/h^2
+    dt_max = 2.0 / np.sqrt(-grid.laplacian_bands[1, 0] + m2)
+    if not (0.0 < dt < dt_max):
+        raise ValueError(f"dt must be positive and below the leapfrog stability bound {dt_max:.6g}")
     if t_final <= 0.0:
         raise ValueError("t_final must be positive")
     n_steps = int(round(t_final / dt))
@@ -157,7 +165,6 @@ def evolve_nlkg(
     if localization_radius is None:
         localization_radius = grid.r_max
 
-    m2 = spec.mass**2
 
     def force_factor(amp: np.ndarray) -> np.ndarray:
         if free_field:
@@ -195,8 +202,10 @@ def evolve_nlkg(
         a = accel(psi)
         v = v_half + 0.5 * dt * a
         if step % record_every == 0 or step == n_steps:
-            if float(np.max(np.abs(psi))) > guard:
-                raise BlowUpError(f"amplitude exceeded {BLOWUP_FACTOR:g} times its initial scale at t={step * dt:g}")
+            # written so that a NaN amplitude trips the guard as well
+            if not float(np.max(np.abs(psi))) <= guard:
+                raise BlowUpError(f"amplitude exceeded {BLOWUP_FACTOR:g} times its initial scale "
+                                  f"or stopped being finite at t={step * dt:g}")
             record(step)
 
     return EvolutionState(grid, psi, v, init.t + n_steps * dt), ledger

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import RadialProfile, integrate_radial, radial_laplacian
+from .grid import RadialGrid, RadialProfile, gradient_sq_integral, integrate_radial, radial_laplacian
 from .model import NonlinearSpec, eval_nonlinearity, eval_remainder
 
 
@@ -45,6 +45,36 @@ def nlkg_deficiency(u: RadialProfile, spec: NonlinearSpec) -> float:
     return 0.5 * u.gradient2 + r_int
 
 
+def reduced_energy(grid: RadialGrid, u: np.ndarray, spec: NonlinearSpec, sigma: float, k: float) -> float:
+    """E_sigma(u) = integral of |grad u|^2/2 + W(u)  +  sigma^2 / (2 K).
+
+    K is the mass ||u||^2 in the ungauged theory and the screened mass K(u)
+    in the gauge-coupled one; at sigma = 0 the charge term is dropped.
+    """
+    w_int = integrate_radial(grid, eval_nonlinearity(spec, u, 0))
+    return 0.5 * gradient_sq_integral(grid, u) + w_int + charge_energy(sigma, k)
+
+
+def charge_energy(sigma: float, k: float) -> float:
+    """The term sigma^2 / (2 K); infinite when a vanishing profile must carry sigma > 0."""
+    if k > 0:
+        return sigma**2 / (2.0 * k)
+    return np.inf if sigma else 0.0
+
+
+def stationary_operator(grid: RadialGrid, u: np.ndarray, spec: NonlinearSpec, omega2: float,
+                        screen: np.ndarray | float = 1.0) -> np.ndarray:
+    """-lap u + W'(u) - omega^2 s u with the truncation node zeroed.
+
+    The screen is s = 1 for the ungauged equation and s = (1 - q phi)^2
+    for the gauge-coupled one.  At omega^2 = (sigma/K)^2 this is the first
+    variation of E_sigma; it vanishes on solutions of the stationary system.
+    """
+    g = -radial_laplacian(grid, u) + eval_nonlinearity(spec, u, 1) - omega2 * screen * u
+    g[-1] = 0.0
+    return g
+
+
 def reduced_energy_sigma(u: RadialProfile, sigma: float, spec: NonlinearSpec) -> tuple[float, float]:
     """Energy at fixed charge after eliminating the frequency.
 
@@ -52,15 +82,10 @@ def reduced_energy_sigma(u: RadialProfile, sigma: float, spec: NonlinearSpec) ->
     nonzero charge.
     """
     mass2 = u.mass2
-    if sigma == 0.0:
-        w_int = integrate_radial(u.grid, eval_nonlinearity(spec, u.values, 0))
-        return 0.5 * u.gradient2 + w_int, 0.0
-    if mass2 <= 0.0:
+    if sigma != 0.0 and mass2 <= 0.0:
         raise ValueError("zero profile cannot satisfy a nonzero charge constraint")
-    omega = -sigma / mass2
-    w_int = integrate_radial(u.grid, eval_nonlinearity(spec, u.values, 0))
-    energy = 0.5 * u.gradient2 + w_int + sigma**2 / (2.0 * mass2)
-    return energy, omega
+    omega = -sigma / mass2 if sigma else 0.0
+    return reduced_energy(u.grid, u.values, spec, sigma, mass2), omega
 
 
 def hylomorphy_ratio(u: RadialProfile, sigma: float, spec: NonlinearSpec) -> float:
@@ -98,7 +123,4 @@ def nlkg_first_variation(u: RadialProfile, sigma: float, spec: NonlinearSpec) ->
     mass2 = u.mass2
     if mass2 <= 0.0:
         raise ValueError("zero profile cannot satisfy a nonzero charge constraint")
-    omega2 = (sigma / mass2) ** 2
-    g = -radial_laplacian(u.grid, u.values) + eval_nonlinearity(spec, u.values, 1) - omega2 * u.values
-    g[-1] = 0.0
-    return g
+    return stationary_operator(u.grid, u.values, spec, (sigma / mass2) ** 2)

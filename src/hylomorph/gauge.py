@@ -30,14 +30,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import solve_banded
 
-from .grid import (
-    FOUR_PI,
-    RadialGrid,
-    RadialProfile,
-    integrate_radial,
-    radial_laplacian,
-)
-from .model import NonlinearSpec, eval_nonlinearity, eval_remainder
+from .functionals import reduced_energy, stationary_operator
+from .grid import FOUR_PI, RadialGrid, RadialProfile, banded_matvec, integrate_radial, trapezoid_weights
+from .model import NonlinearSpec, eval_remainder
 
 _BOUND_SLACK = 1e-10
 
@@ -58,61 +53,43 @@ class GaugePotential:
         object.__setattr__(self, "values", v)
 
 
-def _tridiag_apply(lower: np.ndarray, diag: np.ndarray, upper: np.ndarray, x: np.ndarray) -> np.ndarray:
-    out = diag * x
-    out[:-1] += upper[:-1] * x[1:]
-    out[1:] += lower[1:] * x[:-1]
-    return out
-
-
 def solve_phi(u: RadialProfile, q: float) -> GaugePotential:
     """Solve the screened Poisson subproblem by a direct tridiagonal solve."""
     if not q > 0:
         raise ValueError("coupling q must be positive")
     grid = u.grid
-    r = grid.nodes
-    h = grid.h
-    n = grid.n
     uu = u.values**2
 
-    # cell coefficients a_i = r_i r_{i+1} / h^2 and node masses b_i = w_i r_i^2
-    a = r[:-1] * r[1:] / h
-    w = np.full(n + 1, h)
-    w[0] = w[-1] = 0.5 * h
-    b = w * r**2
+    # the grid's cell fluxes a_i = r_i r_{i+1} / h and node masses b_i = w_i r_i^2
+    a = grid.flux
+    b = trapezoid_weights(grid.n, grid.h) * grid.nodes**2
 
-    lower = np.zeros(n + 1)
-    diag = np.zeros(n + 1)
-    upper = np.zeros(n + 1)
+    ab = np.zeros((3, grid.n + 1))
     rhs = q * b * uu
-
-    diag[1:-1] = a[:-1] + a[1:] + b[1:-1] * q**2 * uu[1:-1]
+    ab[1, 1:-1] = a[:-1] + a[1:] + b[1:-1] * q**2 * uu[1:-1]
     # Robin closure: the exterior A/r tail contributes r_max * phi_n^2 to the
     # quadratic form, hence + r_max on the last diagonal entry
-    diag[-1] = a[-1] + grid.r_max + b[-1] * q**2 * uu[-1]
-    lower[1:] = -a
-    upper[1:-1] = -a[1:]
+    ab[1, -1] = a[-1] + grid.r_max + b[-1] * q**2 * uu[-1]
+    ab[0, 2:] = -a[1:]
+    ab[2, :-1] = -a
 
-    # origin row: collocation of the regular limit 3 phi''(0), decoupled from
-    # the energy rows because the first cell carries zero weight
-    diag[0] = 6.0 / h**2 + q**2 * uu[0]
-    upper[0] = -6.0 / h**2
+    # origin row: collocation of the regular limit 3 phi''(0) (the grid
+    # Laplacian's origin row), decoupled from the energy rows because the
+    # first cell carries zero weight
+    ab[1, 0] = -grid.laplacian_bands[1, 0] + q**2 * uu[0]
+    ab[0, 1] = -grid.laplacian_bands[0, 1]
     rhs[0] = q * uu[0]
 
-    ab = np.zeros((3, n + 1))
-    ab[0, 1:] = upper[:-1]
-    ab[1, :] = diag
-    ab[2, :-1] = lower[1:]
     phi = solve_banded((1, 1), ab, rhs)
     # one step of iterative refinement: the Dirichlet rows are stiff at fine
     # grids and downstream finite differences of K(u) see the solve noise
-    residual = rhs - _tridiag_apply(lower, diag, upper, phi)
-    phi = phi + solve_banded((1, 1), ab, residual)
+    phi = phi + solve_banded((1, 1), ab, rhs - banded_matvec(ab, phi))
 
     slack = _BOUND_SLACK * max(1.0, 1.0 / q)
-    assert phi.min() >= -slack and phi.max() <= 1.0 / q + slack, (
-        "screened potential violated its a priori bounds; solver defect"
-    )
+    if not (phi.min() >= -slack and phi.max() <= 1.0 / q + slack):
+        from .minimize import InvariantError
+
+        raise InvariantError("screened potential violated its a priori bounds; solver defect")
     return GaugePotential(grid, np.clip(phi, 0.0, 1.0 / q), q)
 
 
@@ -172,14 +149,12 @@ def kgm_functionals(u: RadialProfile, sigma: float, q: float, spec: NonlinearSpe
     r_int = integrate_radial(u.grid, eval_remainder(spec, u.values, 0))
     # q * integral of phi u^2 = mass2 - K by the same quadrature, exactly
     deficiency = 0.5 * u.gradient2 + r_int + 0.5 * m2 * (mass2 - k)
-    energy = deficiency + 0.5 * (m2 * k + sigma**2 / k)
-    omega = -sigma / k
     return KgmFunctionals(
         screened_mass=k,
         mass_defect=defect,
         deficiency=deficiency,
-        reduced_energy=energy,
-        omega=omega,
+        reduced_energy=reduced_energy(u.grid, u.values, spec, sigma, k),
+        omega=-sigma / k,
         sigma=sigma,
         coupling=q,
         phi=phi,
@@ -197,10 +172,5 @@ def kgm_gradient(u: RadialProfile, sigma: float, q: float, spec: NonlinearSpec,
     """
     if funcs is None:
         funcs = kgm_functionals(u, sigma, q, spec)
-    screen = (1.0 - q * funcs.phi.values) ** 2
-    omega2 = (sigma / funcs.screened_mass) ** 2
-    g = (-radial_laplacian(u.grid, u.values)
-         + eval_nonlinearity(spec, u.values, 1)
-         - omega2 * screen * u.values)
-    g[-1] = 0.0
-    return g
+    return stationary_operator(u.grid, u.values, spec, (sigma / funcs.screened_mass) ** 2,
+                               (1.0 - q * funcs.phi.values) ** 2)

@@ -9,13 +9,20 @@ fields vanishing at both ends.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable
 
 import numpy as np
 
 FOUR_PI = 4.0 * np.pi
+
+
+def trapezoid_weights(n: int, h: float) -> np.ndarray:
+    """Trapezoid-rule weights of n uniform intervals of width h."""
+    w = np.full(n + 1, h)
+    w[0] = w[-1] = 0.5 * h
+    return w
 
 
 @dataclass(frozen=True)
@@ -44,19 +51,48 @@ class RadialGrid:
     @cached_property
     def volume_weights(self) -> np.ndarray:
         """Trapezoid weights for integrals of radial functions over R^3."""
-        w = np.full(self.n + 1, self.h)
-        w[0] = w[-1] = 0.5 * self.h
-        vw = FOUR_PI * w * self.nodes**2
+        vw = FOUR_PI * trapezoid_weights(self.n, self.h) * self.nodes**2
         vw.setflags(write=False)
         return vw
 
     @cached_property
+    def flux(self) -> np.ndarray:
+        """Cell coefficients a_i = r_i r_{i+1} / h of the first-difference fluxes."""
+        r = self.nodes
+        a = r[:-1] * r[1:] / self.h
+        a.setflags(write=False)
+        return a
+
+    @cached_property
     def gradient_weights(self) -> np.ndarray:
         """Per-cell weights pairing first differences into the Dirichlet form."""
-        r = self.nodes
-        gw = FOUR_PI * r[:-1] * r[1:] / self.h
+        gw = FOUR_PI * self.flux
         gw.setflags(write=False)
         return gw
+
+    @cached_property
+    def laplacian_bands(self) -> np.ndarray:
+        """Tridiagonal bands of radial_laplacian in scipy ``solve_banded`` layout.
+
+        Row i divides the flux difference a_i (u_{i+1} - u_i) - a_{i-1} (u_i - u_{i-1})
+        by the node mass h r_i^2.  The origin row is the regular limit
+        3 u''(0) = 6 (u_1 - u_0) / h^2 with u'(0) = 0; the last row closes
+        with a zero ghost value at r_max + h (Dirichlet continuation).
+        """
+        r = self.nodes
+        h = self.h
+        ghost = self.r_max * (self.r_max + h) / h
+        mass = h * r[1:] ** 2
+        above = np.append(self.flux[1:], ghost) / mass   # a_i / (h r_i^2)
+        below = self.flux / mass                         # a_{i-1} / (h r_i^2)
+        ab = np.zeros((3, self.n + 1))
+        ab[0, 1] = 6.0 / h**2
+        ab[1, 0] = -ab[0, 1]
+        ab[1, 1:] = -(above + below)
+        ab[0, 2:] = above[:-1]
+        ab[2, :-1] = below
+        ab.setflags(write=False)
+        return ab
 
 
 @dataclass
@@ -74,6 +110,8 @@ class RadialProfile:
         v = np.asarray(self.values, dtype=float)
         if v.shape != (self.grid.n + 1,):
             raise ValueError(f"expected {self.grid.n + 1} samples, got {v.shape}")
+        if not np.isfinite(v).all():
+            raise ValueError("profile samples must be finite")
         scale = float(np.max(np.abs(v))) if v.size else 0.0
         if np.min(v) < -1e-9 * max(scale, 1.0):
             raise ValueError("profile values must be nonnegative")
@@ -125,6 +163,14 @@ def gradient_sq_integral(grid: RadialGrid, samples: np.ndarray) -> float:
     return float(np.real(grid.gradient_weights @ (d * np.conj(d))))
 
 
+def banded_matvec(ab: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Apply a tridiagonal matrix stored in ``solve_banded`` layout to x."""
+    out = ab[1] * x
+    out[:-1] += ab[0, 1:] * x[1:]
+    out[1:] += ab[2, :-1] * x[:-1]
+    return out
+
+
 def radial_laplacian(grid: RadialGrid, samples: np.ndarray) -> np.ndarray:
     """Second-order Laplacian u'' + (2/r) u' of a radial field.
 
@@ -134,16 +180,7 @@ def radial_laplacian(grid: RadialGrid, samples: np.ndarray) -> np.ndarray:
     v = np.asarray(samples)
     if v.shape != (grid.n + 1,):
         raise ValueError("samples do not match the grid")
-    if grid.n < 3:
-        raise ValueError("Laplacian needs at least 3 intervals")
-    r = grid.nodes
-    h = grid.h
-    out = np.empty_like(v, dtype=np.result_type(v.dtype, float))
-    out[0] = 6.0 * (v[1] - v[0]) / h**2
-    out[1:-1] = (r[2:] * (v[2:] - v[1:-1]) - r[:-2] * (v[1:-1] - v[:-2])) / (r[1:-1] * h**2)
-    r_ghost = grid.r_max + h
-    out[-1] = (r_ghost * (0.0 - v[-1]) - r[-2] * (v[-1] - v[-2])) / (r[-1] * h**2)
-    return out
+    return banded_matvec(grid.laplacian_bands, v)
 
 
 def weighted_norm(grid: RadialGrid, samples: np.ndarray) -> float:

@@ -11,17 +11,26 @@ stationary-equation residual.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, Any, Callable
 
 import numpy as np
 from scipy.linalg import solve_banded
 
-from .functionals import reduced_energy_sigma
+from .functionals import reduced_energy, reduced_energy_sigma, stationary_operator
 from .gauge import GaugePotential, kgm_functionals, screened_mass_two_forms, solve_phi
-from .grid import RadialGrid, RadialProfile, radial_laplacian, weighted_norm
-from .model import NonlinearSpec, eval_nonlinearity
+from .grid import RadialGrid, RadialProfile, weighted_norm
+from .model import NonlinearSpec
 
 COLLAPSE_AMPLITUDE_FACTOR = 1e-3
+COLLAPSE_NOTE = "profile collapsed toward zero; sigma likely below every certified window"
+UNBOUND_NOTE = "ratio at or above the mass; no binding certificate at this sigma"
+
+
+class InvariantError(AssertionError):
+    """A guaranteed numerical invariant failed: a solver defect, not bad input.
+
+    Raised explicitly so that ``python -O`` keeps the check.
+    """
 
 
 @dataclass(frozen=True)
@@ -71,24 +80,9 @@ class _Preconditioner:
     """Tridiagonal solve of (I - c lap) on the radial grid."""
 
     def __init__(self, grid: RadialGrid, c: float):
-        self.grid = grid
         self.c = c
-        n = grid.n
-        r = grid.nodes
-        h = grid.h
-        ab = np.zeros((3, n + 1))
-        if c == 0.0:
-            ab[1, :] = 1.0
-        else:
-            ab[1, 0] = 1.0 + c * 6.0 / h**2
-            ab[0, 1] = -c * 6.0 / h**2
-            ri = r[1:-1]
-            ab[1, 1:-1] = 1.0 + c * (r[2:] + r[:-2]) / (ri * h**2)
-            ab[0, 2:] = -c * r[2:] / (ri * h**2)
-            ab[2, :-1] = -c * r[:-1] / (r[1:] * h**2)
-            r_ghost = grid.r_max + h
-            ab[1, -1] = 1.0 + c * (r_ghost + r[-2]) / (r[-1] * h**2)
-        self._ab = ab
+        self._ab = -c * grid.laplacian_bands
+        self._ab[1] += 1.0
 
     def solve(self, g: np.ndarray) -> np.ndarray:
         if self.c == 0.0:
@@ -98,21 +92,33 @@ class _Preconditioner:
 
 def descend(
     u0: np.ndarray,
-    energy: Callable[[np.ndarray], float],
-    gradient: Callable[[np.ndarray], np.ndarray],
+    energy: Callable[[np.ndarray], tuple[float, Any]],
+    gradient: Callable[[np.ndarray, Any], np.ndarray],
     project: Callable[[np.ndarray], np.ndarray],
-    inner: Callable[[np.ndarray, np.ndarray], float],
+    weights: np.ndarray,
     pc_solve: Callable[[np.ndarray], np.ndarray],
     opts: SolveOptions,
-    res_scale: Callable[[np.ndarray], float],
 ) -> tuple[np.ndarray, float, int, bool]:
     """Projected, preconditioned backtracking descent shared by all solvers.
 
+    ``energy(u)`` returns the energy and whatever state it computed on the
+    way; ``gradient(u, state)`` receives the state of the same iterate, so
+    work both need (the screened mass and its potential) is done once.
+    Inner products and the residual norm use the quadrature ``weights``.
+
     Returns (u, residual, iterations, converged).
     """
+    w = weights.ravel()
+
+    def inner(a: np.ndarray, b: np.ndarray) -> float:
+        return float(w @ (a * b).ravel())
+
+    def converged_at(residual: float, u: np.ndarray) -> bool:
+        return bool(residual < opts.tol * (1.0 + np.sqrt(inner(u, u))))
+
     u = project(u0.copy())
     tau = opts.step_init
-    e_cur = energy(u)
+    e_cur, state = energy(u)
     e_mark = e_cur
     res_best = np.inf
     it_mark = 0
@@ -120,9 +126,9 @@ def descend(
     iterations = 0
     for it in range(opts.max_iters):
         iterations = it
-        g = gradient(u)
+        g = gradient(u, state)
         residual = np.sqrt(inner(g, g))
-        if residual < opts.tol * res_scale(u):
+        if converged_at(residual, u):
             return u, residual, it, True
         # stall guard: break only when neither the energy (which pins at
         # float resolution first) nor the residual makes real progress
@@ -144,24 +150,55 @@ def descend(
             move2 = inner(move, move)
             if move2 == 0.0:
                 break
-            e_trial = energy(trial)
+            e_trial, trial_state = energy(trial)
             if e_trial <= e_cur - (opts.armijo / tau) * move2 + 1e-15 * abs(e_cur):
-                assert e_trial <= e_cur + 1e-12 * max(1.0, abs(e_cur)), "descent step increased the energy"
+                if not e_trial <= e_cur + 1e-12 * max(1.0, abs(e_cur)):
+                    raise InvariantError("descent step increased the energy")
                 # grow the step only on decrease beyond float noise; noise
                 # acceptances otherwise inflate tau into an overshoot cycle
                 if e_cur - e_trial > 1e-14 * max(1.0, abs(e_cur)):
                     tau = min(tau * 2.0, 1e3 * opts.step_init)
-                u = trial
-                e_cur = e_trial
+                u, e_cur, state = trial, e_trial, trial_state
                 accepted = True
                 break
             tau *= opts.shrink
         if not accepted:
             break
-    g = gradient(u)
+    g = gradient(u, state)
     residual = np.sqrt(inner(g, g))
-    converged = bool(residual < opts.tol * res_scale(u))
-    return u, residual, iterations, converged
+    return u, residual, iterations, converged_at(residual, u)
+
+
+def finalize_result(profile: "RadialProfile | AxisymProfile", init: "RadialProfile | AxisymProfile",
+                    spec: NonlinearSpec, sigma: float, energy: float, screened_mass: float,
+                    residual: float, iterations: int, converged: bool, *,
+                    phi: GaugePotential | None = None, coupling: float | None = None,
+                    winding: int = 0) -> SolitonResult:
+    """Turn a finished descent into a SolitonResult; shared by every solver.
+
+    Eliminates the frequency omega = -sigma/K, checks the charge
+    constraint, flags a collapse toward zero, and certifies the charge only
+    for a converged state whose ratio E_sigma/sigma lies below the mass.
+    """
+    q = 1.0 if coupling is None else coupling
+    omega = -sigma / screened_mass
+    if not abs(-q * omega * screened_mass - q * sigma) <= 1e-8 * q * sigma:
+        raise InvariantError("charge constraint broken by omega elimination")
+    collapsed = bool(np.max(profile.values) < COLLAPSE_AMPLITUDE_FACTOR * np.max(init.values))
+    hylomorphy = energy / sigma
+    note = ""
+    if collapsed:
+        note = COLLAPSE_NOTE
+    elif hylomorphy >= spec.mass:
+        note = UNBOUND_NOTE
+    converged = bool(converged and not collapsed)
+    return SolitonResult(
+        u=profile, omega=omega, phi=phi, energy=energy, charge=sigma,
+        electric_charge=q * sigma, hylomorphy=hylomorphy, residual=residual,
+        iterations=iterations, converged=converged, collapsed=collapsed,
+        winding=winding, coupling=coupling, note=note,
+        certified=bool(converged and hylomorphy < spec.mass),
+    )
 
 
 def _radial_project(values: np.ndarray) -> np.ndarray:
@@ -180,52 +217,28 @@ def minimize_nlkg(spec: NonlinearSpec, sigma: float, init: RadialProfile,
     opts = opts or SolveOptions()
     grid = init.grid
     vw = grid.volume_weights
-    pc = _Preconditioner(grid, opts.precond)
-    w_samples = lambda u: eval_nonlinearity(spec, u, 0)
 
-    def energy(u: np.ndarray) -> float:
+    def energy(u: np.ndarray) -> tuple[float, float]:
         mass2 = float(vw @ (u * u))
-        grad2 = float(grid.gradient_weights @ (np.diff(u) ** 2))
-        return 0.5 * grad2 + float(vw @ w_samples(u)) + sigma**2 / (2.0 * mass2)
+        return reduced_energy(grid, u, spec, sigma, mass2), mass2
 
-    def gradient(u: np.ndarray) -> np.ndarray:
-        mass2 = float(vw @ (u * u))
-        omega2 = (sigma / mass2) ** 2
-        g = -radial_laplacian(grid, u) + eval_nonlinearity(spec, u, 1) - omega2 * u
-        g[-1] = 0.0
-        return g
-
-    inner = lambda a, b: float(vw @ (a * b))
-    res_scale = lambda u: 1.0 + np.sqrt(float(vw @ (u * u)))
+    def gradient(u: np.ndarray, mass2: float) -> np.ndarray:
+        return stationary_operator(grid, u, spec, (sigma / mass2) ** 2)
 
     u, residual, iters, converged = descend(
-        init.values, energy, gradient, _radial_project, inner, pc.solve, opts, res_scale)
+        init.values, energy, gradient, _radial_project, vw,
+        _Preconditioner(grid, opts.precond).solve, opts)
 
     profile = RadialProfile(grid, u)
-    mass2 = profile.mass2
-    omega = -sigma / mass2
-    e_sigma, omega_check = reduced_energy_sigma(profile, sigma, spec)
-    assert abs(-omega_check * mass2 - sigma) <= 1e-8 * sigma, "charge constraint broken by omega elimination"
-    collapsed = float(np.max(u)) < COLLAPSE_AMPLITUDE_FACTOR * float(np.max(init.values))
-    note = ""
-    if collapsed:
-        note = "profile collapsed toward zero; sigma likely below every certified window"
-    elif e_sigma / sigma >= spec.mass:
-        note = "ratio at or above the mass; no binding certificate at this sigma"
-    converged = bool(converged and not collapsed)
-    return SolitonResult(
-        u=profile, omega=omega, phi=None, energy=e_sigma, charge=sigma,
-        electric_charge=sigma, hylomorphy=e_sigma / sigma, residual=residual,
-        iterations=iters, converged=converged, collapsed=bool(collapsed),
-        winding=0, coupling=None, note=note,
-        certified=bool(converged and e_sigma / sigma < spec.mass),
-    )
+    e_sigma, _ = reduced_energy_sigma(profile, sigma, spec)
+    return finalize_result(profile, init, spec, sigma, e_sigma, profile.mass2,
+                           residual, iters, converged)
 
 
 def minimize_kgm(spec: NonlinearSpec, sigma: float, q: float, init: RadialProfile,
                  opts: SolveOptions | None = None) -> SolitonResult:
     """Minimize the gauge-coupled reduced energy; the potential is re-solved
-    at every energy and gradient evaluation."""
+    at every energy evaluation and reused by the gradient at that iterate."""
     if not sigma > 0:
         raise ValueError("sigma must be positive")
     if not q > 0:
@@ -234,54 +247,27 @@ def minimize_kgm(spec: NonlinearSpec, sigma: float, q: float, init: RadialProfil
         raise ValueError("initial profile must not vanish identically")
     opts = opts or SolveOptions()
     grid = init.grid
-    vw = grid.volume_weights
-    pc = _Preconditioner(grid, opts.precond)
 
-    def screened_mass(u: np.ndarray) -> tuple[float, np.ndarray]:
+    def energy(u: np.ndarray) -> tuple[float, tuple[float, GaugePotential]]:
         profile = RadialProfile(grid, u)
         phi = solve_phi(profile, q)
         # energy form: stationary in phi, so solve noise does not roughen
         # the landscape seen by the line search
         k, _ = screened_mass_two_forms(profile, phi)
-        return k, phi.values
+        return reduced_energy(grid, u, spec, sigma, k), (k, phi)
 
-    def energy(u: np.ndarray) -> float:
-        k, _ = screened_mass(u)
-        grad2 = float(grid.gradient_weights @ (np.diff(u) ** 2))
-        return 0.5 * grad2 + float(vw @ eval_nonlinearity(spec, u, 0)) + sigma**2 / (2.0 * k)
-
-    def gradient(u: np.ndarray) -> np.ndarray:
-        k, phi = screened_mass(u)
-        omega2 = (sigma / k) ** 2
-        g = (-radial_laplacian(grid, u) + eval_nonlinearity(spec, u, 1)
-             - omega2 * (1.0 - q * phi) ** 2 * u)
-        g[-1] = 0.0
-        return g
-
-    inner = lambda a, b: float(vw @ (a * b))
-    res_scale = lambda u: 1.0 + np.sqrt(float(vw @ (u * u)))
+    def gradient(u: np.ndarray, state: tuple[float, GaugePotential]) -> np.ndarray:
+        k, phi = state
+        return stationary_operator(grid, u, spec, (sigma / k) ** 2, (1.0 - q * phi.values) ** 2)
 
     u, residual, iters, converged = descend(
-        init.values, energy, gradient, _radial_project, inner, pc.solve, opts, res_scale)
+        init.values, energy, gradient, _radial_project, grid.volume_weights,
+        _Preconditioner(grid, opts.precond).solve, opts)
 
     profile = RadialProfile(grid, u)
     funcs = kgm_functionals(profile, sigma, q, spec)
-    assert abs(-q * funcs.omega * funcs.screened_mass - q * sigma) <= 1e-8 * q * sigma, (
-        "gauge charge constraint broken by omega elimination")
-    collapsed = float(np.max(u)) < COLLAPSE_AMPLITUDE_FACTOR * float(np.max(init.values))
-    note = ""
-    if collapsed:
-        note = "profile collapsed toward zero; sigma likely below every certified window"
-    elif funcs.hylomorphy >= spec.mass:
-        note = "ratio at or above the mass; no binding certificate at this sigma"
-    converged = bool(converged and not collapsed)
-    return SolitonResult(
-        u=profile, omega=funcs.omega, phi=funcs.phi, energy=funcs.reduced_energy,
-        charge=sigma, electric_charge=q * sigma, hylomorphy=funcs.hylomorphy,
-        residual=residual, iterations=iters, converged=converged,
-        collapsed=bool(collapsed), winding=0, coupling=q, note=note,
-        certified=bool(converged and funcs.hylomorphy < spec.mass),
-    )
+    return finalize_result(profile, init, spec, sigma, funcs.reduced_energy, funcs.screened_mass,
+                           residual, iters, converged, phi=funcs.phi, coupling=q)
 
 
 def residual_stationary(result, spec: NonlinearSpec, kind: str) -> float:
@@ -289,8 +275,10 @@ def residual_stationary(result, spec: NonlinearSpec, kind: str) -> float:
 
     ``kind`` selects the equation: "nlkg" for -lap u - omega^2 u + W'(u),
     "kgm" for its screened variant, "vortex" for the axisymmetric equation
-    with the centrifugal term.  The potential is re-solved from scratch for
-    the gauge case so the check is independent of the stored one.
+    with the centrifugal term.  The frequency is taken from the result
+    (shooting results carry no charge parameter), and the potential is
+    re-solved from scratch for the gauge case so the check is independent
+    of the stored one.
     """
     profile = getattr(result, "u", None)
     if profile is None:
@@ -300,20 +288,14 @@ def residual_stationary(result, spec: NonlinearSpec, kind: str) -> float:
         from .vortex import vortex_residual
 
         return vortex_residual(profile, omega, spec)
-    u = profile.values
-    grid = profile.grid
     if kind == "nlkg":
-        lhs = -radial_laplacian(grid, u) - omega**2 * u + eval_nonlinearity(spec, u, 1)
+        screen = 1.0
     elif kind == "kgm":
         q = result.coupling
         if q is None:
             raise ValueError("gauge residual needs the coupling stored on the result")
-        phi = solve_phi(profile, q)
-        lhs = (-radial_laplacian(grid, u)
-               - omega**2 * (q * phi.values - 1.0) ** 2 * u
-               + eval_nonlinearity(spec, u, 1))
+        screen = (1.0 - q * solve_phi(profile, q).values) ** 2
     else:
         raise ValueError(f"unknown stationary equation kind {kind!r}")
-    lhs = lhs.copy()
-    lhs[-1] = 0.0
-    return weighted_norm(grid, lhs)
+    grid = profile.grid
+    return weighted_norm(grid, stationary_operator(grid, profile.values, spec, omega**2, screen))

@@ -18,7 +18,9 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
-from .minimize import SolitonResult, SolveOptions, descend
+from .functionals import charge_energy
+from .grid import trapezoid_weights
+from .minimize import SolitonResult, SolveOptions, descend, finalize_result
 from .model import NonlinearSpec, eval_nonlinearity
 
 TWO_PI = 2.0 * np.pi
@@ -62,13 +64,28 @@ class AxisymGrid:
     @cached_property
     def cell_weights(self) -> np.ndarray:
         """Trapezoid x trapezoid weights times 2 pi r (volume measure)."""
-        wr = np.full(self.n_r + 1, self.h_r)
-        wr[0] = wr[-1] = 0.5 * self.h_r
-        wz = np.full(self.n_z + 1, self.h_z)
-        wz[0] = wz[-1] = 0.5 * self.h_z
+        wr = trapezoid_weights(self.n_r, self.h_r)
+        wz = trapezoid_weights(self.n_z, self.h_z)
         w = TWO_PI * (wr * self.r)[:, None] * wz[None, :]
         w.setflags(write=False)
         return w
+
+    @cached_property
+    def r_face_weights(self) -> np.ndarray:
+        """Weights 2 pi r_{i+1/2} w_z / h_r of squared differences across r-faces."""
+        r_face = self.r[:-1] + 0.5 * self.h_r
+        wz = trapezoid_weights(self.n_z, self.h_z)
+        f = TWO_PI * r_face[:, None] * wz[None, :] / self.h_r
+        f.setflags(write=False)
+        return f
+
+    @cached_property
+    def z_face_weights(self) -> np.ndarray:
+        """Weights 2 pi w_r r / h_z of squared differences across z-faces."""
+        wr = trapezoid_weights(self.n_r, self.h_r)
+        f = np.repeat(TWO_PI * (wr * self.r)[:, None] / self.h_z, self.n_z, axis=1)
+        f.setflags(write=False)
+        return f
 
 
 @dataclass
@@ -112,19 +129,23 @@ def integrate_axisym(grid: AxisymGrid, samples: np.ndarray) -> float:
     return float(np.sum(grid.cell_weights * samples))
 
 
+def axisym_gradient_pairing(grid: AxisymGrid, a: np.ndarray, b: np.ndarray) -> float:
+    """Discrete integral of grad a . grad b, the exact dual of axisym_laplacian."""
+    return (float(np.sum(grid.r_face_weights * np.diff(a, axis=0) * np.diff(b, axis=0)))
+            + float(np.sum(grid.z_face_weights * np.diff(a, axis=1) * np.diff(b, axis=1))))
+
+
 def axisym_laplacian(grid: AxisymGrid, v: np.ndarray) -> np.ndarray:
-    """Cylindrical five-point Laplacian (1/r)(r u_r)_r + u_zz, interior only."""
-    r = grid.r
-    h_r, h_z = grid.h_r, grid.h_z
+    """Cylindrical five-point Laplacian (1/r)(r u_r)_r + u_zz, interior only.
+
+    Face-weighted flux differences divided by the cell weights, so that
+    summation by parts against axisym_gradient_pairing holds to round-off.
+    """
+    flux_r = grid.r_face_weights * np.diff(v, axis=0)
+    flux_z = grid.z_face_weights * np.diff(v, axis=1)
     out = np.zeros_like(v)
-    r_mid = r[1:-1][:, None]
-    r_plus = (r[1:-1] + 0.5 * h_r)[:, None]
-    r_minus = (r[1:-1] - 0.5 * h_r)[:, None]
-    out[1:-1, 1:-1] = (
-        (r_plus * (v[2:, 1:-1] - v[1:-1, 1:-1]) - r_minus * (v[1:-1, 1:-1] - v[:-2, 1:-1]))
-        / (r_mid * h_r**2)
-        + (v[1:-1, 2:] - 2.0 * v[1:-1, 1:-1] + v[1:-1, :-2]) / h_z**2
-    )
+    out[1:-1, 1:-1] = ((flux_r[1:, 1:-1] - flux_r[:-1, 1:-1]) + (flux_z[1:-1, 1:] - flux_z[1:-1, :-1])
+                       ) / grid.cell_weights[1:-1, 1:-1]
     return out
 
 
@@ -141,31 +162,38 @@ def torus_bump(grid: AxisymGrid, amplitude: float, r0: float, width: float,
     rr = grid.r[:, None]
     zz = grid.z[None, :]
     v = amplitude * np.exp(-((rr - r0) ** 2 + zz**2) / width**2)
-    v[0, :] = 0.0
-    v[-1, :] = 0.0
-    v[:, 0] = 0.0
-    v[:, -1] = 0.0
-    return AxisymProfile(grid, v, winding)
+    return AxisymProfile(grid, _zero_boundary(v), winding)
+
+
+def _zero_boundary(v: np.ndarray) -> np.ndarray:
+    """Zero v in place on the axis and the outer boundary, and return it."""
+    v[0, :] = v[-1, :] = 0.0
+    v[:, 0] = v[:, -1] = 0.0
+    return v
 
 
 def _interior_operator(grid: AxisymGrid, ell: int, c: float) -> sp.csc_matrix:
-    """Sparse (I - c lap + c ell^2 / r^2) on interior unknowns."""
-    nr, nz = grid.n_r - 1, grid.n_z - 1
-    r = grid.r[1:-1]
-    h_r, h_z = grid.h_r, grid.h_z
-    main_r = np.full(nr, 2.0 / h_r**2)  # (r_plus + r_minus) / (r h_r^2), uniform spacing
-    up_r = (r + 0.5 * h_r) / (r * h_r**2)
-    dn_r = (r - 0.5 * h_r) / (r * h_r**2)
-    lap_r = sp.diags([c * main_r, -c * up_r[:-1], -c * dn_r[1:]], [0, 1, -1],
-                     shape=(nr, nr), format="csr")
-    lap_z = sp.diags([np.full(nz, 2.0 * c / h_z**2), np.full(nz - 1, -c / h_z**2),
-                      np.full(nz - 1, -c / h_z**2)], [0, 1, -1], format="csr")
-    eye_r = sp.identity(nr, format="csr")
-    eye_z = sp.identity(nz, format="csr")
-    op = sp.kron(lap_r, eye_z) + sp.kron(eye_r, lap_z)
-    centrifugal = c * ell**2 / r**2
-    op = op + sp.kron(sp.diags(centrifugal), eye_z)
-    return (sp.identity(nr * nz) + op).tocsc()
+    """Sparse (I - c lap + c ell^2 / r^2) on interior unknowns, from the face weights."""
+    nz = grid.n_z - 1
+    cw = grid.cell_weights[1:-1, 1:-1]
+    up_r = c * grid.r_face_weights[1:, 1:-1] / cw
+    dn_r = c * grid.r_face_weights[:-1, 1:-1] / cw
+    up_z = c * grid.z_face_weights[1:-1, 1:] / cw
+    dn_z = c * grid.z_face_weights[1:-1, :-1] / cw
+    diag = 1.0 + up_r + dn_r + up_z + dn_z + c * ell**2 / grid.r[1:-1, None] ** 2
+    # unknowns are numbered z-fastest; no z-coupling across the ends of a row
+    up_z[:, -1] = 0.0
+    dn_z[:, 0] = 0.0
+    return sp.diags([diag.ravel(), -up_r.ravel()[:-nz], -dn_r.ravel()[nz:],
+                     -up_z.ravel()[:-1], -dn_z.ravel()[1:]],
+                    [0, nz, -nz, 1, -1], format="csc")
+
+
+def _vortex_operator(grid: AxisymGrid, v: np.ndarray, spec: NonlinearSpec, ell: int,
+                     omega2: float) -> np.ndarray:
+    """-lap v + W'(v) + (ell^2/r^2 - omega^2) v, zero on the axis and the outer boundary."""
+    return _zero_boundary(-axisym_laplacian(grid, v) + eval_nonlinearity(spec, v, 1)
+                          + (ell**2 * centrifugal_factor(grid) - omega2) * v)
 
 
 def minimize_vortex(spec: NonlinearSpec, sigma: float, ell: int, init: AxisymProfile,
@@ -179,83 +207,40 @@ def minimize_vortex(spec: NonlinearSpec, sigma: float, ell: int, init: AxisymPro
         raise ValueError("initial profile must not vanish identically")
     opts = opts or SolveOptions()
     grid = init.grid
-    w = grid.cell_weights
     ell2_over_r2 = ell**2 * centrifugal_factor(grid)
     lu = splu(_interior_operator(grid, ell, opts.precond))
     n_int = (grid.n_r - 1, grid.n_z - 1)
 
     def project(v: np.ndarray) -> np.ndarray:
-        out = np.maximum(v, 0.0)
-        out[0, :] = 0.0
-        out[-1, :] = 0.0
-        out[:, 0] = 0.0
-        out[:, -1] = 0.0
-        return out
+        return _zero_boundary(np.maximum(v, 0.0))
 
-    def energy(v: np.ndarray) -> float:
-        mass2 = float(np.sum(w * v * v))
-        grad_r = np.diff(v, axis=0) ** 2
-        r_face = (grid.r[:-1] + 0.5 * grid.h_r)[:, None]
-        wz = np.full(grid.n_z + 1, grid.h_z)
-        wz[0] = wz[-1] = 0.5 * grid.h_z
-        d_r = TWO_PI * float(np.sum(r_face * grad_r * wz[None, :])) / grid.h_r
-        grad_z = np.diff(v, axis=1) ** 2
-        wr = np.full(grid.n_r + 1, grid.h_r)
-        wr[0] = wr[-1] = 0.5 * grid.h_r
-        d_z = TWO_PI * float(np.sum((wr * grid.r)[:, None] * grad_z)) / grid.h_z
-        spin = float(np.sum(w * ell2_over_r2 * v * v))
-        pot = float(np.sum(w * eval_nonlinearity(spec, v, 0)))
-        return 0.5 * (d_r + d_z + spin) + pot + sigma**2 / (2.0 * mass2)
+    def energy(v: np.ndarray) -> tuple[float, float]:
+        mass2 = integrate_axisym(grid, v * v)
+        dirichlet = axisym_gradient_pairing(grid, v, v) + integrate_axisym(grid, ell2_over_r2 * v * v)
+        pot = integrate_axisym(grid, eval_nonlinearity(spec, v, 0))
+        return 0.5 * dirichlet + pot + charge_energy(sigma, mass2), mass2
 
-    def gradient(v: np.ndarray) -> np.ndarray:
-        mass2 = float(np.sum(w * v * v))
-        omega2 = (sigma / mass2) ** 2
-        g = (-axisym_laplacian(grid, v) + eval_nonlinearity(spec, v, 1)
-             + (ell2_over_r2 - omega2) * v)
-        g[0, :] = 0.0
-        g[-1, :] = 0.0
-        g[:, 0] = 0.0
-        g[:, -1] = 0.0
-        return g
+    def gradient(v: np.ndarray, mass2: float) -> np.ndarray:
+        return _vortex_operator(grid, v, spec, ell, (sigma / mass2) ** 2)
 
     def pc_solve(g: np.ndarray) -> np.ndarray:
         out = np.zeros_like(g)
         out[1:-1, 1:-1] = lu.solve(g[1:-1, 1:-1].ravel()).reshape(n_int)
         return out
 
-    inner = lambda a, b: float(np.sum(w * a * b))
-    res_scale = lambda v: 1.0 + np.sqrt(float(np.sum(w * v * v)))
-
     v, residual, iters, converged = descend(
-        init.values, energy, gradient, project, inner, pc_solve, opts, res_scale)
+        init.values, energy, gradient, project, grid.cell_weights, pc_solve, opts)
 
     profile = AxisymProfile(grid, v, ell)
-    mass2 = profile.mass2
-    omega = -sigma / mass2
-    e_sigma = energy(v)
-    collapsed = float(np.max(v)) < 1e-3 * float(np.max(init.values))
-    note = "profile collapsed toward zero; sigma likely below the vortex threshold" if collapsed else ""
-    converged = bool(converged and not collapsed)
-    return SolitonResult(
-        u=profile, omega=omega, phi=None, energy=e_sigma, charge=sigma,
-        electric_charge=sigma, hylomorphy=e_sigma / sigma, residual=residual,
-        iterations=iters, converged=converged, collapsed=bool(collapsed),
-        winding=ell, coupling=None, note=note,
-        certified=bool(converged and e_sigma / sigma < spec.mass),
-    )
+    e_sigma, mass2 = energy(profile.values)
+    return finalize_result(profile, init, spec, sigma, e_sigma, mass2, residual, iters, converged,
+                           winding=ell)
 
 
 def vortex_residual(profile: AxisymProfile, omega: float, spec: NonlinearSpec) -> float:
     """Cylindrical L2 norm of the stationary vortex equation."""
     grid = profile.grid
-    v = profile.values
-    fac = profile.winding**2 * centrifugal_factor(grid)
-    lhs = (-axisym_laplacian(grid, v) + (fac - omega**2) * v
-           + eval_nonlinearity(spec, v, 1))
-    lhs[0, :] = 0.0
-    lhs[-1, :] = 0.0
-    lhs[:, 0] = 0.0
-    lhs[:, -1] = 0.0
+    lhs = _vortex_operator(grid, profile.values, spec, profile.winding, omega**2)
     return float(np.sqrt(np.sum(grid.cell_weights * lhs**2)))
 
 

@@ -33,6 +33,13 @@ def test_unknown_key_rejected(tmp_path):
     assert cli.main(["solve-nlkg", "--config", str(cfg), "--out", str(tmp_path / "o")]) == cli.EXIT_CONFIG
 
 
+def test_seed_key_rejected(tmp_path):
+    # no code path draws random numbers, so a seed is an unknown key
+    cfg = write_config(tmp_path, "seed.ini", "[run]\nseed = 3\n")
+    assert cli.main(["solve-nlkg", "--config", str(cfg), "--out", str(tmp_path / "o")]) == cli.EXIT_CONFIG
+    assert not (tmp_path / "o").exists()
+
+
 def test_unknown_section_rejected(tmp_path):
     cfg = write_config(tmp_path, "u.ini", "[plotting]\ncolor = red\n")
     assert cli.main(["validate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == cli.EXIT_CONFIG
@@ -63,8 +70,8 @@ init_r = 4.0
 def test_solve_nlkg_artifacts_and_determinism(tmp_path):
     cfg = write_config(tmp_path, "s.ini", SOLVE_CFG)
     out1, out2 = tmp_path / "r1", tmp_path / "r2"
-    assert cli.main(["solve-nlkg", "--config", str(cfg), "--out", str(out1), "--seed", "3"]) == 0
-    assert cli.main(["solve-nlkg", "--config", str(cfg), "--out", str(out2), "--seed", "3"]) == 0
+    assert cli.main(["solve-nlkg", "--config", str(cfg), "--out", str(out1)]) == 0
+    assert cli.main(["solve-nlkg", "--config", str(cfg), "--out", str(out2)]) == 0
     assert (out1 / "summary.txt").read_bytes() == (out2 / "summary.txt").read_bytes()
     rows = (out1 / "profile.csv").read_text().splitlines()
     assert rows[0] == "r,u"
@@ -72,7 +79,6 @@ def test_solve_nlkg_artifacts_and_determinism(tmp_path):
     manifest = (out1 / "manifest.txt").read_text()
     # every default appears in the manifest, even unrelated sections
     assert "tol = 1e-06" in manifest
-    assert "seed = 3" in manifest
 
 
 def test_manifest_records_overrides(tmp_path):

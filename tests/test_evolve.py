@@ -45,6 +45,35 @@ def test_cfl_precondition(grid):
         evolve_nlkg(state, SPEC, 1.0, 2.0 * grid.h)
 
 
+def test_leapfrog_stability_bound():
+    # the origin row of the Laplacian (6/h^2) caps dt near 0.816 h; a step
+    # above it blows a soliton up within a few time units, so it is rejected
+    grid = RadialGrid(24.0, 1024)
+    state = EvolutionState(grid, np.zeros(grid.n + 1, complex), np.zeros(grid.n + 1, complex))
+    with pytest.raises(ValueError, match="stability bound"):
+        evolve_nlkg(state, SPEC, 1.0, 0.85 * grid.h)
+    final, _ = evolve_nlkg(state, SPEC, 1.0, 0.5 * grid.h)
+    assert final.t == pytest.approx(1.0, abs=grid.h)
+
+
+def test_nonfinite_state_rejected(grid):
+    psi = np.zeros(grid.n + 1, complex)
+    bad = psi.copy()
+    bad[7] = np.nan
+    with pytest.raises(ValueError):
+        EvolutionState(grid, bad, psi)
+    with pytest.raises(ValueError):
+        EvolutionState(grid, psi, bad)
+
+
+def test_nan_field_trips_blowup_guard(grid, ground, monkeypatch):
+    import hylomorph.evolve as evolve_module
+
+    monkeypatch.setattr(evolve_module, "wprime_over_s", lambda spec, s: np.full_like(s, np.nan))
+    with pytest.raises(BlowUpError):
+        evolve_nlkg(soliton_state(ground.u, ground.omega), SPEC, 0.1, grid.h / 2, record_every=1)
+
+
 def test_soliton_orbit_conserved(grid, ground):
     state = soliton_state(ground.u, ground.omega)
     final, ledger = evolve_nlkg(state, SPEC, 5.0, grid.h / 2)

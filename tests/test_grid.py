@@ -102,6 +102,21 @@ def test_profile_invariants():
     bad_tail = np.ones(grid.n + 1)
     with pytest.raises(ValueError):
         RadialProfile(grid, bad_tail)
+    for bad in (np.nan, np.inf):
+        nonfinite = good.copy()
+        nonfinite[3] = bad
+        with pytest.raises(ValueError):
+            RadialProfile(grid, nonfinite)
+
+
+def test_origin_row_carries_the_largest_laplacian_eigenvalue():
+    # the leapfrog stability bound in evolve_nlkg relies on this
+    grid = RadialGrid(24.0, 256)
+    ab = grid.laplacian_bands
+    dense = np.diag(ab[1]) + np.diag(ab[0, 1:], 1) + np.diag(ab[2, :-1], -1)
+    eig = np.linalg.eigvals(-dense)
+    assert -ab[1, 0] == pytest.approx(6.0 / grid.h**2, rel=1e-14)
+    assert np.max(np.abs(eig)) == pytest.approx(-ab[1, 0], rel=1e-12)
 
 
 def test_grid_validation():

@@ -1,3 +1,9 @@
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -104,3 +110,31 @@ def test_options_validation():
         SolveOptions(tol=0.0)
     with pytest.raises(ValueError):
         SolveOptions(max_iters=0)
+
+
+_PATCHED_GAUGE_SCRIPT = textwrap.dedent("""
+    import sys
+    import numpy as np
+    from hylomorph import cli, gauge
+    from hylomorph.chargewin import TentProfile
+    from hylomorph.grid import RadialGrid
+    from hylomorph.minimize import InvariantError
+
+    # a defective banded solve returning a potential far above 1/q
+    gauge.solve_banded = lambda bands, ab, rhs: np.full_like(rhs, 1e3)
+    try:
+        gauge.solve_phi(TentProfile(1.0, 3.0).realize(RadialGrid(8.0, 64)), 1.0)
+        print("solve_phi: no error")
+    except InvariantError:
+        print("solve_phi: InvariantError")
+    print("exit", cli.main(["solve-kgm", "--config", sys.argv[1], "--out", sys.argv[2]]))
+""")
+
+
+def test_invariants_survive_optimized_mode(tmp_path):
+    cfg = tmp_path / "kgm.ini"
+    cfg.write_text("[grid]\nr_max = 16.0\nn = 256\n\n[solve]\nsigma = 100.0\ninit_r = 4.0\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run([sys.executable, "-O", "-c", _PATCHED_GAUGE_SCRIPT, str(cfg), str(tmp_path / "out")],
+                          capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120)
+    assert proc.stdout.split("\n")[:2] == ["solve_phi: InvariantError", "exit 5"], proc.stderr

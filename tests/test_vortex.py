@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hylomorph.minimize import SolveOptions
+from hylomorph.minimize import COLLAPSE_NOTE, UNBOUND_NOTE, SolveOptions
 from hylomorph.model import NonlinearSpec, eval_nonlinearity
 from hylomorph.vortex import (
     AxisymGrid,
@@ -140,3 +140,30 @@ def test_profile_invariants(grid):
     vals[3, 5] = -1.0
     with pytest.raises(ValueError):
         AxisymProfile(grid, vals, winding=1)
+
+
+SMALL = AxisymGrid(14.0, 10.0, 32, 32)
+
+
+def test_unconverged_ratio_above_mass_carries_note():
+    init = torus_bump(SMALL, 1.0, 4.0, 1.5, winding=1)
+    res = minimize_vortex(SPEC, 20.0, 1, init, SolveOptions(max_iters=3))
+    assert not res.converged and not res.collapsed
+    assert res.hylomorphy >= SPEC.mass
+    assert res.note == UNBOUND_NOTE
+    assert not res.certified
+
+
+def test_collapse_uses_shared_note():
+    init = torus_bump(SMALL, 1.0, 4.0, 1.5, winding=1)
+    res = minimize_vortex(SPEC, 1e-3, 1, init, SolveOptions(max_iters=200))
+    assert res.collapsed and not res.converged
+    assert res.note == COLLAPSE_NOTE
+
+
+def test_trial_that_annihilates_the_profile_is_rejected():
+    # a step that projects every sample to zero has infinite reduced energy
+    init = torus_bump(SMALL, 1.0, 4.0, 1.5, winding=1)
+    res = minimize_vortex(SPEC, 1.0, 1, init, SolveOptions(max_iters=500))
+    assert np.isfinite(res.energy)
+    assert res.u.values.max() > 0.0
