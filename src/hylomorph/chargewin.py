@@ -75,7 +75,7 @@ class TentProfile:
 
     def default_grid(self, resolution: float = 0.02, pad_factor: float = 2.0) -> RadialGrid:
         r_max = pad_factor * (self.r + 1.0)
-        n = int(np.clip(round(r_max / resolution), 512, 16384))
+        n = max(512, int(round(r_max / resolution)))
         return RadialGrid(r_max, n)
 
 

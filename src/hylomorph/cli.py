@@ -324,24 +324,6 @@ def _soliton_for_evolution(cfg: RunConfig, sigma: float):
     return spec, grid, res
 
 
-def _write_ledger(out_dir: Path, name: str, ledger: evolve.EvolutionLedger) -> None:
-    arrays = ledger.arrays()
-    write_profile_csv(out_dir, name, {
-        "t": arrays["t"], "energy": arrays["energy"], "charge": arrays["charge"],
-        "localization": arrays["localization"], "distance": arrays["distance"]})
-
-
-def _ledger_drifts(ledger: evolve.EvolutionLedger) -> dict[str, float]:
-    """Largest relative energy and charge drift over a ledger, and its final localization."""
-    arrays = ledger.arrays()
-    e0, c0 = arrays["energy"][0], arrays["charge"][0]
-    return {
-        "energy_drift": float(np.max(np.abs(arrays["energy"] - e0)) / abs(e0)),
-        "charge_drift": float(np.max(np.abs(arrays["charge"] - c0)) / abs(c0)),
-        "final_localization": float(arrays["localization"][-1]),
-    }
-
-
 def _run_evolve(cfg: RunConfig) -> dict[str, object]:
     spec, grid, res = _soliton_for_evolution(cfg, float(cfg.get("evolve", "sigma")))
     dt = float(cfg.get("evolve", "dt")) or grid.h / 2.0
@@ -351,56 +333,32 @@ def _run_evolve(cfg: RunConfig) -> dict[str, object]:
         evolve.soliton_state(res.u, res.omega), spec, float(cfg.get("evolve", "t_final")), dt,
         record_every=rec, localization_radius=min(radius, grid.r_max),
         reference=(res.u, res.omega), free_field=bool(cfg.get("evolve", "free")))
-    _write_ledger(cfg.out_dir, "ledger.csv", ledger)
+    write_profile_csv(cfg.out_dir, "ledger.csv", ledger.arrays())
     write_profile_csv(cfg.out_dir, "profile.csv", {"r": grid.nodes, "u": np.abs(state.psi)})
-    return {"t_final": state.t, **_ledger_drifts(ledger), "omega": res.omega, "sigma": res.charge}
+    return {"t_final": state.t, **ledger.drifts(), "omega": res.omega, "sigma": res.charge}
 
 
 def _run_stability(cfg: RunConfig) -> dict[str, object]:
     spec, grid, res = _soliton_for_evolution(cfg, float(cfg.get("stability", "sigma")))
-    dt = float(cfg.get("stability", "dt")) or grid.h / 2.0
-    rec = int(cfg.get("stability", "record_every")) or None
     delta = float(cfg.get("stability", "delta"))
-    t_final = float(cfg.get("stability", "t_final"))
-    radius = min(2.0 * evolve.mass_radius(res.u), grid.r_max)
-    ref = (res.u, res.omega)
-
-    runs: dict[str, evolve.EvolutionLedger] = {}
-    base = evolve.soliton_state(res.u, res.omega)
-    _, runs["ledger"] = evolve.evolve_nlkg(base, spec, t_final, dt, record_every=rec,
-                                           localization_radius=radius, reference=ref)
-
-    mult = evolve.EvolutionState(grid, (1.0 + delta) * base.psi, (1.0 + delta) * base.psi_t)
-    _, runs["ledger_scaled"] = evolve.evolve_nlkg(mult, spec, t_final, dt, record_every=rec,
-                                                  localization_radius=radius, reference=ref)
-
-    r1 = evolve.mass_radius(res.u, 0.5)
-    bump = delta * np.exp(-((grid.nodes - r1) ** 2))
-    bump[-1] = 0.0
-    add = evolve.EvolutionState(grid, base.psi + bump, base.psi_t.copy())
-    _, runs["ledger_bump"] = evolve.evolve_nlkg(add, spec, t_final, dt, record_every=rec,
-                                                localization_radius=radius, reference=ref)
-
-    _, runs["ledger_free"] = evolve.evolve_nlkg(base, spec, t_final, dt, record_every=rec,
-                                                localization_radius=radius, reference=ref,
-                                                free_field=True)
-
-    for name, ledger in runs.items():
-        _write_ledger(cfg.out_dir, f"{name}.csv", ledger)
-
-    fwd, _ = evolve.evolve_nlkg(base, spec, t_final, dt, record_every=10**9,
-                                localization_radius=radius)
-    back, _ = evolve.evolve_nlkg(evolve.time_reversed(fwd), spec, t_final, dt,
-                                 record_every=10**9, localization_radius=radius)
-    reversal = float(np.max(np.abs(back.psi - base.psi)))
+    result = evolve.stability_experiment(
+        res.u, res.omega, spec, float(cfg.get("stability", "t_final")),
+        float(cfg.get("stability", "dt")) or grid.h / 2.0, delta,
+        record_every=int(cfg.get("stability", "record_every")) or None)
 
     out: dict[str, object] = {"sigma": res.charge, "omega": res.omega, "delta": delta,
-                              "localization_radius": radius, "reversal_error": reversal}
-    for name, ledger in runs.items():
-        out.update({f"{name}_{key}": value for key, value in _ledger_drifts(ledger).items()})
-        distance = ledger.arrays()["distance"]
-        if np.isfinite(distance).all():
-            out[f"{name}_distance_ratio"] = float(np.max(distance) / distance[0]) if distance[0] > 0 else 0.0
+                              "localization_radius": result.localization_radius,
+                              "reversal_error": result.reversal_error}
+    for name, ledger in result.ledgers.items():
+        arrays = ledger.arrays()
+        write_profile_csv(cfg.out_dir, f"{name}.csv", arrays)
+        out.update({f"{name}_{key}": value for key, value in ledger.drifts().items()})
+        distance = arrays["distance"]
+        # a ratio to a zero initial distance says nothing; report the excursion itself
+        if distance[0] > 0:
+            out[f"{name}_distance_ratio"] = float(np.max(distance) / distance[0])
+        else:
+            out[f"{name}_max_distance"] = float(np.max(distance))
     return out
 
 

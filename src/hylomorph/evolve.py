@@ -57,6 +57,16 @@ class EvolutionLedger:
     def arrays(self) -> dict[str, np.ndarray]:
         return {k: np.asarray(getattr(self, k)) for k in ("t", "energy", "charge", "localization", "distance")}
 
+    def drifts(self) -> dict[str, float]:
+        """Largest relative energy and charge drift over the ledger, and its final localization."""
+        arrays = self.arrays()
+        e0, c0 = arrays["energy"][0], arrays["charge"][0]
+        return {
+            "energy_drift": float(np.max(np.abs(arrays["energy"] - e0)) / abs(e0)),
+            "charge_drift": float(np.max(np.abs(arrays["charge"] - c0)) / abs(c0)),
+            "final_localization": float(arrays["localization"][-1]),
+        }
+
 
 def soliton_state(profile: RadialProfile, omega: float) -> EvolutionState:
     """The standing-wave initial data (u, -i omega u) at t = 0."""
@@ -162,9 +172,10 @@ def evolve_nlkg(
     n_steps = int(round(t_final / dt))
     if record_every is None:
         record_every = max(1, n_steps // 256)
+    elif record_every < 1:
+        raise ValueError("record_every must be at least 1")
     if localization_radius is None:
         localization_radius = grid.r_max
-
 
     def force_factor(amp: np.ndarray) -> np.ndarray:
         if free_field:
@@ -214,3 +225,57 @@ def evolve_nlkg(
 def time_reversed(state: EvolutionState) -> EvolutionState:
     """Flip the time derivative; evolving the result retraces the orbit."""
     return EvolutionState(state.grid, state.psi.copy(), -state.psi_t, state.t)
+
+
+@dataclass
+class StabilityResult:
+    """The stability ensemble: one ledger per run, keyed by its artifact name."""
+
+    ledgers: dict[str, EvolutionLedger]
+    final: EvolutionState  # end of the unperturbed run
+    localization_radius: float
+    reversal_error: float
+
+
+def stability_experiment(
+    profile: RadialProfile,
+    omega: float,
+    spec: NonlinearSpec,
+    t_final: float,
+    dt: float,
+    delta: float,
+    record_every: int | None = None,
+) -> StabilityResult:
+    """Evolve a standing wave and three controls, and check time reversal.
+
+    The runs are the soliton itself (``ledger``), the soliton scaled by
+    1 + delta (``ledger_scaled``), the soliton plus a Gaussian bump of
+    height delta at its half-mass radius (``ledger_bump``) and the free
+    field from the soliton's data (``ledger_free``); each records its
+    distance to the soliton's orbit and the mass outside
+    min(2 * mass_radius, r_max).  The reversal error is the largest
+    deviation from the initial field after evolving the time-reversed
+    final state of the unperturbed run back for t_final.
+    """
+    grid = profile.grid
+    radius = min(2.0 * mass_radius(profile), grid.r_max)
+    base = soliton_state(profile, omega)
+    bump = delta * np.exp(-((grid.nodes - mass_radius(profile, 0.5)) ** 2))
+    bump[-1] = 0.0
+    starts = {
+        "ledger": (base, False),
+        "ledger_scaled": (EvolutionState(grid, (1.0 + delta) * base.psi, (1.0 + delta) * base.psi_t), False),
+        "ledger_bump": (EvolutionState(grid, base.psi + bump, base.psi_t.copy()), False),
+        "ledger_free": (base, True),
+    }
+    ledgers: dict[str, EvolutionLedger] = {}
+    finals: dict[str, EvolutionState] = {}
+    for name, (init, free) in starts.items():
+        finals[name], ledgers[name] = evolve_nlkg(
+            init, spec, t_final, dt, record_every=record_every, localization_radius=radius,
+            reference=(profile, omega), free_field=free)
+    # only the final state of the reversed run is needed: record its first and last steps alone
+    back, _ = evolve_nlkg(time_reversed(finals["ledger"]), spec, t_final, dt,
+                          record_every=10**9, localization_radius=radius)
+    return StabilityResult(ledgers, finals["ledger"], radius,
+                           float(np.max(np.abs(back.psi - base.psi))))

@@ -11,14 +11,7 @@ import numpy as np
 import pytest
 
 from hylomorph.chargewin import TentProfile, construct_for_charge, verify_tent_witness
-from hylomorph.evolve import (
-    EvolutionState,
-    evolve_nlkg,
-    manifold_distance,
-    mass_radius,
-    soliton_state,
-    time_reversed,
-)
+from hylomorph.evolve import stability_experiment
 from hylomorph.functionals import (
     hylomorphy_ratio,
     nlkg_first_variation,
@@ -338,41 +331,21 @@ def test_criterion_9_vortex():
 def run_criterion_10() -> dict[str, float]:
     grid = RadialGrid(32.0, 4096)
     ground = minimize_nlkg(SPEC, 80.0, TentProfile(1.0, 3.0).realize(grid), SolveOptions(tol=1e-8))
-    dt = grid.h / 2.0
-    t_final = 50.0
-    radius = 2.0 * mass_radius(ground.u)
-    ref = (ground.u, ground.omega)
-    base = soliton_state(ground.u, ground.omega)
-
-    final, led = evolve_nlkg(base, SPEC, t_final, dt, localization_radius=radius, reference=ref)
-    arr = led.arrays()
-    out = {
+    exp = stability_experiment(ground.u, ground.omega, SPEC, 50.0, grid.h / 2.0, 0.01)
+    drifts = exp.ledgers["ledger"].drifts()
+    ds = exp.ledgers["ledger_scaled"].arrays()["distance"]
+    db = exp.ledgers["ledger_bump"].arrays()["distance"]
+    return {
         "omega": ground.omega,
-        "energy_drift": float(np.max(np.abs(arr["energy"] - arr["energy"][0])) / abs(arr["energy"][0])),
-        "charge_drift": float(np.max(np.abs(arr["charge"] - arr["charge"][0])) / abs(arr["charge"][0])),
-        "modulus_dev": float(np.max(np.abs(np.abs(final.psi) - ground.u.values)) / ground.u.values.max()),
-        "soliton_loc": float(arr["localization"].max()),
+        "energy_drift": drifts["energy_drift"],
+        "charge_drift": drifts["charge_drift"],
+        "modulus_dev": float(np.max(np.abs(np.abs(exp.final.psi) - ground.u.values)) / ground.u.values.max()),
+        "soliton_loc": float(exp.ledgers["ledger"].arrays()["localization"].max()),
+        "scaled_ratio": float(ds.max() / ds[0]),
+        "bump_ratio": float(db.max() / db[0]),
+        "free_loc": exp.ledgers["ledger_free"].drifts()["final_localization"],
+        "reversal": exp.reversal_error,
     }
-
-    scaled = EvolutionState(grid, 1.01 * base.psi, 1.01 * base.psi_t)
-    _, led_s = evolve_nlkg(scaled, SPEC, t_final, dt, localization_radius=radius, reference=ref)
-    ds = led_s.arrays()["distance"]
-    out["scaled_ratio"] = float(ds.max() / ds[0])
-
-    bump = 0.01 * np.exp(-((grid.nodes - mass_radius(ground.u, 0.5)) ** 2))
-    bump[-1] = 0.0
-    bumped = EvolutionState(grid, base.psi + bump, base.psi_t.copy())
-    _, led_b = evolve_nlkg(bumped, SPEC, t_final, dt, localization_radius=radius, reference=ref)
-    db = led_b.arrays()["distance"]
-    out["bump_ratio"] = float(db.max() / db[0])
-
-    _, led_f = evolve_nlkg(base, SPEC, t_final, dt, localization_radius=radius, free_field=True)
-    out["free_loc"] = float(led_f.arrays()["localization"][-1])
-
-    fwd, _ = evolve_nlkg(base, SPEC, t_final, dt, record_every=10**9)
-    back, _ = evolve_nlkg(time_reversed(fwd), SPEC, t_final, dt, record_every=10**9)
-    out["reversal"] = float(np.max(np.abs(back.psi - base.psi)))
-    return out
 
 
 @pytest.fixture(scope="module")

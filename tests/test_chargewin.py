@@ -160,3 +160,11 @@ def test_tent_profile_validation():
 
     with pytest.raises(ValueError):
         tent.realize(RadialGrid(5.5, 256))
+
+
+def test_default_grid_keeps_the_resolution_of_wide_tents():
+    # the charge-10^4 plan's tent (r = 174.9) and a wider one need more than
+    # 16384 nodes at h = 0.02; small tents keep the 512-node floor
+    for r in (174.9, 400.0):
+        assert TentProfile(1.0, r).default_grid(0.02).h == pytest.approx(0.02, rel=1e-3)
+    assert TentProfile(1.0, 3.0).default_grid(0.02).n == 512

@@ -133,3 +133,48 @@ def test_nonconvergence_exit_code(tmp_path):
     out = tmp_path / "n"
     assert cli.main(["solve-nlkg", "--config", str(cfg), "--out", str(out)]) == cli.EXIT_NOCONVERGE
     assert "converged = False" in (out / "summary.txt").read_text()
+
+
+STABILITY_CFG = """
+[grid]
+r_max = 16.0
+n = 512
+
+[solve]
+init_s1 = 1.0
+init_r = 3.0
+
+[stability]
+sigma = 80.0
+t_final = 1.0
+"""
+
+
+def test_stability_command(tmp_path):
+    cfg = write_config(tmp_path, "st.ini", STABILITY_CFG)
+    out1, out2 = tmp_path / "s1", tmp_path / "s2"
+    assert cli.main(["stability", "--config", str(cfg), "--out", str(out1)]) == 0
+    assert cli.main(["stability", "--config", str(cfg), "--out", str(out2)]) == 0
+    assert (out1 / "summary.txt").read_bytes() == (out2 / "summary.txt").read_bytes()
+    # runs that start on the orbit (distance 0) report the largest distance,
+    # the perturbed ones its growth over the initial distance
+    runs = {"ledger": "max_distance", "ledger_scaled": "distance_ratio",
+            "ledger_bump": "distance_ratio", "ledger_free": "max_distance"}
+    expected = ["sigma", "omega", "delta", "localization_radius", "reversal_error"]
+    for name, distance_key in runs.items():
+        rows = (out1 / f"{name}.csv").read_text().splitlines()
+        assert rows[0] == "t,energy,charge,localization,distance"
+        assert len(rows) == 66
+        expected += [f"{name}_{key}" for key in
+                     ("energy_drift", "charge_drift", "final_localization", distance_key)]
+    summary = dict(line.split(" = ") for line in (out1 / "summary.txt").read_text().splitlines())
+    assert list(summary) == expected
+    assert float(summary["ledger_free_max_distance"]) > 0.0
+    assert float(summary["reversal_error"]) < 1e-8
+
+
+def test_record_every_below_one_is_a_precondition_failure(tmp_path):
+    cfg = write_config(tmp_path, "r.ini", STABILITY_CFG + "record_every = -1\n")
+    out = tmp_path / "r"
+    assert cli.main(["stability", "--config", str(cfg), "--out", str(out)]) == cli.EXIT_PRECONDITION
+    assert not (out / "summary.txt").exists()

@@ -12,6 +12,7 @@ from hylomorph.evolve import (
     manifold_distance,
     mass_radius,
     soliton_state,
+    stability_experiment,
     time_reversed,
 )
 from hylomorph.grid import RadialGrid
@@ -56,6 +57,13 @@ def test_leapfrog_stability_bound():
     assert final.t == pytest.approx(1.0, abs=grid.h)
 
 
+@pytest.mark.parametrize("record_every", [0, -1])
+def test_record_every_below_one_rejected(grid, record_every):
+    state = EvolutionState(grid, np.zeros(grid.n + 1, complex), np.zeros(grid.n + 1, complex))
+    with pytest.raises(ValueError, match="record_every"):
+        evolve_nlkg(state, SPEC, 1.0, grid.h / 2, record_every=record_every)
+
+
 def test_nonfinite_state_rejected(grid):
     psi = np.zeros(grid.n + 1, complex)
     bad = psi.copy()
@@ -93,6 +101,16 @@ def test_time_reversal(grid, ground):
     fwd, _ = evolve_nlkg(state, SPEC, 2.0, grid.h / 2)
     back, _ = evolve_nlkg(time_reversed(fwd), SPEC, 2.0, grid.h / 2)
     assert np.max(np.abs(back.psi - state.psi)) < 1e-8
+
+
+def test_stability_experiment_reversal_is_the_forward_back_pair(grid, ground):
+    exp = stability_experiment(ground.u, ground.omega, SPEC, 2.0, grid.h / 2, 0.01)
+    state = soliton_state(ground.u, ground.omega)
+    fwd, _ = evolve_nlkg(state, SPEC, 2.0, grid.h / 2)
+    back, _ = evolve_nlkg(time_reversed(fwd), SPEC, 2.0, grid.h / 2)
+    assert np.array_equal(exp.final.psi, fwd.psi) and np.array_equal(exp.final.psi_t, fwd.psi_t)
+    assert exp.reversal_error == float(np.max(np.abs(back.psi - state.psi)))
+    assert list(exp.ledgers) == ["ledger", "ledger_scaled", "ledger_bump", "ledger_free"]
 
 
 def test_localization_trivial_at_full_radius(grid, ground):

@@ -9,10 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hylomorph.chargewin import TentProfile
+from hylomorph.evolve import EvolutionState, evolve_nlkg
 from hylomorph.functionals import reduced_energy, stationary_operator
 from hylomorph.gauge import solve_phi
 from hylomorph.grid import RadialGrid, RadialProfile, banded_matvec, gradient_pairing, integrate_radial, radial_laplacian
-from hylomorph.minimize import _Preconditioner
+from hylomorph.minimize import SolveOptions, _Preconditioner, minimize_nlkg
 from hylomorph.model import NonlinearSpec, find_binding_amplitude
 from hylomorph.vortex import AxisymGrid, axisym_gradient_pairing, axisym_laplacian
 
@@ -95,3 +96,37 @@ def test_stationary_operator_is_the_reduced_energy_gradient(spec, n, sigma, seed
     slope = (energy(u + eps * direction) - energy(u - eps * direction)) / (2.0 * eps)
     predicted = integrate_radial(grid, g * direction)
     assert abs(slope - predicted) <= 1e-5 * (abs(predicted) + abs(energy(u)) / np.sqrt(n))
+
+
+def _smooth_complex(rng, r):
+    """A few complex Gaussians, zero at the outer node."""
+    f = sum((rng.standard_normal() + 1j * rng.standard_normal())
+            * np.exp(-((r - rng.uniform(0.0, 0.6 * r[-1])) / rng.uniform(0.5, 2.0)) ** 2) for _ in range(3))
+    f[-1] = 0.0
+    return f
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(32, 256), seeds)
+def test_leapfrog_conserves_charge(n, seed):
+    # Im<psi, psi_t> is invariant under each kick (the Laplacian is symmetric
+    # in the volume weights, the force real) and each drift, so only
+    # round-off moves it
+    grid = RadialGrid(10.0, n)
+    rng = np.random.default_rng(seed)
+    psi, psi_t = _smooth_complex(rng, grid.nodes), _smooth_complex(rng, grid.nodes)
+    _, ledger = evolve_nlkg(EvolutionState(grid, psi, psi_t), NonlinearSpec.double_well(), 2.0, grid.h / 2,
+                            record_every=1)
+    charge = ledger.arrays()["charge"]
+    scale = integrate_radial(grid, np.abs(psi) ** 2 + np.abs(psi_t) ** 2)
+    assert np.max(np.abs(charge - charge[0])) <= 1e-12 * scale
+
+
+@settings(max_examples=20, deadline=None)
+@given(power_deficit, st.floats(1.0, 500.0))
+def test_descent_energy_never_increases(spec, sigma):
+    # the descent is deterministic, so more iterations extend the same path
+    init = TentProfile(1.0, 3.0).realize(RadialGrid(12.0, 128))
+    energies = [minimize_nlkg(spec, sigma, init, SolveOptions(max_iters=k)).energy for k in (1, 2, 4, 8, 16)]
+    for before, after in zip(energies, energies[1:]):
+        assert after <= before + 1e-12 * max(1.0, abs(before))
