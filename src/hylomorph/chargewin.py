@@ -74,8 +74,9 @@ class TentProfile:
         return RadialProfile(grid, self(grid.nodes))
 
     def default_grid(self, resolution: float = 0.02, pad_factor: float = 2.0) -> RadialGrid:
+        """Grid on [0, pad_factor (r + 1)] with spacing at most ``resolution``."""
         r_max = pad_factor * (self.r + 1.0)
-        n = max(512, int(round(r_max / resolution)))
+        n = max(512, int(np.ceil(r_max / resolution)))
         return RadialGrid(r_max, n)
 
 
@@ -234,6 +235,8 @@ class ConstructionPlan:
     predicted_charge_lb: float
     sobolev_c3: float
     screened_mass: float
+    grid_nodes: int           # nodes of the radial grid the charge was verified on
+    grid_spacing: float       # its node spacing, at most the requested resolution
 
 
 def construct_for_charge(spec: NonlinearSpec, charge_target: float,
@@ -269,7 +272,8 @@ def construct_for_charge(spec: NonlinearSpec, charge_target: float,
     while True:
         q = 0.5 * prefactor * (1.0 - h) / (h * s1 * r)
         tent = TentProfile(s1, r)
-        u = tent.realize(tent.default_grid(resolution))
+        grid = tent.default_grid(resolution)
+        u = tent.realize(grid)
         funcs = kgm_functionals(u, 1.0, q, spec)
         charge = q * spec.mass * funcs.screened_mass
         if charge >= charge_target:
@@ -284,5 +288,5 @@ def construct_for_charge(spec: NonlinearSpec, charge_target: float,
         s1=s1, binding=lam, alpha=alpha, h=h, r=r, q=q,
         sigma=spec.mass * funcs.screened_mass, charge=charge,
         predicted_charge_lb=predicted, sobolev_c3=c3,
-        screened_mass=funcs.screened_mass,
+        screened_mass=funcs.screened_mass, grid_nodes=grid.n + 1, grid_spacing=grid.h,
     )

@@ -302,6 +302,8 @@ def _run_construct(cfg: RunConfig) -> dict[str, object]:
         "plan_sigma": plan.sigma,
         "plan_charge": plan.charge,
         "plan_predicted_charge_lb": plan.predicted_charge_lb,
+        "plan_grid_nodes": plan.grid_nodes,
+        "plan_grid_spacing": plan.grid_spacing,
         "hypothesis_amplitude": report.amplitude_ok,
         "hypothesis_coupling": report.coupling_ok,
         "hypothesis_defect": report.defect_ok,

@@ -111,7 +111,11 @@ def descend(
     w = weights.ravel()
 
     def inner(a: np.ndarray, b: np.ndarray) -> float:
-        return float(w @ (a * b).ravel())
+        # far out on an energy unbounded below, squares of finite fields pass
+        # float range; inf or nan then fails every test it enters (no
+        # convergence, no Armijo acceptance)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return float(w @ (a * b).ravel())
 
     def converged_at(residual: float, u: np.ndarray) -> bool:
         return bool(residual < opts.tol * (1.0 + np.sqrt(inner(u, u))))
@@ -150,8 +154,10 @@ def descend(
             move2 = inner(move, move)
             if move2 == 0.0:
                 break
-            e_trial, trial_state = energy(trial)
-            if e_trial <= e_cur - (opts.armijo / tau) * move2 + 1e-15 * abs(e_cur):
+            # a long trial step may overflow W(s); such a trial is rejected below
+            with np.errstate(over="ignore", invalid="ignore"):
+                e_trial, trial_state = energy(trial)
+            if np.isfinite(e_trial) and e_trial <= e_cur - (opts.armijo / tau) * move2 + 1e-15 * abs(e_cur):
                 if not e_trial <= e_cur + 1e-12 * max(1.0, abs(e_cur)):
                     raise InvariantError("descent step increased the energy")
                 # grow the step only on decrease beyond float noise; noise

@@ -15,12 +15,12 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.linalg import splu
+from scipy.fft import dst
+from scipy.linalg.lapack import dgttrf, dgttrs
 
 from .functionals import charge_energy
 from .grid import trapezoid_weights
-from .minimize import SolitonResult, SolveOptions, descend, finalize_result
+from .minimize import InvariantError, SolitonResult, SolveOptions, descend, finalize_result
 from .model import NonlinearSpec, eval_nonlinearity
 
 TWO_PI = 2.0 * np.pi
@@ -172,21 +172,45 @@ def _zero_boundary(v: np.ndarray) -> np.ndarray:
     return v
 
 
-def _interior_operator(grid: AxisymGrid, ell: int, c: float) -> sp.csc_matrix:
-    """Sparse (I - c lap + c ell^2 / r^2) on interior unknowns, from the face weights."""
-    nz = grid.n_z - 1
-    cw = grid.cell_weights[1:-1, 1:-1]
-    up_r = c * grid.r_face_weights[1:, 1:-1] / cw
-    dn_r = c * grid.r_face_weights[:-1, 1:-1] / cw
-    up_z = c * grid.z_face_weights[1:-1, 1:] / cw
-    dn_z = c * grid.z_face_weights[1:-1, :-1] / cw
-    diag = 1.0 + up_r + dn_r + up_z + dn_z + c * ell**2 / grid.r[1:-1, None] ** 2
-    # unknowns are numbered z-fastest; no z-coupling across the ends of a row
-    up_z[:, -1] = 0.0
-    dn_z[:, 0] = 0.0
-    return sp.diags([diag.ravel(), -up_r.ravel()[:-nz], -dn_r.ravel()[nz:],
-                     -up_z.ravel()[:-1], -dn_z.ravel()[1:]],
-                    [0, nz, -nz, 1, -1], format="csc")
+class AxisymPreconditioner:
+    """Solve of (I - c lap + c ell^2/r^2) x = g on the interior unknowns.
+
+    On interior rows the z-trapezoid weight is h_z, so the r-couplings of
+    the five-point stencil do not depend on z and row i couples in z by the
+    constant t_i (Dirichlet second difference).  DST-I in z diagonalizes
+    that coupling; mode k leaves the r-tridiagonal A_r + t mu_k with
+    mu_k = 2 - 2 cos(k pi / n_z).  All modes are factored once as one
+    block-diagonal tridiagonal system (Buzbee, Golub & Nielson 1970;
+    Swarztrauber 1977).  The coefficients are those of axisym_laplacian,
+    so this is the same operator to round-off.
+    """
+
+    def __init__(self, grid: AxisymGrid, ell: int, c: float):
+        nr, nz = grid.n_r - 1, grid.n_z - 1  # interior unknowns per direction
+        cw = grid.cell_weights[1:-1, 1]
+        up_r = c * grid.r_face_weights[1:, 1] / cw
+        dn_r = c * grid.r_face_weights[:-1, 1] / cw
+        t_z = c * grid.z_face_weights[1:-1, 1] / cw
+        mu = 2.0 - 2.0 * np.cos(np.pi * np.arange(1, nz + 1) / grid.n_z)
+        diag = (1.0 + up_r + dn_r + c * ell**2 / grid.r[1:-1] ** 2) + mu[:, None] * t_z
+        # unknowns are numbered r-fastest within each z-mode; no coupling across modes
+        upper = np.zeros((nz, nr))
+        upper[:, :-1] = -up_r[:-1]
+        lower = np.zeros((nz, nr))
+        lower[:, 1:] = -dn_r[1:]
+        *self._factor, info = dgttrf(lower.ravel()[1:], diag.ravel(), upper.ravel()[:-1])
+        if info != 0:
+            raise InvariantError(f"shifted axisymmetric operator is singular (dgttrf info {info})")
+        self._shape = (nz, nr)
+
+    def solve(self, g: np.ndarray) -> np.ndarray:
+        """Apply the inverse to the interior of g; the returned boundary is zero."""
+        # DST-I with norm="ortho" is its own inverse
+        modes = dst(g[1:-1, 1:-1], type=1, axis=1, norm="ortho")
+        x, _ = dgttrs(*self._factor, modes.T.reshape(-1, 1), overwrite_b=1)
+        out = np.zeros_like(g)
+        out[1:-1, 1:-1] = dst(x.reshape(self._shape).T, type=1, axis=1, norm="ortho", overwrite_x=True)
+        return out
 
 
 def _vortex_operator(grid: AxisymGrid, v: np.ndarray, spec: NonlinearSpec, ell: int,
@@ -208,8 +232,7 @@ def minimize_vortex(spec: NonlinearSpec, sigma: float, ell: int, init: AxisymPro
     opts = opts or SolveOptions()
     grid = init.grid
     ell2_over_r2 = ell**2 * centrifugal_factor(grid)
-    lu = splu(_interior_operator(grid, ell, opts.precond))
-    n_int = (grid.n_r - 1, grid.n_z - 1)
+    preconditioner = AxisymPreconditioner(grid, ell, opts.precond)
 
     def project(v: np.ndarray) -> np.ndarray:
         return _zero_boundary(np.maximum(v, 0.0))
@@ -223,13 +246,8 @@ def minimize_vortex(spec: NonlinearSpec, sigma: float, ell: int, init: AxisymPro
     def gradient(v: np.ndarray, mass2: float) -> np.ndarray:
         return _vortex_operator(grid, v, spec, ell, (sigma / mass2) ** 2)
 
-    def pc_solve(g: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(g)
-        out[1:-1, 1:-1] = lu.solve(g[1:-1, 1:-1].ravel()).reshape(n_int)
-        return out
-
     v, residual, iters, converged = descend(
-        init.values, energy, gradient, project, grid.cell_weights, pc_solve, opts)
+        init.values, energy, gradient, project, grid.cell_weights, preconditioner.solve, opts)
 
     profile = AxisymProfile(grid, v, ell)
     e_sigma, mass2 = energy(profile.values)

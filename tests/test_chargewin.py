@@ -168,3 +168,11 @@ def test_default_grid_keeps_the_resolution_of_wide_tents():
     for r in (174.9, 400.0):
         assert TentProfile(1.0, r).default_grid(0.02).h == pytest.approx(0.02, rel=1e-3)
     assert TentProfile(1.0, 3.0).default_grid(0.02).n == 512
+
+
+@pytest.mark.parametrize("target", [10.0, 1e4])
+def test_plan_records_a_grid_at_the_requested_resolution(target):
+    plan = construct_for_charge(SPEC, target, resolution=0.05)
+    grid = TentProfile(plan.s1, plan.r).default_grid(0.05)
+    assert (plan.grid_nodes, plan.grid_spacing) == (grid.n + 1, grid.h)
+    assert plan.grid_spacing <= 0.05

@@ -128,6 +128,15 @@ r_values = 4.0,5.0
     assert (out / "window.csv").exists()
 
 
+def test_construct_summary_records_the_plan_grid(tmp_path):
+    cfg = write_config(tmp_path, "c.ini", "[construct]\ncharge_target = 10.0\n")
+    out = tmp_path / "c"
+    assert cli.main(["construct", "--config", str(cfg), "--out", str(out)]) == 0
+    summary = dict(line.split(" = ", 1) for line in (out / "summary.txt").read_text().splitlines())
+    assert int(summary["plan_grid_nodes"]) >= 513
+    assert 0.0 < float(summary["plan_grid_spacing"]) <= 0.05
+
+
 def test_nonconvergence_exit_code(tmp_path):
     cfg = write_config(tmp_path, "n.ini", SOLVE_CFG + "\n[solver]\nmax_iters = 3\n")
     out = tmp_path / "n"

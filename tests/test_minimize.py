@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +11,7 @@ import pytest
 from hylomorph.chargewin import TentProfile
 from hylomorph.functionals import sigma_window
 from hylomorph.grid import RadialGrid, RadialProfile, weighted_norm
-from hylomorph.minimize import SolveOptions, minimize_kgm, minimize_nlkg, residual_stationary
+from hylomorph.minimize import SolveOptions, descend, minimize_kgm, minimize_nlkg, residual_stationary
 from hylomorph.model import NonlinearSpec
 
 SPEC = NonlinearSpec.double_well()
@@ -138,3 +139,30 @@ def test_invariants_survive_optimized_mode(tmp_path):
     proc = subprocess.run([sys.executable, "-O", "-c", _PATCHED_GAUGE_SCRIPT, str(cfg), str(tmp_path / "out")],
                           capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120)
     assert proc.stdout.split("\n")[:2] == ["solve_phi: InvariantError", "exit 5"], proc.stderr
+
+
+@pytest.mark.parametrize("spec, sigma", [
+    (NonlinearSpec.power_deficit(2.47, 0.0082, 5.01, 5.16), 365.0),  # trial energies overflow
+    (NonlinearSpec.power_deficit(0.1, 0.0, 5.5, 5.55), 500.0),       # so do gradient norms
+])
+def test_runaway_descent_raises_no_floating_point_warning(spec, sigma):
+    # both energies are (nearly) unbounded below, so the descent runs off
+    # toward float range; overflowing trials must be rejected quietly and
+    # the accepted path must stay finite and monotone
+    init = TentProfile(1.0, 3.0).realize(RadialGrid(12.0, 128))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        energies = [minimize_nlkg(spec, sigma, init, SolveOptions(max_iters=k)).energy for k in (1, 2, 4, 16)]
+    assert np.isfinite(energies).all()
+    assert energies == sorted(energies, reverse=True)
+
+
+def test_descend_rejects_a_trial_of_minus_infinite_energy():
+    # -inf passes the Armijo test; accepting it would end the descent on a
+    # state whose energy is not a number the caller can use
+    def energy(u):
+        return (-np.inf if u.max() > 1.5 else 0.5 * float(np.sum((u - 2.0) ** 2))), None
+
+    u, _, _, _ = descend(np.zeros(8), energy, lambda u, _: u - 2.0, lambda u: u, np.ones(8),
+                         lambda g: g, SolveOptions(max_iters=20))
+    assert np.isfinite(energy(u)[0])

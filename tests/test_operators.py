@@ -5,8 +5,10 @@ round-off of sums over up to a few thousand cells.
 """
 
 import numpy as np
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse.linalg import spsolve
 
 from hylomorph.chargewin import TentProfile
 from hylomorph.evolve import EvolutionState, evolve_nlkg
@@ -15,7 +17,8 @@ from hylomorph.gauge import solve_phi
 from hylomorph.grid import RadialGrid, RadialProfile, banded_matvec, gradient_pairing, integrate_radial, radial_laplacian
 from hylomorph.minimize import SolveOptions, _Preconditioner, minimize_nlkg
 from hylomorph.model import NonlinearSpec, find_binding_amplitude
-from hylomorph.vortex import AxisymGrid, axisym_gradient_pairing, axisym_laplacian
+from hylomorph.vortex import (AxisymGrid, AxisymPreconditioner, axisym_gradient_pairing, axisym_laplacian,
+                              centrifugal_factor)
 
 SETTINGS = settings(max_examples=40, deadline=None)
 
@@ -66,6 +69,42 @@ def test_axisym_summation_by_parts(n_r, n_z, r_max, z_max, seed):
     scale = (float(np.sum(grid.r_face_weights * np.abs(np.diff(a, axis=0) * np.diff(b, axis=0))))
              + float(np.sum(grid.z_face_weights * np.abs(np.diff(a, axis=1) * np.diff(b, axis=1)))))
     assert abs(lhs - rhs) <= 1e-10 * scale
+
+
+windings = st.sampled_from([1, -1, 2, 3])
+shifts = st.sampled_from([0.0, 0.3, 1.0])
+
+
+@SETTINGS
+@given(st.integers(16, 96), st.integers(16, 96), extents, extents, windings, shifts, seeds)
+def test_axisym_preconditioner_inverts_the_shifted_operator(n_r, n_z, r_max, z_max, ell, c, seed):
+    grid = AxisymGrid(r_max, z_max, n_r, n_z)
+    g = np.pad(np.random.default_rng(seed).standard_normal((n_r - 1, n_z - 1)), 1)
+    x = AxisymPreconditioner(grid, ell, c).solve(g)
+    applied = x - c * axisym_laplacian(grid, x) + c * ell**2 * centrifugal_factor(grid) * x
+    assert np.abs(applied - g).max() <= 1e-12 * np.abs(g).max()
+
+
+def test_axisym_preconditioner_matches_a_sparse_five_point_solve():
+    # the textbook cylindrical stencil, assembled independently of the grid weights
+    grid = AxisymGrid(3.0, 2.0, 17, 20)
+    ell, c = 2, 0.7
+    n_r, n_z = grid.n_r - 1, grid.n_z - 1
+    r, h_r, h_z = grid.r, grid.h_r, grid.h_z
+    a = sp.lil_matrix((n_r * n_z, n_r * n_z))
+    for i in range(1, grid.n_r):
+        up, dn = c * (r[i] + 0.5 * h_r) / (r[i] * h_r**2), c * (r[i] - 0.5 * h_r) / (r[i] * h_r**2)
+        for j in range(1, grid.n_z):
+            row = (i - 1) * n_z + (j - 1)
+            a[row, row] = 1.0 + up + dn + 2.0 * c / h_z**2 + c * ell**2 / r[i] ** 2
+            for di, dj, coef in ((1, 0, up), (-1, 0, dn), (0, 1, c / h_z**2), (0, -1, c / h_z**2)):
+                if 1 <= i + di < grid.n_r and 1 <= j + dj < grid.n_z:
+                    a[row, row + di * n_z + dj] = -coef
+    g = np.pad(np.random.default_rng(7).standard_normal((n_r, n_z)), 1)
+    expected = spsolve(a.tocsc(), g[1:-1, 1:-1].ravel()).reshape(n_r, n_z)
+    x = AxisymPreconditioner(grid, ell, c).solve(g)
+    assert np.abs(x[1:-1, 1:-1] - expected).max() <= 1e-12 * np.abs(expected).max()
+    assert not x[[0, -1], :].any() and not x[:, [0, -1]].any()
 
 
 @SETTINGS
