@@ -34,6 +34,11 @@ SOBOLEV_C3 = 5.4685
 # 48^(1/3) * pi^(2/3), the normalization entering the coupling threshold
 _COUPLING_NORM = 48.0 ** (1.0 / 3.0) * np.pi ** (2.0 / 3.0)
 
+# Largest spacing of a tent's grid: fine for the window scan and the witness
+# check, coarser for the construction, whose grid grows with its doubling radius.
+SCAN_RESOLUTION = 0.02
+CONSTRUCT_RESOLUTION = 0.05
+
 
 def sobolev_constant() -> float:
     """The recorded gradient-to-L6 embedding constant for R^3."""
@@ -73,9 +78,9 @@ class TentProfile:
             raise ValueError("grid truncates inside the tent support")
         return RadialProfile(grid, self(grid.nodes))
 
-    def default_grid(self, resolution: float = 0.02, pad_factor: float = 2.0) -> RadialGrid:
-        """Grid on [0, pad_factor (r + 1)] with spacing at most ``resolution``."""
-        r_max = pad_factor * (self.r + 1.0)
+    def default_grid(self, resolution: float) -> RadialGrid:
+        """Grid on [0, 2 (r + 1)] with spacing at most ``resolution``."""
+        r_max = 2.0 * (self.r + 1.0)
         n = max(512, int(np.ceil(r_max / resolution)))
         return RadialGrid(r_max, n)
 
@@ -100,7 +105,6 @@ def estimate_admissible_window(
     q: float,
     s1_values: Sequence[float],
     r_values: Sequence[float],
-    resolution: float = 0.02,
 ) -> WindowEstimate:
     """Scan tents, keep negative-deficiency witnesses, return the widest window.
 
@@ -119,7 +123,7 @@ def estimate_admissible_window(
     for s1 in s1_values:
         for r in r_values:
             tent = TentProfile(float(s1), float(r))
-            u = tent.realize(tent.default_grid(resolution))
+            u = tent.realize(tent.default_grid(SCAN_RESOLUTION))
             if q == 0.0:
                 j = nlkg_deficiency(u, spec)
                 k = u.mass2
@@ -171,7 +175,7 @@ class TentWitnessReport:
 
 
 def verify_tent_witness(spec: NonlinearSpec, s1: float, r: float, h: float, q: float,
-                        c3: float | None = None, resolution: float = 0.02) -> TentWitnessReport:
+                        c3: float | None = None) -> TentWitnessReport:
     """Check hypotheses and conclusion of the tent-witness construction."""
     if not (0.0 < h < 1.0):
         raise ValueError("retention parameter h must lie in (0, 1)")
@@ -189,7 +193,7 @@ def verify_tent_witness(spec: NonlinearSpec, s1: float, r: float, h: float, q: f
     coupling_ok = margin > 0.0
 
     tent = TentProfile(s1, r)
-    u = tent.realize(tent.default_grid(resolution))
+    u = tent.realize(tent.default_grid(SCAN_RESOLUTION))
     funcs = kgm_functionals(u, 1.0, q, spec)
     mass2 = u.mass2
     defect_ok = funcs.mass_defect >= (h**2 - 1.0) * mass2 * (1.0 + 1e-9)
@@ -235,13 +239,11 @@ class ConstructionPlan:
     predicted_charge_lb: float
     sobolev_c3: float
     screened_mass: float
-    grid_nodes: int           # nodes of the radial grid the charge was verified on
-    grid_spacing: float       # its node spacing, at most the requested resolution
+    grid: RadialGrid          # the grid the charge was verified on
 
 
 def construct_for_charge(spec: NonlinearSpec, charge_target: float,
-                         c3: float | None = None, r_cap: float = 1e6,
-                         resolution: float = 0.05) -> ConstructionPlan:
+                         c3: float | None = None, r_cap: float = 1e6) -> ConstructionPlan:
     """Build a verified plan whose electric charge reaches the target.
 
     The amplitude sits at the deepest binding level; alpha is the midpoint
@@ -272,7 +274,7 @@ def construct_for_charge(spec: NonlinearSpec, charge_target: float,
     while True:
         q = 0.5 * prefactor * (1.0 - h) / (h * s1 * r)
         tent = TentProfile(s1, r)
-        grid = tent.default_grid(resolution)
+        grid = tent.default_grid(CONSTRUCT_RESOLUTION)
         u = tent.realize(grid)
         funcs = kgm_functionals(u, 1.0, q, spec)
         charge = q * spec.mass * funcs.screened_mass
@@ -288,5 +290,5 @@ def construct_for_charge(spec: NonlinearSpec, charge_target: float,
         s1=s1, binding=lam, alpha=alpha, h=h, r=r, q=q,
         sigma=spec.mass * funcs.screened_mass, charge=charge,
         predicted_charge_lb=predicted, sobolev_c3=c3,
-        screened_mass=funcs.screened_mass, grid_nodes=grid.n + 1, grid_spacing=grid.h,
+        screened_mass=funcs.screened_mass, grid=grid,
     )

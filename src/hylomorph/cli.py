@@ -127,13 +127,12 @@ def _validate_config(cfg: RunConfig) -> None:
 
 
 def _nonlinearity(cfg: RunConfig) -> model.NonlinearSpec:
-    family = cfg.get("nonlinearity", "family")
-    params = [float(tok) for tok in str(cfg.get("nonlinearity", "params")).split(",") if tok.strip()]
-    return model.NonlinearSpec(family, float(cfg.get("nonlinearity", "mass")), tuple(params))
+    return model.NonlinearSpec(cfg.get("nonlinearity", "family"), cfg.get("nonlinearity", "mass"),
+                               tuple(_float_list(cfg.get("nonlinearity", "params"))))
 
 
 def _float_list(raw: str) -> list[float]:
-    return [float(tok) for tok in str(raw).split(",") if tok.strip()]
+    return [float(tok) for tok in raw.split(",") if tok.strip()]
 
 
 def _fmt(x) -> str:
@@ -159,25 +158,22 @@ def write_manifest(cfg: RunConfig) -> None:
 
 
 def write_profile_csv(out_dir: Path, name: str, columns: dict[str, np.ndarray]) -> None:
-    keys = list(columns)
-    rows = np.column_stack([np.asarray(columns[k], dtype=float) for k in keys])
+    rows = np.column_stack([np.asarray(col, dtype=float) for col in columns.values()])
     with open(out_dir / name, "w") as fh:
-        fh.write(",".join(keys) + "\n")
-        for row in rows:
-            fh.write(",".join(f"{v:.12g}" for v in row) + "\n")
+        np.savetxt(fh, rows, fmt="%.12g", delimiter=",", header=",".join(columns), comments="")
 
 
 def _grid(cfg: RunConfig) -> RadialGrid:
-    return RadialGrid(float(cfg.get("grid", "r_max")), int(cfg.get("grid", "n")))
+    return RadialGrid(cfg.get("grid", "r_max"), cfg.get("grid", "n"))
 
 
 def _solver_opts(cfg: RunConfig) -> minimize.SolveOptions:
-    return minimize.SolveOptions(tol=float(cfg.get("solver", "tol")),
-                                 max_iters=int(cfg.get("solver", "max_iters")))
+    return minimize.SolveOptions(tol=cfg.get("solver", "tol"),
+                                 max_iters=cfg.get("solver", "max_iters"))
 
 
 def _tent_init(cfg: RunConfig, grid: RadialGrid) -> RadialProfile:
-    tent = chargewin.TentProfile(float(cfg.get("solve", "init_s1")), float(cfg.get("solve", "init_r")))
+    tent = chargewin.TentProfile(cfg.get("solve", "init_s1"), cfg.get("solve", "init_r"))
     if grid.r_max < tent.r + 1.0:
         raise ValueError("grid truncates inside the initial tent; enlarge r_max")
     return tent.realize(grid)
@@ -201,8 +197,8 @@ def _result_scalars(res: minimize.SolitonResult) -> dict[str, object]:
 
 def _run_validate(cfg: RunConfig) -> dict[str, object]:
     spec = _nonlinearity(cfg)
-    report = model.validate_assumptions(spec, float(cfg.get("validate", "s_max")),
-                                        int(cfg.get("validate", "n_samples")))
+    report = model.validate_assumptions(spec, cfg.get("validate", "s_max"),
+                                        cfg.get("validate", "n_samples"))
     crit = model.classify_charge_criteria(spec)
     out = {
         "mass_normalization": report.mass_normalization,
@@ -222,7 +218,7 @@ def _run_validate(cfg: RunConfig) -> dict[str, object]:
 def _run_window(cfg: RunConfig) -> dict[str, object]:
     spec = _nonlinearity(cfg)
     est = chargewin.estimate_admissible_window(
-        spec, float(cfg.get("window", "q")),
+        spec, cfg.get("window", "q"),
         _float_list(cfg.get("window", "s1_values")),
         _float_list(cfg.get("window", "r_values")))
     if est.empty:
@@ -245,7 +241,7 @@ def _run_window(cfg: RunConfig) -> dict[str, object]:
 def _run_solve_nlkg(cfg: RunConfig) -> dict[str, object]:
     spec = _nonlinearity(cfg)
     grid = _grid(cfg)
-    res = minimize.minimize_nlkg(spec, float(cfg.get("solve", "sigma")), _tent_init(cfg, grid),
+    res = minimize.minimize_nlkg(spec, cfg.get("solve", "sigma"), _tent_init(cfg, grid),
                                  _solver_opts(cfg))
     write_profile_csv(cfg.out_dir, "profile.csv", {"r": grid.nodes, "u": res.u.values})
     return _result_scalars(res)
@@ -254,7 +250,7 @@ def _run_solve_nlkg(cfg: RunConfig) -> dict[str, object]:
 def _run_solve_kgm(cfg: RunConfig) -> dict[str, object]:
     spec = _nonlinearity(cfg)
     grid = _grid(cfg)
-    res = minimize.minimize_kgm(spec, float(cfg.get("solve", "sigma")), float(cfg.get("solve", "q")),
+    res = minimize.minimize_kgm(spec, cfg.get("solve", "sigma"), cfg.get("solve", "q"),
                                 _tent_init(cfg, grid), _solver_opts(cfg))
     write_profile_csv(cfg.out_dir, "profile.csv", {"r": grid.nodes, "u": res.u.values})
     write_profile_csv(cfg.out_dir, "phi.csv", {"r": grid.nodes, "phi": res.phi.values})
@@ -265,13 +261,13 @@ def _run_solve_kgm(cfg: RunConfig) -> dict[str, object]:
 
 def _run_solve_vortex(cfg: RunConfig) -> dict[str, object]:
     spec = _nonlinearity(cfg)
-    grid = vortex.AxisymGrid(float(cfg.get("grid", "r_max")), float(cfg.get("grid", "z_max")),
-                             int(cfg.get("grid", "n")), int(cfg.get("grid", "n_z")))
-    ell = int(cfg.get("solve", "ell"))
-    init = vortex.torus_bump(grid, float(cfg.get("solve", "torus_amplitude")),
-                             float(cfg.get("solve", "torus_r0")),
-                             float(cfg.get("solve", "torus_width")), ell)
-    res = vortex.minimize_vortex(spec, float(cfg.get("solve", "sigma")), ell, init, _solver_opts(cfg))
+    grid = vortex.AxisymGrid(cfg.get("grid", "r_max"), cfg.get("grid", "z_max"),
+                             cfg.get("grid", "n"), cfg.get("grid", "n_z"))
+    ell = cfg.get("solve", "ell")
+    init = vortex.torus_bump(grid, cfg.get("solve", "torus_amplitude"),
+                             cfg.get("solve", "torus_r0"),
+                             cfg.get("solve", "torus_width"), ell)
+    res = vortex.minimize_vortex(spec, cfg.get("solve", "sigma"), ell, init, _solver_opts(cfg))
     rr, zz = np.meshgrid(grid.r, grid.z, indexing="ij")
     write_profile_csv(cfg.out_dir, "profile.csv",
                       {"r": rr.ravel(), "z": zz.ravel(), "u": res.u.values.ravel()})
@@ -284,12 +280,12 @@ def _run_solve_vortex(cfg: RunConfig) -> dict[str, object]:
 
 def _run_construct(cfg: RunConfig) -> dict[str, object]:
     spec = _nonlinearity(cfg)
-    plan = chargewin.construct_for_charge(spec, float(cfg.get("construct", "charge_target")),
-                                          c3=float(cfg.get("construct", "c3")))
+    plan = chargewin.construct_for_charge(spec, cfg.get("construct", "charge_target"),
+                                          c3=cfg.get("construct", "c3"))
     report = chargewin.verify_tent_witness(spec, plan.s1, plan.r, plan.h, plan.q, c3=plan.sobolev_c3)
-    tent = chargewin.TentProfile(plan.s1, plan.r)
-    grid = tent.default_grid(resolution=0.05)
-    res = minimize.minimize_kgm(spec, plan.sigma, plan.q, tent.realize(grid), _solver_opts(cfg))
+    grid = plan.grid
+    init = chargewin.TentProfile(plan.s1, plan.r).realize(grid)
+    res = minimize.minimize_kgm(spec, plan.sigma, plan.q, init, _solver_opts(cfg))
     write_profile_csv(cfg.out_dir, "profile.csv", {"r": grid.nodes, "u": res.u.values})
     write_profile_csv(cfg.out_dir, "phi.csv", {"r": grid.nodes, "phi": res.phi.values})
     out = {
@@ -302,8 +298,8 @@ def _run_construct(cfg: RunConfig) -> dict[str, object]:
         "plan_sigma": plan.sigma,
         "plan_charge": plan.charge,
         "plan_predicted_charge_lb": plan.predicted_charge_lb,
-        "plan_grid_nodes": plan.grid_nodes,
-        "plan_grid_spacing": plan.grid_spacing,
+        "plan_grid_nodes": plan.grid.n + 1,
+        "plan_grid_spacing": plan.grid.h,
         "hypothesis_amplitude": report.amplitude_ok,
         "hypothesis_coupling": report.coupling_ok,
         "hypothesis_defect": report.defect_ok,
@@ -318,8 +314,8 @@ def _run_construct(cfg: RunConfig) -> dict[str, object]:
 def _soliton_for_evolution(cfg: RunConfig, sigma: float):
     spec = _nonlinearity(cfg)
     grid = _grid(cfg)
-    opts = minimize.SolveOptions(tol=min(float(cfg.get("solver", "tol")), 1e-8),
-                                 max_iters=int(cfg.get("solver", "max_iters")))
+    opts = minimize.SolveOptions(tol=min(cfg.get("solver", "tol"), 1e-8),
+                                 max_iters=cfg.get("solver", "max_iters"))
     res = minimize.minimize_nlkg(spec, sigma, _tent_init(cfg, grid), opts)
     if not res.converged:
         raise RuntimeError("soliton preparation did not converge; adjust sigma or the grid")
@@ -327,26 +323,26 @@ def _soliton_for_evolution(cfg: RunConfig, sigma: float):
 
 
 def _run_evolve(cfg: RunConfig) -> dict[str, object]:
-    spec, grid, res = _soliton_for_evolution(cfg, float(cfg.get("evolve", "sigma")))
-    dt = float(cfg.get("evolve", "dt")) or grid.h / 2.0
-    rec = int(cfg.get("evolve", "record_every")) or None
-    radius = float(cfg.get("evolve", "radius_factor")) * evolve.mass_radius(res.u)
+    spec, grid, res = _soliton_for_evolution(cfg, cfg.get("evolve", "sigma"))
+    dt = cfg.get("evolve", "dt") or grid.h / 2.0
+    rec = cfg.get("evolve", "record_every") or None
+    radius = cfg.get("evolve", "radius_factor") * evolve.mass_radius(res.u)
     state, ledger = evolve.evolve_nlkg(
-        evolve.soliton_state(res.u, res.omega), spec, float(cfg.get("evolve", "t_final")), dt,
+        evolve.soliton_state(res.u, res.omega), spec, cfg.get("evolve", "t_final"), dt,
         record_every=rec, localization_radius=min(radius, grid.r_max),
-        reference=(res.u, res.omega), free_field=bool(cfg.get("evolve", "free")))
+        reference=(res.u, res.omega), free_field=cfg.get("evolve", "free"))
     write_profile_csv(cfg.out_dir, "ledger.csv", ledger.arrays())
     write_profile_csv(cfg.out_dir, "profile.csv", {"r": grid.nodes, "u": np.abs(state.psi)})
     return {"t_final": state.t, **ledger.drifts(), "omega": res.omega, "sigma": res.charge}
 
 
 def _run_stability(cfg: RunConfig) -> dict[str, object]:
-    spec, grid, res = _soliton_for_evolution(cfg, float(cfg.get("stability", "sigma")))
-    delta = float(cfg.get("stability", "delta"))
+    spec, grid, res = _soliton_for_evolution(cfg, cfg.get("stability", "sigma"))
+    delta = cfg.get("stability", "delta")
     result = evolve.stability_experiment(
-        res.u, res.omega, spec, float(cfg.get("stability", "t_final")),
-        float(cfg.get("stability", "dt")) or grid.h / 2.0, delta,
-        record_every=int(cfg.get("stability", "record_every")) or None)
+        res.u, res.omega, spec, cfg.get("stability", "t_final"),
+        cfg.get("stability", "dt") or grid.h / 2.0, delta,
+        record_every=cfg.get("stability", "record_every") or None)
 
     out: dict[str, object] = {"sigma": res.charge, "omega": res.omega, "delta": delta,
                               "localization_radius": result.localization_radius,

@@ -161,8 +161,7 @@ def kgm_functionals(u: RadialProfile, sigma: float, q: float, spec: NonlinearSpe
     )
 
 
-def kgm_gradient(u: RadialProfile, sigma: float, q: float, spec: NonlinearSpec,
-                 funcs: KgmFunctionals | None = None) -> np.ndarray:
+def kgm_gradient(u: RadialProfile, sigma: float, q: float, spec: NonlinearSpec) -> np.ndarray:
     """First variation of the gauge reduced energy.
 
     The screened mass differentiates through its minimizing potential,
@@ -170,7 +169,6 @@ def kgm_gradient(u: RadialProfile, sigma: float, q: float, spec: NonlinearSpec,
     -lap u + W'(u) - omega^2 (1 - q phi_u)^2 u with omega = -sigma/K.
     It vanishes exactly on solutions of the coupled stationary system.
     """
-    if funcs is None:
-        funcs = kgm_functionals(u, sigma, q, spec)
+    funcs = kgm_functionals(u, sigma, q, spec)
     return stationary_operator(u.grid, u.values, spec, (sigma / funcs.screened_mass) ** 2,
                                (1.0 - q * funcs.phi.values) ** 2)

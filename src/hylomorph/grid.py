@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable
 
 import numpy as np
 
@@ -121,10 +120,6 @@ class RadialProfile:
         v[-1] = 0.0
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
-
-    @classmethod
-    def from_callable(cls, grid: RadialGrid, f: Callable[[np.ndarray], np.ndarray]) -> "RadialProfile":
-        return cls(grid, np.asarray(f(grid.nodes), dtype=float))
 
     @cached_property
     def mass2(self) -> float:

@@ -1,11 +1,11 @@
 """Gradient-flow minimization of the reduced energies at fixed charge.
 
 The descent direction is the raw first variation smoothed by one
-tridiagonal solve of (I - c lap), which removes the grid-scale stiffness
-of explicit flow while remaining a descent direction; a backtracking line
-search with projection onto nonnegative profiles guarantees monotone
-energy decrease.  Convergence is declared on the weighted L2 norm of the
-stationary-equation residual.
+tridiagonal solve of (I - lap), the H^1 Sobolev gradient, which removes
+the grid-scale stiffness of explicit flow while remaining a descent
+direction; a backtracking line search with projection onto nonnegative
+profiles guarantees monotone energy decrease.  Convergence is declared
+on the weighted L2 norm of the stationary-equation residual.
 """
 
 from __future__ import annotations
@@ -24,6 +24,13 @@ from .model import NonlinearSpec
 COLLAPSE_AMPLITUDE_FACTOR = 1e-3
 COLLAPSE_NOTE = "profile collapsed toward zero; sigma likely below every certified window"
 UNBOUND_NOTE = "ratio at or above the mass; no binding certificate at this sigma"
+DIVERGED_NOTE = "iterates ran off to infinity; the energy is likely unbounded below"
+
+# backtracking line search: first trial step, shrink factor per rejection,
+# and the Armijo sufficient-decrease constant
+STEP_INIT = 1.0
+SHRINK = 0.5
+ARMIJO = 1e-4
 
 
 class InvariantError(AssertionError):
@@ -37,17 +44,11 @@ class InvariantError(AssertionError):
 class SolveOptions:
     tol: float = 1e-6
     max_iters: int = 50_000
-    step_init: float = 1.0
-    shrink: float = 0.5
-    armijo: float = 1e-4
-    precond: float = 1.0
 
     def __post_init__(self):
-        for name in ("tol", "max_iters", "step_init", "shrink", "armijo"):
+        for name in ("tol", "max_iters"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
-        if self.precond < 0:
-            raise ValueError("precond must be nonnegative")
 
 
 if TYPE_CHECKING:
@@ -77,16 +78,13 @@ class SolitonResult:
 
 
 class _Preconditioner:
-    """Tridiagonal solve of (I - c lap) on the radial grid."""
+    """Tridiagonal solve of (I - lap) on the radial grid."""
 
-    def __init__(self, grid: RadialGrid, c: float):
-        self.c = c
-        self._ab = -c * grid.laplacian_bands
+    def __init__(self, grid: RadialGrid):
+        self._ab = -grid.laplacian_bands
         self._ab[1] += 1.0
 
     def solve(self, g: np.ndarray) -> np.ndarray:
-        if self.c == 0.0:
-            return g.copy()
         return solve_banded((1, 1), self._ab, g)
 
 
@@ -121,7 +119,7 @@ def descend(
         return bool(residual < opts.tol * (1.0 + np.sqrt(inner(u, u))))
 
     u = project(u0.copy())
-    tau = opts.step_init
+    tau = STEP_INIT
     e_cur, state = energy(u)
     e_mark = e_cur
     res_best = np.inf
@@ -157,17 +155,17 @@ def descend(
             # a long trial step may overflow W(s); such a trial is rejected below
             with np.errstate(over="ignore", invalid="ignore"):
                 e_trial, trial_state = energy(trial)
-            if np.isfinite(e_trial) and e_trial <= e_cur - (opts.armijo / tau) * move2 + 1e-15 * abs(e_cur):
+            if np.isfinite(e_trial) and e_trial <= e_cur - (ARMIJO / tau) * move2 + 1e-15 * abs(e_cur):
                 if not e_trial <= e_cur + 1e-12 * max(1.0, abs(e_cur)):
                     raise InvariantError("descent step increased the energy")
                 # grow the step only on decrease beyond float noise; noise
                 # acceptances otherwise inflate tau into an overshoot cycle
                 if e_cur - e_trial > 1e-14 * max(1.0, abs(e_cur)):
-                    tau = min(tau * 2.0, 1e3 * opts.step_init)
+                    tau = min(tau * 2.0, 1e3 * STEP_INIT)
                 u, e_cur, state = trial, e_trial, trial_state
                 accepted = True
                 break
-            tau *= opts.shrink
+            tau *= SHRINK
         if not accepted:
             break
     g = gradient(u, state)
@@ -183,21 +181,25 @@ def finalize_result(profile: "RadialProfile | AxisymProfile", init: "RadialProfi
     """Turn a finished descent into a SolitonResult; shared by every solver.
 
     Eliminates the frequency omega = -sigma/K, checks the charge
-    constraint, flags a collapse toward zero, and certifies the charge only
-    for a converged state whose ratio E_sigma/sigma lies below the mass.
+    constraint, flags a collapse toward zero or a run-off to infinity (a
+    non-finite residual or energy), and certifies the charge only for a
+    converged state whose ratio E_sigma/sigma lies below the mass.
     """
     q = 1.0 if coupling is None else coupling
     omega = -sigma / screened_mass
     if not abs(-q * omega * screened_mass - q * sigma) <= 1e-8 * q * sigma:
         raise InvariantError("charge constraint broken by omega elimination")
     collapsed = bool(np.max(profile.values) < COLLAPSE_AMPLITUDE_FACTOR * np.max(init.values))
+    diverged = not (np.isfinite(residual) and np.isfinite(energy))
     hylomorphy = energy / sigma
     note = ""
-    if collapsed:
+    if diverged:
+        note = DIVERGED_NOTE
+    elif collapsed:
         note = COLLAPSE_NOTE
     elif hylomorphy >= spec.mass:
         note = UNBOUND_NOTE
-    converged = bool(converged and not collapsed)
+    converged = bool(converged and not collapsed and not diverged)
     return SolitonResult(
         u=profile, omega=omega, phi=phi, energy=energy, charge=sigma,
         electric_charge=q * sigma, hylomorphy=hylomorphy, residual=residual,
@@ -233,7 +235,7 @@ def minimize_nlkg(spec: NonlinearSpec, sigma: float, init: RadialProfile,
 
     u, residual, iters, converged = descend(
         init.values, energy, gradient, _radial_project, vw,
-        _Preconditioner(grid, opts.precond).solve, opts)
+        _Preconditioner(grid).solve, opts)
 
     profile = RadialProfile(grid, u)
     e_sigma, _ = reduced_energy_sigma(profile, sigma, spec)
@@ -268,7 +270,7 @@ def minimize_kgm(spec: NonlinearSpec, sigma: float, q: float, init: RadialProfil
 
     u, residual, iters, converged = descend(
         init.values, energy, gradient, _radial_project, grid.volume_weights,
-        _Preconditioner(grid, opts.precond).solve, opts)
+        _Preconditioner(grid).solve, opts)
 
     profile = RadialProfile(grid, u)
     funcs = kgm_functionals(profile, sigma, q, spec)

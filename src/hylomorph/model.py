@@ -252,20 +252,21 @@ class CriteriaReport:
 
 _EXPONENT_BOUND = 2.0 + 4.0 / 3.0
 _EXPONENT_MARGIN = 0.1
+_CRITERIA_S_MAX = 10.0  # upper end of the amplitude scans behind the classification
 
 
-def classify_charge_criteria(spec: NonlinearSpec, s_max: float = 10.0) -> CriteriaReport:
+def classify_charge_criteria(spec: NonlinearSpec) -> CriteriaReport:
     """Classify the admissible-charge behaviour of a validated nonlinearity."""
     notes: list[str] = []
 
-    scan = np.geomspace(1e-6, s_max, 4096)
+    scan = np.geomspace(1e-6, _CRITERIA_S_MAX, 4096)
     r_scan = eval_remainder(spec, scan, 0)
     neg = r_scan < 0
     if not neg[0]:
         alpha = None
     else:
         flips = np.nonzero(~neg)[0]
-        alpha = float(scan[flips[0] - 1]) if flips.size else float(s_max)
+        alpha = float(scan[flips[0] - 1]) if flips.size else _CRITERIA_S_MAX
 
     fit_s = np.geomspace(1e-4, 1e-1, 64)
     r_fit = np.abs(eval_remainder(spec, fit_s, 0))
@@ -285,9 +286,9 @@ def classify_charge_criteria(spec: NonlinearSpec, s_max: float = 10.0) -> Criter
         if alpha is None:
             notes.append("R is not negative immediately above zero")
 
-    witness, value, verdict = _find_second_vacuum(spec, s_max)
+    witness, value, verdict = _find_second_vacuum(spec)
     if verdict == "inconclusive":
-        notes.append("W minimum is near zero but outside tolerance; refine s_max or parameters")
+        notes.append("W minimum is near zero but outside tolerance; refine the parameters")
 
     return CriteriaReport(
         small_charge_threshold_vanishes=small_verdict,
@@ -300,17 +301,17 @@ def classify_charge_criteria(spec: NonlinearSpec, s_max: float = 10.0) -> Criter
     )
 
 
-def _find_second_vacuum(spec: NonlinearSpec, s_max: float) -> tuple[float | None, float | None, str]:
+def _find_second_vacuum(spec: NonlinearSpec) -> tuple[float | None, float | None, str]:
     """Zero of W at positive amplitude, located through the binding level
     W/(s^2/2) so the trivial vacuum at zero cannot masquerade as a witness."""
-    ss = np.linspace(0.0, s_max, 8192)[1:]
+    ss = np.linspace(0.0, _CRITERIA_S_MAX, 8192)[1:]
     w = eval_nonlinearity(spec, ss, 0)
     sign_change = np.nonzero(np.sign(w[:-1]) * np.sign(w[1:]) < 0)[0]
     if sign_change.size:
         i = sign_change[0]
         s1 = float(brentq(lambda s: eval_nonlinearity(spec, s, 0), ss[i], ss[i + 1], xtol=1e-14))
         return s1, float(eval_nonlinearity(spec, s1, 0)), "holds"
-    s1, level = find_binding_amplitude(spec, s_max)
+    s1, level = find_binding_amplitude(spec, _CRITERIA_S_MAX)
     m2 = spec.mass**2
     if abs(level) < 1e-9 * m2:
         return s1, float(eval_nonlinearity(spec, s1, 0)), "holds"

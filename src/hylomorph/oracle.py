@@ -18,6 +18,7 @@ from .model import NonlinearSpec, eval_nonlinearity
 
 H_ODE = 1e-3
 BRACKET_TOL = 1e-12
+N_SCAN = 60  # central amplitudes tried before bisection
 
 OVERSHOOT = "overshoot"
 UNDERSHOOT = "undershoot"
@@ -101,8 +102,7 @@ def _integrate(spec: NonlinearSpec, omega: float, u0: float, r_stop: float,
     return outcome, r_event, trace
 
 
-def shoot_ground_state(spec: NonlinearSpec, omega: float, grid: RadialGrid | None = None,
-                       r_stop: float | None = None, n_scan: int = 60) -> ShootResult:
+def shoot_ground_state(spec: NonlinearSpec, omega: float, grid: RadialGrid | None = None) -> ShootResult:
     """Bisection shooting for the monotone radial ground state.
 
     The central amplitude is bracketed between undershooting and
@@ -122,10 +122,8 @@ def shoot_ground_state(spec: NonlinearSpec, omega: float, grid: RadialGrid | Non
     if not np.any(weff < 0):
         raise ValueError("effective potential never negative: no ground state at this omega")
 
-    if r_stop is None:
-        r_stop = max(40.0, 25.0 / kappa)
-
-    candidates = np.linspace(ss[np.argmax(weff < 0)], s_hi, n_scan)
+    r_stop = max(40.0, 25.0 / kappa)
+    candidates = np.linspace(ss[np.argmax(weff < 0)], s_hi, N_SCAN)
     outcomes = [_integrate(spec, omega, float(c), r_stop)[0] for c in candidates]
     lo = hi = None
     for i in range(len(candidates) - 1):

@@ -173,7 +173,7 @@ def _zero_boundary(v: np.ndarray) -> np.ndarray:
 
 
 class AxisymPreconditioner:
-    """Solve of (I - c lap + c ell^2/r^2) x = g on the interior unknowns.
+    """Solve of (I - lap + ell^2/r^2) x = g on the interior unknowns.
 
     On interior rows the z-trapezoid weight is h_z, so the r-couplings of
     the five-point stencil do not depend on z and row i couples in z by the
@@ -185,14 +185,14 @@ class AxisymPreconditioner:
     so this is the same operator to round-off.
     """
 
-    def __init__(self, grid: AxisymGrid, ell: int, c: float):
+    def __init__(self, grid: AxisymGrid, ell: int):
         nr, nz = grid.n_r - 1, grid.n_z - 1  # interior unknowns per direction
         cw = grid.cell_weights[1:-1, 1]
-        up_r = c * grid.r_face_weights[1:, 1] / cw
-        dn_r = c * grid.r_face_weights[:-1, 1] / cw
-        t_z = c * grid.z_face_weights[1:-1, 1] / cw
+        up_r = grid.r_face_weights[1:, 1] / cw
+        dn_r = grid.r_face_weights[:-1, 1] / cw
+        t_z = grid.z_face_weights[1:-1, 1] / cw
         mu = 2.0 - 2.0 * np.cos(np.pi * np.arange(1, nz + 1) / grid.n_z)
-        diag = (1.0 + up_r + dn_r + c * ell**2 / grid.r[1:-1] ** 2) + mu[:, None] * t_z
+        diag = (1.0 + up_r + dn_r + ell**2 / grid.r[1:-1] ** 2) + mu[:, None] * t_z
         # unknowns are numbered r-fastest within each z-mode; no coupling across modes
         upper = np.zeros((nz, nr))
         upper[:, :-1] = -up_r[:-1]
@@ -232,7 +232,7 @@ def minimize_vortex(spec: NonlinearSpec, sigma: float, ell: int, init: AxisymPro
     opts = opts or SolveOptions()
     grid = init.grid
     ell2_over_r2 = ell**2 * centrifugal_factor(grid)
-    preconditioner = AxisymPreconditioner(grid, ell, opts.precond)
+    preconditioner = AxisymPreconditioner(grid, ell)
 
     def project(v: np.ndarray) -> np.ndarray:
         return _zero_boundary(np.maximum(v, 0.0))
@@ -262,7 +262,6 @@ def vortex_residual(profile: AxisymProfile, omega: float, spec: NonlinearSpec) -
     return float(np.sqrt(np.sum(grid.cell_weights * lhs**2)))
 
 
-def vortex_observables(result: SolitonResult, ell: int | None = None) -> tuple[float, float]:
+def vortex_observables(result: SolitonResult) -> tuple[float, float]:
     """Charge and axial angular momentum; the latter is winding times charge."""
-    ell = result.winding if ell is None else ell
-    return result.charge, ell * result.charge
+    return result.charge, result.winding * result.charge

@@ -137,6 +137,36 @@ def test_construct_summary_records_the_plan_grid(tmp_path):
     assert 0.0 < float(summary["plan_grid_spacing"]) <= 0.05
 
 
+def test_runaway_solve_exits_as_nonconvergence_with_its_note(tmp_path):
+    cfg = write_config(tmp_path, "r.ini", """
+[nonlinearity]
+family = power_deficit
+params = 0.1,0.0,5.5,5.55
+[grid]
+r_max = 12.0
+n = 128
+[solver]
+max_iters = 16
+[solve]
+sigma = 500.0
+init_r = 3.0
+""")
+    out = tmp_path / "r"
+    assert cli.main(["solve-nlkg", "--config", str(cfg), "--out", str(out)]) == cli.EXIT_NOCONVERGE
+    summary = (out / "summary.txt").read_text()
+    assert f"note = {cli.minimize.DIVERGED_NOTE}" in summary
+    assert "certified = False" in summary
+
+
+def test_profile_csv_matches_a_per_value_formatter(tmp_path):
+    edge = np.array([0.0, -0.0, 1e20, 5e-324, -1.5, 1.0 / 3.0, 123456789012.5, np.inf, np.nan])
+    columns = {"r": edge, "u": edge[::-1], "z": np.arange(edge.size)}
+    cli.write_profile_csv(tmp_path, "t.csv", columns)
+    reference = "r,u,z\n" + "".join(",".join(f"{float(columns[k][i]):.12g}" for k in columns) + "\n"
+                                    for i in range(edge.size))
+    assert (tmp_path / "t.csv").read_bytes() == reference.encode()
+
+
 def test_nonconvergence_exit_code(tmp_path):
     cfg = write_config(tmp_path, "n.ini", SOLVE_CFG + "\n[solver]\nmax_iters = 3\n")
     out = tmp_path / "n"

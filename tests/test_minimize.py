@@ -11,7 +11,8 @@ import pytest
 from hylomorph.chargewin import TentProfile
 from hylomorph.functionals import sigma_window
 from hylomorph.grid import RadialGrid, RadialProfile, weighted_norm
-from hylomorph.minimize import SolveOptions, descend, minimize_kgm, minimize_nlkg, residual_stationary
+from hylomorph.minimize import (DIVERGED_NOTE, SolveOptions, descend, minimize_kgm, minimize_nlkg,
+                                residual_stationary)
 from hylomorph.model import NonlinearSpec
 
 SPEC = NonlinearSpec.double_well()
@@ -166,3 +167,13 @@ def test_descend_rejects_a_trial_of_minus_infinite_energy():
     u, _, _, _ = descend(np.zeros(8), energy, lambda u, _: u - 2.0, lambda u: u, np.ones(8),
                          lambda g: g, SolveOptions(max_iters=20))
     assert np.isfinite(energy(u)[0])
+
+
+def test_runaway_descent_is_reported_as_diverged():
+    # an energy unbounded below: the iterates reach |u| ~ 1e55 and the
+    # residual overflows to nan
+    res = minimize_nlkg(NonlinearSpec.power_deficit(0.1, 0.0, 5.5, 5.55), 500.0,
+                        TentProfile(1.0, 3.0).realize(RadialGrid(12.0, 128)), SolveOptions(max_iters=16))
+    assert not np.isfinite(res.residual)
+    assert res.note == DIVERGED_NOTE
+    assert not res.converged and not res.certified

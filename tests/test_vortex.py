@@ -67,8 +67,6 @@ def test_angular_momentum_identity(solved):
     charge, l3 = vortex_observables(solved)
     assert charge == solved.charge
     assert l3 == 1 * solved.charge
-    _, l3b = vortex_observables(solved, ell=2)
-    assert l3b == 2 * solved.charge
 
 
 def test_zero_winding_rejected(grid):
