@@ -189,6 +189,7 @@ def _result_scalars(res: minimize.SolitonResult) -> dict[str, object]:
         "residual": res.residual,
         "iterations": res.iterations,
         "converged": res.converged,
+        "termination": res.termination,
         "collapsed": res.collapsed,
         "certified": res.certified,
         "note": res.note or "none",

@@ -1,11 +1,15 @@
 """Gradient-flow minimization of the reduced energies at fixed charge.
 
-The descent direction is the raw first variation smoothed by one
-tridiagonal solve of (I - lap), the H^1 Sobolev gradient, which removes
-the grid-scale stiffness of explicit flow while remaining a descent
-direction; a backtracking line search with projection onto nonnegative
-profiles guarantees monotone energy decrease.  Convergence is declared
-on the weighted L2 norm of the stationary-equation residual.
+The search directions are preconditioned Polak-Ribiere+ conjugate
+gradients in the H^1 metric: the raw first variation g is smoothed by one
+tridiagonal solve of (I - lap), the Sobolev gradient Pg, which removes the
+grid-scale stiffness of explicit flow, and successive directions are
+combined as p = Pg + beta p_old with beta = max(0, <g, Pg - Pg_old> /
+<g_old, Pg_old>).  The direction restarts along Pg whenever it stops
+descending.  A backtracking line search with projection onto nonnegative
+profiles and the Armijo test on <g, move> guarantees monotone energy
+decrease.  Convergence is declared on the weighted L2 norm of the
+stationary-equation residual; every solve reports why it stopped.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgttrf, dgttrs
 
 from .functionals import reduced_energy, reduced_energy_sigma, stationary_operator
 from .gauge import GaugePotential, kgm_functionals, screened_mass_two_forms, solve_phi
@@ -69,6 +73,7 @@ class SolitonResult:
     residual: float
     iterations: int
     converged: bool
+    termination: str               # why the descent stopped; see descend
     collapsed: bool = False
     winding: int = 0
     coupling: float | None = None
@@ -78,14 +83,18 @@ class SolitonResult:
 
 
 class _Preconditioner:
-    """Tridiagonal solve of (I - lap) on the radial grid."""
+    """Tridiagonal solve of (I - lap) on the radial grid, factored once."""
 
     def __init__(self, grid: RadialGrid):
         self._ab = -grid.laplacian_bands
         self._ab[1] += 1.0
+        *self._factor, info = dgttrf(self._ab[2, :-1], self._ab[1], self._ab[0, 1:])
+        if info != 0:
+            raise InvariantError(f"radial preconditioner is singular (dgttrf info {info})")
 
     def solve(self, g: np.ndarray) -> np.ndarray:
-        return solve_banded((1, 1), self._ab, g)
+        x, _ = dgttrs(*self._factor, g)
+        return x
 
 
 def descend(
@@ -96,15 +105,19 @@ def descend(
     weights: np.ndarray,
     pc_solve: Callable[[np.ndarray], np.ndarray],
     opts: SolveOptions,
-) -> tuple[np.ndarray, float, int, bool]:
-    """Projected, preconditioned backtracking descent shared by all solvers.
+) -> tuple[np.ndarray, float, int, str]:
+    """Projected, preconditioned nonlinear conjugate gradients shared by all solvers.
 
     ``energy(u)`` returns the energy and whatever state it computed on the
     way; ``gradient(u, state)`` receives the state of the same iterate, so
     work both need (the screened mass and its potential) is done once.
     Inner products and the residual norm use the quadrature ``weights``.
 
-    Returns (u, residual, iterations, converged).
+    Returns (u, residual, iterations, termination).  The termination says
+    why the descent stopped: "converged" (the residual test passed),
+    "max_iters" (the budget ran out), "stalled" (neither energy nor
+    residual progressed for 256 iterations) or "line_search_failed" (no
+    trial step along the search direction was accepted).
     """
     w = weights.ravel()
 
@@ -126,12 +139,14 @@ def descend(
     it_mark = 0
     residual = np.inf
     iterations = 0
+    termination = "max_iters"
+    p = g_old = pg_old = None
     for it in range(opts.max_iters):
         iterations = it
         g = gradient(u, state)
         residual = np.sqrt(inner(g, g))
         if converged_at(residual, u):
-            return u, residual, it, True
+            return u, residual, it, "converged"
         # stall guard: break only when neither the energy (which pins at
         # float resolution first) nor the residual makes real progress
         if e_cur < e_mark - 1e-13 * max(1.0, abs(e_mark)):
@@ -141,41 +156,57 @@ def descend(
             res_best = residual
             it_mark = it
         if it - it_mark > 256:
+            termination = "stalled"
             break
-        d = pc_solve(g)
-        if not np.isfinite(d).all() or inner(d, g) <= 0.0:
-            d = g
+        pg = pc_solve(g)
+        if not np.isfinite(pg).all() or inner(pg, g) <= 0.0:
+            pg = g
+        # Polak-Ribiere+ in the preconditioned metric; restart along the
+        # Sobolev gradient whenever the conjugate direction does not descend
+        if p is not None:
+            with np.errstate(over="ignore", invalid="ignore"):
+                beta = max(0.0, inner(g, pg - pg_old) / inner(g_old, pg_old))
+                p = pg + beta * p
+        if p is None or not inner(g, p) > 0.0 or not np.isfinite(p).all():
+            p = pg
+        g_old, pg_old = g, pg
         accepted = False
-        for _ in range(60):
-            trial = project(u - tau * d)
+        for trial_no in range(60):
+            trial = project(u - tau * p)
             move = u - trial
-            move2 = inner(move, move)
-            if move2 == 0.0:
+            if not move.any():
                 break
+            # a projected move may leave the descent cone; it must then not
+            # raise the energy at all
+            decrease = ARMIJO * max(inner(g, move), 0.0)
             # a long trial step may overflow W(s); such a trial is rejected below
             with np.errstate(over="ignore", invalid="ignore"):
                 e_trial, trial_state = energy(trial)
-            if np.isfinite(e_trial) and e_trial <= e_cur - (ARMIJO / tau) * move2 + 1e-15 * abs(e_cur):
+            if np.isfinite(e_trial) and e_trial <= e_cur - decrease + 1e-15 * abs(e_cur):
                 if not e_trial <= e_cur + 1e-12 * max(1.0, abs(e_cur)):
                     raise InvariantError("descent step increased the energy")
-                # grow the step only on decrease beyond float noise; noise
-                # acceptances otherwise inflate tau into an overshoot cycle
-                if e_cur - e_trial > 1e-14 * max(1.0, abs(e_cur)):
+                # grow the step only when the first trial passed and the
+                # decrease beats float noise; noise acceptances otherwise
+                # inflate tau into an overshoot cycle
+                if trial_no == 0 and e_cur - e_trial > 1e-14 * max(1.0, abs(e_cur)):
                     tau = min(tau * 2.0, 1e3 * STEP_INIT)
                 u, e_cur, state = trial, e_trial, trial_state
                 accepted = True
                 break
             tau *= SHRINK
         if not accepted:
+            termination = "line_search_failed"
             break
     g = gradient(u, state)
     residual = np.sqrt(inner(g, g))
-    return u, residual, iterations, converged_at(residual, u)
+    if converged_at(residual, u):
+        termination = "converged"
+    return u, residual, iterations, termination
 
 
 def finalize_result(profile: "RadialProfile | AxisymProfile", init: "RadialProfile | AxisymProfile",
                     spec: NonlinearSpec, sigma: float, energy: float, screened_mass: float,
-                    residual: float, iterations: int, converged: bool, *,
+                    residual: float, iterations: int, termination: str, *,
                     phi: GaugePotential | None = None, coupling: float | None = None,
                     winding: int = 0) -> SolitonResult:
     """Turn a finished descent into a SolitonResult; shared by every solver.
@@ -199,11 +230,11 @@ def finalize_result(profile: "RadialProfile | AxisymProfile", init: "RadialProfi
         note = COLLAPSE_NOTE
     elif hylomorphy >= spec.mass:
         note = UNBOUND_NOTE
-    converged = bool(converged and not collapsed and not diverged)
+    converged = termination == "converged" and not collapsed and not diverged
     return SolitonResult(
         u=profile, omega=omega, phi=phi, energy=energy, charge=sigma,
         electric_charge=q * sigma, hylomorphy=hylomorphy, residual=residual,
-        iterations=iterations, converged=converged, collapsed=collapsed,
+        iterations=iterations, converged=converged, termination=termination, collapsed=collapsed,
         winding=winding, coupling=coupling, note=note,
         certified=bool(converged and hylomorphy < spec.mass),
     )
@@ -233,14 +264,14 @@ def minimize_nlkg(spec: NonlinearSpec, sigma: float, init: RadialProfile,
     def gradient(u: np.ndarray, mass2: float) -> np.ndarray:
         return stationary_operator(grid, u, spec, (sigma / mass2) ** 2)
 
-    u, residual, iters, converged = descend(
+    u, residual, iters, termination = descend(
         init.values, energy, gradient, _radial_project, vw,
         _Preconditioner(grid).solve, opts)
 
     profile = RadialProfile(grid, u)
     e_sigma, _ = reduced_energy_sigma(profile, sigma, spec)
     return finalize_result(profile, init, spec, sigma, e_sigma, profile.mass2,
-                           residual, iters, converged)
+                           residual, iters, termination)
 
 
 def minimize_kgm(spec: NonlinearSpec, sigma: float, q: float, init: RadialProfile,
@@ -268,14 +299,14 @@ def minimize_kgm(spec: NonlinearSpec, sigma: float, q: float, init: RadialProfil
         k, phi = state
         return stationary_operator(grid, u, spec, (sigma / k) ** 2, (1.0 - q * phi.values) ** 2)
 
-    u, residual, iters, converged = descend(
+    u, residual, iters, termination = descend(
         init.values, energy, gradient, _radial_project, grid.volume_weights,
         _Preconditioner(grid).solve, opts)
 
     profile = RadialProfile(grid, u)
     funcs = kgm_functionals(profile, sigma, q, spec)
     return finalize_result(profile, init, spec, sigma, funcs.reduced_energy, funcs.screened_mass,
-                           residual, iters, converged, phi=funcs.phi, coupling=q)
+                           residual, iters, termination, phi=funcs.phi, coupling=q)
 
 
 def residual_stationary(result, spec: NonlinearSpec, kind: str) -> float:

@@ -246,12 +246,12 @@ def minimize_vortex(spec: NonlinearSpec, sigma: float, ell: int, init: AxisymPro
     def gradient(v: np.ndarray, mass2: float) -> np.ndarray:
         return _vortex_operator(grid, v, spec, ell, (sigma / mass2) ** 2)
 
-    v, residual, iters, converged = descend(
+    v, residual, iters, termination = descend(
         init.values, energy, gradient, project, grid.cell_weights, preconditioner.solve, opts)
 
     profile = AxisymProfile(grid, v, ell)
     e_sigma, mass2 = energy(profile.values)
-    return finalize_result(profile, init, spec, sigma, e_sigma, mass2, residual, iters, converged,
+    return finalize_result(profile, init, spec, sigma, e_sigma, mass2, residual, iters, termination,
                            winding=ell)
 
 

@@ -171,7 +171,9 @@ def test_nonconvergence_exit_code(tmp_path):
     cfg = write_config(tmp_path, "n.ini", SOLVE_CFG + "\n[solver]\nmax_iters = 3\n")
     out = tmp_path / "n"
     assert cli.main(["solve-nlkg", "--config", str(cfg), "--out", str(out)]) == cli.EXIT_NOCONVERGE
-    assert "converged = False" in (out / "summary.txt").read_text()
+    summary = (out / "summary.txt").read_text()
+    assert "converged = False" in summary
+    assert "termination = max_iters" in summary
 
 
 STABILITY_CFG = """

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hylomorph.chargewin import TentProfile
+from hylomorph.chargewin import TentProfile, construct_for_charge
 from hylomorph.functionals import sigma_window
 from hylomorph.grid import RadialGrid, RadialProfile, weighted_norm
 from hylomorph.minimize import (DIVERGED_NOTE, SolveOptions, descend, minimize_kgm, minimize_nlkg,
@@ -177,3 +177,47 @@ def test_runaway_descent_is_reported_as_diverged():
     assert not np.isfinite(res.residual)
     assert res.note == DIVERGED_NOTE
     assert not res.converged and not res.certified
+
+
+def _quadratic_energy(u):
+    return 0.5 * float(np.sum((u - 2.0) ** 2)), None
+
+
+def _quadratic_gradient(u, _):
+    return u - 2.0
+
+
+@pytest.mark.parametrize("opts, project, termination", [
+    (SolveOptions(), lambda u: u, "converged"),
+    (SolveOptions(max_iters=1), lambda u: u, "max_iters"),
+    (SolveOptions(), np.zeros_like, "line_search_failed"),  # every trial projects back onto u
+])
+def test_descend_reports_why_it_stopped(opts, project, termination):
+    _, _, _, reason = descend(np.zeros(8), _quadratic_energy, _quadratic_gradient, project,
+                              np.ones(8), lambda g: 0.1 * g, opts)
+    assert reason == termination
+
+
+def test_descend_reports_a_stall():
+    # a flat energy with a small constant gradient: every trial passes the
+    # Armijo test inside float noise, yet neither energy nor residual moves
+    _, _, iterations, reason = descend(np.zeros(8), lambda u: (1e6, None), lambda u, _: np.full(8, 1e-6),
+                                       lambda u: u, np.ones(8), lambda g: g,
+                                       SolveOptions(tol=1e-30, max_iters=1000))
+    assert reason == "stalled"
+    assert iterations < 1000
+
+
+def test_result_carries_the_termination(ground, tent_init):
+    assert ground.termination == "converged"
+    short = minimize_nlkg(SPEC, ground.charge, tent_init, SolveOptions(max_iters=3))
+    assert short.termination == "max_iters" and not short.converged
+
+
+def test_kgm_construct_plan_iteration_budget():
+    # conjugate directions: 133 iterations at this plan, where steepest
+    # descent along the Sobolev gradient took 552
+    plan = construct_for_charge(SPEC, 100.0)
+    res = minimize_kgm(SPEC, plan.sigma, plan.q, TentProfile(plan.s1, plan.r).realize(plan.grid))
+    assert res.converged
+    assert res.iterations <= 330
