@@ -8,6 +8,8 @@ profiles used by the charge-window machinery.
 
 from __future__ import annotations
 
+import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,7 +20,7 @@ from .model import NonlinearSpec, eval_nonlinearity
 
 H_ODE = 1e-3
 BRACKET_TOL = 1e-12
-N_SCAN = 60  # central amplitudes tried before bisection
+N_SCAN = 60  # central amplitudes scanned for the first bracket
 
 OVERSHOOT = "overshoot"
 UNDERSHOOT = "undershoot"
@@ -35,23 +37,25 @@ class ShootResult:
     decay_rate: float
 
 
-def _wprime_scalar(spec: NonlinearSpec):
-    """Scalar W' closure with unpacked constants for the tight ODE loop.
+def _accel(spec: NonlinearSpec, omega: float):
+    """u'' = W'(u) - omega^2 u - (2/r) u' as one scalar closure for the RK4 loop.
 
     Odd extension in the amplitude: RK4 stages may probe slightly past a
-    zero crossing, where the force is W'(|s|) sign(s).
+    zero crossing, where the force is W'(|u|) sign(u).
     """
     m2 = spec.mass**2
-    coefs = [(c * k, k - 1.0) for c, k in spec.remainder_powers()]
+    om2 = omega * omega
+    # both families have exactly two remainder terms
+    (c1, e1), (c2, e2) = [(c * k, k - 1.0) for c, k in spec.remainder_powers()]
 
-    def wprime(s: float) -> float:
-        a = abs(s)
-        acc = m2 * a
-        for c, e in coefs:
-            acc += c * a**e
-        return acc if s >= 0.0 else -acc
+    def accel(u: float, v: float, r: float) -> float:
+        a = abs(u)
+        w = m2 * a + c1 * a**e1 + c2 * a**e2
+        if u < 0.0:
+            w = -w
+        return w - om2 * u - 2.0 * v / r
 
-    return wprime
+    return accel
 
 
 def _integrate(spec: NonlinearSpec, omega: float, u0: float, r_stop: float,
@@ -62,14 +66,11 @@ def _integrate(spec: NonlinearSpec, omega: float, u0: float, r_stop: float,
     with positive amplitude (including the plateau case) an undershoot.
     Returns (outcome, r_event, trace | None).
     """
-    wprime = _wprime_scalar(spec)
-    om2 = omega * omega
+    accel = _accel(spec, omega)
     h = H_ODE
+    hh = 0.5 * h
 
-    def f(r: float, u: float, v: float) -> tuple[float, float]:
-        return v, wprime(u) - om2 * u - 2.0 * v / r
-
-    f0 = wprime(u0) - om2 * u0
+    f0 = accel(u0, 0.0, h)  # v = 0 at the origin
     r = h
     u = u0 + f0 * h * h / 6.0
     v = f0 * h / 3.0
@@ -79,11 +80,14 @@ def _integrate(spec: NonlinearSpec, omega: float, u0: float, r_stop: float,
     outcome = UNDERSHOOT
     r_event = r_stop
     while r < r_stop:
-        k1u, k1v = f(r, u, v)
-        k2u, k2v = f(r + 0.5 * h, u + 0.5 * h * k1u, v + 0.5 * h * k1v)
-        k3u, k3v = f(r + 0.5 * h, u + 0.5 * h * k2u, v + 0.5 * h * k2v)
-        k4u, k4v = f(r + h, u + h * k3u, v + h * k3v)
-        u += h * (k1u + 2.0 * k2u + 2.0 * k3u + k4u) / 6.0
+        k1v = accel(u, v, r)
+        k2u = v + hh * k1v
+        k2v = accel(u + hh * v, k2u, r + hh)
+        k3u = v + hh * k2v
+        k3v = accel(u + hh * k2u, k3u, r + hh)
+        k4u = v + h * k3v
+        k4v = accel(u + h * k3u, k4u, r + h)
+        u += h * (v + 2.0 * k2u + 2.0 * k3u + k4u) / 6.0
         v += h * (k1v + 2.0 * k2v + 2.0 * k3v + k4v) / 6.0
         r += h
         if keep_trace:
@@ -102,14 +106,62 @@ def _integrate(spec: NonlinearSpec, omega: float, u0: float, r_stop: float,
     return outcome, r_event, trace
 
 
-def shoot_ground_state(spec: NonlinearSpec, omega: float, grid: RadialGrid | None = None) -> ShootResult:
-    """Bisection shooting for the monotone radial ground state.
+def _bracketed_root(miss: Callable[[float], float], lo: float, m_lo: float,
+                    hi: float, m_hi: float) -> tuple[float, float]:
+    """Close [lo, hi] below BRACKET_TOL around the sign change of miss.
 
-    The central amplitude is bracketed between undershooting and
-    overshooting trajectories and bisected until the bracket is tighter
-    than 1e-12.  Beyond the radius where the integrated trajectory stops
-    tracking the decaying solution, the profile continues with the exact
-    linear far field A e^{-kappa r} / r, kappa = sqrt(m^2 - omega^2).
+    Brent-Dekker steps: inverse quadratic interpolation through the best
+    end, the other end and the previous best point, regula falsi when those
+    three misses are not distinct or the interpolant leaves the bracket.
+    lo is always a probed point with miss < 0 and hi one with miss > 0.
+    Every probe lies strictly inside the bracket, at least BRACKET_TOL/4
+    from either end, so the loop always closes; after two probes in a row
+    that fail to halve the bracket the next probe is the midpoint, so every
+    three probes at least halve it.
+    """
+    pad = 0.25 * BRACKET_TOL
+    a = fa = None  # the previous best end
+    slow = 0
+    while hi - lo > BRACKET_TOL:
+        width = hi - lo
+        if abs(m_lo) <= abs(m_hi):
+            b, fb, c, fc = lo, m_lo, hi, m_hi
+        else:
+            b, fb, c, fc = hi, m_hi, lo, m_lo
+        if slow >= 2:
+            x = 0.5 * (lo + hi)
+        else:
+            x = b - fb * (c - b) / (fc - fb)
+            if fa is not None and fa != fb and fa != fc:
+                # ratios first: products of tiny misses would underflow
+                iqi = (a * fb / (fa - fb) * fc / (fa - fc)
+                       + b * fa / (fb - fa) * fc / (fb - fc)
+                       + c * fa / (fc - fa) * fb / (fc - fb))
+                if lo < iqi < hi:
+                    x = iqi
+        x = min(max(x, lo + pad), hi - pad)
+        m = miss(x)
+        a, fa = b, fb
+        if m < 0.0:
+            lo, m_lo = x, m
+        else:
+            hi, m_hi = x, m
+        slow = slow + 1 if hi - lo > 0.5 * width else 0
+    return lo, hi
+
+
+def shoot_ground_state(spec: NonlinearSpec, omega: float, grid: RadialGrid | None = None) -> ShootResult:
+    """Shooting for the monotone radial ground state.
+
+    N_SCAN central amplitudes from the binding threshold upward are
+    integrated in order until the first undershoot followed by an
+    overshoot.  That bracket is closed below BRACKET_TOL by a bracketed
+    Brent-Dekker root of the miss signal +-exp(-2 kappa r_event), which is
+    close to linear in the central amplitude near the ground state; the
+    lower end always undershoots and the upper end always overshoots.
+    Beyond the radius where the integrated trajectory stops tracking the
+    decaying solution, the profile continues with the exact linear far
+    field A e^{-kappa r} / r, kappa = sqrt(m^2 - omega^2).
     """
     m2 = spec.mass**2
     if not omega**2 < m2:
@@ -123,23 +175,27 @@ def shoot_ground_state(spec: NonlinearSpec, omega: float, grid: RadialGrid | Non
         raise ValueError("effective potential never negative: no ground state at this omega")
 
     r_stop = max(40.0, 25.0 / kappa)
-    candidates = np.linspace(ss[np.argmax(weff < 0)], s_hi, N_SCAN)
-    outcomes = [_integrate(spec, omega, float(c), r_stop)[0] for c in candidates]
-    lo = hi = None
-    for i in range(len(candidates) - 1):
-        if outcomes[i] == UNDERSHOOT and outcomes[i + 1] == OVERSHOOT:
-            lo, hi = float(candidates[i]), float(candidates[i + 1])
+
+    def miss(u0: float) -> float:
+        # a start u0* + delta leaves the decaying solution where
+        # |delta| e^{2 kappa r} is of order one, so exp(-2 kappa r_event)
+        # is close to linear in delta: + for an overshoot, - for an undershoot
+        outcome, r_event, _ = _integrate(spec, omega, u0, r_stop)
+        # capped so a run to r_stop at large kappa cannot underflow to a signless 0
+        m = math.exp(-min(2.0 * kappa * r_event, 700.0))
+        return m if outcome == OVERSHOOT else -m
+
+    prev = None
+    for c in np.linspace(ss[np.argmax(weff < 0)], s_hi, N_SCAN):
+        c = float(c)
+        m = miss(c)
+        if prev is not None and prev[1] < 0.0 < m:
             break
-    if lo is None:
+        prev = (c, m)
+    else:
         raise ValueError("no undershoot/overshoot sign change in the scan bracket")
 
-    while hi - lo > BRACKET_TOL:
-        mid = 0.5 * (lo + hi)
-        outcome, _, _ = _integrate(spec, omega, mid, r_stop)
-        if outcome == UNDERSHOOT:
-            lo = mid
-        else:
-            hi = mid
+    lo, hi = _bracketed_root(miss, *prev, c, m)
     u0 = 0.5 * (lo + hi)
 
     _, r_event, (rs, us, vs) = _integrate(spec, omega, u0, r_stop, keep_trace=True)
@@ -196,16 +252,9 @@ def _graft_point(rs: np.ndarray, us: np.ndarray, kappa: float, u0: float) -> tup
     ok = np.abs(logder - target) < 0.02 * kappa
     ok &= us > 0
     ok &= us < 0.5 * u0
-    floor = us < 1e-7 * u0
-    idx = None
-    for i in range(len(rs) - 1, -1, -1):
-        if floor[i]:
-            continue
-        if ok[i]:
-            idx = i
-            break
-    if idx is None:
-        idx = int(np.argmin(np.abs(us - 1e-5 * u0)))
+    ok &= us >= 1e-7 * u0
+    hits = np.flatnonzero(ok)
+    idx = int(hits[-1]) if hits.size else int(np.argmin(np.abs(us - 1e-5 * u0)))
     r_graft = float(rs[idx])
     amp = float(us[idx] * rs[idx] * np.exp(kappa * rs[idx]))
     return r_graft, amp

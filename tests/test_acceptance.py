@@ -52,8 +52,8 @@ def test_criterion_1_assumption_suite():
 
 def run_criterion_2() -> dict[str, float]:
     shot = shoot_ground_state(SPEC, 0.5)
-    grid = RadialGrid(shot.profile.grid.r_max, 4096)
-    shot = shoot_ground_state(SPEC, 0.5, grid=grid)
+    grid = shot.profile.grid
+    assert grid == RadialGrid(grid.r_max, 4096)
     residual_shot = residual_stationary(shot, SPEC, "nlkg")
     sigma = 0.5 * shot.profile.mass2
     res = minimize_nlkg(SPEC, sigma, TentProfile(1.0, 3.0).realize(grid), SolveOptions(tol=1e-8))

@@ -1,10 +1,15 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from hylomorph import oracle
 from hylomorph.grid import RadialGrid
 from hylomorph.minimize import residual_stationary
 from hylomorph.model import NonlinearSpec, eval_nonlinearity
-from hylomorph.oracle import shoot_ground_state, tent_quadratures
+from hylomorph.oracle import BRACKET_TOL, OVERSHOOT, UNDERSHOOT, shoot_ground_state, tent_quadratures
 
 SPEC = NonlinearSpec.double_well()
 
@@ -76,9 +81,40 @@ class TestShooting:
         assert slope == pytest.approx(-kappa, rel=0.05)
 
     def test_residual_small_on_fine_grid(self, shot):
-        grid = RadialGrid(shot.profile.grid.r_max, 4096)
+        grid = RadialGrid(shot.profile.grid.r_max, 8192)
         fine = shoot_ground_state(SPEC, 0.5, grid=grid)
         assert residual_stationary(fine, SPEC, "nlkg") < 1e-4
+
+    @pytest.mark.parametrize("omega", [0.5, 0.9])
+    def test_bracket_ends_undershoot_and_overshoot(self, omega):
+        lo, hi = shoot_ground_state(SPEC, omega).bracket
+        # past the oracle's own stop radius, so no late event is missed
+        assert oracle._integrate(SPEC, omega, lo, 100.0)[0] == UNDERSHOOT
+        assert oracle._integrate(SPEC, omega, hi, 100.0)[0] == OVERSHOOT
+
+    def test_u0_matches_bisection(self, shot):
+        # the central amplitude bisection on the outcome alone converged to
+        assert shot.u0 == pytest.approx(1.0670010448488068, abs=1e-12)
+
+    def test_integration_budget(self, monkeypatch):
+        calls = []
+        integrate = oracle._integrate
+
+        def counted(*args, **kwargs):
+            calls.append(args[2])
+            return integrate(*args, **kwargs)
+
+        monkeypatch.setattr(oracle, "_integrate", counted)
+        shoot_ground_state(SPEC, 0.5)
+        # bisection after a full 60-candidate scan made 96
+        assert len(calls) <= 40
+
+    @pytest.mark.parametrize("omega", [0.5, 0.8])
+    def test_non_integer_powers(self, omega):
+        spec = NonlinearSpec.power_deficit(2.0, 0.5, 2.5, 4.5)
+        fine = shoot_ground_state(spec, omega)
+        assert fine.converged
+        assert residual_stationary(fine, spec, "nlkg") < 1e-4
 
     def test_even_in_omega(self, shot):
         grid = shot.profile.grid
@@ -94,3 +130,30 @@ class TestShooting:
         spec = NonlinearSpec.power_deficit(0.01, 0.01, 3.0, 4.0)
         with pytest.raises(ValueError):
             shoot_ground_state(spec, 0.05)
+
+
+@settings(max_examples=60, deadline=None)
+@given(root=st.floats(0.01, 0.99), power=st.sampled_from([1, 3, 9]), skew=st.floats(1e-6, 1e6))
+def test_bracketed_root_keeps_an_explicit_bracket(root, power, skew):
+    """Every probe lies inside the bracket, at least BRACKET_TOL/4 from either
+    end, and every three probes at least halve it, also where interpolation
+    is poor (flat, steep or lopsided misses)."""
+    bracket = [0.0, 1.0]
+    probes = []
+
+    def f(d: float) -> float:
+        return math.copysign(abs(d) ** power + 1e-300, d) * (skew if d < 0 else 1.0)
+
+    def miss(x: float) -> float:
+        lo, hi = bracket
+        assert lo + BRACKET_TOL / 4 <= x <= hi - BRACKET_TOL / 4
+        probes.append(x)
+        m = f(x - root)
+        bracket[0 if m < 0 else 1] = x
+        return m
+
+    lo, hi = oracle._bracketed_root(miss, 0.0, f(-root), 1.0, f(1.0 - root))
+    assert [lo, hi] == bracket
+    assert hi - lo <= BRACKET_TOL
+    assert lo < root <= hi
+    assert len(probes) <= 3 * (math.ceil(math.log2(1.0 / BRACKET_TOL)) + 1)
