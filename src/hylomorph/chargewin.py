@@ -18,8 +18,7 @@ import numpy as np
 
 from .functionals import nlkg_deficiency, sigma_window
 from .gauge import kgm_functionals
-from .grid import RadialGrid, RadialProfile, gradient_sq_integral, integrate_radial
-from .minimize import InvariantError
+from .grid import InvariantError, RadialGrid, RadialProfile, gradient_sq_integral, integrate_radial
 from .model import NonlinearSpec, eval_remainder, find_binding_amplitude
 
 # Best constant c3 with c3 * ||f||_6^2 <= ||grad f||_2^2 on R^3, evaluated
@@ -174,14 +173,12 @@ class TentWitnessReport:
                 and self.slope_ok and self.deficiency_ok)
 
 
-def verify_tent_witness(spec: NonlinearSpec, s1: float, r: float, h: float, q: float,
-                        c3: float | None = None) -> TentWitnessReport:
+def verify_tent_witness(spec: NonlinearSpec, s1: float, r: float, h: float, q: float) -> TentWitnessReport:
     """Check hypotheses and conclusion of the tent-witness construction."""
     if not (0.0 < h < 1.0):
         raise ValueError("retention parameter h must lie in (0, 1)")
     if not q > 0:
         raise ValueError("coupling q must be positive")
-    c3 = SOBOLEV_C3 if c3 is None else float(c3)
     m2 = spec.mass**2
 
     r_s1 = float(eval_remainder(spec, s1, 0))
@@ -189,7 +186,7 @@ def verify_tent_witness(spec: NonlinearSpec, s1: float, r: float, h: float, q: f
     upper = 0.5 * s1**2 * ((1.0 + m2 * h**2) * volume_fraction - (1.0 + m2))
     amplitude_ok = (r_s1 >= -0.5 * m2 * s1**2 - 1e-12 * s1**2) and (r_s1 < upper)
 
-    margin = np.sqrt(c3 / _COUPLING_NORM) * (1.0 - h) / (q * h) - s1 * r
+    margin = np.sqrt(SOBOLEV_C3 / _COUPLING_NORM) * (1.0 - h) / (q * h) - s1 * r
     coupling_ok = margin > 0.0
 
     tent = TentProfile(s1, r)
@@ -199,7 +196,7 @@ def verify_tent_witness(spec: NonlinearSpec, s1: float, r: float, h: float, q: f
     defect_ok = funcs.mass_defect >= (h**2 - 1.0) * mass2 * (1.0 + 1e-9)
 
     rho = np.linspace(1e-6, r + 1.0 - 1e-6, 512)
-    base = c3 * (4.0 * np.pi / 3.0) ** (1.0 / 3.0) * (1.0 - h) ** 2 / q**2
+    base = SOBOLEV_C3 * (4.0 * np.pi / 3.0) ** (1.0 / 3.0) * (1.0 - h) ** 2 / q**2
     slope = np.where(
         rho < r,
         base - 4.0 * np.pi * h**2 * s1**2 * rho**2,
@@ -237,13 +234,11 @@ class ConstructionPlan:
     sigma: float              # window center m K(u_r), the charge parameter
     charge: float             # verified electric charge q m K(u_r)
     predicted_charge_lb: float
-    sobolev_c3: float
     screened_mass: float
     grid: RadialGrid          # the grid the charge was verified on
 
 
-def construct_for_charge(spec: NonlinearSpec, charge_target: float,
-                         c3: float | None = None, r_cap: float = 1e6) -> ConstructionPlan:
+def construct_for_charge(spec: NonlinearSpec, charge_target: float, r_cap: float = 1e6) -> ConstructionPlan:
     """Build a verified plan whose electric charge reaches the target.
 
     The amplitude sits at the deepest binding level; alpha is the midpoint
@@ -256,7 +251,6 @@ def construct_for_charge(spec: NonlinearSpec, charge_target: float,
     """
     if not charge_target > 0:
         raise ValueError("charge target must be positive")
-    c3 = SOBOLEV_C3 if c3 is None else float(c3)
     m2 = spec.mass**2
 
     s1, lam = find_binding_amplitude(spec)
@@ -270,7 +264,7 @@ def construct_for_charge(spec: NonlinearSpec, charge_target: float,
     h = float(np.sqrt(0.5 * (h2_lo + 1.0)))
     r = 1.1 / ((1.0 - alpha) ** (-1.0 / 3.0) - 1.0)
 
-    prefactor = float(np.sqrt(c3 / _COUPLING_NORM))
+    prefactor = float(np.sqrt(SOBOLEV_C3 / _COUPLING_NORM))
     while True:
         q = 0.5 * prefactor * (1.0 - h) / (h * s1 * r)
         tent = TentProfile(s1, r)
@@ -289,6 +283,6 @@ def construct_for_charge(spec: NonlinearSpec, charge_target: float,
     return ConstructionPlan(
         s1=s1, binding=lam, alpha=alpha, h=h, r=r, q=q,
         sigma=spec.mass * funcs.screened_mass, charge=charge,
-        predicted_charge_lb=predicted, sobolev_c3=c3,
+        predicted_charge_lb=predicted,
         screened_mass=funcs.screened_mass, grid=grid,
     )

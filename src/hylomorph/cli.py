@@ -47,7 +47,7 @@ _SCHEMA: dict[str, dict[str, object]] = {
     "window": {"q": 0.0, "s1_values": "0.8,0.9,1.0,1.1,1.2", "r_values": "2,3,4,5,6,7,8,10"},
     "solve": {"sigma": 300.0, "q": 1.0, "ell": 1, "init_s1": 1.0, "init_r": 5.0,
               "torus_r0": 4.0, "torus_width": 1.5, "torus_amplitude": 1.0},
-    "construct": {"charge_target": 10.0, "c3": chargewin.SOBOLEV_C3},
+    "construct": {"charge_target": 10.0},
     "evolve": {"sigma": 300.0, "t_final": 50.0,
                "dt": 0.0,           # 0 means h/2
                "record_every": 0,   # 0 means automatic
@@ -281,9 +281,8 @@ def _run_solve_vortex(cfg: RunConfig) -> dict[str, object]:
 
 def _run_construct(cfg: RunConfig) -> dict[str, object]:
     spec = _nonlinearity(cfg)
-    plan = chargewin.construct_for_charge(spec, cfg.get("construct", "charge_target"),
-                                          c3=cfg.get("construct", "c3"))
-    report = chargewin.verify_tent_witness(spec, plan.s1, plan.r, plan.h, plan.q, c3=plan.sobolev_c3)
+    plan = chargewin.construct_for_charge(spec, cfg.get("construct", "charge_target"))
+    report = chargewin.verify_tent_witness(spec, plan.s1, plan.r, plan.h, plan.q)
     grid = plan.grid
     init = chargewin.TentProfile(plan.s1, plan.r).realize(grid)
     res = minimize.minimize_kgm(spec, plan.sigma, plan.q, init, _solver_opts(cfg))

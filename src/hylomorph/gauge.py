@@ -28,10 +28,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 from .functionals import reduced_energy, stationary_operator
-from .grid import FOUR_PI, RadialGrid, RadialProfile, banded_matvec, integrate_radial, trapezoid_weights
+from .grid import (FOUR_PI, InvariantError, RadialGrid, RadialProfile, TridiagonalFactor, banded_matvec,
+                   gradient_sq_integral, integrate_radial, trapezoid_weights)
 from .model import NonlinearSpec, eval_remainder
 
 _BOUND_SLACK = 1e-10
@@ -80,15 +80,15 @@ def solve_phi(u: RadialProfile, q: float) -> GaugePotential:
     ab[0, 1] = -grid.laplacian_bands[0, 1]
     rhs[0] = q * uu[0]
 
-    phi = solve_banded((1, 1), ab, rhs)
-    # one step of iterative refinement: the Dirichlet rows are stiff at fine
-    # grids and downstream finite differences of K(u) see the solve noise
-    phi = phi + solve_banded((1, 1), ab, rhs - banded_matvec(ab, phi))
+    factor = TridiagonalFactor(ab)
+    phi = factor.solve(rhs)
+    # one step of iterative refinement, on the same factor: the Dirichlet rows
+    # are stiff at fine grids and downstream finite differences of K(u) see
+    # the solve noise
+    phi = phi + factor.solve(rhs - banded_matvec(ab, phi))
 
     slack = _BOUND_SLACK * max(1.0, 1.0 / q)
     if not (phi.min() >= -slack and phi.max() <= 1.0 / q + slack):
-        from .minimize import InvariantError
-
         raise InvariantError("screened potential violated its a priori bounds; solver defect")
     return GaugePotential(grid, np.clip(phi, 0.0, 1.0 / q), q)
 
@@ -102,8 +102,7 @@ def screened_mass_two_forms(u: RadialProfile, phi: GaugePotential) -> tuple[floa
     grid = u.grid
     q = phi.coupling
     p = phi.values
-    d = np.diff(p)
-    grad_part = float(grid.gradient_weights @ (d * d))
+    grad_part = gradient_sq_integral(grid, p)
     tail = FOUR_PI * grid.r_max * p[-1] ** 2
     mass_part = integrate_radial(grid, (q * p - 1.0) ** 2 * u.values**2)
     energy_form = grad_part + tail + mass_part

@@ -13,8 +13,16 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+from scipy.linalg.lapack import dgttrf, dgttrs
 
 FOUR_PI = 4.0 * np.pi
+
+
+class InvariantError(AssertionError):
+    """A guaranteed numerical invariant failed: a solver defect, not bad input.
+
+    Raised explicitly so that ``python -O`` keeps the check.
+    """
 
 
 def trapezoid_weights(n: int, h: float) -> np.ndarray:
@@ -164,6 +172,23 @@ def banded_matvec(ab: np.ndarray, x: np.ndarray) -> np.ndarray:
     out[:-1] += ab[0, 1:] * x[1:]
     out[1:] += ab[2, :-1] * x[:-1]
     return out
+
+
+class TridiagonalFactor:
+    """LU factor (LAPACK gttrf) of a tridiagonal matrix of order >= 3 in ``solve_banded`` layout.
+
+    Factored once at construction; every ``solve`` reuses it (gttrs) and
+    leaves its right-hand side untouched.
+    """
+
+    def __init__(self, ab: np.ndarray):
+        *self._lu, info = dgttrf(ab[2, :-1], ab[1], ab[0, 1:])
+        if info != 0:
+            raise InvariantError(f"tridiagonal matrix is singular (dgttrf info {info})")
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        x, _ = dgttrs(*self._lu, b)
+        return x
 
 
 def radial_laplacian(grid: RadialGrid, samples: np.ndarray) -> np.ndarray:

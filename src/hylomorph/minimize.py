@@ -18,11 +18,10 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable
 
 import numpy as np
-from scipy.linalg.lapack import dgttrf, dgttrs
 
 from .functionals import reduced_energy, reduced_energy_sigma, stationary_operator
 from .gauge import GaugePotential, kgm_functionals, screened_mass_two_forms, solve_phi
-from .grid import RadialGrid, RadialProfile, weighted_norm
+from .grid import InvariantError, RadialGrid, RadialProfile, TridiagonalFactor, weighted_norm
 from .model import NonlinearSpec
 
 COLLAPSE_AMPLITUDE_FACTOR = 1e-3
@@ -35,13 +34,6 @@ DIVERGED_NOTE = "iterates ran off to infinity; the energy is likely unbounded be
 STEP_INIT = 1.0
 SHRINK = 0.5
 ARMIJO = 1e-4
-
-
-class InvariantError(AssertionError):
-    """A guaranteed numerical invariant failed: a solver defect, not bad input.
-
-    Raised explicitly so that ``python -O`` keeps the check.
-    """
 
 
 @dataclass(frozen=True)
@@ -82,19 +74,11 @@ class SolitonResult:
     """True when the converged state certifies its charge (ratio below the mass)."""
 
 
-class _Preconditioner:
-    """Tridiagonal solve of (I - lap) on the radial grid, factored once."""
-
-    def __init__(self, grid: RadialGrid):
-        self._ab = -grid.laplacian_bands
-        self._ab[1] += 1.0
-        *self._factor, info = dgttrf(self._ab[2, :-1], self._ab[1], self._ab[0, 1:])
-        if info != 0:
-            raise InvariantError(f"radial preconditioner is singular (dgttrf info {info})")
-
-    def solve(self, g: np.ndarray) -> np.ndarray:
-        x, _ = dgttrs(*self._factor, g)
-        return x
+def radial_preconditioner(grid: RadialGrid) -> TridiagonalFactor:
+    """(I - lap) on the radial grid, factored once for the whole descent."""
+    ab = -grid.laplacian_bands
+    ab[1] += 1.0
+    return TridiagonalFactor(ab)
 
 
 def descend(
@@ -266,7 +250,7 @@ def minimize_nlkg(spec: NonlinearSpec, sigma: float, init: RadialProfile,
 
     u, residual, iters, termination = descend(
         init.values, energy, gradient, _radial_project, vw,
-        _Preconditioner(grid).solve, opts)
+        radial_preconditioner(grid).solve, opts)
 
     profile = RadialProfile(grid, u)
     e_sigma, _ = reduced_energy_sigma(profile, sigma, spec)
@@ -301,7 +285,7 @@ def minimize_kgm(spec: NonlinearSpec, sigma: float, q: float, init: RadialProfil
 
     u, residual, iters, termination = descend(
         init.values, energy, gradient, _radial_project, grid.volume_weights,
-        _Preconditioner(grid).solve, opts)
+        radial_preconditioner(grid).solve, opts)
 
     profile = RadialProfile(grid, u)
     funcs = kgm_functionals(profile, sigma, q, spec)

@@ -67,6 +67,10 @@ class NonlinearSpec:
         a, b, p, q = self.params
         return ((-a / p, p), (b / q, q))
 
+    def power_terms(self) -> tuple[tuple[float, float], ...]:
+        """W(s) as coef * s^exponent terms: those of R, then the mass term m^2 s^2 / 2."""
+        return self.remainder_powers() + ((0.5 * self.mass**2, 2.0),)
+
 
 def _check_s(s):
     s = np.asarray(s, dtype=float)
@@ -75,54 +79,39 @@ def _check_s(s):
     return s
 
 
-def eval_remainder(spec: NonlinearSpec, s, order: int = 0):
-    """R(s) and its first two derivatives."""
+def _power_sum(terms, s, order: int, shift: float = 0.0):
+    """The order-th derivative of sum coef * s^k over ``terms``, divided by s^shift."""
     s = _check_s(s)
     if order not in (0, 1, 2):
         raise ValueError("order must be 0, 1 or 2")
-    out = np.zeros_like(s)
-    for coef, k in spec.remainder_powers():
-        if order == 0:
-            out = out + coef * s**k
-        elif order == 1:
-            out = out + coef * k * s ** (k - 1.0)
-        else:
-            out = out + coef * k * (k - 1.0) * s ** (k - 2.0)
-    return out if out.ndim else float(out)
+    out = 0.0
+    for coef, k in terms:
+        for j in range(order):
+            coef *= k - j
+        e = k - (order + shift)
+        # a term whose exponent drops to 0 is added as a scalar, not an array of ones
+        out = out + (coef if e == 0 else coef * s**e)
+    return out if np.ndim(out) else float(out)
+
+
+def eval_remainder(spec: NonlinearSpec, s, order: int = 0):
+    """R(s) and its first two derivatives."""
+    return _power_sum(spec.remainder_powers(), s, order)
 
 
 def eval_nonlinearity(spec: NonlinearSpec, s, order: int = 0):
     """W(s), W'(s) or W''(s) for nonnegative s (scalar or array)."""
-    s = _check_s(s)
-    if order not in (0, 1, 2):
-        raise ValueError("order must be 0, 1 or 2")
-    m2 = spec.mass**2
-    if order == 0:
-        quad = 0.5 * m2 * s**2
-    elif order == 1:
-        quad = m2 * s
-    else:
-        quad = m2 * np.ones_like(s)
-    out = quad + eval_remainder(spec, s, order)
-    return out if np.ndim(out) else float(out)
+    return _power_sum(spec.power_terms(), s, order)
 
 
 def wprime_over_s(spec: NonlinearSpec, s):
     """The smooth ratio W'(s)/s, equal to m^2 at s = 0."""
-    s = _check_s(s)
-    out = spec.mass**2 * np.ones_like(s)
-    for coef, k in spec.remainder_powers():
-        out = out + coef * k * s ** (k - 2.0)
-    return out if out.ndim else float(out)
+    return _power_sum(spec.power_terms(), s, 1, 1.0)
 
 
 def binding_level(spec: NonlinearSpec, s):
     """W(s) / (s^2/2); levels below m^2 certify binding at that amplitude."""
-    s = _check_s(s)
-    out = spec.mass**2 * np.ones_like(s)
-    for coef, k in spec.remainder_powers():
-        out = out + 2.0 * coef * s ** (k - 2.0)
-    return out if out.ndim else float(out)
+    return 2.0 * _power_sum(spec.power_terms(), s, 0, 2.0)
 
 
 def find_binding_amplitude(spec: NonlinearSpec, s_max: float = 10.0, n_scan: int = 4096) -> tuple[float, float]:
@@ -195,7 +184,7 @@ def validate_assumptions(spec: NonlinearSpec, s_max: float, n_samples: int = 100
     binding_ok = level < m2 * (1.0 - 1e-12)
     depth = float(eval_remainder(spec, s0, 0)) if binding_ok else None
 
-    p, q = (spec.remainder_powers()[0][1], spec.remainder_powers()[1][1])
+    (_, p), (_, q) = spec.remainder_powers()
     pos = np.concatenate((np.geomspace(1e-6, s_max, n_samples), ss[ss > 0]))
     rpp = np.abs(eval_remainder(spec, pos, 2))
     envelope = pos ** (p - 2.0) + pos ** (q - 2.0)

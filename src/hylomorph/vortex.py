@@ -16,11 +16,10 @@ from functools import cached_property
 
 import numpy as np
 from scipy.fft import dst
-from scipy.linalg.lapack import dgttrf, dgttrs
 
 from .functionals import charge_energy
-from .grid import trapezoid_weights
-from .minimize import InvariantError, SolitonResult, SolveOptions, descend, finalize_result
+from .grid import TridiagonalFactor, trapezoid_weights
+from .minimize import SolitonResult, SolveOptions, descend, finalize_result
 from .model import NonlinearSpec, eval_nonlinearity
 
 TWO_PI = 2.0 * np.pi
@@ -192,22 +191,19 @@ class AxisymPreconditioner:
         dn_r = grid.r_face_weights[:-1, 1] / cw
         t_z = grid.z_face_weights[1:-1, 1] / cw
         mu = 2.0 - 2.0 * np.cos(np.pi * np.arange(1, nz + 1) / grid.n_z)
-        diag = (1.0 + up_r + dn_r + ell**2 / grid.r[1:-1] ** 2) + mu[:, None] * t_z
         # unknowns are numbered r-fastest within each z-mode; no coupling across modes
-        upper = np.zeros((nz, nr))
-        upper[:, :-1] = -up_r[:-1]
-        lower = np.zeros((nz, nr))
-        lower[:, 1:] = -dn_r[1:]
-        *self._factor, info = dgttrf(lower.ravel()[1:], diag.ravel(), upper.ravel()[:-1])
-        if info != 0:
-            raise InvariantError(f"shifted axisymmetric operator is singular (dgttrf info {info})")
+        ab = np.zeros((3, nz, nr))
+        ab[0, :, 1:] = -up_r[:-1]
+        ab[1] = (1.0 + up_r + dn_r + ell**2 / grid.r[1:-1] ** 2) + mu[:, None] * t_z
+        ab[2, :, :-1] = -dn_r[1:]
+        self._factor = TridiagonalFactor(ab.reshape(3, -1))
         self._shape = (nz, nr)
 
     def solve(self, g: np.ndarray) -> np.ndarray:
         """Apply the inverse to the interior of g; the returned boundary is zero."""
         # DST-I with norm="ortho" is its own inverse
         modes = dst(g[1:-1, 1:-1], type=1, axis=1, norm="ortho")
-        x, _ = dgttrs(*self._factor, modes.T.reshape(-1, 1), overwrite_b=1)
+        x = self._factor.solve(modes.T.ravel())
         out = np.zeros_like(g)
         out[1:-1, 1:-1] = dst(x.reshape(self._shape).T, type=1, axis=1, norm="ortho", overwrite_x=True)
         return out

@@ -246,7 +246,7 @@ def run_criterion_7() -> dict[str, float]:
     out: dict[str, float] = {}
     for target in (10.0, 100.0, 1000.0):
         plan = construct_for_charge(SPEC, target)
-        rep = verify_tent_witness(SPEC, plan.s1, plan.r, plan.h, plan.q, c3=plan.sobolev_c3)
+        rep = verify_tent_witness(SPEC, plan.s1, plan.r, plan.h, plan.q)
         key = f"t{int(target)}"
         out[f"{key}_r"] = plan.r
         out[f"{key}_q"] = plan.q

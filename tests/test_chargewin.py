@@ -65,7 +65,7 @@ class TestWindowEstimate:
 class TestTentWitness:
     def test_plan_parameters_pass_all_checks(self):
         plan = construct_for_charge(SPEC, 10.0)
-        report = verify_tent_witness(SPEC, plan.s1, plan.r, plan.h, plan.q, c3=plan.sobolev_c3)
+        report = verify_tent_witness(SPEC, plan.s1, plan.r, plan.h, plan.q)
         assert report.all_pass
         assert report.deficiency < 0
         assert report.mass_defect >= (plan.h**2 - 1.0) * report.mass2
@@ -100,7 +100,7 @@ class TestConstruction:
     def test_coupling_formula_invariant(self):
         plan = construct_for_charge(SPEC, 100.0)
         norm = 48.0 ** (1.0 / 3.0) * np.pi ** (2.0 / 3.0)
-        expected = 0.5 * np.sqrt(plan.sobolev_c3 / norm) * (1.0 - plan.h) / (plan.h * plan.s1 * plan.r)
+        expected = 0.5 * np.sqrt(SOBOLEV_C3 / norm) * (1.0 - plan.h) / (plan.h * plan.s1 * plan.r)
         assert plan.q == pytest.approx(expected, rel=1e-14)
 
     def test_window_center_membership(self):
@@ -116,7 +116,7 @@ class TestConstruction:
 
     def test_charge_monotone_under_radius_doubling(self):
         plan = construct_for_charge(SPEC, 10.0)
-        prefactor = np.sqrt(plan.sobolev_c3 / (48.0 ** (1.0 / 3.0) * np.pi ** (2.0 / 3.0)))
+        prefactor = np.sqrt(SOBOLEV_C3 / (48.0 ** (1.0 / 3.0) * np.pi ** (2.0 / 3.0)))
         charges = []
         r = plan.r
         for _ in range(3):

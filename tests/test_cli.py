@@ -137,6 +137,14 @@ def test_construct_summary_records_the_plan_grid(tmp_path):
     assert 0.0 < float(summary["plan_grid_spacing"]) <= 0.05
 
 
+def test_sobolev_constant_is_not_a_config_key(tmp_path):
+    # a constant above the recorded one would certify an invalid plan
+    cfg = write_config(tmp_path, "c3.ini", "[construct]\ncharge_target = 10.0\nc3 = 20\n")
+    out = tmp_path / "c"
+    assert cli.main(["construct", "--config", str(cfg), "--out", str(out)]) == cli.EXIT_CONFIG == 2
+    assert not out.exists()
+
+
 def test_runaway_solve_exits_as_nonconvergence_with_its_note(tmp_path):
     cfg = write_config(tmp_path, "r.ini", """
 [nonlinearity]

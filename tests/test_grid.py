@@ -1,9 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.linalg import solve_banded
 
 from hylomorph.grid import (
+    InvariantError,
     RadialGrid,
     RadialProfile,
+    TridiagonalFactor,
     gradient_pairing,
     gradient_sq_integral,
     integrate_radial,
@@ -124,3 +129,25 @@ def test_grid_validation():
         RadialGrid(-1.0, 64)
     with pytest.raises(ValueError):
         RadialGrid(1.0, 8)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(3, 2000), st.integers(0, 2**32 - 1))
+def test_tridiagonal_factor_matches_solve_banded(n, seed):
+    rng = np.random.default_rng(seed)
+    ab = rng.standard_normal((3, n))
+    # strict diagonal dominance keeps the system well conditioned
+    ab[1] = np.sign(ab[1]) * (np.abs(ab[0]) + np.abs(ab[2]) + 0.1 + np.abs(ab[1]))
+    factor = TridiagonalFactor(ab)
+    # the one factor serves every right-hand side and leaves it untouched
+    for b in rng.standard_normal((2, n)):
+        b_in = b.copy()
+        ref = solve_banded((1, 1), ab, b)
+        x = factor.solve(b)
+        assert np.array_equal(b, b_in)
+        assert np.max(np.abs(x - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_singular_tridiagonal_factor_raises():
+    with pytest.raises(InvariantError):
+        TridiagonalFactor(np.zeros((3, 16)))

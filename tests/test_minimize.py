@@ -119,11 +119,15 @@ _PATCHED_GAUGE_SCRIPT = textwrap.dedent("""
     import numpy as np
     from hylomorph import cli, gauge
     from hylomorph.chargewin import TentProfile
-    from hylomorph.grid import RadialGrid
+    from hylomorph.grid import RadialGrid, TridiagonalFactor
     from hylomorph.minimize import InvariantError
 
-    # a defective banded solve returning a potential far above 1/q
-    gauge.solve_banded = lambda bands, ab, rhs: np.full_like(rhs, 1e3)
+    class DefectiveFactor(TridiagonalFactor):
+        # a defective tridiagonal solve returning a potential far above 1/q
+        def solve(self, b):
+            return np.full_like(b, 1e3)
+
+    gauge.TridiagonalFactor = DefectiveFactor
     try:
         gauge.solve_phi(TentProfile(1.0, 3.0).realize(RadialGrid(8.0, 64)), 1.0)
         print("solve_phi: no error")

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hylomorph.model import (
     NonlinearSpec,
+    binding_level,
     classify_charge_criteria,
     eval_nonlinearity,
     eval_remainder,
@@ -39,6 +42,31 @@ def test_derivatives_match_finite_differences(dw):
         fd = (eval_nonlinearity(dw, s + hs, 0) - eval_nonlinearity(dw, s - hs, 0)) / (2 * hs)
         an = eval_nonlinearity(dw, s, 1)
         assert abs(fd - an) < 1e-6 * max(1.0, abs(an))
+
+
+specs = st.one_of(
+    st.builds(NonlinearSpec.double_well, st.floats(0.3, 3.0)),
+    st.builds(lambda a, b, p, dq, m: NonlinearSpec.power_deficit(a, b, p, min(p + dq, 5.99), mass=m),
+              st.floats(0.1, 3.0), st.floats(0.0, 3.0), st.floats(2.05, 5.5), st.floats(0.05, 3.0),
+              st.floats(0.5, 2.0)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(specs, st.floats(0.0, 3.0))
+def test_power_sum_identities(spec, s):
+    m2 = spec.mass**2
+    w, w1, w2 = (eval_nonlinearity(spec, s, order) for order in (0, 1, 2))
+    # sums of the term magnitudes bound the round-off of each evaluation
+    mag0 = sum(abs(c) * s**k for c, k in spec.power_terms())
+    mag1 = sum(abs(c * k) * s ** (k - 1.0) for c, k in spec.power_terms())
+    mag2 = sum(abs(c * k * (k - 1.0)) * s ** (k - 2.0) for c, k in spec.power_terms())
+    assert abs(w - eval_remainder(spec, s, 0) - 0.5 * m2 * s**2) <= 1e-14 * mag0
+    assert abs(s * wprime_over_s(spec, s) - w1) <= 1e-14 * mag1
+    assert abs(0.5 * s**2 * binding_level(spec, s) - w) <= 1e-14 * mag0
+    if s > 1e-6:
+        hs = 1e-4 * s
+        fd = (eval_nonlinearity(spec, s + hs, 1) - eval_nonlinearity(spec, s - hs, 1)) / (2.0 * hs)
+        assert abs(fd - w2) <= 1e-6 * mag2
 
 
 def test_negative_amplitude_rejected(dw):
