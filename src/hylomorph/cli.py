@@ -333,18 +333,20 @@ def _run_evolve(cfg: RunConfig) -> dict[str, object]:
         reference=(res.u, res.omega), free_field=cfg.get("evolve", "free"))
     write_profile_csv(cfg.out_dir, "ledger.csv", ledger.arrays())
     write_profile_csv(cfg.out_dir, "profile.csv", {"r": grid.nodes, "u": np.abs(state.psi)})
-    return {"t_final": state.t, **ledger.drifts(), "omega": res.omega, "sigma": res.charge}
+    return {"t_final": state.t, **ledger.drifts(), "omega": res.omega, "sigma": res.charge,
+            "cfl_margin": evolve.cfl_margin(grid, spec, dt)}
 
 
 def _run_stability(cfg: RunConfig) -> dict[str, object]:
     spec, grid, res = _soliton_for_evolution(cfg, cfg.get("stability", "sigma"))
     delta = cfg.get("stability", "delta")
+    dt = cfg.get("stability", "dt") or grid.h / 2.0
     result = evolve.stability_experiment(
-        res.u, res.omega, spec, cfg.get("stability", "t_final"),
-        cfg.get("stability", "dt") or grid.h / 2.0, delta,
+        res.u, res.omega, spec, cfg.get("stability", "t_final"), dt, delta,
         record_every=cfg.get("stability", "record_every") or None)
 
     out: dict[str, object] = {"sigma": res.charge, "omega": res.omega, "delta": delta,
+                              "cfl_margin": evolve.cfl_margin(grid, spec, dt),
                               "localization_radius": result.localization_radius,
                               "reversal_error": result.reversal_error}
     for name, ledger in result.ledgers.items():

@@ -1,11 +1,17 @@
 """Direct time evolution of the radial field and localization diagnostics.
 
 The second-order field equation psi_tt = lap psi - W'(|psi|) psi/|psi| is
-integrated by the kick-drift-kick leapfrog.  The scheme is time symmetric
-and exactly phase covariant, so the discrete charge Im <psi, psi_t> is
-conserved to round-off while the energy oscillates within an O(dt^2) band
-around its initial value.  A free-field mode replaces the force by the
-bare mass term and serves as the dispersion control experiment.
+integrated by the kick-drift-kick leapfrog (Stoermer-Verlet).  The scheme
+is time symmetric and exactly phase covariant, so the discrete charge
+Im <psi, psi_t> is conserved to round-off while the energy oscillates
+within an O(dt^2) band around its initial value.  A free-field mode
+replaces the force by the bare mass term and serves as the dispersion
+control experiment.
+
+Every run goes through one private kernel, ``_leapfrog``, which advances
+a batch of runs on one grid with the grid's Laplacian bands and the force
+of ``model._power_sum``, both scaled by dt^2.  ``evolve_nlkg`` is a batch
+of one; ``stability_experiment`` advances its four runs as one batch.
 """
 
 from __future__ import annotations
@@ -14,8 +20,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import RadialGrid, RadialProfile, gradient_sq_integral, integrate_radial, radial_laplacian
-from .model import NonlinearSpec, eval_nonlinearity, wprime_over_s
+from .grid import RadialGrid, RadialProfile, gradient_sq_integral, integrate_radial
+from .model import NonlinearSpec, _power_sum, eval_nonlinearity
 
 BLOWUP_FACTOR = 1e6
 
@@ -53,9 +59,11 @@ class EvolutionLedger:
     charge: list[float] = field(default_factory=list)
     localization: list[float] = field(default_factory=list)
     distance: list[float] = field(default_factory=list)
+    amplitude: list[float] = field(default_factory=list)  # max |psi|, the quantity the blow-up guard bounds
 
     def arrays(self) -> dict[str, np.ndarray]:
-        return {k: np.asarray(getattr(self, k)) for k in ("t", "energy", "charge", "localization", "distance")}
+        return {k: np.asarray(getattr(self, k))
+                for k in ("t", "energy", "charge", "localization", "distance", "amplitude")}
 
     def drifts(self) -> dict[str, float]:
         """Largest relative energy and charge drift over the ledger, and its final localization."""
@@ -140,6 +148,123 @@ def manifold_distance(state: EvolutionState, u0: RadialProfile, omega0: float) -
     return float(np.sqrt(max(0.0, d2)))
 
 
+def cfl_margin(grid: RadialGrid, spec: NonlinearSpec, dt: float) -> float:
+    """dt * sqrt(lambda_max(-lap) + m^2); the leapfrog is stable below 2.
+
+    The decoupled origin row of the Laplacian gives its largest eigenvalue
+    6/h^2 exactly; every other row's Gershgorin disc stays within 4/h^2.
+    """
+    return float(dt * np.sqrt(-grid.laplacian_bands[1, 0] + spec.mass**2))
+
+
+def _leapfrog(
+    inits: list[EvolutionState],
+    spec: NonlinearSpec,
+    t_final: float,
+    dt: float,
+    record_every: int | None,
+    localization_radius: float | None,
+    reference: tuple[RadialProfile, float] | None,
+    free: list[bool],
+) -> tuple[list[EvolutionState], list[EvolutionLedger]]:
+    """Advance B runs on one grid together; row b is the run from ``inits[b]``.
+
+    The fields are stored as X, U of shape (B, 2, n+1): real and imaginary
+    rows of psi and of U = dt * psi_t.  With the dt^2-scaled acceleration
+    A = dt^2 (lap psi - f psi), every step is one drift X += U and one full
+    kick U += A, U holding the velocity at the half step.  At a record step
+    the full kick splits into two half kicks with the record in between,
+    so the ledger and the returned states see the synchronised
+    (psi, psi_t).  Every pass is elementwise along the batch, so each row
+    is bit-identical to the same run advanced alone.
+    """
+    grid = inits[0].grid
+    if not (dt > 0.0 and cfl_margin(grid, spec, dt) < 2.0):
+        raise ValueError("dt must be positive and below the leapfrog stability bound "
+                         f"{2.0 / cfl_margin(grid, spec, 1.0):.6g}")
+    if not (np.isfinite(t_final) and t_final > 0.0):
+        raise ValueError("t_final must be positive and finite")
+    n_steps = int(round(t_final / dt))
+    if n_steps < 1:
+        raise ValueError(f"t_final must span at least one step dt = {dt:g}")
+    if record_every is None:
+        record_every = max(1, n_steps // 256)
+    elif record_every < 1:
+        raise ValueError("record_every must be at least 1")
+    if localization_radius is None:
+        localization_radius = grid.r_max
+
+    X = np.empty((len(inits), 2, grid.n + 1))
+    U = np.empty_like(X)
+    for b, init in enumerate(inits):
+        X[b] = init.psi.real, init.psi.imag
+        U[b] = init.psi_t.real, init.psi_t.imag
+    U *= dt
+    # the outer node is pinned: its field, velocity and acceleration stay 0
+    X[..., -1] = 0.0
+    U[..., -1] = 0.0
+    bands = dt * dt * grid.laplacian_bands
+    diag = bands[1].copy()
+    diag[-1] = 0.0
+    upper = bands[0, 1:]
+    lower = bands[2, :-1].copy()
+    lower[-1] = 0.0
+    terms = tuple((dt * dt * coef, k) for coef, k in spec.power_terms())
+    free = np.asarray(free, dtype=bool)
+    A = np.empty_like(X)
+    off = np.empty_like(X[..., 1:])
+
+    def accelerate() -> np.ndarray:
+        """Fill A from X; return the amplitude |psi| of every node of every row."""
+        amp = np.sqrt(X[:, 0] ** 2 + X[:, 1] ** 2)
+        f = _power_sum(terms, amp, 1, 1.0)
+        f[free] = dt * dt * spec.mass**2
+        np.subtract(diag, f, out=f)
+        np.multiply(f[:, None], X, out=A)
+        np.multiply(upper, X[..., 1:], out=off)
+        A[..., :-1] += off
+        np.multiply(lower, X[..., :-1], out=off)
+        A[..., 1:] += off
+        return amp
+
+    ledgers = [EvolutionLedger() for _ in inits]
+
+    def states(step: int) -> list[EvolutionState]:
+        return [EvolutionState(grid, x[0] + 1j * x[1], u[0] / dt + 1j * (u[1] / dt), init.t + step * dt)
+                for x, u, init in zip(X, U, inits)]
+
+    def record(step: int, amplitude: np.ndarray):
+        for state, ledger, free_field, peak in zip(states(step), ledgers, free, amplitude):
+            ledger.t.append(state.t)
+            ledger.energy.append(field_energy(state, spec, bool(free_field)))
+            ledger.charge.append(field_charge(state))
+            ledger.localization.append(localization_fraction(state, localization_radius))
+            ledger.distance.append(np.nan if reference is None else manifold_distance(state, *reference))
+            ledger.amplitude.append(float(peak))
+
+    amplitude = accelerate().max(axis=1)
+    guard = BLOWUP_FACTOR * np.maximum(amplitude, 1e-30)
+    record(0, amplitude)
+    A *= 0.5
+    U += A
+    for step in range(1, n_steps + 1):
+        X += U
+        amp = accelerate()
+        if step % record_every == 0 or step == n_steps:
+            amplitude = amp.max(axis=1)
+            # written so that a NaN amplitude trips the guard as well
+            if not np.all(amplitude <= guard):
+                raise BlowUpError(f"amplitude exceeded {BLOWUP_FACTOR:g} times its initial scale "
+                                  f"or stopped being finite at t={step * dt:g}")
+            A *= 0.5
+            U += A
+            record(step, amplitude)
+        if step < n_steps:
+            U += A
+
+    return states(n_steps), ledgers
+
+
 def evolve_nlkg(
     init: EvolutionState,
     spec: NonlinearSpec,
@@ -152,74 +277,18 @@ def evolve_nlkg(
 ) -> tuple[EvolutionState, EvolutionLedger]:
     """Leapfrog the field to t_final, recording conserved quantities.
 
-    ``dt`` must satisfy the leapfrog stability bound
+    ``dt`` must satisfy the leapfrog stability bound ``cfl_margin < 2``,
     dt < 2 / sqrt(lambda_max(-lap) + m^2), about 0.816 h on this grid
-    because the origin row of the Laplacian carries 6/h^2.  The force is
-    the smooth ratio W'(s)/s times psi, which extends continuously by the
-    squared mass at zero amplitude; ``free_field`` replaces it by the bare
-    mass term.  Raises BlowUpError if the amplitude grows by six orders of
+    because the origin row of the Laplacian carries 6/h^2; ``t_final``
+    must be finite and span at least one step.  The force is the smooth
+    ratio W'(s)/s times psi, which extends continuously by the squared
+    mass at zero amplitude; ``free_field`` replaces it by the bare mass
+    term.  Raises BlowUpError if the amplitude grows by six orders of
     magnitude or stops being finite.
     """
-    grid = init.grid
-    m2 = spec.mass**2
-    # the decoupled origin row of the Laplacian gives its largest eigenvalue
-    # 6/h^2 exactly; every other row's Gershgorin disc stays within 4/h^2
-    dt_max = 2.0 / np.sqrt(-grid.laplacian_bands[1, 0] + m2)
-    if not (0.0 < dt < dt_max):
-        raise ValueError(f"dt must be positive and below the leapfrog stability bound {dt_max:.6g}")
-    if t_final <= 0.0:
-        raise ValueError("t_final must be positive")
-    n_steps = int(round(t_final / dt))
-    if record_every is None:
-        record_every = max(1, n_steps // 256)
-    elif record_every < 1:
-        raise ValueError("record_every must be at least 1")
-    if localization_radius is None:
-        localization_radius = grid.r_max
-
-    def force_factor(amp: np.ndarray) -> np.ndarray:
-        if free_field:
-            return np.full_like(amp, m2)
-        return wprime_over_s(spec, amp)
-
-    def accel(psi: np.ndarray) -> np.ndarray:
-        a = radial_laplacian(grid, psi) - force_factor(np.abs(psi)) * psi
-        a[-1] = 0.0
-        return a
-
-    psi = init.psi.copy()
-    psi[-1] = 0.0
-    v = init.psi_t.copy()
-    ledger = EvolutionLedger()
-    guard = BLOWUP_FACTOR * max(float(np.max(np.abs(psi))), 1e-30)
-
-    def record(step: int):
-        state = EvolutionState(grid, psi, v, init.t + step * dt)
-        ledger.t.append(state.t)
-        ledger.energy.append(field_energy(state, spec, free_field))
-        ledger.charge.append(field_charge(state))
-        ledger.localization.append(localization_fraction(state, localization_radius))
-        if reference is not None:
-            ledger.distance.append(manifold_distance(state, reference[0], reference[1]))
-        else:
-            ledger.distance.append(np.nan)
-
-    record(0)
-    a = accel(psi)
-    for step in range(1, n_steps + 1):
-        v_half = v + 0.5 * dt * a
-        psi = psi + dt * v_half
-        psi[-1] = 0.0
-        a = accel(psi)
-        v = v_half + 0.5 * dt * a
-        if step % record_every == 0 or step == n_steps:
-            # written so that a NaN amplitude trips the guard as well
-            if not float(np.max(np.abs(psi))) <= guard:
-                raise BlowUpError(f"amplitude exceeded {BLOWUP_FACTOR:g} times its initial scale "
-                                  f"or stopped being finite at t={step * dt:g}")
-            record(step)
-
-    return EvolutionState(grid, psi, v, init.t + n_steps * dt), ledger
+    finals, ledgers = _leapfrog([init], spec, t_final, dt, record_every, localization_radius, reference,
+                                [free_field])
+    return finals[0], ledgers[0]
 
 
 def time_reversed(state: EvolutionState) -> EvolutionState:
@@ -262,20 +331,13 @@ def stability_experiment(
     base = soliton_state(profile, omega)
     bump = delta * np.exp(-((grid.nodes - mass_radius(profile, 0.5)) ** 2))
     bump[-1] = 0.0
-    starts = {
-        "ledger": (base, False),
-        "ledger_scaled": (EvolutionState(grid, (1.0 + delta) * base.psi, (1.0 + delta) * base.psi_t), False),
-        "ledger_bump": (EvolutionState(grid, base.psi + bump, base.psi_t.copy()), False),
-        "ledger_free": (base, True),
-    }
-    ledgers: dict[str, EvolutionLedger] = {}
-    finals: dict[str, EvolutionState] = {}
-    for name, (init, free) in starts.items():
-        finals[name], ledgers[name] = evolve_nlkg(
-            init, spec, t_final, dt, record_every=record_every, localization_radius=radius,
-            reference=(profile, omega), free_field=free)
+    names = ["ledger", "ledger_scaled", "ledger_bump", "ledger_free"]
+    starts = [base, EvolutionState(grid, (1.0 + delta) * base.psi, (1.0 + delta) * base.psi_t),
+              EvolutionState(grid, base.psi + bump, base.psi_t), base]
+    finals, ledgers = _leapfrog(starts, spec, t_final, dt, record_every, radius, (profile, omega),
+                                [False, False, False, True])
     # only the final state of the reversed run is needed: record its first and last steps alone
-    back, _ = evolve_nlkg(time_reversed(finals["ledger"]), spec, t_final, dt,
+    back, _ = evolve_nlkg(time_reversed(finals[0]), spec, t_final, dt,
                           record_every=10**9, localization_radius=radius)
-    return StabilityResult(ledgers, finals["ledger"], radius,
+    return StabilityResult(dict(zip(names, ledgers)), finals[0], radius,
                            float(np.max(np.abs(back.psi - base.psi))))

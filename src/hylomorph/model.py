@@ -80,8 +80,11 @@ def _check_s(s):
 
 
 def _power_sum(terms, s, order: int, shift: float = 0.0):
-    """The order-th derivative of sum coef * s^k over ``terms``, divided by s^shift."""
-    s = _check_s(s)
+    """The order-th derivative of sum coef * s^k over ``terms``, divided by s^shift.
+
+    ``s`` is not validated here: the public wrappers check it, and the
+    leapfrog passes amplitudes that are nonnegative or NaN by construction.
+    """
     if order not in (0, 1, 2):
         raise ValueError("order must be 0, 1 or 2")
     out = 0.0
@@ -96,22 +99,22 @@ def _power_sum(terms, s, order: int, shift: float = 0.0):
 
 def eval_remainder(spec: NonlinearSpec, s, order: int = 0):
     """R(s) and its first two derivatives."""
-    return _power_sum(spec.remainder_powers(), s, order)
+    return _power_sum(spec.remainder_powers(), _check_s(s), order)
 
 
 def eval_nonlinearity(spec: NonlinearSpec, s, order: int = 0):
     """W(s), W'(s) or W''(s) for nonnegative s (scalar or array)."""
-    return _power_sum(spec.power_terms(), s, order)
+    return _power_sum(spec.power_terms(), _check_s(s), order)
 
 
 def wprime_over_s(spec: NonlinearSpec, s):
     """The smooth ratio W'(s)/s, equal to m^2 at s = 0."""
-    return _power_sum(spec.power_terms(), s, 1, 1.0)
+    return _power_sum(spec.power_terms(), _check_s(s), 1, 1.0)
 
 
 def binding_level(spec: NonlinearSpec, s):
     """W(s) / (s^2/2); levels below m^2 certify binding at that amplitude."""
-    return 2.0 * _power_sum(spec.power_terms(), s, 0, 2.0)
+    return 2.0 * _power_sum(spec.power_terms(), _check_s(s), 0, 2.0)
 
 
 def find_binding_amplitude(spec: NonlinearSpec, s_max: float = 10.0, n_scan: int = 4096) -> tuple[float, float]:

@@ -90,8 +90,7 @@ def test_manifest_records_overrides(tmp_path):
     assert "r_max = 16" in manifest
 
 
-def test_evolve_command_ledger(tmp_path):
-    cfg = write_config(tmp_path, "e.ini", """
+EVOLVE_CFG = """
 [grid]
 r_max = 16.0
 n = 512
@@ -103,16 +102,38 @@ init_r = 3.0
 [evolve]
 sigma = 80.0
 t_final = 1.0
-""")
-    out = tmp_path / "e"
+"""
+
+
+def test_evolve_command_ledger(tmp_path):
+    cfg = write_config(tmp_path, "e.ini", EVOLVE_CFG)
+    out, again = tmp_path / "e", tmp_path / "e2"
     assert cli.main(["evolve", "--config", str(cfg), "--out", str(out)]) == 0
+    assert cli.main(["evolve", "--config", str(cfg), "--out", str(again)]) == 0
+    assert (out / "summary.txt").read_bytes() == (again / "summary.txt").read_bytes()
     rows = (out / "ledger.csv").read_text().splitlines()
-    assert rows[0] == "t,energy,charge,localization,distance"
+    assert rows[0] == "t,energy,charge,localization,distance,amplitude"
     data = np.array([[float(x) for x in row.split(",")] for row in rows[1:]])
     assert np.all(np.diff(data[:, 0]) > 0)
     assert np.all(np.isfinite(data))
-    summary = (out / "summary.txt").read_text()
-    assert "energy_drift" in summary
+    assert np.all(data[:, 5] > 0)
+    summary = dict(line.split(" = ") for line in (out / "summary.txt").read_text().splitlines())
+    assert list(summary) == ["t_final", "energy_drift", "charge_drift", "final_localization",
+                             "omega", "sigma", "cfl_margin"]
+    # dt = h/2 puts the leapfrog at dt sqrt(6/h^2 + m^2) = sqrt(6 + h^2)/2 of its bound 2
+    assert abs(float(summary["cfl_margin"]) - np.sqrt(6.0 + (16.0 / 512) ** 2) / 2) < 1e-11
+
+
+def test_t_final_out_of_range_is_a_precondition_failure(tmp_path):
+    # an infinite t_final overflowed the step count, and one below dt/2
+    # ran zero steps and reported t_final = 0 with a zero drift
+    for command, config in (("evolve", EVOLVE_CFG), ("stability", STABILITY_CFG)):
+        for t_final in ("inf", "nan", "0.001"):
+            cfg = write_config(tmp_path, f"{command}.ini",
+                               config.replace("t_final = 1.0", f"t_final = {t_final}"))
+            out = tmp_path / f"{command}_{t_final}"
+            assert cli.main([command, "--config", str(cfg), "--out", str(out)]) == cli.EXIT_PRECONDITION
+            assert not (out / "summary.txt").exists()
 
 
 def test_window_command(tmp_path):
@@ -209,10 +230,10 @@ def test_stability_command(tmp_path):
     # the perturbed ones its growth over the initial distance
     runs = {"ledger": "max_distance", "ledger_scaled": "distance_ratio",
             "ledger_bump": "distance_ratio", "ledger_free": "max_distance"}
-    expected = ["sigma", "omega", "delta", "localization_radius", "reversal_error"]
+    expected = ["sigma", "omega", "delta", "cfl_margin", "localization_radius", "reversal_error"]
     for name, distance_key in runs.items():
         rows = (out1 / f"{name}.csv").read_text().splitlines()
-        assert rows[0] == "t,energy,charge,localization,distance"
+        assert rows[0] == "t,energy,charge,localization,distance,amplitude"
         assert len(rows) == 66
         expected += [f"{name}_{key}" for key in
                      ("energy_drift", "charge_drift", "final_localization", distance_key)]

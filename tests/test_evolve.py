@@ -5,6 +5,7 @@ from hylomorph.chargewin import TentProfile
 from hylomorph.evolve import (
     BlowUpError,
     EvolutionState,
+    cfl_margin,
     evolve_nlkg,
     field_charge,
     field_energy,
@@ -77,9 +78,24 @@ def test_nonfinite_state_rejected(grid):
 def test_nan_field_trips_blowup_guard(grid, ground, monkeypatch):
     import hylomorph.evolve as evolve_module
 
-    monkeypatch.setattr(evolve_module, "wprime_over_s", lambda spec, s: np.full_like(s, np.nan))
+    # the leapfrog kernel evaluates its force through the power-sum evaluator
+    monkeypatch.setattr(evolve_module, "_power_sum", lambda terms, s, order, shift: np.full_like(s, np.nan))
     with pytest.raises(BlowUpError):
         evolve_nlkg(soliton_state(ground.u, ground.omega), SPEC, 0.1, grid.h / 2, record_every=1)
+
+
+def test_nan_force_in_one_batch_row_trips_blowup_guard(grid, ground, monkeypatch):
+    import hylomorph.evolve as evolve_module
+    from hylomorph.model import _power_sum
+
+    def nan_in_bump_row(terms, s, order, shift):
+        f = _power_sum(terms, s, order, shift)
+        f[2] = np.nan
+        return f
+
+    monkeypatch.setattr(evolve_module, "_power_sum", nan_in_bump_row)
+    with pytest.raises(BlowUpError):
+        stability_experiment(ground.u, ground.omega, SPEC, 0.1, grid.h / 2, 0.01, record_every=1)
 
 
 def test_soliton_orbit_conserved(grid, ground):
@@ -111,6 +127,58 @@ def test_stability_experiment_reversal_is_the_forward_back_pair(grid, ground):
     assert np.array_equal(exp.final.psi, fwd.psi) and np.array_equal(exp.final.psi_t, fwd.psi_t)
     assert exp.reversal_error == float(np.max(np.abs(back.psi - state.psi)))
     assert list(exp.ledgers) == ["ledger", "ledger_scaled", "ledger_bump", "ledger_free"]
+
+
+def test_every_stability_row_matches_a_lone_run(grid, ground):
+    # every pass of the batched leapfrog is elementwise along the batch, so
+    # each row of the ensemble is bit for bit the run advanced alone
+    delta = 0.01
+    exp = stability_experiment(ground.u, ground.omega, SPEC, 2.0, grid.h / 2, delta)
+    base = soliton_state(ground.u, ground.omega)
+    bump = delta * np.exp(-((grid.nodes - mass_radius(ground.u, 0.5)) ** 2))
+    bump[-1] = 0.0
+    lone = {
+        "ledger_scaled": (EvolutionState(grid, (1.0 + delta) * base.psi, (1.0 + delta) * base.psi_t), False),
+        "ledger_bump": (EvolutionState(grid, base.psi + bump, base.psi_t), False),
+        "ledger_free": (base, True),
+    }
+    for name, (init, free) in lone.items():
+        _, ledger = evolve_nlkg(init, SPEC, 2.0, grid.h / 2, localization_radius=exp.localization_radius,
+                                reference=(ground.u, ground.omega), free_field=free)
+        batch, alone = exp.ledgers[name].arrays(), ledger.arrays()
+        assert list(batch) == list(alone)
+        for key in batch:
+            assert np.array_equal(batch[key], alone[key]), (name, key)
+
+
+@pytest.mark.parametrize("t_final", [np.inf, -np.inf, np.nan, 0.0, -1.0, 0.001])
+def test_t_final_must_be_finite_and_span_a_step(grid, ground, t_final):
+    state = soliton_state(ground.u, ground.omega)
+    with pytest.raises(ValueError, match="t_final"):
+        evolve_nlkg(state, SPEC, t_final, grid.h / 2)
+    with pytest.raises(ValueError, match="t_final"):
+        stability_experiment(ground.u, ground.omega, SPEC, t_final, grid.h / 2, 0.01)
+
+
+def test_one_step_is_allowed(grid, ground):
+    # t_final just above dt/2 rounds to one step; the returned time says so
+    final, ledger = evolve_nlkg(soliton_state(ground.u, ground.omega), SPEC, 0.6 * grid.h / 2, grid.h / 2)
+    assert final.t == grid.h / 2
+    assert len(ledger.t) == 2
+
+
+def test_ledger_amplitude_is_the_guarded_peak(grid, ground):
+    state = soliton_state(ground.u, ground.omega)
+    final, ledger = evolve_nlkg(state, SPEC, 1.0, grid.h / 2)
+    amplitude = ledger.arrays()["amplitude"]
+    assert amplitude[0] == pytest.approx(float(np.max(np.abs(state.psi))), rel=1e-15)
+    assert amplitude[-1] == pytest.approx(float(np.max(np.abs(final.psi))), rel=1e-15)
+
+
+def test_cfl_margin_at_half_spacing(grid):
+    # dt = h/2 gives sqrt(6 + h^2) / 2, just above sqrt(6)/2 = 1.2247
+    assert cfl_margin(grid, SPEC, grid.h / 2) == pytest.approx(np.sqrt(6.0 + grid.h**2) / 2, rel=1e-14)
+    assert cfl_margin(grid, SPEC, grid.h / 2) < 2.0
 
 
 def test_localization_trivial_at_full_radius(grid, ground):

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from scipy.sparse.linalg import spsolve
 
 from hylomorph.chargewin import TentProfile
-from hylomorph.evolve import EvolutionState, evolve_nlkg
+from hylomorph.evolve import EvolutionState, evolve_nlkg, field_charge, field_energy
 from hylomorph.functionals import reduced_energy, stationary_operator
 from hylomorph.gauge import solve_phi
 from hylomorph.grid import RadialGrid, RadialProfile, banded_matvec, gradient_pairing, integrate_radial, radial_laplacian
@@ -146,19 +146,31 @@ def _smooth_complex(rng, r):
 
 
 @settings(max_examples=20, deadline=None)
-@given(st.integers(32, 256), seeds)
-def test_leapfrog_conserves_charge(n, seed):
+@given(st.integers(32, 256), seeds, st.sampled_from([1, 2, 7]))
+def test_leapfrog_conserves_charge(n, seed, record_every):
     # Im<psi, psi_t> is invariant under each kick (the Laplacian is symmetric
     # in the volume weights, the force real) and each drift, so only
-    # round-off moves it
+    # round-off moves it; record_every > 1 runs the fused kicks between records
     grid = RadialGrid(10.0, n)
     rng = np.random.default_rng(seed)
     psi, psi_t = _smooth_complex(rng, grid.nodes), _smooth_complex(rng, grid.nodes)
-    _, ledger = evolve_nlkg(EvolutionState(grid, psi, psi_t), NonlinearSpec.double_well(), 2.0, grid.h / 2,
-                            record_every=1)
+    spec = NonlinearSpec.double_well()
+    final, ledger = evolve_nlkg(EvolutionState(grid, psi, psi_t), spec, 2.0, grid.h / 2,
+                                record_every=record_every)
     charge = ledger.arrays()["charge"]
     scale = integrate_radial(grid, np.abs(psi) ** 2 + np.abs(psi_t) ** 2)
     assert np.max(np.abs(charge - charge[0])) <= 1e-12 * scale
+    # the last step is recorded even where record_every does not divide the
+    # step count, and the returned state is that synchronised record: it
+    # matches the run that records every step to round-off, where a half-step
+    # velocity would be off by dt/2 times the acceleration
+    assert ledger.t[-1] == final.t
+    assert ledger.charge[-1] == field_charge(final)
+    assert ledger.energy[-1] == field_energy(final, spec)
+    every, _ = evolve_nlkg(EvolutionState(grid, psi, psi_t), spec, 2.0, grid.h / 2, record_every=1)
+    size = np.max(np.abs(psi)) + np.max(np.abs(psi_t))
+    assert np.max(np.abs(final.psi - every.psi)) <= 1e-10 * size
+    assert np.max(np.abs(final.psi_t - every.psi_t)) <= 1e-10 * size
 
 
 @settings(max_examples=20, deadline=None)
