@@ -20,7 +20,6 @@ from pathlib import Path
 import numpy as np
 
 from . import chargewin, evolve, functionals, minimize, model, vortex
-from .gauge import kgm_functionals
 from .grid import RadialGrid, RadialProfile
 
 EXIT_OK = 0
@@ -51,7 +50,7 @@ _SCHEMA: dict[str, dict[str, object]] = {
     "evolve": {"sigma": 300.0, "t_final": 50.0,
                "dt": 0.0,           # 0 means h/2
                "record_every": 0,   # 0 means automatic
-               "free": False, "radius_factor": 2.0},
+               "free": False},
     "stability": {"sigma": 300.0, "t_final": 50.0, "dt": 0.0, "delta": 0.01, "record_every": 0},
 }
 
@@ -256,7 +255,7 @@ def _run_solve_kgm(cfg: RunConfig) -> dict[str, object]:
     write_profile_csv(cfg.out_dir, "profile.csv", {"r": grid.nodes, "u": res.u.values})
     write_profile_csv(cfg.out_dir, "phi.csv", {"r": grid.nodes, "phi": res.phi.values})
     out = _result_scalars(res)
-    out["screened_mass"] = kgm_functionals(res.u, res.charge, res.coupling, spec).screened_mass
+    out["screened_mass"] = res.screened_mass
     return out
 
 
@@ -311,25 +310,27 @@ def _run_construct(cfg: RunConfig) -> dict[str, object]:
     return out
 
 
-def _soliton_for_evolution(cfg: RunConfig, sigma: float):
+def _soliton_for_evolution(cfg: RunConfig, section: str):
+    """Check an evolution's time stepping, then solve for its soliton: (spec, grid, res, t_final, dt, rec)."""
     spec = _nonlinearity(cfg)
     grid = _grid(cfg)
+    t_final = cfg.get(section, "t_final")
+    dt = cfg.get(section, "dt") or grid.h / 2.0
+    rec = cfg.get(section, "record_every") or None
+    evolve.step_plan(grid, spec, t_final, dt, rec)
     opts = minimize.SolveOptions(tol=min(cfg.get("solver", "tol"), 1e-8),
                                  max_iters=cfg.get("solver", "max_iters"))
-    res = minimize.minimize_nlkg(spec, sigma, _tent_init(cfg, grid), opts)
+    res = minimize.minimize_nlkg(spec, cfg.get(section, "sigma"), _tent_init(cfg, grid), opts)
     if not res.converged:
         raise RuntimeError("soliton preparation did not converge; adjust sigma or the grid")
-    return spec, grid, res
+    return spec, grid, res, t_final, dt, rec
 
 
 def _run_evolve(cfg: RunConfig) -> dict[str, object]:
-    spec, grid, res = _soliton_for_evolution(cfg, cfg.get("evolve", "sigma"))
-    dt = cfg.get("evolve", "dt") or grid.h / 2.0
-    rec = cfg.get("evolve", "record_every") or None
-    radius = cfg.get("evolve", "radius_factor") * evolve.mass_radius(res.u)
+    spec, grid, res, t_final, dt, rec = _soliton_for_evolution(cfg, "evolve")
     state, ledger = evolve.evolve_nlkg(
-        evolve.soliton_state(res.u, res.omega), spec, cfg.get("evolve", "t_final"), dt,
-        record_every=rec, localization_radius=min(radius, grid.r_max),
+        evolve.soliton_state(res.u, res.omega), spec, t_final, dt,
+        record_every=rec, localization_radius=evolve.soliton_radius(res.u),
         reference=(res.u, res.omega), free_field=cfg.get("evolve", "free"))
     write_profile_csv(cfg.out_dir, "ledger.csv", ledger.arrays())
     write_profile_csv(cfg.out_dir, "profile.csv", {"r": grid.nodes, "u": np.abs(state.psi)})
@@ -338,12 +339,10 @@ def _run_evolve(cfg: RunConfig) -> dict[str, object]:
 
 
 def _run_stability(cfg: RunConfig) -> dict[str, object]:
-    spec, grid, res = _soliton_for_evolution(cfg, cfg.get("stability", "sigma"))
     delta = cfg.get("stability", "delta")
-    dt = cfg.get("stability", "dt") or grid.h / 2.0
-    result = evolve.stability_experiment(
-        res.u, res.omega, spec, cfg.get("stability", "t_final"), dt, delta,
-        record_every=cfg.get("stability", "record_every") or None)
+    evolve.check_delta(delta)
+    spec, grid, res, t_final, dt, rec = _soliton_for_evolution(cfg, "stability")
+    result = evolve.stability_experiment(res.u, res.omega, spec, t_final, dt, delta, record_every=rec)
 
     out: dict[str, object] = {"sigma": res.charge, "omega": res.omega, "delta": delta,
                               "cfl_margin": evolve.cfl_margin(grid, spec, dt),

@@ -121,6 +121,11 @@ def mass_radius(profile: RadialProfile, fraction: float = 0.99) -> float:
     return float(grid.nodes[min(idx, grid.n)])
 
 
+def soliton_radius(profile: RadialProfile) -> float:
+    """Localization radius of a soliton's runs: twice its 99 % mass radius, capped at r_max."""
+    return min(2.0 * mass_radius(profile), profile.grid.r_max)
+
+
 def manifold_distance(state: EvolutionState, u0: RadialProfile, omega0: float) -> float:
     """Distance to the orbit of the reference standing wave.
 
@@ -157,28 +162,13 @@ def cfl_margin(grid: RadialGrid, spec: NonlinearSpec, dt: float) -> float:
     return float(dt * np.sqrt(-grid.laplacian_bands[1, 0] + spec.mass**2))
 
 
-def _leapfrog(
-    inits: list[EvolutionState],
-    spec: NonlinearSpec,
-    t_final: float,
-    dt: float,
-    record_every: int | None,
-    localization_radius: float | None,
-    reference: tuple[RadialProfile, float] | None,
-    free: list[bool],
-) -> tuple[list[EvolutionState], list[EvolutionLedger]]:
-    """Advance B runs on one grid together; row b is the run from ``inits[b]``.
+def step_plan(grid: RadialGrid, spec: NonlinearSpec, t_final: float, dt: float,
+              record_every: int | None) -> tuple[int, int]:
+    """Step count and record stride of a leapfrog run (None: about 256 records).
 
-    The fields are stored as X, U of shape (B, 2, n+1): real and imaginary
-    rows of psi and of U = dt * psi_t.  With the dt^2-scaled acceleration
-    A = dt^2 (lap psi - f psi), every step is one drift X += U and one full
-    kick U += A, U holding the velocity at the half step.  At a record step
-    the full kick splits into two half kicks with the record in between,
-    so the ledger and the returned states see the synchronised
-    (psi, psi_t).  Every pass is elementwise along the batch, so each row
-    is bit-identical to the same run advanced alone.
+    Raises ValueError unless 0 < dt with ``cfl_margin < 2``, t_final is
+    finite and spans a step, and ``record_every`` is at least 1.
     """
-    grid = inits[0].grid
     if not (dt > 0.0 and cfl_margin(grid, spec, dt) < 2.0):
         raise ValueError("dt must be positive and below the leapfrog stability bound "
                          f"{2.0 / cfl_margin(grid, spec, 1.0):.6g}")
@@ -188,9 +178,37 @@ def _leapfrog(
     if n_steps < 1:
         raise ValueError(f"t_final must span at least one step dt = {dt:g}")
     if record_every is None:
-        record_every = max(1, n_steps // 256)
-    elif record_every < 1:
+        return n_steps, max(1, n_steps // 256)
+    if record_every < 1:
         raise ValueError("record_every must be at least 1")
+    return n_steps, record_every
+
+
+def check_delta(delta: float) -> None:
+    """The stability ensemble scales the soliton by 1 + delta, which must leave a nonzero finite field."""
+    if not (np.isfinite(delta) and delta > -1.0):
+        raise ValueError(f"delta must be finite and above -1, got {delta}")
+
+
+def _leapfrog(inits: list[EvolutionState], spec: NonlinearSpec, t_final: float, dt: float,
+              record_every: int | None, localization_radius: float | None,
+              reference: tuple[RadialProfile, float] | None,
+              n_free: int) -> tuple[list[EvolutionState], list[EvolutionLedger]]:
+    """Advance B runs on one grid together; row b is the run from ``inits[b]``.
+
+    The fields are stored as X, U of shape (B, 2, n+1): real and imaginary
+    rows of psi and of U = dt * psi_t.  With the dt^2-scaled acceleration
+    A = dt^2 (lap psi - f psi), every step is one drift X += U and one full
+    kick U += A, U holding the velocity at the half step.  At a record step
+    the full kick splits into two half kicks with the record in between,
+    so the ledger and the returned states see the synchronised
+    (psi, psi_t).  Every pass is elementwise along the batch, so each row
+    is bit-identical to the same run advanced alone.  The last ``n_free``
+    rows are free-field runs, so the force is evaluated on the leading
+    slice (a view) of forced rows only.
+    """
+    grid = inits[0].grid
+    n_steps, record_every = step_plan(grid, spec, t_final, dt, record_every)
     if localization_radius is None:
         localization_radius = grid.r_max
 
@@ -210,17 +228,18 @@ def _leapfrog(
     lower = bands[2, :-1].copy()
     lower[-1] = 0.0
     terms = tuple((dt * dt * coef, k) for coef, k in spec.power_terms())
-    free = np.asarray(free, dtype=bool)
+    forced = len(inits) - n_free
+    # diagonal factor diag - f of each row; a free row's f is the constant dt^2 m^2
+    factor = np.empty((len(inits), grid.n + 1))
+    factor[forced:] = diag - dt * dt * spec.mass**2
     A = np.empty_like(X)
     off = np.empty_like(X[..., 1:])
 
     def accelerate() -> np.ndarray:
         """Fill A from X; return the amplitude |psi| of every node of every row."""
         amp = np.sqrt(X[:, 0] ** 2 + X[:, 1] ** 2)
-        f = _power_sum(terms, amp, 1, 1.0)
-        f[free] = dt * dt * spec.mass**2
-        np.subtract(diag, f, out=f)
-        np.multiply(f[:, None], X, out=A)
+        np.subtract(diag, _power_sum(terms, amp[:forced], 1, 1.0), out=factor[:forced])
+        np.multiply(factor[:, None], X, out=A)
         np.multiply(upper, X[..., 1:], out=off)
         A[..., :-1] += off
         np.multiply(lower, X[..., :-1], out=off)
@@ -234,9 +253,9 @@ def _leapfrog(
                 for x, u, init in zip(X, U, inits)]
 
     def record(step: int, amplitude: np.ndarray):
-        for state, ledger, free_field, peak in zip(states(step), ledgers, free, amplitude):
+        for b, (state, ledger, peak) in enumerate(zip(states(step), ledgers, amplitude)):
             ledger.t.append(state.t)
-            ledger.energy.append(field_energy(state, spec, bool(free_field)))
+            ledger.energy.append(field_energy(state, spec, b >= forced))
             ledger.charge.append(field_charge(state))
             ledger.localization.append(localization_fraction(state, localization_radius))
             ledger.distance.append(np.nan if reference is None else manifold_distance(state, *reference))
@@ -265,29 +284,23 @@ def _leapfrog(
     return states(n_steps), ledgers
 
 
-def evolve_nlkg(
-    init: EvolutionState,
-    spec: NonlinearSpec,
-    t_final: float,
-    dt: float,
-    record_every: int | None = None,
-    localization_radius: float | None = None,
-    reference: tuple[RadialProfile, float] | None = None,
-    free_field: bool = False,
-) -> tuple[EvolutionState, EvolutionLedger]:
+def evolve_nlkg(init: EvolutionState, spec: NonlinearSpec, t_final: float, dt: float,
+                record_every: int | None = None, localization_radius: float | None = None,
+                reference: tuple[RadialProfile, float] | None = None,
+                free_field: bool = False) -> tuple[EvolutionState, EvolutionLedger]:
     """Leapfrog the field to t_final, recording conserved quantities.
 
-    ``dt`` must satisfy the leapfrog stability bound ``cfl_margin < 2``,
-    dt < 2 / sqrt(lambda_max(-lap) + m^2), about 0.816 h on this grid
-    because the origin row of the Laplacian carries 6/h^2; ``t_final``
-    must be finite and span at least one step.  The force is the smooth
+    ``step_plan`` checks ``dt``, ``t_final`` and ``record_every``: dt must
+    satisfy the leapfrog stability bound ``cfl_margin < 2``, dt < 2 /
+    sqrt(lambda_max(-lap) + m^2), about 0.816 h on this grid because the
+    origin row of the Laplacian carries 6/h^2.  The force is the smooth
     ratio W'(s)/s times psi, which extends continuously by the squared
     mass at zero amplitude; ``free_field`` replaces it by the bare mass
     term.  Raises BlowUpError if the amplitude grows by six orders of
     magnitude or stops being finite.
     """
     finals, ledgers = _leapfrog([init], spec, t_final, dt, record_every, localization_radius, reference,
-                                [free_field])
+                                int(free_field))
     return finals[0], ledgers[0]
 
 
@@ -306,15 +319,8 @@ class StabilityResult:
     reversal_error: float
 
 
-def stability_experiment(
-    profile: RadialProfile,
-    omega: float,
-    spec: NonlinearSpec,
-    t_final: float,
-    dt: float,
-    delta: float,
-    record_every: int | None = None,
-) -> StabilityResult:
+def stability_experiment(profile: RadialProfile, omega: float, spec: NonlinearSpec, t_final: float,
+                         dt: float, delta: float, record_every: int | None = None) -> StabilityResult:
     """Evolve a standing wave and three controls, and check time reversal.
 
     The runs are the soliton itself (``ledger``), the soliton scaled by
@@ -322,20 +328,21 @@ def stability_experiment(
     height delta at its half-mass radius (``ledger_bump``) and the free
     field from the soliton's data (``ledger_free``); each records its
     distance to the soliton's orbit and the mass outside
-    min(2 * mass_radius, r_max).  The reversal error is the largest
-    deviation from the initial field after evolving the time-reversed
-    final state of the unperturbed run back for t_final.
+    ``soliton_radius``.  ``delta`` must be finite and above -1
+    (``check_delta``).  The reversal error is the largest deviation from
+    the initial field after evolving the time-reversed final state of the
+    unperturbed run back for t_final.
     """
+    check_delta(delta)
     grid = profile.grid
-    radius = min(2.0 * mass_radius(profile), grid.r_max)
+    radius = soliton_radius(profile)
     base = soliton_state(profile, omega)
     bump = delta * np.exp(-((grid.nodes - mass_radius(profile, 0.5)) ** 2))
     bump[-1] = 0.0
     names = ["ledger", "ledger_scaled", "ledger_bump", "ledger_free"]
     starts = [base, EvolutionState(grid, (1.0 + delta) * base.psi, (1.0 + delta) * base.psi_t),
               EvolutionState(grid, base.psi + bump, base.psi_t), base]
-    finals, ledgers = _leapfrog(starts, spec, t_final, dt, record_every, radius, (profile, omega),
-                                [False, False, False, True])
+    finals, ledgers = _leapfrog(starts, spec, t_final, dt, record_every, radius, (profile, omega), 1)
     # only the final state of the reversed run is needed: record its first and last steps alone
     back, _ = evolve_nlkg(time_reversed(finals[0]), spec, t_final, dt,
                           record_every=10**9, localization_radius=radius)

@@ -52,6 +52,11 @@ class GaugePotential:
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
 
+    @property
+    def screen(self) -> np.ndarray:
+        """The factor (1 - q phi)^2 by which the potential screens omega^2 in the matter equation."""
+        return (1.0 - self.coupling * self.values) ** 2
+
 
 def solve_phi(u: RadialProfile, q: float) -> GaugePotential:
     """Solve the screened Poisson subproblem by a direct tridiagonal solve."""
@@ -110,6 +115,17 @@ def screened_mass_two_forms(u: RadialProfile, phi: GaugePotential) -> tuple[floa
     return energy_form, source_form
 
 
+def screened_mass(u: RadialProfile, q: float) -> tuple[float, GaugePotential]:
+    """K(u) in its energy form, and the potential phi_u it is evaluated at.
+
+    The energy form is stationary in phi, so solve noise enters K only at
+    second order; the source form would leak it into finite differences.
+    """
+    phi = solve_phi(u, q)
+    k, _ = screened_mass_two_forms(u, phi)
+    return k, phi
+
+
 @dataclass
 class KgmFunctionals:
     """Scalars of the gauge-coupled reduced problem at one (u, sigma, q)."""
@@ -139,10 +155,7 @@ def kgm_functionals(u: RadialProfile, sigma: float, q: float, spec: NonlinearSpe
     mass2 = u.mass2
     if mass2 <= 0.0:
         raise ValueError("zero profile cannot satisfy a nonzero charge constraint")
-    phi = solve_phi(u, q)
-    # the energy form is stationary in phi, so solve noise enters K only at
-    # second order; the source form would leak it into finite differences
-    k, _ = screened_mass_two_forms(u, phi)
+    k, phi = screened_mass(u, q)
     defect = k - mass2
     m2 = spec.mass**2
     r_int = integrate_radial(u.grid, eval_remainder(spec, u.values, 0))
@@ -169,5 +182,4 @@ def kgm_gradient(u: RadialProfile, sigma: float, q: float, spec: NonlinearSpec) 
     It vanishes exactly on solutions of the coupled stationary system.
     """
     funcs = kgm_functionals(u, sigma, q, spec)
-    return stationary_operator(u.grid, u.values, spec, (sigma / funcs.screened_mass) ** 2,
-                               (1.0 - q * funcs.phi.values) ** 2)
+    return stationary_operator(u.grid, u.values, spec, (sigma / funcs.screened_mass) ** 2, funcs.phi.screen)

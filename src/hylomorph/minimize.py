@@ -14,13 +14,13 @@ stationary-equation residual; every solve reports why it stopped.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Any, Callable
 
 import numpy as np
 
-from .functionals import reduced_energy, reduced_energy_sigma, stationary_operator
-from .gauge import GaugePotential, kgm_functionals, screened_mass_two_forms, solve_phi
+from .functionals import reduced_energy, stationary_operator
+from .gauge import GaugePotential, screened_mass, solve_phi
 from .grid import InvariantError, RadialGrid, RadialProfile, TridiagonalFactor, weighted_norm
 from .model import NonlinearSpec
 
@@ -59,6 +59,7 @@ class SolitonResult:
     omega: float
     phi: GaugePotential | None
     energy: float
+    screened_mass: float           # K: the mass ||u||^2, or K(u) in the gauge-coupled theory
     charge: float                  # the charge parameter sigma
     electric_charge: float         # q * sigma for the gauge-coupled theory
     hylomorphy: float
@@ -89,7 +90,7 @@ def descend(
     weights: np.ndarray,
     pc_solve: Callable[[np.ndarray], np.ndarray],
     opts: SolveOptions,
-) -> tuple[np.ndarray, float, int, str]:
+) -> tuple[np.ndarray, float, int, str, float, Any]:
     """Projected, preconditioned nonlinear conjugate gradients shared by all solvers.
 
     ``energy(u)`` returns the energy and whatever state it computed on the
@@ -97,11 +98,13 @@ def descend(
     work both need (the screened mass and its potential) is done once.
     Inner products and the residual norm use the quadrature ``weights``.
 
-    Returns (u, residual, iterations, termination).  The termination says
-    why the descent stopped: "converged" (the residual test passed),
-    "max_iters" (the budget ran out), "stalled" (neither energy nor
-    residual progressed for 256 iterations) or "line_search_failed" (no
-    trial step along the search direction was accepted).
+    Returns (u, residual, iterations, termination, energy, state), the
+    last two as ``energy(u)`` returned them for the returned u.  The
+    termination says why the descent stopped: "converged" (the residual
+    test passed), "max_iters" (the budget ran out), "stalled" (neither
+    energy nor residual progressed for 256 iterations) or
+    "line_search_failed" (no trial step along the search direction was
+    accepted).
     """
     w = weights.ravel()
 
@@ -130,7 +133,7 @@ def descend(
         g = gradient(u, state)
         residual = np.sqrt(inner(g, g))
         if converged_at(residual, u):
-            return u, residual, it, "converged"
+            return u, residual, it, "converged", e_cur, state
         # stall guard: break only when neither the energy (which pins at
         # float resolution first) nor the residual makes real progress
         if e_cur < e_mark - 1e-13 * max(1.0, abs(e_mark)):
@@ -185,28 +188,37 @@ def descend(
     residual = np.sqrt(inner(g, g))
     if converged_at(residual, u):
         termination = "converged"
-    return u, residual, iterations, termination
+    return u, residual, iterations, termination, e_cur, state
 
 
-def finalize_result(profile: "RadialProfile | AxisymProfile", init: "RadialProfile | AxisymProfile",
-                    spec: NonlinearSpec, sigma: float, energy: float, screened_mass: float,
-                    residual: float, iterations: int, termination: str, *,
-                    phi: GaugePotential | None = None, coupling: float | None = None,
-                    winding: int = 0) -> SolitonResult:
-    """Turn a finished descent into a SolitonResult; shared by every solver.
+def _solve(spec: NonlinearSpec, sigma: float, init: "RadialProfile | AxisymProfile",
+           energy: Callable[[np.ndarray], tuple[float, tuple[float, GaugePotential | None]]],
+           gradient: Callable[[np.ndarray, tuple[float, GaugePotential | None]], np.ndarray],
+           project: Callable[[np.ndarray], np.ndarray], weights: np.ndarray,
+           pc_solve: Callable[[np.ndarray], np.ndarray], opts: SolveOptions | None, *,
+           coupling: float | None = None, winding: int = 0) -> SolitonResult:
+    """The one solve path of every minimizer: descend from ``init`` and build the result.
 
-    Eliminates the frequency omega = -sigma/K, checks the charge
-    constraint, flags a collapse toward zero or a run-off to infinity (a
-    non-finite residual or energy), and certifies the charge only for a
-    converged state whose ratio E_sigma/sigma lies below the mass.
+    ``energy(u)`` returns E_sigma(u) and its state (K, phi), phi being None
+    when ungauged; the result carries both as the descent computed them for
+    the returned profile.  Eliminates omega = -sigma/K, flags a collapse or
+    a run-off to infinity (a non-finite residual or energy), and certifies
+    the charge only for a converged state with E_sigma/sigma below the mass.
     """
+    if not sigma > 0:
+        raise ValueError("sigma must be positive; the zero charge admits only the trivial field")
+    if init.mass2 <= 0.0:
+        raise ValueError("initial profile must not vanish identically")
+    u, residual, iterations, termination, e_sigma, (k, phi) = descend(
+        init.values, energy, gradient, project, weights, pc_solve, opts or SolveOptions())
+    profile = replace(init, values=u)
     q = 1.0 if coupling is None else coupling
-    omega = -sigma / screened_mass
-    if not abs(-q * omega * screened_mass - q * sigma) <= 1e-8 * q * sigma:
+    omega = -sigma / k
+    if not abs(-q * omega * k - q * sigma) <= 1e-8 * q * sigma:
         raise InvariantError("charge constraint broken by omega elimination")
     collapsed = bool(np.max(profile.values) < COLLAPSE_AMPLITUDE_FACTOR * np.max(init.values))
-    diverged = not (np.isfinite(residual) and np.isfinite(energy))
-    hylomorphy = energy / sigma
+    diverged = not (np.isfinite(residual) and np.isfinite(e_sigma))
+    hylomorphy = e_sigma / sigma
     note = ""
     if diverged:
         note = DIVERGED_NOTE
@@ -216,7 +228,7 @@ def finalize_result(profile: "RadialProfile | AxisymProfile", init: "RadialProfi
         note = UNBOUND_NOTE
     converged = termination == "converged" and not collapsed and not diverged
     return SolitonResult(
-        u=profile, omega=omega, phi=phi, energy=energy, charge=sigma,
+        u=profile, omega=omega, phi=phi, energy=e_sigma, screened_mass=k, charge=sigma,
         electric_charge=q * sigma, hylomorphy=hylomorphy, residual=residual,
         iterations=iterations, converged=converged, termination=termination, collapsed=collapsed,
         winding=winding, coupling=coupling, note=note,
@@ -233,64 +245,38 @@ def _radial_project(values: np.ndarray) -> np.ndarray:
 def minimize_nlkg(spec: NonlinearSpec, sigma: float, init: RadialProfile,
                   opts: SolveOptions | None = None) -> SolitonResult:
     """Minimize the reduced energy at charge sigma over nonnegative profiles."""
-    if not sigma > 0:
-        raise ValueError("sigma must be positive; the zero charge admits only the trivial field")
-    if init.mass2 <= 0.0:
-        raise ValueError("initial profile must not vanish identically")
-    opts = opts or SolveOptions()
     grid = init.grid
     vw = grid.volume_weights
 
-    def energy(u: np.ndarray) -> tuple[float, float]:
+    def energy(u: np.ndarray) -> tuple[float, tuple[float, None]]:
         mass2 = float(vw @ (u * u))
-        return reduced_energy(grid, u, spec, sigma, mass2), mass2
+        return reduced_energy(grid, u, spec, sigma, mass2), (mass2, None)
 
-    def gradient(u: np.ndarray, mass2: float) -> np.ndarray:
-        return stationary_operator(grid, u, spec, (sigma / mass2) ** 2)
+    def gradient(u: np.ndarray, state: tuple[float, None]) -> np.ndarray:
+        return stationary_operator(grid, u, spec, (sigma / state[0]) ** 2)
 
-    u, residual, iters, termination = descend(
-        init.values, energy, gradient, _radial_project, vw,
-        radial_preconditioner(grid).solve, opts)
-
-    profile = RadialProfile(grid, u)
-    e_sigma, _ = reduced_energy_sigma(profile, sigma, spec)
-    return finalize_result(profile, init, spec, sigma, e_sigma, profile.mass2,
-                           residual, iters, termination)
+    return _solve(spec, sigma, init, energy, gradient, _radial_project, vw,
+                  radial_preconditioner(grid).solve, opts)
 
 
 def minimize_kgm(spec: NonlinearSpec, sigma: float, q: float, init: RadialProfile,
                  opts: SolveOptions | None = None) -> SolitonResult:
     """Minimize the gauge-coupled reduced energy; the potential is re-solved
     at every energy evaluation and reused by the gradient at that iterate."""
-    if not sigma > 0:
-        raise ValueError("sigma must be positive")
     if not q > 0:
         raise ValueError("coupling q must be positive")
-    if init.mass2 <= 0.0:
-        raise ValueError("initial profile must not vanish identically")
-    opts = opts or SolveOptions()
     grid = init.grid
 
     def energy(u: np.ndarray) -> tuple[float, tuple[float, GaugePotential]]:
-        profile = RadialProfile(grid, u)
-        phi = solve_phi(profile, q)
-        # energy form: stationary in phi, so solve noise does not roughen
-        # the landscape seen by the line search
-        k, _ = screened_mass_two_forms(profile, phi)
+        k, phi = screened_mass(RadialProfile(grid, u), q)
         return reduced_energy(grid, u, spec, sigma, k), (k, phi)
 
     def gradient(u: np.ndarray, state: tuple[float, GaugePotential]) -> np.ndarray:
         k, phi = state
-        return stationary_operator(grid, u, spec, (sigma / k) ** 2, (1.0 - q * phi.values) ** 2)
+        return stationary_operator(grid, u, spec, (sigma / k) ** 2, phi.screen)
 
-    u, residual, iters, termination = descend(
-        init.values, energy, gradient, _radial_project, grid.volume_weights,
-        radial_preconditioner(grid).solve, opts)
-
-    profile = RadialProfile(grid, u)
-    funcs = kgm_functionals(profile, sigma, q, spec)
-    return finalize_result(profile, init, spec, sigma, funcs.reduced_energy, funcs.screened_mass,
-                           residual, iters, termination, phi=funcs.phi, coupling=q)
+    return _solve(spec, sigma, init, energy, gradient, _radial_project, grid.volume_weights,
+                  radial_preconditioner(grid).solve, opts, coupling=q)
 
 
 def residual_stationary(result, spec: NonlinearSpec, kind: str) -> float:
@@ -317,7 +303,7 @@ def residual_stationary(result, spec: NonlinearSpec, kind: str) -> float:
         q = result.coupling
         if q is None:
             raise ValueError("gauge residual needs the coupling stored on the result")
-        screen = (1.0 - q * solve_phi(profile, q).values) ** 2
+        screen = solve_phi(profile, q).screen
     else:
         raise ValueError(f"unknown stationary equation kind {kind!r}")
     grid = profile.grid

@@ -12,14 +12,14 @@ preconditioned descent runs on the (r, z) grid with cylindrical measure
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 from scipy.fft import dst
 
 from .functionals import charge_energy
 from .grid import TridiagonalFactor, trapezoid_weights
-from .minimize import SolitonResult, SolveOptions, descend, finalize_result
+from .minimize import SolitonResult, SolveOptions, _solve
 from .model import NonlinearSpec, eval_nonlinearity
 
 TWO_PI = 2.0 * np.pi
@@ -216,39 +216,33 @@ def _vortex_operator(grid: AxisymGrid, v: np.ndarray, spec: NonlinearSpec, ell: 
                           + (ell**2 * centrifugal_factor(grid) - omega2) * v)
 
 
+def _vortex_energy(grid: AxisymGrid, spec: NonlinearSpec, ell: int, sigma: float,
+                   v: np.ndarray) -> tuple[float, tuple[float, None]]:
+    """E_sigma(v) with the centrifugal term, and its descent state (||v||^2, None)."""
+    mass2 = integrate_axisym(grid, v * v)
+    dirichlet = (axisym_gradient_pairing(grid, v, v)
+                 + integrate_axisym(grid, ell**2 * centrifugal_factor(grid) * v * v))
+    pot = integrate_axisym(grid, eval_nonlinearity(spec, v, 0))
+    return 0.5 * dirichlet + pot + charge_energy(sigma, mass2), (mass2, None)
+
+
 def minimize_vortex(spec: NonlinearSpec, sigma: float, ell: int, init: AxisymProfile,
                     opts: SolveOptions | None = None) -> SolitonResult:
     """Minimize the reduced energy with winding ell over nonnegative profiles."""
     if ell == 0:
         raise ValueError("zero winding is the radial problem; use minimize_nlkg")
-    if not sigma > 0:
-        raise ValueError("sigma must be positive")
-    if init.mass2 <= 0.0:
-        raise ValueError("initial profile must not vanish identically")
-    opts = opts or SolveOptions()
+    if init.winding != ell:
+        raise ValueError(f"initial profile winds {init.winding} times, not ell = {ell}")
     grid = init.grid
-    ell2_over_r2 = ell**2 * centrifugal_factor(grid)
-    preconditioner = AxisymPreconditioner(grid, ell)
 
     def project(v: np.ndarray) -> np.ndarray:
         return _zero_boundary(np.maximum(v, 0.0))
 
-    def energy(v: np.ndarray) -> tuple[float, float]:
-        mass2 = integrate_axisym(grid, v * v)
-        dirichlet = axisym_gradient_pairing(grid, v, v) + integrate_axisym(grid, ell2_over_r2 * v * v)
-        pot = integrate_axisym(grid, eval_nonlinearity(spec, v, 0))
-        return 0.5 * dirichlet + pot + charge_energy(sigma, mass2), mass2
+    def gradient(v: np.ndarray, state: tuple[float, None]) -> np.ndarray:
+        return _vortex_operator(grid, v, spec, ell, (sigma / state[0]) ** 2)
 
-    def gradient(v: np.ndarray, mass2: float) -> np.ndarray:
-        return _vortex_operator(grid, v, spec, ell, (sigma / mass2) ** 2)
-
-    v, residual, iters, termination = descend(
-        init.values, energy, gradient, project, grid.cell_weights, preconditioner.solve, opts)
-
-    profile = AxisymProfile(grid, v, ell)
-    e_sigma, mass2 = energy(profile.values)
-    return finalize_result(profile, init, spec, sigma, e_sigma, mass2, residual, iters, termination,
-                           winding=ell)
+    return _solve(spec, sigma, init, partial(_vortex_energy, grid, spec, ell, sigma), gradient, project,
+                  grid.cell_weights, AxisymPreconditioner(grid, ell).solve, opts, winding=ell)
 
 
 def vortex_residual(profile: AxisymProfile, omega: float, spec: NonlinearSpec) -> float:

@@ -1,6 +1,7 @@
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from hylomorph import cli
 
@@ -241,6 +242,37 @@ def test_stability_command(tmp_path):
     assert list(summary) == expected
     assert float(summary["ledger_free_max_distance"]) > 0.0
     assert float(summary["reversal_error"]) < 1e-8
+
+
+@pytest.mark.parametrize("command, change", [
+    ("evolve", ("t_final = 1.0", "t_final = inf")),
+    ("evolve", ("t_final = 1.0", "t_final = 1.0\ndt = 0.03")),  # above the bound 0.816 h = 0.0255
+    ("evolve", ("t_final = 1.0", "t_final = 1.0\nrecord_every = -1")),
+    ("stability", ("t_final = 1.0", "t_final = inf")),
+    ("stability", ("t_final = 1.0", "t_final = 1.0\ndt = 0.03")),
+    ("stability", ("t_final = 1.0", "t_final = 1.0\nrecord_every = -1")),
+    ("stability", ("t_final = 1.0", "t_final = 1.0\ndelta = -1")),
+    ("stability", ("t_final = 1.0", "t_final = 1.0\ndelta = nan")),
+], ids=["evolve-t_final", "evolve-dt", "evolve-record_every", "stability-t_final", "stability-dt",
+        "stability-record_every", "stability-delta_minus_one", "stability-delta_nan"])
+def test_evolution_inputs_fail_before_the_solve(tmp_path, monkeypatch, command, change):
+    def no_solve(*args, **kwargs):
+        raise RuntimeError("the soliton solve ran before the inputs were checked")
+
+    monkeypatch.setattr(cli.minimize, "minimize_nlkg", no_solve)
+    config = EVOLVE_CFG if command == "evolve" else STABILITY_CFG
+    cfg = write_config(tmp_path, f"{command}.ini", config.replace(*change))
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", str(cfg), "--out", str(out)]) == cli.EXIT_PRECONDITION
+    assert not (out / "summary.txt").exists()
+
+
+def test_radius_factor_is_not_a_config_key(tmp_path):
+    # the localization radius is evolve.soliton_radius, the rule the stability ensemble uses
+    cfg = write_config(tmp_path, "rf.ini", EVOLVE_CFG + "radius_factor = 2.0\n")
+    out = tmp_path / "rf"
+    assert cli.main(["evolve", "--config", str(cfg), "--out", str(out)]) == cli.EXIT_CONFIG == 2
+    assert not out.exists()
 
 
 def test_record_every_below_one_is_a_precondition_failure(tmp_path):

@@ -160,6 +160,13 @@ def test_t_final_must_be_finite_and_span_a_step(grid, ground, t_final):
         stability_experiment(ground.u, ground.omega, SPEC, t_final, grid.h / 2, 0.01)
 
 
+@pytest.mark.parametrize("delta", [-1.0, -2.0, np.inf, np.nan])
+def test_delta_must_be_finite_and_above_minus_one(grid, ground, delta):
+    # delta = -1 scales the soliton to the zero field, whose relative drifts are 0/0
+    with pytest.raises(ValueError, match="delta"):
+        stability_experiment(ground.u, ground.omega, SPEC, 1.0, grid.h / 2, delta)
+
+
 def test_one_step_is_allowed(grid, ground):
     # t_final just above dt/2 rounds to one step; the returned time says so
     final, ledger = evolve_nlkg(soliton_state(ground.u, ground.omega), SPEC, 0.6 * grid.h / 2, grid.h / 2)

@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 from hylomorph.chargewin import TentProfile, construct_for_charge
-from hylomorph.functionals import sigma_window
+from hylomorph.functionals import reduced_energy_sigma, sigma_window
+from hylomorph.gauge import kgm_functionals, solve_phi
 from hylomorph.grid import RadialGrid, RadialProfile, weighted_norm
 from hylomorph.minimize import (DIVERGED_NOTE, SolveOptions, descend, minimize_kgm, minimize_nlkg,
                                 residual_stationary)
@@ -91,13 +92,33 @@ def test_kgm_decoupling_limit(grid, tent_init, ground):
     assert abs(res.energy - ground.energy) < 1e-4 * ground.energy
 
 
-def test_kgm_solve_at_moderate_coupling(grid, tent_init):
-    res = minimize_kgm(SPEC, 650.0, 0.05, tent_init)
+@pytest.fixture(scope="module")
+def gauged(tent_init):
+    return minimize_kgm(SPEC, 650.0, 0.05, tent_init)
+
+
+def test_kgm_solve_at_moderate_coupling(gauged):
+    res = gauged
     assert res.converged
     assert res.electric_charge == pytest.approx(0.05 * 650.0, rel=1e-12)
     assert res.phi is not None
     assert res.phi.values.max() <= 1.0 / 0.05 + 1e-9
     assert residual_stationary(res, SPEC, "kgm") < 1e-6 * (1.0 + np.sqrt(res.u.mass2))
+
+
+def test_each_result_carries_the_state_of_its_own_profile(ground, gauged, tent_init):
+    # the energy, K and phi come from the descent's last accepted iterate and
+    # must equal a fresh evaluation at the returned profile; the one-iteration
+    # solves reject their first trial step, so a state kept from it would show
+    one_step = SolveOptions(max_iters=1)
+    for res in (ground, minimize_nlkg(SPEC, ground.charge, tent_init, one_step)):
+        energy, omega = reduced_energy_sigma(res.u, res.charge, SPEC)
+        assert (res.energy, res.omega, res.screened_mass, res.phi) == (energy, omega, res.u.mass2, None)
+    for res in (gauged, minimize_kgm(SPEC, gauged.charge, gauged.coupling, tent_init, one_step)):
+        fresh = kgm_functionals(res.u, res.charge, res.coupling, SPEC)
+        assert (res.energy, res.omega, res.screened_mass) == (fresh.reduced_energy, fresh.omega,
+                                                              fresh.screened_mass)
+        assert np.array_equal(res.phi.values, solve_phi(res.u, res.coupling).values)
 
 
 def test_residual_kind_validation(ground):
@@ -168,9 +189,9 @@ def test_descend_rejects_a_trial_of_minus_infinite_energy():
     def energy(u):
         return (-np.inf if u.max() > 1.5 else 0.5 * float(np.sum((u - 2.0) ** 2))), None
 
-    u, _, _, _ = descend(np.zeros(8), energy, lambda u, _: u - 2.0, lambda u: u, np.ones(8),
-                         lambda g: g, SolveOptions(max_iters=20))
-    assert np.isfinite(energy(u)[0])
+    u, _, _, _, e, _ = descend(np.zeros(8), energy, lambda u, _: u - 2.0, lambda u: u, np.ones(8),
+                               lambda g: g, SolveOptions(max_iters=20))
+    assert np.isfinite(e) and e == energy(u)[0]
 
 
 def test_runaway_descent_is_reported_as_diverged():
@@ -197,17 +218,17 @@ def _quadratic_gradient(u, _):
     (SolveOptions(), np.zeros_like, "line_search_failed"),  # every trial projects back onto u
 ])
 def test_descend_reports_why_it_stopped(opts, project, termination):
-    _, _, _, reason = descend(np.zeros(8), _quadratic_energy, _quadratic_gradient, project,
-                              np.ones(8), lambda g: 0.1 * g, opts)
+    _, _, _, reason, _, _ = descend(np.zeros(8), _quadratic_energy, _quadratic_gradient, project,
+                                    np.ones(8), lambda g: 0.1 * g, opts)
     assert reason == termination
 
 
 def test_descend_reports_a_stall():
     # a flat energy with a small constant gradient: every trial passes the
     # Armijo test inside float noise, yet neither energy nor residual moves
-    _, _, iterations, reason = descend(np.zeros(8), lambda u: (1e6, None), lambda u, _: np.full(8, 1e-6),
-                                       lambda u: u, np.ones(8), lambda g: g,
-                                       SolveOptions(tol=1e-30, max_iters=1000))
+    _, _, iterations, reason, _, _ = descend(np.zeros(8), lambda u: (1e6, None),
+                                             lambda u, _: np.full(8, 1e-6), lambda u: u, np.ones(8),
+                                             lambda g: g, SolveOptions(tol=1e-30, max_iters=1000))
     assert reason == "stalled"
     assert iterations < 1000
 

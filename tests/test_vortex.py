@@ -13,6 +13,7 @@ from hylomorph.vortex import (
     torus_bump,
     vortex_observables,
     vortex_residual,
+    _vortex_energy,
 )
 
 SPEC = NonlinearSpec.double_well()
@@ -73,6 +74,12 @@ def test_zero_winding_rejected(grid):
     init = torus_bump(grid, 1.0, 4.0, 1.5, winding=1)
     with pytest.raises(ValueError):
         minimize_vortex(SPEC, 200.0, 0, init)
+
+
+def test_initial_winding_must_be_ell(grid):
+    # the result's profile is the initial one with new values, so it keeps its winding
+    with pytest.raises(ValueError, match="winds"):
+        minimize_vortex(SPEC, 200.0, 1, torus_bump(grid, 1.0, 4.0, 1.5, winding=-1))
 
 
 def test_energy_dominates_radial_ground_state(solved):
@@ -165,3 +172,15 @@ def test_trial_that_annihilates_the_profile_is_rejected():
     res = minimize_vortex(SPEC, 1.0, 1, init, SolveOptions(max_iters=500))
     assert np.isfinite(res.energy)
     assert res.u.values.max() > 0.0
+
+
+def test_result_carries_the_state_of_its_own_profile(solved):
+    # the one-iteration solve rejects its first trial step, so a state kept from it would show
+    one_step = minimize_vortex(SPEC, 200.0, 1, torus_bump(SMALL, 1.0, 4.0, 1.5, winding=1),
+                               SolveOptions(max_iters=1))
+    for res in (solved, one_step):
+        energy, (mass2, phi) = _vortex_energy(res.u.grid, SPEC, res.winding, res.charge, res.u.values)
+        assert res.energy == energy
+        assert res.screened_mass == mass2 == res.u.mass2
+        assert res.omega == -res.charge / mass2
+        assert res.phi is phi is None
