@@ -148,13 +148,19 @@ class KgmFunctionals:
         return self.reduced_energy / self.sigma
 
 
-def kgm_functionals(u: RadialProfile, sigma: float, q: float, spec: NonlinearSpec) -> KgmFunctionals:
-    """Solve for phi_u and evaluate the reduced scalars at fixed charge."""
+def _charged_mass2(u: RadialProfile, sigma: float) -> float:
+    """||u||^2 once sigma and u admit a nonzero charge constraint."""
     if not sigma > 0:
         raise ValueError("the charge parameter sigma must be positive")
     mass2 = u.mass2
     if mass2 <= 0.0:
         raise ValueError("zero profile cannot satisfy a nonzero charge constraint")
+    return mass2
+
+
+def kgm_functionals(u: RadialProfile, sigma: float, q: float, spec: NonlinearSpec) -> KgmFunctionals:
+    """Solve for phi_u and evaluate the reduced scalars at fixed charge."""
+    mass2 = _charged_mass2(u, sigma)
     k, phi = screened_mass(u, q)
     defect = k - mass2
     m2 = spec.mass**2
@@ -181,5 +187,6 @@ def kgm_gradient(u: RadialProfile, sigma: float, q: float, spec: NonlinearSpec) 
     -lap u + W'(u) - omega^2 (1 - q phi_u)^2 u with omega = -sigma/K.
     It vanishes exactly on solutions of the coupled stationary system.
     """
-    funcs = kgm_functionals(u, sigma, q, spec)
-    return stationary_operator(u.grid, u.values, spec, (sigma / funcs.screened_mass) ** 2, funcs.phi.screen)
+    _charged_mass2(u, sigma)
+    k, phi = screened_mass(u, q)
+    return stationary_operator(u.grid, u.values, spec, (sigma / k) ** 2, phi.screen)

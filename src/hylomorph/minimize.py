@@ -184,10 +184,14 @@ def descend(
         if not accepted:
             termination = "line_search_failed"
             break
-    g = gradient(u, state)
-    residual = np.sqrt(inner(g, g))
-    if converged_at(residual, u):
-        termination = "converged"
+    if termination == "max_iters":
+        # only a spent budget leaves u moved since its last gradient (or
+        # without one, at max_iters = 0); a stall or a failed line search
+        # stopped at the u whose residual is already known
+        g = gradient(u, state)
+        residual = np.sqrt(inner(g, g))
+        if converged_at(residual, u):
+            termination = "converged"
     return u, residual, iterations, termination, e_cur, state
 
 

@@ -9,16 +9,17 @@ profiles used by the charge-window machinery.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CubicHermiteSpline
 
 from .grid import RadialGrid, RadialProfile
 from .model import NonlinearSpec, eval_nonlinearity
 
-H_ODE = 1e-3
+RTOL = 1e-12  # DOP853 relative tolerance; it rejects 10 eps and below
+ATOL = 1e-16  # absolute floor, far below the event amplitudes of about 1e-8
+R_START = 1e-3  # radius of the regular series start
 BRACKET_TOL = 1e-12
 N_SCAN = 60  # central amplitudes scanned for the first bracket
 
@@ -38,10 +39,10 @@ class ShootResult:
 
 
 def _accel(spec: NonlinearSpec, omega: float):
-    """u'' = W'(u) - omega^2 u - (2/r) u' as one scalar closure for the RK4 loop.
+    """u'' = W'(u) - omega^2 u - (2/r) u' as one scalar closure.
 
-    Odd extension in the amplitude: RK4 stages may probe slightly past a
-    zero crossing, where the force is W'(|u|) sign(u).
+    Odd extension in the amplitude: the integrator's stages may probe
+    slightly past a zero crossing, where the force is W'(|u|) sign(u).
     """
     m2 = spec.mass**2
     om2 = omega * omega
@@ -58,52 +59,91 @@ def _accel(spec: NonlinearSpec, omega: float):
     return accel
 
 
+def _hermite_zero(r0: float, p0: float, m0: float, r1: float, p1: float, m1: float) -> float:
+    """Radius in [r0, r1] where the cubic Hermite through (p, p') at both
+    ends falls from p0 > 0 to zero; p1 <= 0.  Bisection to float resolution
+    keeps the radius continuous in the end data."""
+    if not p0 > 0.0:
+        return r0
+    h = r1 - r0
+    a0, b0, a1, b1 = p0, h * m0, p1, h * m1
+    lo, hi = 0.0, 1.0
+    for _ in range(53):
+        t = 0.5 * (lo + hi)
+        s = 1.0 - t
+        # factored Hermite basis: s^2 (1 + 2t), t s^2, t^2 (3 - 2t), -t^2 s
+        p = s * s * ((1.0 + 2.0 * t) * a0 + t * b0) + t * t * ((3.0 - 2.0 * t) * a1 - s * b1)
+        if p > 0.0:
+            lo = t
+        else:
+            hi = t
+    return r0 + hi * h
+
+
 def _integrate(spec: NonlinearSpec, omega: float, u0: float, r_stop: float,
-               keep_trace: bool = False):
-    """Fixed-step RK4 from the regular series start; classify the outcome.
+               nodes: Sequence[float] = ()):
+    """DOP853 from the regular series start; classify the outcome.
 
-    Events: the amplitude crossing zero is an overshoot, a turning point
+    Events: the amplitude reaching zero is an overshoot, a turning point
     with positive amplitude (including the plateau case) an undershoot.
-    Returns (outcome, r_event, trace | None).
+    The integrator reports only step ends, so the first step end past an
+    event stops the run and the event radius is the zero, inside that
+    step, of the cubic Hermite through (u, u') (overshoot) or (u', u'')
+    (undershoot) at its ends: it then moves continuously with u0.
+    The run also stops on each of the ascending ``nodes`` before the event
+    and r_stop, and samples (u, u') there.
+    Returns (outcome, r_event, (u, u') at the leading nodes).
     """
-    accel = _accel(spec, omega)
-    h = H_ODE
-    hh = 0.5 * h
+    # imported on first use: at module level it would slow every package import
+    from scipy.integrate import ode
 
-    f0 = accel(u0, 0.0, h)  # v = 0 at the origin
-    r = h
-    u = u0 + f0 * h * h / 6.0
-    v = f0 * h / 3.0
-    rs = [0.0, r]
-    us = [u0, u]
-    vs = [0.0, v]
-    outcome = UNDERSHOOT
-    r_event = r_stop
-    while r < r_stop:
-        k1v = accel(u, v, r)
-        k2u = v + hh * k1v
-        k2v = accel(u + hh * v, k2u, r + hh)
-        k3u = v + hh * k2v
-        k3v = accel(u + hh * k2u, k3u, r + hh)
-        k4u = v + h * k3v
-        k4v = accel(u + h * k3u, k4u, r + h)
-        u += h * (v + 2.0 * k2u + 2.0 * k3u + k4u) / 6.0
-        v += h * (k1v + 2.0 * k2v + 2.0 * k3v + k4v) / 6.0
-        r += h
-        if keep_trace:
-            rs.append(r)
-            us.append(u)
-            vs.append(v)
+    accel = _accel(spec, omega)
+    f0 = accel(u0, 0.0, R_START)  # v = 0 at the origin
+
+    def series(r: float) -> tuple[float, float]:
+        return u0 + f0 * r * r / 6.0, f0 * r / 3.0
+
+    def rhs(r: float, y: np.ndarray) -> tuple[float, float]:
+        u, v = y.tolist()
+        return v, accel(u, v, r)
+
+    start = series(R_START)
+    last = [R_START, *start]
+    event: list = []
+
+    def stopped(r: float, u: float, v: float) -> bool:
+        """Record the first event; false while the trajectory still falls."""
+        if u > 0.0 and v < 0.0:
+            last[:] = r, u, v
+            return False
+        r0, u_0, v_0 = last
         if u <= 0.0:
-            outcome = OVERSHOOT
-            r_event = r
+            event[:] = OVERSHOOT, _hermite_zero(r0, u_0, v_0, r, u, v)
+        else:
+            event[:] = UNDERSHOOT, _hermite_zero(r0, -v_0, -accel(u_0, v_0, r0),
+                                                 r, -v, -accel(u, v, r))
+        return True
+
+    # a run to r_stop takes a few hundred steps; the default budget is 500
+    solver = ode(rhs).set_integrator("dop853", rtol=RTOL, atol=ATOL, nsteps=100_000)
+    solver.set_solout(lambda r, y: -1 if stopped(r, *y.tolist()) else 0)
+    solver.set_initial_value(start, R_START)
+    # DOP853 reports a stop at its first call, on the start itself, as a
+    # failure, so a start that is already an event never reaches it
+    stopped(R_START, *start)
+    samples = []
+    for r in nodes:
+        if event or r > r_stop:
             break
-        if v >= 0.0:
-            outcome = UNDERSHOOT
-            r_event = r
-            break
-    trace = (np.array(rs), np.array(us), np.array(vs)) if keep_trace else None
-    return outcome, r_event, trace
+        y = solver.integrate(r).tolist() if r > R_START else series(r)
+        if not event:
+            samples.append(y)
+    if not event and solver.t < r_stop:
+        solver.integrate(r_stop)
+    if not solver.successful():
+        raise RuntimeError(f"DOP853 failed with return code {solver.get_return_code()}")
+    outcome, r_event = event or (UNDERSHOOT, r_stop)
+    return outcome, r_event, np.array(samples).reshape(-1, 2).T
 
 
 def _bracketed_root(miss: Callable[[float], float], lo: float, m_lo: float,
@@ -159,9 +199,11 @@ def shoot_ground_state(spec: NonlinearSpec, omega: float, grid: RadialGrid | Non
     Brent-Dekker root of the miss signal +-exp(-2 kappa r_event), which is
     close to linear in the central amplitude near the ground state; the
     lower end always undershoots and the upper end always overshoots.
-    Beyond the radius where the integrated trajectory stops tracking the
-    decaying solution, the profile continues with the exact linear far
-    field A e^{-kappa r} / r, kappa = sqrt(m^2 - omega^2).
+    The default grid spans the integration horizon max(40, 25/kappa),
+    kappa = sqrt(m^2 - omega^2), with 4096 cells, so it depends on kappa
+    alone.  Beyond the node where the integrated trajectory stops tracking
+    the decaying solution, the profile continues with the exact linear far
+    field A e^{-kappa r} / r.
     """
     m2 = spec.mass**2
     if not omega**2 < m2:
@@ -198,21 +240,18 @@ def shoot_ground_state(spec: NonlinearSpec, omega: float, grid: RadialGrid | Non
     lo, hi = _bracketed_root(miss, *prev, c, m)
     u0 = 0.5 * (lo + hi)
 
-    _, r_event, (rs, us, vs) = _integrate(spec, omega, u0, r_stop, keep_trace=True)
-    r_graft, amp = _graft_point(rs, us, kappa, u0)
-
     if grid is None:
-        r_max = max(2.0 * r_graft, 12.0 / kappa)
-        grid = RadialGrid(float(np.ceil(r_max)), 4096)
+        grid = RadialGrid(r_stop, 4096)
     nodes = grid.nodes
+    # the integrator stops on each node, so the core needs no interpolation
+    _, r_event, (us, vs) = _integrate(spec, omega, u0, r_stop, nodes)
+    idx = _graft_point(nodes[:us.size], us, vs, kappa, u0)
+    r_graft = float(nodes[idx])
+    amp = float(us[idx] * r_graft * np.exp(kappa * r_graft))
     vals = np.empty_like(nodes)
-    core = nodes <= r_graft
-    # C1 piecewise-cubic interpolation: linear interpolation would put
-    # grid-scale kinks under the discrete Laplacian
-    spline = CubicHermiteSpline(rs, us, vs)
-    vals[core] = spline(nodes[core])
-    tail = ~core
-    vals[tail] = amp * np.exp(-kappa * nodes[tail]) / nodes[tail]
+    vals[:idx + 1] = us[:idx + 1]
+    tail = nodes[idx + 1:]
+    vals[idx + 1:] = amp * np.exp(-kappa * tail) / tail
     vals[-1] = 0.0
     vals = np.maximum(vals, 0.0)
 
@@ -239,25 +278,22 @@ def _amplitude_scan_limit(spec: NonlinearSpec, omega: float) -> float:
     return float(ss[above[0]] * 1.5) if above.size else float(ss[-1])
 
 
-def _graft_point(rs: np.ndarray, us: np.ndarray, kappa: float, u0: float) -> tuple[float, float]:
-    """Radius where the trace is grafted onto the linear far field.
+def _graft_point(rs: np.ndarray, us: np.ndarray, vs: np.ndarray, kappa: float, u0: float) -> int:
+    """Index of the node where the trace is grafted onto the linear far field.
 
-    Uses the last radius where the logarithmic derivative matches
+    Uses the last radius where the logarithmic derivative u'/u matches
     -kappa - 1/r within 2 percent, never past the point where the
     trajectory dips below 1e-7 of the central amplitude.
     """
     with np.errstate(divide="ignore", invalid="ignore"):
-        logder = np.gradient(np.log(np.maximum(us, 1e-300)), rs)
+        logder = vs / us
     target = -kappa - 1.0 / np.maximum(rs, 1e-12)
     ok = np.abs(logder - target) < 0.02 * kappa
     ok &= us > 0
     ok &= us < 0.5 * u0
     ok &= us >= 1e-7 * u0
     hits = np.flatnonzero(ok)
-    idx = int(hits[-1]) if hits.size else int(np.argmin(np.abs(us - 1e-5 * u0)))
-    r_graft = float(rs[idx])
-    amp = float(us[idx] * rs[idx] * np.exp(kappa * rs[idx]))
-    return r_graft, amp
+    return int(hits[-1]) if hits.size else int(np.argmin(np.abs(us - 1e-5 * u0)))
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from hylomorph.chargewin import TentProfile
-from hylomorph.functionals import nlkg_deficiency, reduced_energy_sigma
+from hylomorph.functionals import nlkg_deficiency, reduced_energy_sigma, stationary_operator
 from hylomorph.gauge import kgm_functionals, kgm_gradient, screened_mass_two_forms, solve_phi
 from hylomorph.grid import RadialGrid, RadialProfile, integrate_radial
 from hylomorph.model import NonlinearSpec, eval_nonlinearity
@@ -114,6 +114,16 @@ def test_gradient_matches_finite_differences():
         assert abs(fd - an) < 1e-5 * max(1.0, abs(an))
 
 
+def test_gradient_is_the_bundle_expression(tent11):
+    # the gradient needs only K and phi; it must equal the expression built
+    # from the whole kgm_functionals bundle bit for bit
+    sigma, q = 150.0, 0.7
+    funcs = kgm_functionals(tent11, sigma, q, SPEC)
+    bundle = stationary_operator(tent11.grid, tent11.values, SPEC,
+                                 (sigma / funcs.screened_mass) ** 2, funcs.phi.screen)
+    assert np.array_equal(kgm_gradient(tent11, sigma, q, SPEC), bundle)
+
+
 def test_gradient_decoupling_limit():
     from hylomorph.functionals import nlkg_first_variation
 
@@ -137,3 +147,7 @@ def test_preconditions():
     tent = TentProfile(1.0, 1.0).realize(grid)
     with pytest.raises(ValueError):
         kgm_functionals(tent, -1.0, 1.0, SPEC)
+    with pytest.raises(ValueError):
+        kgm_gradient(u, 1.0, 1.0, SPEC)
+    with pytest.raises(ValueError):
+        kgm_gradient(tent, -1.0, 1.0, SPEC)

@@ -4,6 +4,7 @@ import sys
 import textwrap
 import warnings
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -223,14 +224,52 @@ def test_descend_reports_why_it_stopped(opts, project, termination):
     assert reason == termination
 
 
+def _counted(gradient):
+    calls = []
+
+    def counted(u, state):
+        calls.append(u.copy())
+        return gradient(u, state)
+
+    return counted, calls
+
+
 def test_descend_reports_a_stall():
     # a flat energy with a small constant gradient: every trial passes the
     # Armijo test inside float noise, yet neither energy nor residual moves
-    _, _, iterations, reason, _, _ = descend(np.zeros(8), lambda u: (1e6, None),
-                                             lambda u, _: np.full(8, 1e-6), lambda u: u, np.ones(8),
+    gradient, calls = _counted(lambda u, _: np.full(8, 1e-6))
+    _, _, iterations, reason, _, _ = descend(np.zeros(8), lambda u: (1e6, None), gradient,
+                                             lambda u: u, np.ones(8),
                                              lambda g: g, SolveOptions(tol=1e-30, max_iters=1000))
     assert reason == "stalled"
     assert iterations < 1000
+    # one gradient per iterate 0..iterations: the stall leaves u where its
+    # gradient was last taken, so none is evaluated after the loop
+    assert len(calls) == iterations + 1 == 258
+
+
+def test_failed_line_search_takes_one_gradient():
+    gradient, calls = _counted(_quadratic_gradient)
+    _, residual, _, reason, _, _ = descend(np.zeros(8), _quadratic_energy, gradient, np.zeros_like,
+                                           np.ones(8), lambda g: 0.1 * g, SolveOptions())
+    assert reason == "line_search_failed"
+    assert len(calls) == 1
+    assert residual == pytest.approx(np.sqrt(8 * 4.0), rel=1e-15)
+
+
+@pytest.mark.parametrize("max_iters, evaluations", [(0, 1), (1, 2), (3, 4)])
+def test_spent_budget_takes_a_final_gradient(max_iters, evaluations):
+    # a max_iters exit has moved u since its last gradient (or never took
+    # one), so the returned residual belongs to the returned u; SolveOptions
+    # rejects max_iters = 0, descend reads only the two fields
+    gradient, calls = _counted(_quadratic_gradient)
+    opts = SimpleNamespace(tol=1e-30, max_iters=max_iters)
+    u, residual, _, reason, _, _ = descend(np.zeros(8), _quadratic_energy, gradient, lambda u: u,
+                                           np.ones(8), lambda g: 0.1 * g, opts)
+    assert reason == "max_iters"
+    assert len(calls) == evaluations
+    assert np.array_equal(calls[-1], u)
+    assert residual == pytest.approx(np.sqrt(float(np.sum((u - 2.0) ** 2))), rel=1e-14)
 
 
 def test_result_carries_the_termination(ground, tent_init):

@@ -53,6 +53,19 @@ def shot():
     return shoot_ground_state(SPEC, 0.5)
 
 
+@pytest.fixture(scope="module")
+def tolerance_pairs():
+    """Shots at the production tolerances and at 100x tighter ones."""
+    pairs = {}
+    for omega in (0.5, 0.9):
+        production = shoot_ground_state(SPEC, omega)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(oracle, "RTOL", oracle.RTOL / 100.0)
+            mp.setattr(oracle, "ATOL", oracle.ATOL / 100.0)
+            pairs[omega] = production, shoot_ground_state(SPEC, omega)
+    return pairs
+
+
 class TestShooting:
 
     def test_converged_with_tight_bracket(self, shot):
@@ -108,6 +121,33 @@ class TestShooting:
         shoot_ground_state(SPEC, 0.5)
         # bisection after a full 60-candidate scan made 96
         assert len(calls) <= 40
+
+    @pytest.mark.parametrize("omega", [0.5, 0.7, 0.9])
+    def test_default_grid_depends_on_kappa_alone(self, omega):
+        kappa = math.sqrt(1.0 - omega**2)
+        grid = shoot_ground_state(SPEC, omega).profile.grid
+        assert grid == RadialGrid(max(40.0, 25.0 / kappa), 4096)
+
+    @pytest.mark.parametrize("omega", [0.5, 0.9])
+    def test_tolerance_resolves_the_bracket(self, tolerance_pairs, omega):
+        # the integration error in u0 stays below the bracket width, and a
+        # shift of u0 at that level leaves the default grid where it was
+        production, tight = tolerance_pairs[omega]
+        assert production.u0 != tight.u0
+        assert abs(production.u0 - tight.u0) < BRACKET_TOL
+        assert production.profile.grid == tight.profile.grid
+
+    @pytest.mark.parametrize("omega", [0.5, 0.9])
+    def test_event_radius_monotone_next_to_the_bracket(self, omega):
+        # the event radius, located inside the integrator's last step, falls
+        # strictly as the start moves away from the ground state on either
+        # side; events taken at step ends would repeat or jump back
+        lo, hi = shoot_ground_state(SPEC, omega).bracket
+        offsets = 1e-11 * np.arange(1, 41)
+        for starts, outcome in ((hi + offsets, OVERSHOOT), (lo - offsets, UNDERSHOOT)):
+            runs = [oracle._integrate(SPEC, omega, float(u0), 100.0) for u0 in starts]
+            assert {run[0] for run in runs} == {outcome}
+            assert np.all(np.diff([run[1] for run in runs]) < 0.0)
 
     @pytest.mark.parametrize("omega", [0.5, 0.8])
     def test_non_integer_powers(self, omega):

@@ -1,6 +1,9 @@
 """Structure of the sources: decisions that must stay behind one call site."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "hylomorph"
@@ -38,3 +41,36 @@ def test_lapack_tridiagonal_calls_live_in_grid():
                     or (isinstance(node, ast.Attribute) and node.attr == name)
                     or (isinstance(node, ast.alias) and node.name == name)}
         assert mentions == {"grid"}, name
+
+
+def _dotted(node: ast.AST) -> str | None:
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        base = _dotted(node.value)
+        return f"{base}.{node.attr}" if base else None
+    return None
+
+
+def test_scipy_integrate_lives_in_the_oracle():
+    # the shooting oracle is the one ODE integrator; no other module loads it
+    mentions = set()
+    for module, tree in _modules():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                names = [node.module or ""] + [f"{node.module}.{a.name}" for a in node.names]
+            elif isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            else:
+                names = [_dotted(node) or ""]
+            if any(n == "scipy.integrate" or n.startswith("scipy.integrate.") for n in names):
+                mentions.add(module)
+    assert mentions == {"oracle"}
+
+
+def test_package_import_leaves_scipy_integrate_unloaded():
+    # the oracle imports it on first use, so no CLI start pays for it
+    code = "import sys, hylomorph, hylomorph.cli; print('scipy.integrate' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
