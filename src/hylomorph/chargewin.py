@@ -195,14 +195,11 @@ def verify_tent_witness(spec: NonlinearSpec, s1: float, r: float, h: float, q: f
     mass2 = u.mass2
     defect_ok = funcs.mass_defect >= (h**2 - 1.0) * mass2 * (1.0 + 1e-9)
 
-    rho = np.linspace(1e-6, r + 1.0 - 1e-6, 512)
+    # the comparison term is rho^2 on the plateau and (r + 1 - rho)^2 rho^2 on the
+    # ramp; its peak is r^2 for r >= 1 and ((r + 1)/2)^4, inside the ramp, below
+    peak = r**2 if r >= 1.0 else ((r + 1.0) / 2.0) ** 4
     base = SOBOLEV_C3 * (4.0 * np.pi / 3.0) ** (1.0 / 3.0) * (1.0 - h) ** 2 / q**2
-    slope = np.where(
-        rho < r,
-        base - 4.0 * np.pi * h**2 * s1**2 * rho**2,
-        base - 4.0 * np.pi * h**2 * s1**2 * (r + 1.0 - rho) ** 2 * rho**2,
-    )
-    slope_ok = bool(np.min(slope) > 0.0)
+    slope_ok = bool(base - 4.0 * np.pi * h**2 * s1**2 * peak > 0.0)
 
     deficiency_ok = funcs.deficiency < 0.0
 
@@ -249,8 +246,8 @@ def construct_for_charge(spec: NonlinearSpec, charge_target: float, r_cap: float
     verified charge q m K reaches the target (charge grows like r^2, so
     the loop terminates).
     """
-    if not charge_target > 0:
-        raise ValueError("charge target must be positive")
+    if not 0.0 < charge_target < np.inf:
+        raise ValueError(f"charge target must be positive and finite, got {charge_target!r}")
     m2 = spec.mass**2
 
     s1, lam = find_binding_amplitude(spec)

@@ -42,7 +42,7 @@ _SCHEMA: dict[str, dict[str, object]] = {
     "nonlinearity": {"family": "double_well", "mass": 1.0, "params": "1.0"},
     "grid": {"r_max": 24.0, "n": 2048, "z_max": 12.0, "n_z": 256},
     "solver": {"tol": 1e-6, "max_iters": 50_000},
-    "validate": {"s_max": 3.0, "n_samples": 1000},
+    "validate": {"s_max": 3.0},
     "window": {"q": 0.0, "s1_values": "0.8,0.9,1.0,1.1,1.2", "r_values": "2,3,4,5,6,7,8,10"},
     "solve": {"sigma": 300.0, "q": 1.0, "ell": 1, "init_s1": 1.0, "init_r": 5.0,
               "torus_r0": 4.0, "torus_width": 1.5, "torus_amplitude": 1.0},
@@ -172,10 +172,7 @@ def _solver_opts(cfg: RunConfig) -> minimize.SolveOptions:
 
 
 def _tent_init(cfg: RunConfig, grid: RadialGrid) -> RadialProfile:
-    tent = chargewin.TentProfile(cfg.get("solve", "init_s1"), cfg.get("solve", "init_r"))
-    if grid.r_max < tent.r + 1.0:
-        raise ValueError("grid truncates inside the initial tent; enlarge r_max")
-    return tent.realize(grid)
+    return chargewin.TentProfile(cfg.get("solve", "init_s1"), cfg.get("solve", "init_r")).realize(grid)
 
 
 def _result_scalars(res: minimize.SolitonResult) -> dict[str, object]:
@@ -197,8 +194,7 @@ def _result_scalars(res: minimize.SolitonResult) -> dict[str, object]:
 
 def _run_validate(cfg: RunConfig) -> dict[str, object]:
     spec = _nonlinearity(cfg)
-    report = model.validate_assumptions(spec, cfg.get("validate", "s_max"),
-                                        cfg.get("validate", "n_samples"))
+    report = model.validate_assumptions(spec, cfg.get("validate", "s_max"))
     crit = model.classify_charge_criteria(spec)
     out = {
         "mass_normalization": report.mass_normalization,
@@ -411,7 +407,6 @@ def main(argv: list[str] | None = None) -> int:
     except (RuntimeError, evolve.BlowUpError) as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_NOCONVERGE
-    return EXIT_OK
 
 
 if __name__ == "__main__":

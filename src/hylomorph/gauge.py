@@ -98,21 +98,20 @@ def solve_phi(u: RadialProfile, q: float) -> GaugePotential:
     return GaugePotential(grid, np.clip(phi, 0.0, 1.0 / q), q)
 
 
-def screened_mass_two_forms(u: RadialProfile, phi: GaugePotential) -> tuple[float, float]:
-    """K evaluated as field energy and as screened source; equal at the solution.
-
-    The energy form includes the exterior tail 4 pi R phi(R)^2 of the A/r
-    continuation implied by the Robin closure.
-    """
+def _energy_form(u: RadialProfile, phi: GaugePotential) -> float:
+    """K as field energy, including the exterior tail 4 pi R phi(R)^2 of the
+    A/r continuation implied by the Robin closure."""
     grid = u.grid
-    q = phi.coupling
     p = phi.values
     grad_part = gradient_sq_integral(grid, p)
     tail = FOUR_PI * grid.r_max * p[-1] ** 2
-    mass_part = integrate_radial(grid, (q * p - 1.0) ** 2 * u.values**2)
-    energy_form = grad_part + tail + mass_part
-    source_form = integrate_radial(grid, (1.0 - q * p) * u.values**2)
-    return energy_form, source_form
+    mass_part = integrate_radial(grid, (phi.coupling * p - 1.0) ** 2 * u.values**2)
+    return grad_part + tail + mass_part
+
+
+def screened_mass_two_forms(u: RadialProfile, phi: GaugePotential) -> tuple[float, float]:
+    """K evaluated as field energy and as screened source; equal at the solution."""
+    return _energy_form(u, phi), integrate_radial(u.grid, (1.0 - phi.coupling * phi.values) * u.values**2)
 
 
 def screened_mass(u: RadialProfile, q: float) -> tuple[float, GaugePotential]:
@@ -122,8 +121,7 @@ def screened_mass(u: RadialProfile, q: float) -> tuple[float, GaugePotential]:
     second order; the source form would leak it into finite differences.
     """
     phi = solve_phi(u, q)
-    k, _ = screened_mass_two_forms(u, phi)
-    return k, phi
+    return _energy_form(u, phi), phi
 
 
 @dataclass

@@ -8,17 +8,23 @@ Two parametric families are shipped:
 * ``power_deficit``: R(s) = -(a/p) s^p + (b/q) s^q with 2 < p < q < 6,
   the classic subcritical two-power remainder.
 
-The validation report samples the standard structural conditions (zero-point
-normalization, nonnegativity, a binding amplitude, subcritical growth of
-R'').  Sampled checks are not proofs and are labeled as such.
+Both remainders are two power terms R(s) = c_p s^p + c_q s^q with
+c_p < 0 <= c_q and 2 < p < q, which ``NonlinearSpec`` enforces.  The
+binding level W(s)/(s^2/2) = m^2 + 2 c_p s^(p-2) + 2 c_q s^(q-2) therefore
+falls from m^2 and turns up at most once, so the structural checks
+(zero-point normalization, nonnegativity, a binding amplitude,
+subcritical growth of R'') and the charge criteria are exact for both
+families: they are read from the two terms, not sampled.  The one
+numeric step is the zero of W below the deepest level, a bracketed root.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq, minimize_scalar
+from scipy.optimize import brentq
 
 FAMILIES = ("double_well", "power_deficit")
 
@@ -50,6 +56,9 @@ class NonlinearSpec:
                 raise ValueError("power_deficit needs a > 0 and b >= 0")
             if not (2.0 < p < q < 6.0):
                 raise ValueError("power_deficit exponents must satisfy 2 < p < q < 6")
+        (c_p, _), (c_q, _) = self.remainder_powers()
+        if not -np.inf < c_p < 0.0 <= c_q < np.inf:
+            raise ValueError("the remainder must be c_p s^p + c_q s^q with finite c_p < 0 <= c_q")
 
     @classmethod
     def double_well(cls, s_star: float = 1.0) -> "NonlinearSpec":
@@ -60,7 +69,7 @@ class NonlinearSpec:
         return cls("power_deficit", mass, (a, b, p, q))
 
     def remainder_powers(self) -> tuple[tuple[float, float], ...]:
-        """R(s) as a sum of coef * s^exponent terms (exact for both families)."""
+        """R(s) = c_p s^p + c_q s^q as ((c_p, p), (c_q, q)), with c_p < 0 <= c_q and 2 < p < q."""
         if self.family == "double_well":
             s_star = self.params[0]
             return ((-1.0 / s_star, 3.0), (0.5 / s_star**2, 4.0))
@@ -117,27 +126,47 @@ def binding_level(spec: NonlinearSpec, s):
     return 2.0 * _power_sum(spec.power_terms(), _check_s(s), 0, 2.0)
 
 
-def find_binding_amplitude(spec: NonlinearSpec, s_max: float = 10.0, n_scan: int = 4096) -> tuple[float, float]:
-    """Amplitude minimizing W(s)/(s^2/2) on (0, s_max], refined locally.
+def find_binding_amplitude(spec: NonlinearSpec, s_max: float = 10.0) -> tuple[float, float]:
+    """Amplitude s0 minimizing the level W(s)/(s^2/2) on (0, s_max], and that level.
 
-    Returns (s0, level).  A level below m^2 means R(s0) < 0 with the
-    largest relative dip, which is the natural seed for the constructive
-    large-charge recipe.
+    The level m^2 + 2 c_p s^(p-2) + 2 c_q s^(q-2) falls from m^2 and turns
+    up at most once, at s_c = (-c_p (p-2) / (c_q (q-2)))^(1/(q-p)), so s0 is
+    min(s_c, s_max), or s_max when c_q = 0.  A level below m^2 means
+    R(s0) < 0 with the largest relative dip, which is the natural seed for
+    the constructive large-charge recipe.
     """
-    ss = np.linspace(0.0, s_max, n_scan + 1)[1:]
-    levels = binding_level(spec, ss)
-    i = int(np.argmin(levels))
-    lo = ss[max(0, i - 1)]
-    hi = ss[min(len(ss) - 1, i + 1)]
-    res = minimize_scalar(lambda s: binding_level(spec, s), bounds=(lo, hi), method="bounded",
-                          options={"xatol": 1e-12})
-    s0 = float(res.x)
-    return s0, float(binding_level(spec, s0))
+    if not 0.0 < s_max < np.inf:
+        raise ValueError(f"s_max must be positive and finite, got {s_max!r}")
+    (c_p, p), (c_q, q) = spec.remainder_powers()
+    # the level's slope has the sign of c_q (q-2) s^(q-p) + c_p (p-2): read it at
+    # s_max in logs, which cannot overflow, before taking the power for s_c
+    if c_q == 0.0 or (math.log(c_q) + math.log(q - 2.0) + (q - p) * math.log(s_max)
+                      <= math.log(-c_p) + math.log(p - 2.0)):
+        s0 = float(s_max)
+    else:
+        s0 = min((-c_p * (p - 2.0) / (c_q * (q - 2.0))) ** (1.0 / (q - p)), float(s_max))
+    with np.errstate(over="ignore", invalid="ignore"):
+        level = float(binding_level(spec, s0))
+    if not np.isfinite(level):
+        raise ValueError(f"W/(s^2/2) overflows at s = {s0:g}; lower s_max")
+    return s0, level
+
+
+def _zero_below(spec: NonlinearSpec, s0: float) -> float:
+    """The one zero of W in (0, s0), where the level falls from m^2 to below 0.
+
+    The root is bracketed in t = s^(p-2): there the level
+    m^2 + 2 c_p t + 2 c_q t^((q-2)/(p-2)) is convex and finite in slope at
+    t = 0, where in s it is steep and the zero can sit at s ~ 1e-60.
+    """
+    (_, p), _ = spec.remainder_powers()
+    t = brentq(lambda t: binding_level(spec, t ** (1.0 / (p - 2.0))), 0.0, s0 ** (p - 2.0), xtol=1e-300)
+    return float(t ** (1.0 / (p - 2.0)))
 
 
 @dataclass
 class AssumptionReport:
-    """Verdicts of the sampled structural checks for one nonlinearity."""
+    """Verdicts of the structural checks for one nonlinearity."""
 
     mass_normalization: bool
     nonnegative: bool
@@ -147,28 +176,24 @@ class AssumptionReport:
     binding_depth: float | None
     binding_level: float | None
     growth: bool
-    growth_constants: tuple[float, float] | None
+    growth_constants: tuple[float, float]
     growth_exponents: tuple[float, float]
-    notes: list[str] = field(default_factory=list)
 
     @property
     def all_pass(self) -> bool:
         return self.mass_normalization and self.nonnegative and self.binding and self.growth
 
 
-def validate_assumptions(spec: NonlinearSpec, s_max: float, n_samples: int = 1000) -> AssumptionReport:
-    """Sample the structural conditions on [0, s_max].
+def validate_assumptions(spec: NonlinearSpec, s_max: float) -> AssumptionReport:
+    """Check the structural conditions on (0, s_max] from the two power terms of R.
 
-    The checks are: W(0) = W'(0) = 0 and W''(0) = m^2; W >= 0 on the
-    sample grid; existence of an amplitude with R < 0 (with the witness
-    minimizing W(s)/(s^2/2)); and |R''| bounded by c1 s^(p-2) + c2 s^(q-2)
-    on the samples with power-law behaviour confirmed near zero.
+    The checks are: W(0) = W'(0) = 0 and W''(0) = m^2; W >= 0 and an
+    amplitude with R < 0, both read from the deepest level W/(s^2/2) at
+    s0 = find_binding_amplitude(spec, s_max), with the zero of W below s0
+    as the witness of a violation; and the subcritical growth bound
+    |R''(s)| <= |c_p| p (p-1) s^(p-2) + |c_q| q (q-1) s^(q-2) with q < 6.
     """
-    if not s_max > 0:
-        raise ValueError("s_max must be positive")
-    if n_samples < 100:
-        raise ValueError("need at least 100 samples")
-    notes = ["sampled checks on a finite grid, not exhaustive"]
+    s0, level = find_binding_amplitude(spec, s_max)
     m2 = spec.mass**2
 
     w0 = eval_nonlinearity(spec, 0.0, 0)
@@ -176,45 +201,22 @@ def validate_assumptions(spec: NonlinearSpec, s_max: float, n_samples: int = 100
     w0pp = eval_nonlinearity(spec, 0.0, 2)
     mass_ok = abs(w0) < 1e-12 and abs(w0p) < 1e-12 and abs(w0pp - m2) < 1e-12 * max(1.0, m2)
 
-    ss = np.linspace(0.0, s_max, n_samples)
-    w = eval_nonlinearity(spec, ss, 0)
-    tol = 1e-12 * max(1.0, float(np.max(np.abs(w))))
-    bad = np.nonzero(w < -tol)[0]
-    nonneg_ok = bad.size == 0
-    violation = float(ss[bad[0]]) if bad.size else None
-
-    s0, level = find_binding_amplitude(spec, s_max, max(n_samples, 2048))
+    (c_p, p), (c_q, q) = spec.remainder_powers()
+    # round-off in the level scales with the magnitudes of its three terms
+    nonneg_ok = level >= -1e-12 * (m2 - 2.0 * c_p * s0 ** (p - 2.0) + 2.0 * c_q * s0 ** (q - 2.0))
     binding_ok = level < m2 * (1.0 - 1e-12)
-    depth = float(eval_remainder(spec, s0, 0)) if binding_ok else None
-
-    (_, p), (_, q) = spec.remainder_powers()
-    pos = np.concatenate((np.geomspace(1e-6, s_max, n_samples), ss[ss > 0]))
-    rpp = np.abs(eval_remainder(spec, pos, 2))
-    envelope = pos ** (p - 2.0) + pos ** (q - 2.0)
-    # 2 percent headroom so the reported constants dominate between samples
-    c_unif = 1.02 * float(np.max(rpp / envelope))
-    small = np.geomspace(1e-4, min(1e-1, s_max), 64)
-    rpp_small = np.abs(eval_remainder(spec, small, 2))
-    mask = rpp_small > 0
-    if np.count_nonzero(mask) >= 8:
-        slope = float(np.polyfit(np.log(small[mask]), np.log(rpp_small[mask]), 1)[0])
-    else:
-        slope = np.inf
-        notes.append("R'' vanishes near zero; growth bound holds trivially there")
-    growth_ok = np.isfinite(c_unif) and (slope >= min(p, q) - 2.0 - 0.1 or not np.isfinite(slope))
 
     return AssumptionReport(
         mass_normalization=bool(mass_ok),
         nonnegative=bool(nonneg_ok),
-        nonnegative_violation=violation,
+        nonnegative_violation=None if nonneg_ok else _zero_below(spec, s0),
         binding=bool(binding_ok),
-        binding_witness=float(s0) if binding_ok else None,
-        binding_depth=depth,
-        binding_level=float(level) if binding_ok else None,
-        growth=bool(growth_ok),
-        growth_constants=(c_unif, c_unif) if np.isfinite(c_unif) else None,
-        growth_exponents=(float(p), float(q)),
-        notes=notes,
+        binding_witness=s0 if binding_ok else None,
+        binding_depth=float(eval_remainder(spec, s0, 0)) if binding_ok else None,
+        binding_level=level if binding_ok else None,
+        growth=2.0 < p < q < 6.0,
+        growth_constants=(-c_p * p * (p - 1.0), c_q * q * (q - 1.0)),
+        growth_exponents=(p, q),
     )
 
 
@@ -226,7 +228,7 @@ class CriteriaReport:
     immediately above zero with |R(s)| ~ s^e for some e < 2 + 4/3; when it
     holds, arbitrarily small charges admit global minimizers.  The test
     implemented is the sufficient one; the converse direction constrains
-    the same fitted exponent and adds nothing independently checkable.
+    the same exponent and adds nothing independently checkable.
 
     ``second_vacuum`` reports a positive amplitude where W vanishes, the
     degenerate-vacuum situation that removes the lower threshold of the
@@ -235,7 +237,7 @@ class CriteriaReport:
 
     small_charge_threshold_vanishes: str
     small_s_exponent: float
-    negative_up_to: float | None
+    negative_up_to: float
     second_vacuum: str
     second_vacuum_witness: float | None
     second_vacuum_value: float | None
@@ -244,39 +246,32 @@ class CriteriaReport:
 
 _EXPONENT_BOUND = 2.0 + 4.0 / 3.0
 _EXPONENT_MARGIN = 0.1
-_CRITERIA_S_MAX = 10.0  # upper end of the amplitude scans behind the classification
+_CRITERIA_S_MAX = 10.0  # upper end of the amplitudes behind the classification
 
 
 def classify_charge_criteria(spec: NonlinearSpec) -> CriteriaReport:
-    """Classify the admissible-charge behaviour of a validated nonlinearity."""
+    """Classify the admissible-charge behaviour of a validated nonlinearity.
+
+    R = s^p (c_p + c_q s^(q-p)) with c_p < 0 is negative on (0, alpha),
+    alpha = (-c_p/c_q)^(1/(q-p)) (capped at 10), and |R| ~ |c_p| s^p near
+    zero, so the small-s exponent is p.
+    """
     notes: list[str] = []
 
-    scan = np.geomspace(1e-6, _CRITERIA_S_MAX, 4096)
-    r_scan = eval_remainder(spec, scan, 0)
-    neg = r_scan < 0
-    if not neg[0]:
-        alpha = None
+    (c_p, p), (c_q, q) = spec.remainder_powers()
+    # the sign of R at the cap decides before the power is taken
+    if c_q * _CRITERIA_S_MAX ** (q - p) <= -c_p:
+        alpha = _CRITERIA_S_MAX
     else:
-        flips = np.nonzero(~neg)[0]
-        alpha = float(scan[flips[0] - 1]) if flips.size else _CRITERIA_S_MAX
+        alpha = (-c_p / c_q) ** (1.0 / (q - p))
 
-    fit_s = np.geomspace(1e-4, 1e-1, 64)
-    r_fit = np.abs(eval_remainder(spec, fit_s, 0))
-    mask = r_fit > 0
-    if np.count_nonzero(mask) >= 8 and alpha is not None:
-        exponent = float(np.polyfit(np.log(fit_s[mask]), np.log(r_fit[mask]), 1)[0])
-        if exponent < _EXPONENT_BOUND - _EXPONENT_MARGIN:
-            small_verdict = "holds"
-        elif exponent > _EXPONENT_BOUND + _EXPONENT_MARGIN:
-            small_verdict = "fails"
-        else:
-            small_verdict = "inconclusive"
-            notes.append("fitted small-s exponent sits at the decision boundary")
-    else:
-        exponent = np.inf
+    if p < _EXPONENT_BOUND - _EXPONENT_MARGIN:
+        small_verdict = "holds"
+    elif p > _EXPONENT_BOUND + _EXPONENT_MARGIN:
         small_verdict = "fails"
-        if alpha is None:
-            notes.append("R is not negative immediately above zero")
+    else:
+        small_verdict = "inconclusive"
+        notes.append("small-s exponent sits at the decision boundary")
 
     witness, value, verdict = _find_second_vacuum(spec)
     if verdict == "inconclusive":
@@ -284,7 +279,7 @@ def classify_charge_criteria(spec: NonlinearSpec) -> CriteriaReport:
 
     return CriteriaReport(
         small_charge_threshold_vanishes=small_verdict,
-        small_s_exponent=exponent,
+        small_s_exponent=p,
         negative_up_to=alpha,
         second_vacuum=verdict,
         second_vacuum_witness=witness,
@@ -294,19 +289,13 @@ def classify_charge_criteria(spec: NonlinearSpec) -> CriteriaReport:
 
 
 def _find_second_vacuum(spec: NonlinearSpec) -> tuple[float | None, float | None, str]:
-    """Zero of W at positive amplitude, located through the binding level
-    W/(s^2/2) so the trivial vacuum at zero cannot masquerade as a witness."""
-    ss = np.linspace(0.0, _CRITERIA_S_MAX, 8192)[1:]
-    w = eval_nonlinearity(spec, ss, 0)
-    sign_change = np.nonzero(np.sign(w[:-1]) * np.sign(w[1:]) < 0)[0]
-    if sign_change.size:
-        i = sign_change[0]
-        s1 = float(brentq(lambda s: eval_nonlinearity(spec, s, 0), ss[i], ss[i + 1], xtol=1e-14))
-        return s1, float(eval_nonlinearity(spec, s1, 0)), "holds"
+    """Zero of W at positive amplitude, read from the deepest level W/(s^2/2)
+    on (0, 10] so the trivial vacuum at zero cannot masquerade as a witness."""
     s1, level = find_binding_amplitude(spec, _CRITERIA_S_MAX)
     m2 = spec.mass**2
-    if abs(level) < 1e-9 * m2:
-        return s1, float(eval_nonlinearity(spec, s1, 0)), "holds"
-    if abs(level) < 1e-5 * m2:
-        return s1, float(eval_nonlinearity(spec, s1, 0)), "inconclusive"
-    return None, None, "fails"
+    if level < 0.0:
+        s1 = _zero_below(spec, s1)
+    elif level >= 1e-5 * m2:
+        return None, None, "fails"
+    verdict = "holds" if level < 1e-9 * m2 else "inconclusive"
+    return s1, float(eval_nonlinearity(spec, s1, 0)), verdict

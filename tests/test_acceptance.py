@@ -37,13 +37,12 @@ def report(criterion: int, elapsed: float, budget: float):
 
 def test_criterion_1_assumption_suite():
     t0 = time.perf_counter()
-    good = validate_assumptions(SPEC, s_max=3.0, n_samples=1000)
+    good = validate_assumptions(SPEC, s_max=3.0)
     assert good.all_pass
     crit = classify_charge_criteria(SPEC)
     assert crit.second_vacuum == "holds"
     assert crit.second_vacuum_witness == pytest.approx(1.0, abs=1e-6)
-    bad = validate_assumptions(NonlinearSpec.power_deficit(1.0, 0.0, 4.0, 5.0),
-                               s_max=3.0, n_samples=1000)
+    bad = validate_assumptions(NonlinearSpec.power_deficit(1.0, 0.0, 4.0, 5.0), s_max=3.0)
     assert not bad.nonnegative
     report(1, time.perf_counter() - t0, 1.0)
 

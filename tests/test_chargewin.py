@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from hylomorph import chargewin
 from hylomorph.chargewin import (
     SOBOLEV_C3,
     TentProfile,
@@ -85,6 +86,17 @@ class TestTentWitness:
         with pytest.raises(ValueError):
             verify_tent_witness(SPEC, 1.0, 5.0, 1.5, 0.1)
 
+    @pytest.mark.parametrize("r", [0.3, 1.0, 4.0])
+    def test_slope_check_reads_the_peak_of_the_comparison_term(self, r):
+        rho = np.linspace(0.0, r + 1.0, 100_001)
+        peak = np.max(np.where(rho < r, rho**2, (r + 1.0 - rho) ** 2 * rho**2))
+        s1, h = 1.0, 0.8
+        # the coupling at which c3 (4 pi/3)^(1/3) (1-h)^2 / q^2 = 4 pi h^2 s1^2 peak
+        q_tight = np.sqrt(SOBOLEV_C3 * (4.0 * np.pi / 3.0) ** (1.0 / 3.0) * (1.0 - h) ** 2
+                          / (4.0 * np.pi * h**2 * s1**2 * peak))
+        assert verify_tent_witness(SPEC, s1, r, h, q_tight * (1.0 - 1e-6)).slope_ok
+        assert not verify_tent_witness(SPEC, s1, r, h, q_tight * (1.0 + 1e-6)).slope_ok
+
 
 class TestConstruction:
     def test_reference_plan_for_double_well(self):
@@ -143,6 +155,15 @@ class TestConstruction:
     def test_radius_cap_reported(self):
         with pytest.raises(RuntimeError):
             construct_for_charge(SPEC, 1e9, r_cap=100.0)
+
+    @pytest.mark.parametrize("target", [np.inf, np.nan])
+    def test_non_finite_target_rejected_before_any_tent(self, monkeypatch, target):
+        def no_tent(*args, **kwargs):
+            raise RuntimeError("a tent was evaluated before the target was checked")
+
+        monkeypatch.setattr(chargewin, "kgm_functionals", no_tent)
+        with pytest.raises(ValueError, match="charge target"):
+            construct_for_charge(SPEC, target)
 
     def test_shallow_binding_still_constructs(self):
         # every valid two-power remainder dips below the free level

@@ -22,6 +22,40 @@ def test_validate_command_writes_report(tmp_path):
     assert (out / "manifest.txt").exists()
 
 
+@pytest.mark.parametrize("s_max", ["3", "5000", "1e6"])
+def test_validate_double_well_binds_at_any_s_max(tmp_path, s_max):
+    # the deepest binding level of the double well is its second vacuum at s = 1
+    cfg = write_config(tmp_path, "v.ini", f"[validate]\ns_max = {s_max}\n")
+    out = tmp_path / "out"
+    assert cli.main(["validate", "--config", str(cfg), "--out", str(out)]) == 0
+    summary = dict(line.split(" = ", 1) for line in (out / "summary.txt").read_text().splitlines())
+    assert (summary["binding"], summary["binding_witness"], summary["all_pass"]) == ("True", "1", "True")
+
+
+def test_n_samples_is_not_a_config_key(tmp_path):
+    # the hypothesis checks are closed forms of the two power terms; nothing is sampled
+    cfg = write_config(tmp_path, "n.ini", "[validate]\nn_samples = 1000\n")
+    out = tmp_path / "n"
+    assert cli.main(["validate", "--config", str(cfg), "--out", str(out)]) == cli.EXIT_CONFIG == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, text", [
+    ("construct", "[construct]\ncharge_target = inf\n"),
+    ("solve-nlkg", "[solve]\ninit_r = 30.0\n"),  # the tent's ramp ends past r_max = 24
+], ids=["construct-charge_target_inf", "solve-nlkg-tent_past_r_max"])
+def test_inputs_rejected_before_any_solve(tmp_path, monkeypatch, command, text):
+    def no_solve(*args, **kwargs):
+        raise RuntimeError("a solve ran before the inputs were checked")
+
+    monkeypatch.setattr(cli.chargewin, "kgm_functionals", no_solve)
+    monkeypatch.setattr(cli.minimize, "minimize_nlkg", no_solve)
+    cfg = write_config(tmp_path, "p.ini", text)
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", str(cfg), "--out", str(out)]) == cli.EXIT_PRECONDITION
+    assert not (out / "summary.txt").exists()
+
+
 def test_config_error_leaves_no_artifacts(tmp_path):
     cfg = write_config(tmp_path, "bad.ini", "[grid]\nn = -5\n")
     out = tmp_path / "out"

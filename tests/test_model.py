@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hylomorph.model import (
@@ -47,8 +47,8 @@ def test_derivatives_match_finite_differences(dw):
 specs = st.one_of(
     st.builds(NonlinearSpec.double_well, st.floats(0.3, 3.0)),
     st.builds(lambda a, b, p, dq, m: NonlinearSpec.power_deficit(a, b, p, min(p + dq, 5.99), mass=m),
-              st.floats(0.1, 3.0), st.floats(0.0, 3.0), st.floats(2.05, 5.5), st.floats(0.05, 3.0),
-              st.floats(0.5, 2.0)))
+              st.floats(0.1, 3.0), st.just(0.0) | st.floats(0.0, 3.0), st.floats(2.05, 5.5),
+              st.floats(0.05, 3.0), st.floats(0.5, 2.0)))
 
 
 @settings(max_examples=200, deadline=None)
@@ -90,7 +90,7 @@ def test_power_deficit_parameter_validation():
 
 
 def test_validate_double_well_all_pass(dw):
-    report = validate_assumptions(dw, s_max=3.0, n_samples=1000)
+    report = validate_assumptions(dw, s_max=3.0)
     assert report.all_pass
     # the binding witness sits at the second vacuum with R(1) = -1/2
     assert report.binding_witness == pytest.approx(1.0, abs=1e-6)
@@ -101,23 +101,25 @@ def test_validate_double_well_all_pass(dw):
 def test_validate_power_deficit_without_repulsion_fails_nonnegativity():
     # R(s) = -s^4/4 dips below -s^2/2 past sqrt(2)
     spec = NonlinearSpec.power_deficit(1.0, 0.0, 4.0, 5.0)
-    report = validate_assumptions(spec, s_max=3.0, n_samples=1000)
+    report = validate_assumptions(spec, s_max=3.0)
     assert not report.nonnegative
-    assert report.nonnegative_violation > np.sqrt(2.0) - 0.01
+    assert report.nonnegative_violation == pytest.approx(np.sqrt(2.0), rel=1e-14)
     assert eval_nonlinearity(spec, 1.4, 0) > 0 > eval_nonlinearity(spec, 1.45, 0)
 
 
 def test_validate_preconditions(dw):
     with pytest.raises(ValueError):
         validate_assumptions(dw, s_max=0.0)
-    with pytest.raises(ValueError):
-        validate_assumptions(dw, s_max=1.0, n_samples=10)
+    with pytest.raises(ValueError, match="s_max"):
+        validate_assumptions(dw, s_max=np.inf)
+    # W(s) = s^2/2 - s^4/4 overflows long before s = 1e200
+    with pytest.raises(ValueError, match="s_max"):
+        validate_assumptions(NonlinearSpec.power_deficit(1.0, 0.0, 4.0, 5.0), s_max=1e200)
 
 
 def test_binding_amplitude_refinement(dw):
-    s0, level = find_binding_amplitude(dw)
-    assert s0 == pytest.approx(1.0, abs=1e-6)
-    assert level == pytest.approx(0.0, abs=1e-10)
+    # the level 1 - 2 s + s^2 turns up at s_c = 1 exactly
+    assert find_binding_amplitude(dw) == (1.0, 0.0)
 
 
 def test_classify_double_well(dw):
@@ -142,9 +144,37 @@ def test_classify_power_deficit():
 
 
 def test_growth_check_constants(dw):
-    report = validate_assumptions(dw, s_max=3.0, n_samples=500)
+    report = validate_assumptions(dw, s_max=3.0)
     c1, c2 = report.growth_constants
     p, q = report.growth_exponents
     s = np.linspace(1e-3, 3.0, 400)
     envelope = c1 * s ** (p - 2) + c2 * s ** (q - 2)
     assert np.all(np.abs(eval_remainder(dw, s, 2)) <= envelope * (1 + 1e-9))
+
+
+@settings(max_examples=200, deadline=None)
+@given(specs, st.floats(-0.3, 6.0).map(lambda e: 10.0**e))
+@example(NonlinearSpec.double_well(), 5000.0)
+@example(NonlinearSpec.power_deficit(1.0, 9.05e-235, 3.0, 3.05), 1e6)
+def test_exact_checks_match_dense_samples(spec, s_max):
+    m2 = spec.mass**2
+    (c_p, p), (c_q, q) = spec.remainder_powers()
+
+    def magnitude(s):
+        # the sum of the level's term magnitudes bounds its round-off
+        return m2 - 2.0 * c_p * s ** (p - 2.0) + 2.0 * c_q * s ** (q - 2.0)
+
+    ss = np.geomspace(1e-12 * s_max, s_max, 200_001)
+    levels = binding_level(spec, ss)
+    s0, level = find_binding_amplitude(spec, s_max)
+    assert 0.0 < s0 <= s_max
+    i = int(np.argmin(levels))
+    assert level <= levels[i] + 1e-12 * magnitude(ss[i])
+
+    report = validate_assumptions(spec, s_max)
+    w = eval_nonlinearity(spec, ss, 0)
+    assert report.nonnegative == bool(np.all(w >= -1e-12 * 0.5 * ss**2 * magnitude(ss)))
+    if not report.nonnegative:
+        z = report.nonnegative_violation
+        assert 0.0 < z < s0
+        assert abs(binding_level(spec, z)) <= 1e-12 * magnitude(z)

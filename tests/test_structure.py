@@ -33,14 +33,25 @@ def test_descend_has_one_caller():
     assert _callers("descend") == {("minimize", "_solve")}
 
 
+def _mentions(name: str) -> set[str]:
+    """Modules that use ``name`` as a variable, an attribute or an imported name."""
+    return {module for module, tree in _modules() for node in ast.walk(tree)
+            if (isinstance(node, ast.Name) and node.id == name)
+            or (isinstance(node, ast.Attribute) and node.attr == name)
+            or (isinstance(node, ast.alias) and node.name == name)}
+
+
 def test_lapack_tridiagonal_calls_live_in_grid():
     # the factor-once tridiagonal solve is grid.TridiagonalFactor; no module calls LAPACK beside it
     for name in ("dgttrf", "dgttrs"):
-        mentions = {module for module, tree in _modules() for node in ast.walk(tree)
-                    if (isinstance(node, ast.Name) and node.id == name)
-                    or (isinstance(node, ast.Attribute) and node.attr == name)
-                    or (isinstance(node, ast.alias) and node.name == name)}
-        assert mentions == {"grid"}, name
+        assert _mentions(name) == {"grid"}, name
+
+
+def test_hypothesis_checks_minimize_nothing_numerically():
+    # the binding amplitude, sign, growth and tent slope are closed forms of the two
+    # power terms; the one numeric step is the zero of W, a bracketed root in model
+    assert _mentions("minimize_scalar") == set()
+    assert _mentions("brentq") == {"model"}
 
 
 def _dotted(node: ast.AST) -> str | None:
