@@ -28,6 +28,8 @@ EXIT_PRECONDITION = 3
 EXIT_NOCONVERGE = 4
 EXIT_INTERNAL = 5
 
+CSV_BLOCK_ROWS = 4096  # rows formatted per write by write_profile_csv
+
 COMMANDS = ("validate", "solve-nlkg", "solve-kgm", "solve-vortex", "window",
             "construct", "evolve", "stability")
 
@@ -157,9 +159,19 @@ def write_manifest(cfg: RunConfig) -> None:
 
 
 def write_profile_csv(out_dir: Path, name: str, columns: dict[str, np.ndarray]) -> None:
+    """Write the columns as CSV with a header line, each value as ``%.12g``.
+
+    The bytes are those of ``np.savetxt(fmt="%.12g", delimiter=",")``; a
+    block of rows is formatted by one ``%`` over the row template repeated,
+    and blocks keep the formatted text, and so the memory, bounded.
+    """
     rows = np.column_stack([np.asarray(col, dtype=float) for col in columns.values()])
+    line = ",".join(["%.12g"] * rows.shape[1]) + "\n"
     with open(out_dir / name, "w") as fh:
-        np.savetxt(fh, rows, fmt="%.12g", delimiter=",", header=",".join(columns), comments="")
+        fh.write(",".join(columns) + "\n")
+        for start in range(0, len(rows), CSV_BLOCK_ROWS):
+            block = rows[start:start + CSV_BLOCK_ROWS]
+            fh.write(line * len(block) % tuple(block.ravel().tolist()))
 
 
 def _grid(cfg: RunConfig) -> RadialGrid:
@@ -189,6 +201,8 @@ def _result_scalars(res: minimize.SolitonResult) -> dict[str, object]:
         "collapsed": res.collapsed,
         "certified": res.certified,
         "note": res.note or "none",
+        "coarse_iterations": res.coarse_iterations,
+        "discretization_error": res.discretization_error,
     }
 
 
@@ -343,7 +357,9 @@ def _run_stability(cfg: RunConfig) -> dict[str, object]:
     out: dict[str, object] = {"sigma": res.charge, "omega": res.omega, "delta": delta,
                               "cfl_margin": evolve.cfl_margin(grid, spec, dt),
                               "localization_radius": result.localization_radius,
-                              "reversal_error": result.reversal_error}
+                              "reversal_error": result.reversal_error,
+                              "coarse_iterations": res.coarse_iterations,
+                              "discretization_error": res.discretization_error}
     for name, ledger in result.ledgers.items():
         arrays = ledger.arrays()
         write_profile_csv(cfg.out_dir, f"{name}.csv", arrays)

@@ -49,6 +49,15 @@ class RadialGrid:
     def h(self) -> float:
         return self.r_max / self.n
 
+    @property
+    def cells(self) -> tuple[int]:
+        """Cell count per direction."""
+        return (self.n,)
+
+    def coarsen(self, factor: int) -> "RadialGrid":
+        """The grid with n // factor cells on the same domain."""
+        return RadialGrid(self.r_max, self.n // factor)
+
     @cached_property
     def nodes(self) -> np.ndarray:
         r = np.linspace(0.0, self.r_max, self.n + 1)
@@ -138,6 +147,28 @@ class RadialProfile:
     def gradient2(self) -> float:
         """Integral of |grad u|^2 over R^3."""
         return gradient_sq_integral(self.grid, self.values)
+
+    def resample(self, grid: RadialGrid) -> "RadialProfile":
+        """Linear interpolation onto another grid of the same domain."""
+        if grid.r_max != self.grid.r_max:
+            raise ValueError("resampling needs a grid of the same domain")
+        return RadialProfile(grid, resample_linear(self.values, grid.n))
+
+
+def resample_linear(values: np.ndarray, n: int, axis: int = 0) -> np.ndarray:
+    """Linear interpolation of samples on uniform nodes onto n + 1 uniform nodes
+    of the same interval along ``axis``.
+
+    Node positions are taken in source-index units, j * n_src / n, which is
+    exact wherever a target node falls on a source node, so shared nodes
+    keep their values bit for bit.
+    """
+    v = np.moveaxis(np.asarray(values, dtype=float), axis, 0)
+    n_src = v.shape[0] - 1
+    x = np.arange(n + 1) * n_src / n
+    i = np.minimum(x.astype(np.intp), n_src - 1)
+    t = (x - i).reshape((-1,) + (1,) * (v.ndim - 1))
+    return np.moveaxis((1.0 - t) * v[i] + t * v[i + 1], 0, axis)
 
 
 def integrate_radial(grid: RadialGrid, samples: np.ndarray) -> float:

@@ -9,7 +9,9 @@ combined as p = Pg + beta p_old with beta = max(0, <g, Pg - Pg_old> /
 descending.  A backtracking line search with projection onto nonnegative
 profiles and the Armijo test on <g, move> guarantees monotone energy
 decrease.  Convergence is declared on the weighted L2 norm of the
-stationary-equation residual; every solve reports why it stopped.
+stationary-equation residual; every solve reports why it stopped.  Grids
+with at least COARSEN * MIN_COARSE_CELLS cells per direction are solved
+on two levels, a 4x coarser grid first (see ``_solve``).
 """
 
 from __future__ import annotations
@@ -34,6 +36,11 @@ DIVERGED_NOTE = "iterates ran off to infinity; the energy is likely unbounded be
 STEP_INIT = 1.0
 SHRINK = 0.5
 ARMIJO = 1e-4
+
+# two-level solves: a grid with at least COARSEN * MIN_COARSE_CELLS cells
+# per direction first descends on one with COARSEN times fewer cells
+COARSEN = 4
+MIN_COARSE_CELLS = 64
 
 
 @dataclass(frozen=True)
@@ -73,6 +80,11 @@ class SolitonResult:
     note: str = ""
     certified: bool = False
     """True when the converged state certifies its charge (ratio below the mass)."""
+    coarse_iterations: int = 0
+    """Descent iterations on the coarse level; 0 on a one-level grid."""
+    discretization_error: float = np.nan
+    """Richardson estimate (E_h - E_H) / ((H/h)^2 - 1) of E_continuum - energy;
+    NaN unless both levels converged."""
 
 
 def radial_preconditioner(grid: RadialGrid) -> TridiagonalFactor:
@@ -195,26 +207,59 @@ def descend(
     return u, residual, iterations, termination, e_cur, state
 
 
-def _solve(spec: NonlinearSpec, sigma: float, init: "RadialProfile | AxisymProfile",
-           energy: Callable[[np.ndarray], tuple[float, tuple[float, GaugePotential | None]]],
-           gradient: Callable[[np.ndarray, tuple[float, GaugePotential | None]], np.ndarray],
-           project: Callable[[np.ndarray], np.ndarray], weights: np.ndarray,
-           pc_solve: Callable[[np.ndarray], np.ndarray], opts: SolveOptions | None, *,
-           coupling: float | None = None, winding: int = 0) -> SolitonResult:
+# setup(grid) -> (energy, gradient, project, weights, pc_solve) of one minimizer on grid
+Setup = Callable[[Any], tuple[Callable, Callable, Callable, np.ndarray, Callable]]
+
+
+def _solve(spec: NonlinearSpec, sigma: float, init: "RadialProfile | AxisymProfile", setup: Setup,
+           opts: SolveOptions | None, *, coupling: float | None = None,
+           winding: int = 0) -> SolitonResult:
     """The one solve path of every minimizer: descend from ``init`` and build the result.
 
-    ``energy(u)`` returns E_sigma(u) and its state (K, phi), phi being None
-    when ungauged; the result carries both as the descent computed them for
-    the returned profile.  Eliminates omega = -sigma/K, flags a collapse or
-    a run-off to infinity (a non-finite residual or energy), and certifies
-    the charge only for a converged state with E_sigma/sigma below the mass.
+    ``setup(grid)`` returns the minimizer's (energy, gradient, project,
+    weights, pc_solve) on ``grid``.  ``energy(u)`` returns E_sigma(u) and
+    its state (K, phi), phi being None when ungauged; the result carries
+    both as the descent computed them for the returned profile.
+
+    A grid with at least COARSEN * MIN_COARSE_CELLS cells per direction is
+    solved on two levels (nested iteration; Briggs, Henson & McCormick, *A
+    Multigrid Tutorial*, 2000, ch. 3): ``init`` is resampled onto the grid
+    with COARSEN times fewer cells, descended there, and the minimizer is
+    resampled back.  The fine descent starts from whichever of that and
+    ``init`` has the lower fine energy, ``init`` on a tie, so a converged
+    start stays a fixed point and the result never has a higher energy than
+    ``init``.  When both levels converge, the Richardson estimate
+    (E_h - E_H) / ((H/h)^2 - 1) of the second-order scheme is the result's
+    discretization error.
+
+    Eliminates omega = -sigma/K, flags a collapse or a run-off to infinity
+    (a non-finite residual or energy), and certifies the charge only for a
+    converged state with E_sigma/sigma below the mass.
     """
     if not sigma > 0:
         raise ValueError("sigma must be positive; the zero charge admits only the trivial field")
     if init.mass2 <= 0.0:
         raise ValueError("initial profile must not vanish identically")
-    u, residual, iterations, termination, e_sigma, (k, phi) = descend(
-        init.values, energy, gradient, project, weights, pc_solve, opts or SolveOptions())
+    opts = opts or SolveOptions()
+    fine = setup(init.grid)
+    fine_energy = fine[0]
+    start = init
+    coarse_iterations, coarse_converged, e_coarse, ratio2 = 0, False, np.nan, np.nan
+    if min(init.grid.cells) >= COARSEN * MIN_COARSE_CELLS:
+        coarse_init = init.resample(init.grid.coarsen(COARSEN))
+        # a profile narrower than the coarse spacing can vanish on the coarse nodes
+        if coarse_init.mass2 > 0.0:
+            u_c, _, coarse_iterations, termination, e_coarse, _ = descend(
+                coarse_init.values, *setup(coarse_init.grid), opts)
+            coarse_converged = termination == "converged"
+            candidate = replace(coarse_init, values=u_c).resample(init.grid)
+            with np.errstate(over="ignore", invalid="ignore"):
+                if fine_energy(candidate.values)[0] < fine_energy(init.values)[0]:
+                    start = candidate
+            # (H/h)^2 from the exact cell counts, a geometric mean over directions
+            ratios = np.divide(init.grid.cells, coarse_init.grid.cells)
+            ratio2 = float(np.prod(ratios)) ** (2.0 / ratios.size)
+    u, residual, iterations, termination, e_sigma, (k, phi) = descend(start.values, *fine, opts)
     profile = replace(init, values=u)
     q = 1.0 if coupling is None else coupling
     omega = -sigma / k
@@ -231,12 +276,14 @@ def _solve(spec: NonlinearSpec, sigma: float, init: "RadialProfile | AxisymProfi
     elif hylomorphy >= spec.mass:
         note = UNBOUND_NOTE
     converged = termination == "converged" and not collapsed and not diverged
+    discretization_error = (e_sigma - e_coarse) / (ratio2 - 1.0) if converged and coarse_converged else np.nan
     return SolitonResult(
         u=profile, omega=omega, phi=phi, energy=e_sigma, screened_mass=k, charge=sigma,
         electric_charge=q * sigma, hylomorphy=hylomorphy, residual=residual,
         iterations=iterations, converged=converged, termination=termination, collapsed=collapsed,
         winding=winding, coupling=coupling, note=note,
         certified=bool(converged and hylomorphy < spec.mass),
+        coarse_iterations=coarse_iterations, discretization_error=discretization_error,
     )
 
 
@@ -249,18 +296,20 @@ def _radial_project(values: np.ndarray) -> np.ndarray:
 def minimize_nlkg(spec: NonlinearSpec, sigma: float, init: RadialProfile,
                   opts: SolveOptions | None = None) -> SolitonResult:
     """Minimize the reduced energy at charge sigma over nonnegative profiles."""
-    grid = init.grid
-    vw = grid.volume_weights
 
-    def energy(u: np.ndarray) -> tuple[float, tuple[float, None]]:
-        mass2 = float(vw @ (u * u))
-        return reduced_energy(grid, u, spec, sigma, mass2), (mass2, None)
+    def setup(grid: RadialGrid):
+        vw = grid.volume_weights
 
-    def gradient(u: np.ndarray, state: tuple[float, None]) -> np.ndarray:
-        return stationary_operator(grid, u, spec, (sigma / state[0]) ** 2)
+        def energy(u: np.ndarray) -> tuple[float, tuple[float, None]]:
+            mass2 = float(vw @ (u * u))
+            return reduced_energy(grid, u, spec, sigma, mass2), (mass2, None)
 
-    return _solve(spec, sigma, init, energy, gradient, _radial_project, vw,
-                  radial_preconditioner(grid).solve, opts)
+        def gradient(u: np.ndarray, state: tuple[float, None]) -> np.ndarray:
+            return stationary_operator(grid, u, spec, (sigma / state[0]) ** 2)
+
+        return energy, gradient, _radial_project, vw, radial_preconditioner(grid).solve
+
+    return _solve(spec, sigma, init, setup, opts)
 
 
 def minimize_kgm(spec: NonlinearSpec, sigma: float, q: float, init: RadialProfile,
@@ -269,18 +318,20 @@ def minimize_kgm(spec: NonlinearSpec, sigma: float, q: float, init: RadialProfil
     at every energy evaluation and reused by the gradient at that iterate."""
     if not q > 0:
         raise ValueError("coupling q must be positive")
-    grid = init.grid
 
-    def energy(u: np.ndarray) -> tuple[float, tuple[float, GaugePotential]]:
-        k, phi = screened_mass(RadialProfile(grid, u), q)
-        return reduced_energy(grid, u, spec, sigma, k), (k, phi)
+    def setup(grid: RadialGrid):
+        def energy(u: np.ndarray) -> tuple[float, tuple[float, GaugePotential]]:
+            k, phi = screened_mass(RadialProfile(grid, u), q)
+            return reduced_energy(grid, u, spec, sigma, k), (k, phi)
 
-    def gradient(u: np.ndarray, state: tuple[float, GaugePotential]) -> np.ndarray:
-        k, phi = state
-        return stationary_operator(grid, u, spec, (sigma / k) ** 2, phi.screen)
+        def gradient(u: np.ndarray, state: tuple[float, GaugePotential]) -> np.ndarray:
+            k, phi = state
+            return stationary_operator(grid, u, spec, (sigma / k) ** 2, phi.screen)
 
-    return _solve(spec, sigma, init, energy, gradient, _radial_project, grid.volume_weights,
-                  radial_preconditioner(grid).solve, opts, coupling=q)
+        return (energy, gradient, _radial_project, grid.volume_weights,
+                radial_preconditioner(grid).solve)
+
+    return _solve(spec, sigma, init, setup, opts, coupling=q)
 
 
 def residual_stationary(result, spec: NonlinearSpec, kind: str) -> float:

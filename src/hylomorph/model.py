@@ -157,11 +157,14 @@ def _zero_below(spec: NonlinearSpec, s0: float) -> float:
 
     The root is bracketed in t = s^(p-2): there the level
     m^2 + 2 c_p t + 2 c_q t^((q-2)/(p-2)) is convex and finite in slope at
-    t = 0, where in s it is steep and the zero can sit at s ~ 1e-60.
+    t = 0, where in s it is steep and the zero can sit at s ~ 1e-60.  With
+    p close to 2 the zero can lie below the smallest normal double; s0
+    itself, where W < 0, is then the witness.
     """
     (_, p), _ = spec.remainder_powers()
     t = brentq(lambda t: binding_level(spec, t ** (1.0 / (p - 2.0))), 0.0, s0 ** (p - 2.0), xtol=1e-300)
-    return float(t ** (1.0 / (p - 2.0)))
+    s = float(t ** (1.0 / (p - 2.0)))
+    return s if s >= np.finfo(float).tiny else float(s0)
 
 
 @dataclass

@@ -18,7 +18,7 @@ import numpy as np
 from scipy.fft import dst
 
 from .functionals import charge_energy
-from .grid import TridiagonalFactor, trapezoid_weights
+from .grid import TridiagonalFactor, resample_linear, trapezoid_weights
 from .minimize import SolitonResult, SolveOptions, _solve
 from .model import NonlinearSpec, eval_nonlinearity
 
@@ -47,6 +47,15 @@ class AxisymGrid:
     @property
     def h_z(self) -> float:
         return 2.0 * self.z_max / self.n_z
+
+    @property
+    def cells(self) -> tuple[int, int]:
+        """Cell counts in r and z."""
+        return (self.n_r, self.n_z)
+
+    def coarsen(self, factor: int) -> "AxisymGrid":
+        """The grid with n_r // factor by n_z // factor cells on the same domain."""
+        return AxisymGrid(self.r_max, self.z_max, self.n_r // factor, self.n_z // factor)
 
     @cached_property
     def r(self) -> np.ndarray:
@@ -119,6 +128,13 @@ class AxisymProfile:
     @cached_property
     def mass2(self) -> float:
         return integrate_axisym(self.grid, self.values**2)
+
+    def resample(self, grid: AxisymGrid) -> "AxisymProfile":
+        """Linear interpolation onto another grid of the same domain, along r and then z."""
+        if (grid.r_max, grid.z_max) != (self.grid.r_max, self.grid.z_max):
+            raise ValueError("resampling needs a grid of the same domain")
+        along_r = resample_linear(self.values, grid.n_r, axis=0)
+        return AxisymProfile(grid, resample_linear(along_r, grid.n_z, axis=1), self.winding)
 
 
 def integrate_axisym(grid: AxisymGrid, samples: np.ndarray) -> float:
@@ -233,16 +249,18 @@ def minimize_vortex(spec: NonlinearSpec, sigma: float, ell: int, init: AxisymPro
         raise ValueError("zero winding is the radial problem; use minimize_nlkg")
     if init.winding != ell:
         raise ValueError(f"initial profile winds {init.winding} times, not ell = {ell}")
-    grid = init.grid
 
     def project(v: np.ndarray) -> np.ndarray:
         return _zero_boundary(np.maximum(v, 0.0))
 
-    def gradient(v: np.ndarray, state: tuple[float, None]) -> np.ndarray:
-        return _vortex_operator(grid, v, spec, ell, (sigma / state[0]) ** 2)
+    def setup(grid: AxisymGrid):
+        def gradient(v: np.ndarray, state: tuple[float, None]) -> np.ndarray:
+            return _vortex_operator(grid, v, spec, ell, (sigma / state[0]) ** 2)
 
-    return _solve(spec, sigma, init, partial(_vortex_energy, grid, spec, ell, sigma), gradient, project,
-                  grid.cell_weights, AxisymPreconditioner(grid, ell).solve, opts, winding=ell)
+        return (partial(_vortex_energy, grid, spec, ell, sigma), gradient, project, grid.cell_weights,
+                AxisymPreconditioner(grid, ell).solve)
+
+    return _solve(spec, sigma, init, setup, opts, winding=ell)
 
 
 def vortex_residual(profile: AxisymProfile, omega: float, spec: NonlinearSpec) -> float:

@@ -111,6 +111,9 @@ def test_solve_nlkg_artifacts_and_determinism(tmp_path):
     rows = (out1 / "profile.csv").read_text().splitlines()
     assert rows[0] == "r,u"
     assert len(rows) == 514
+    summary = dict(line.split(" = ", 1) for line in (out1 / "summary.txt").read_text().splitlines())
+    assert int(summary["coarse_iterations"]) > 0
+    assert np.isfinite(float(summary["discretization_error"]))
     manifest = (out1 / "manifest.txt").read_text()
     # every default appears in the manifest, even unrelated sections
     assert "tol = 1e-06" in manifest
@@ -191,6 +194,9 @@ def test_construct_summary_records_the_plan_grid(tmp_path):
     summary = dict(line.split(" = ", 1) for line in (out / "summary.txt").read_text().splitlines())
     assert int(summary["plan_grid_nodes"]) >= 513
     assert 0.0 < float(summary["plan_grid_spacing"]) <= 0.05
+    # the plan grid has 512 cells, so the solve ran a 128-cell level first
+    assert int(summary["solve_coarse_iterations"]) > 0
+    assert 0.0 < abs(float(summary["solve_discretization_error"])) < 1e-4 * float(summary["solve_energy"])
 
 
 def test_sobolev_constant_is_not_a_config_key(tmp_path):
@@ -231,6 +237,18 @@ def test_profile_csv_matches_a_per_value_formatter(tmp_path):
     assert (tmp_path / "t.csv").read_bytes() == reference.encode()
 
 
+@pytest.mark.parametrize("rows", [0, 1, 2 * cli.CSV_BLOCK_ROWS + 5])
+def test_profile_csv_bytes_equal_savetxt(tmp_path, rows):
+    rng = np.random.default_rng(rows)
+    columns = {"r": rng.standard_normal(rows) * 10.0 ** rng.integers(-300, 300, rows),
+               "z": rng.uniform(-1.0, 1.0, rows), "u": np.arange(rows, dtype=float)}
+    cli.write_profile_csv(tmp_path, "t.csv", columns)
+    with open(tmp_path / "ref.csv", "w") as fh:
+        np.savetxt(fh, np.column_stack(list(columns.values())), fmt="%.12g", delimiter=",",
+                   header="r,z,u", comments="")
+    assert (tmp_path / "t.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
 def test_nonconvergence_exit_code(tmp_path):
     cfg = write_config(tmp_path, "n.ini", SOLVE_CFG + "\n[solver]\nmax_iters = 3\n")
     out = tmp_path / "n"
@@ -265,7 +283,8 @@ def test_stability_command(tmp_path):
     # the perturbed ones its growth over the initial distance
     runs = {"ledger": "max_distance", "ledger_scaled": "distance_ratio",
             "ledger_bump": "distance_ratio", "ledger_free": "max_distance"}
-    expected = ["sigma", "omega", "delta", "cfl_margin", "localization_radius", "reversal_error"]
+    expected = ["sigma", "omega", "delta", "cfl_margin", "localization_radius", "reversal_error",
+                "coarse_iterations", "discretization_error"]
     for name, distance_key in runs.items():
         rows = (out1 / f"{name}.csv").read_text().splitlines()
         assert rows[0] == "t,energy,charge,localization,distance,amplitude"

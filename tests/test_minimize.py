@@ -279,9 +279,40 @@ def test_result_carries_the_termination(ground, tent_init):
 
 
 def test_kgm_construct_plan_iteration_budget():
-    # conjugate directions: 133 iterations at this plan, where steepest
-    # descent along the Sobolev gradient took 552
+    # conjugate directions: 184 iterations at this plan on its grid alone,
+    # where steepest descent along the Sobolev gradient took 552; the two
+    # levels take 135 coarse and 44 fine ones
     plan = construct_for_charge(SPEC, 100.0)
     res = minimize_kgm(SPEC, plan.sigma, plan.q, TentProfile(plan.s1, plan.r).realize(plan.grid))
     assert res.converged
     assert res.iterations <= 330
+
+
+def test_discretization_error_uses_the_exact_spacing_ratio():
+    # 915 cells coarsen to 228: a spacing ratio of 915/228 = 4.013, not 4;
+    # 228 cells lie below the floor, so the direct solve there is the coarse level
+    plan = construct_for_charge(SPEC, 100.0)
+    init = TentProfile(plan.s1, plan.r).realize(plan.grid)
+    res = minimize_kgm(SPEC, plan.sigma, plan.q, init)
+    assert plan.grid.n == 915 and res.converged
+    coarse = minimize_kgm(SPEC, plan.sigma, plan.q, init.resample(RadialGrid(plan.grid.r_max, 228)))
+    assert coarse.converged and coarse.coarse_iterations == 0
+    assert res.coarse_iterations == coarse.iterations
+    assert res.discretization_error == (res.energy - coarse.energy) / ((915 / 228) ** 2 - 1.0)
+    # second order: the estimate is a small fraction of the energy
+    assert 0.0 < abs(res.discretization_error) < 1e-4 * res.energy
+
+
+@pytest.mark.parametrize("n, levels", [(255, 1), (256, 2)])
+def test_two_levels_from_the_floor_up(n, levels):
+    init = TentProfile(1.0, 5.0).realize(RadialGrid(24.0, n))
+    res = minimize_nlkg(SPEC, 300.0, init)
+    assert res.converged
+    assert (res.coarse_iterations > 0) == (levels == 2)
+    assert np.isfinite(res.discretization_error) == (levels == 2)
+
+
+def test_unconverged_level_leaves_no_error_estimate(tent_init):
+    res = minimize_nlkg(SPEC, 300.0, tent_init, SolveOptions(max_iters=3))
+    assert res.coarse_iterations > 0 and res.termination == "max_iters"
+    assert np.isnan(res.discretization_error)

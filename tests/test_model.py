@@ -107,6 +107,17 @@ def test_validate_power_deficit_without_repulsion_fails_nonnegativity():
     assert eval_nonlinearity(spec, 1.4, 0) > 0 > eval_nonlinearity(spec, 1.45, 0)
 
 
+def test_violation_witness_is_a_normal_amplitude_where_w_is_negative():
+    # p this close to 2 puts the zero of W below the smallest normal double;
+    # the witness is then s0 itself, where the level is negative
+    spec = NonlinearSpec.power_deficit(2.30, 0.0, 2.000214, 2.2133, mass=0.68)
+    report = validate_assumptions(spec, 3338.0)
+    s0, level = find_binding_amplitude(spec, 3338.0)
+    assert not report.nonnegative and level < 0.0
+    assert report.nonnegative_violation == s0 >= np.finfo(float).tiny
+    assert eval_nonlinearity(spec, report.nonnegative_violation, 0) < 0.0
+
+
 def test_validate_preconditions(dw):
     with pytest.raises(ValueError):
         validate_assumptions(dw, s_max=0.0)

@@ -5,6 +5,7 @@ round-off of sums over up to a few thousand cells.
 """
 
 import numpy as np
+import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,8 +18,8 @@ from hylomorph.gauge import solve_phi
 from hylomorph.grid import RadialGrid, RadialProfile, banded_matvec, gradient_pairing, integrate_radial, radial_laplacian
 from hylomorph.minimize import SolveOptions, minimize_nlkg, radial_preconditioner
 from hylomorph.model import NonlinearSpec, find_binding_amplitude
-from hylomorph.vortex import (AxisymGrid, AxisymPreconditioner, axisym_gradient_pairing, axisym_laplacian,
-                              centrifugal_factor)
+from hylomorph.vortex import (AxisymGrid, AxisymPreconditioner, AxisymProfile, axisym_gradient_pairing,
+                              axisym_laplacian, centrifugal_factor)
 
 SETTINGS = settings(max_examples=40, deadline=None)
 
@@ -181,3 +182,86 @@ def test_descent_energy_never_increases(spec, sigma):
     energies = [minimize_nlkg(spec, sigma, init, SolveOptions(max_iters=k)).energy for k in (1, 2, 4, 8, 16)]
     for before, after in zip(energies, energies[1:]):
         assert after <= before + 1e-12 * max(1.0, abs(before))
+
+
+# Resampling between grids of one domain (the two-level solves) ----------
+
+cell_counts = st.integers(16, 1024)
+
+
+@SETTINGS
+@given(cell_counts, cell_counts, extents, st.floats(0.1, 10.0))
+def test_resample_keeps_radial_linear_fields(n, n_dst, r_max, slope):
+    fine, dst = RadialGrid(r_max, n), RadialGrid(r_max, n_dst)
+    out = RadialProfile(fine, slope * (r_max - fine.nodes)).resample(dst)
+    assert np.max(np.abs(out.values - slope * (r_max - dst.nodes))) <= 1e-13 * slope * r_max
+
+
+@SETTINGS
+@given(cell_counts, st.integers(8, 256), cell_counts, st.integers(8, 256), extents, extents)
+def test_resample_keeps_axisym_fields_linear_in_r_and_z(n_r, half_z, n_r_dst, half_z_dst, r_max, z_max):
+    # (r_max - r)(z_max - |z|) is linear in r and, on each side of z = 0, in
+    # z; z = 0 is a node of both grids because both have even n_z
+    src = AxisymGrid(r_max, z_max, n_r, 2 * half_z)
+    dst = AxisymGrid(r_max, z_max, n_r_dst, 2 * half_z_dst)
+
+    def field(g):
+        return (r_max - g.r)[:, None] * (z_max - np.abs(g.z))[None, :]
+
+    out = AxisymProfile(src, field(src), 0).resample(dst)
+    assert np.max(np.abs(out.values - field(dst))) <= 1e-13 * r_max * z_max
+
+
+@SETTINGS
+@given(st.integers(64, 1024), st.integers(64, 512), seeds)
+def test_resample_keeps_axis_and_boundary_zeros(n_r, n_z, seed):
+    rng = np.random.default_rng(seed)
+    fine = AxisymGrid(14.0, 10.0, n_r, n_z)
+    v = rng.uniform(0.0, 1.0, (n_r + 1, n_z + 1))
+    v[0, :] = v[-1, :] = v[:, 0] = v[:, -1] = 0.0
+    for dst in (fine.coarsen(4), AxisymGrid(14.0, 10.0, n_r + 7, n_z + 3)):
+        out = AxisymProfile(fine, v, 1).resample(dst).values
+        assert not (out[0].any() or out[-1].any() or out[:, 0].any() or out[:, -1].any())
+        assert out.min() >= 0.0
+    radial = RadialProfile(RadialGrid(14.0, n_r), v[:, n_z // 2]).resample(RadialGrid(14.0, n_r // 4))
+    assert radial.values[-1] == 0.0
+
+
+@SETTINGS
+@given(st.integers(64, 4096), extents, seeds)
+def test_resample_round_trip_is_exact_at_shared_nodes(n, r_max, seed):
+    # nodes are shared where j * n_coarse / n is an integer; odd n shares few
+    rng = np.random.default_rng(seed)
+    fine = RadialGrid(r_max, n)
+    coarse = fine.coarsen(4)
+    v = rng.uniform(0.0, 1.0, n + 1)
+    v[-1] = 0.0
+    back = RadialProfile(fine, v).resample(coarse).resample(fine).values
+    shared = np.arange(n + 1) * coarse.n % n == 0
+    assert np.array_equal(back[shared], v[shared])
+    grid2 = AxisymGrid(r_max, 10.0, n // 4 * 4, 256)
+    w = rng.uniform(0.0, 1.0, (grid2.n_r + 1, grid2.n_z + 1))
+    w[-1, :] = w[:, 0] = w[:, -1] = 0.0
+    back2 = AxisymProfile(grid2, w, 0).resample(grid2.coarsen(4)).resample(grid2).values
+    assert np.array_equal(back2[::4, ::4], w[::4, ::4])
+
+
+def test_resample_needs_the_same_domain():
+    profile = TentProfile(1.0, 3.0).realize(RadialGrid(12.0, 256))
+    with pytest.raises(ValueError, match="domain"):
+        profile.resample(RadialGrid(13.0, 64))
+    grid = AxisymGrid(14.0, 10.0, 64, 64)
+    with pytest.raises(ValueError, match="domain"):
+        AxisymProfile(grid, np.zeros((65, 65)), 1).resample(AxisymGrid(14.0, 11.0, 64, 64))
+
+
+@settings(max_examples=15, deadline=None)
+@given(power_deficit, st.floats(1.0, 500.0))
+def test_two_level_solve_never_ends_above_its_start(spec, sigma):
+    # on 256 cells the descent first runs on 64; the fine descent starts from
+    # whichever of init and the resampled coarse minimizer is lower, so no
+    # budget can leave the result above the fine energy of init
+    init = TentProfile(1.0, 3.0).realize(RadialGrid(12.0, 256))
+    e_init = reduced_energy(init.grid, init.values, spec, sigma, init.mass2)
+    for k in (1, 2, 4, 8, 16):
+        assert minimize_nlkg(spec, sigma, init, SolveOptions(max_iters=k)).energy <= e_init
