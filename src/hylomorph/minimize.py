@@ -9,9 +9,10 @@ combined as p = Pg + beta p_old with beta = max(0, <g, Pg - Pg_old> /
 descending.  A backtracking line search with projection onto nonnegative
 profiles and the Armijo test on <g, move> guarantees monotone energy
 decrease.  Convergence is declared on the weighted L2 norm of the
-stationary-equation residual; every solve reports why it stopped.  Grids
-with at least COARSEN * MIN_COARSE_CELLS cells per direction are solved
-on two levels, a 4x coarser grid first (see ``_solve``).
+stationary-equation residual; every solve reports why it stopped.  A
+start far from the minimizer on a grid with at least COARSEN *
+MIN_COARSE_CELLS cells per direction is solved on two levels, a 4x
+coarser grid first (see ``_solve``).
 """
 
 from __future__ import annotations
@@ -37,10 +38,13 @@ STEP_INIT = 1.0
 SHRINK = 0.5
 ARMIJO = 1e-4
 
-# two-level solves: a grid with at least COARSEN * MIN_COARSE_CELLS cells
-# per direction first descends on one with COARSEN times fewer cells
+# two-level solves: a start whose first preconditioned step is at least
+# FAR_START times its own norm, on a grid with at least
+# COARSEN * MIN_COARSE_CELLS cells per direction, first descends on a grid
+# with COARSEN times fewer cells
 COARSEN = 4
 MIN_COARSE_CELLS = 64
+FAR_START = 0.75
 
 
 @dataclass(frozen=True)
@@ -221,11 +225,16 @@ def _solve(spec: NonlinearSpec, sigma: float, init: "RadialProfile | AxisymProfi
     its state (K, phi), phi being None when ungauged; the result carries
     both as the descent computed them for the returned profile.
 
-    A grid with at least COARSEN * MIN_COARSE_CELLS cells per direction is
-    solved on two levels (nested iteration; Briggs, Henson & McCormick, *A
-    Multigrid Tutorial*, 2000, ch. 3): ``init`` is resampled onto the grid
-    with COARSEN times fewer cells, descended there, and the minimizer is
-    resampled back.  The fine descent starts from whichever of that and
+    A start far from the minimizer on a grid with at least COARSEN *
+    MIN_COARSE_CELLS cells per direction is solved on two levels (nested
+    iteration; Briggs, Henson & McCormick, *A Multigrid Tutorial*, 2000,
+    ch. 3).  Far means that the first preconditioned step P^-1 g, which
+    estimates the distance to the minimizer as far as P approximates the
+    Hessian, is at least FAR_START times the norm of ``init``: only a long
+    descent leaves most of the travel to the coarse level.  ``init`` is
+    then resampled onto the grid with COARSEN times fewer cells, descended
+    there with the same ``opts`` (each level has the whole ``max_iters``
+    budget), and the minimizer is resampled back.  The fine descent starts from whichever of that and
     ``init`` has the lower fine energy, ``init`` on a tie, so a converged
     start stays a fixed point and the result never has a higher energy than
     ``init``.  When both levels converge, the Richardson estimate
@@ -242,10 +251,18 @@ def _solve(spec: NonlinearSpec, sigma: float, init: "RadialProfile | AxisymProfi
         raise ValueError("initial profile must not vanish identically")
     opts = opts or SolveOptions()
     fine = setup(init.grid)
-    fine_energy = fine[0]
+    fine_energy, gradient, _, weights, pc_solve = fine
     start = init
     coarse_iterations, coarse_converged, e_coarse, ratio2 = 0, False, np.nan, np.nan
-    if min(init.grid.cells) >= COARSEN * MIN_COARSE_CELLS:
+    two_level = min(init.grid.cells) >= COARSEN * MIN_COARSE_CELLS
+    if two_level:
+        with np.errstate(over="ignore", invalid="ignore"):
+            e_init, state = fine_energy(init.values)
+            step = pc_solve(gradient(init.values, state))
+        w = weights.ravel()
+        u0 = init.values.ravel()
+        two_level = w @ (step * step).ravel() >= FAR_START**2 * (w @ (u0 * u0))
+    if two_level:
         coarse_init = init.resample(init.grid.coarsen(COARSEN))
         # a profile narrower than the coarse spacing can vanish on the coarse nodes
         if coarse_init.mass2 > 0.0:
@@ -254,7 +271,7 @@ def _solve(spec: NonlinearSpec, sigma: float, init: "RadialProfile | AxisymProfi
             coarse_converged = termination == "converged"
             candidate = replace(coarse_init, values=u_c).resample(init.grid)
             with np.errstate(over="ignore", invalid="ignore"):
-                if fine_energy(candidate.values)[0] < fine_energy(init.values)[0]:
+                if fine_energy(candidate.values)[0] < e_init:
                     start = candidate
             # (H/h)^2 from the exact cell counts, a geometric mean over directions
             ratios = np.divide(init.grid.cells, coarse_init.grid.cells)

@@ -158,13 +158,12 @@ def _zero_below(spec: NonlinearSpec, s0: float) -> float:
     The root is bracketed in t = s^(p-2): there the level
     m^2 + 2 c_p t + 2 c_q t^((q-2)/(p-2)) is convex and finite in slope at
     t = 0, where in s it is steep and the zero can sit at s ~ 1e-60.  With
-    p close to 2 the zero can lie below the smallest normal double; s0
-    itself, where W < 0, is then the witness.
+    p close to 2 it can lie below the smallest normal double and come back
+    as 0 or a subnormal.
     """
     (_, p), _ = spec.remainder_powers()
     t = brentq(lambda t: binding_level(spec, t ** (1.0 / (p - 2.0))), 0.0, s0 ** (p - 2.0), xtol=1e-300)
-    s = float(t ** (1.0 / (p - 2.0)))
-    return s if s >= np.finfo(float).tiny else float(s0)
+    return float(t ** (1.0 / (p - 2.0)))
 
 
 @dataclass
@@ -193,7 +192,8 @@ def validate_assumptions(spec: NonlinearSpec, s_max: float) -> AssumptionReport:
     The checks are: W(0) = W'(0) = 0 and W''(0) = m^2; W >= 0 and an
     amplitude with R < 0, both read from the deepest level W/(s^2/2) at
     s0 = find_binding_amplitude(spec, s_max), with the zero of W below s0
-    as the witness of a violation; and the subcritical growth bound
+    (s0 itself when that zero underflows) as the witness of a violation;
+    and the subcritical growth bound
     |R''(s)| <= |c_p| p (p-1) s^(p-2) + |c_q| q (q-1) s^(q-2) with q < 6.
     """
     s0, level = find_binding_amplitude(spec, s_max)
@@ -208,11 +208,17 @@ def validate_assumptions(spec: NonlinearSpec, s_max: float) -> AssumptionReport:
     # round-off in the level scales with the magnitudes of its three terms
     nonneg_ok = level >= -1e-12 * (m2 - 2.0 * c_p * s0 ** (p - 2.0) + 2.0 * c_q * s0 ** (q - 2.0))
     binding_ok = level < m2 * (1.0 - 1e-12)
+    violation = None
+    if not nonneg_ok:
+        # a zero of W that underflows is no usable witness; s0, where W < 0, is
+        violation = _zero_below(spec, s0)
+        if violation < np.finfo(float).tiny:
+            violation = s0
 
     return AssumptionReport(
         mass_normalization=bool(mass_ok),
         nonnegative=bool(nonneg_ok),
-        nonnegative_violation=None if nonneg_ok else _zero_below(spec, s0),
+        nonnegative_violation=violation,
         binding=bool(binding_ok),
         binding_witness=s0 if binding_ok else None,
         binding_depth=float(eval_remainder(spec, s0, 0)) if binding_ok else None,

@@ -13,8 +13,8 @@ from hylomorph.chargewin import TentProfile, construct_for_charge
 from hylomorph.functionals import reduced_energy_sigma, sigma_window
 from hylomorph.gauge import kgm_functionals, solve_phi
 from hylomorph.grid import RadialGrid, RadialProfile, weighted_norm
-from hylomorph.minimize import (DIVERGED_NOTE, SolveOptions, descend, minimize_kgm, minimize_nlkg,
-                                residual_stationary)
+from hylomorph.minimize import (DIVERGED_NOTE, SolveOptions, _solve, descend, minimize_kgm,
+                                minimize_nlkg, residual_stationary)
 from hylomorph.model import NonlinearSpec
 
 SPEC = NonlinearSpec.double_well()
@@ -281,11 +281,12 @@ def test_result_carries_the_termination(ground, tent_init):
 def test_kgm_construct_plan_iteration_budget():
     # conjugate directions: 184 iterations at this plan on its grid alone,
     # where steepest descent along the Sobolev gradient took 552; the two
-    # levels take 135 coarse and 44 fine ones
+    # levels take 135 coarse and 44 fine ones, and the bound holds the sum
     plan = construct_for_charge(SPEC, 100.0)
     res = minimize_kgm(SPEC, plan.sigma, plan.q, TentProfile(plan.s1, plan.r).realize(plan.grid))
     assert res.converged
-    assert res.iterations <= 330
+    assert res.coarse_iterations > 0
+    assert res.iterations + res.coarse_iterations <= 330
 
 
 def test_discretization_error_uses_the_exact_spacing_ratio():
@@ -303,16 +304,40 @@ def test_discretization_error_uses_the_exact_spacing_ratio():
     assert 0.0 < abs(res.discretization_error) < 1e-4 * res.energy
 
 
-@pytest.mark.parametrize("n, levels", [(255, 1), (256, 2)])
-def test_two_levels_from_the_floor_up(n, levels):
-    init = TentProfile(1.0, 5.0).realize(RadialGrid(24.0, n))
+@pytest.mark.parametrize("n, r, levels", [(255, 3.0, 1), (256, 3.0, 2), (256, 5.0, 1)])
+def test_two_levels_need_the_floor_and_a_far_start(n, r, levels):
+    # at sigma = 300 the first preconditioned step from the tent of radius 3
+    # is 2.3 times its norm, from the tent of radius 5 only 0.24 times
+    init = TentProfile(1.0, r).realize(RadialGrid(24.0, n))
     res = minimize_nlkg(SPEC, 300.0, init)
     assert res.converged
     assert (res.coarse_iterations > 0) == (levels == 2)
     assert np.isfinite(res.discretization_error) == (levels == 2)
 
 
-def test_unconverged_level_leaves_no_error_estimate(tent_init):
-    res = minimize_nlkg(SPEC, 300.0, tent_init, SolveOptions(max_iters=3))
+def test_fine_descent_keeps_init_over_a_worse_coarse_minimizer():
+    # a stand-in minimizer whose coarse level pulls toward 20 while the fine
+    # energy is |u - 3|^2: the resampled coarse minimizer lies far above init,
+    # so the fine descent starts from init and ends below it; from the coarse
+    # start two iterations would end above it
+    fine = RadialGrid(8.0, 256)
+    init = RadialProfile(fine, np.append(np.ones(256), 0.0))
+
+    def setup(g):
+        target = np.append(np.full(g.n, 3.0 if g == fine else 20.0), 0.0)
+        w = np.ones(g.n + 1)
+
+        def energy(u):
+            return float(w @ (u - target) ** 2), (float(w @ (u * u)), None)
+
+        return energy, lambda u, state: 2.0 * (u - target), lambda u: np.maximum(u, 0.0), w, lambda g: 0.4 * g
+
+    res = _solve(SPEC, 1.0, init, setup, SolveOptions(max_iters=2))
+    assert res.coarse_iterations > 0 and res.termination == "max_iters"
+    assert res.energy < setup(fine)[0](init.values)[0]
+
+
+def test_unconverged_level_leaves_no_error_estimate(grid):
+    res = minimize_nlkg(SPEC, 300.0, TentProfile(1.0, 3.0).realize(grid), SolveOptions(max_iters=3))
     assert res.coarse_iterations > 0 and res.termination == "max_iters"
     assert np.isnan(res.discretization_error)

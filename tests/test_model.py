@@ -109,13 +109,15 @@ def test_validate_power_deficit_without_repulsion_fails_nonnegativity():
 
 def test_violation_witness_is_a_normal_amplitude_where_w_is_negative():
     # p this close to 2 puts the zero of W below the smallest normal double;
-    # the witness is then s0 itself, where the level is negative
+    # the violation witness is then s0 itself, where the level is negative,
+    # while the second-vacuum witness stays a zero of W
     spec = NonlinearSpec.power_deficit(2.30, 0.0, 2.000214, 2.2133, mass=0.68)
     report = validate_assumptions(spec, 3338.0)
     s0, level = find_binding_amplitude(spec, 3338.0)
     assert not report.nonnegative and level < 0.0
     assert report.nonnegative_violation == s0 >= np.finfo(float).tiny
     assert eval_nonlinearity(spec, report.nonnegative_violation, 0) < 0.0
+    assert classify_charge_criteria(spec).second_vacuum_value == 0.0
 
 
 def test_validate_preconditions(dw):
