@@ -141,15 +141,14 @@ def descend(
     res_best = np.inf
     it_mark = 0
     residual = np.inf
-    iterations = 0
+    iterations = 0  # accepted steps
     termination = "max_iters"
     p = g_old = pg_old = None
     for it in range(opts.max_iters):
-        iterations = it
         g = gradient(u, state)
         residual = np.sqrt(inner(g, g))
         if converged_at(residual, u):
-            return u, residual, it, "converged", e_cur, state
+            return u, residual, iterations, "converged", e_cur, state
         # stall guard: break only when neither the energy (which pins at
         # float resolution first) nor the residual makes real progress
         if e_cur < e_mark - 1e-13 * max(1.0, abs(e_mark)):
@@ -194,6 +193,7 @@ def descend(
                 if trial_no == 0 and e_cur - e_trial > 1e-14 * max(1.0, abs(e_cur)):
                     tau = min(tau * 2.0, 1e3 * STEP_INIT)
                 u, e_cur, state = trial, e_trial, trial_state
+                iterations += 1
                 accepted = True
                 break
             tau *= SHRINK

@@ -282,9 +282,9 @@ def classify_charge_criteria(spec: NonlinearSpec) -> CriteriaReport:
         small_verdict = "inconclusive"
         notes.append("small-s exponent sits at the decision boundary")
 
-    witness, value, verdict = _find_second_vacuum(spec)
-    if verdict == "inconclusive":
-        notes.append("W minimum is near zero but outside tolerance; refine the parameters")
+    witness, value, verdict, why = _find_second_vacuum(spec)
+    if why:
+        notes.append(why)
 
     return CriteriaReport(
         small_charge_threshold_vanishes=small_verdict,
@@ -297,14 +297,23 @@ def classify_charge_criteria(spec: NonlinearSpec) -> CriteriaReport:
     )
 
 
-def _find_second_vacuum(spec: NonlinearSpec) -> tuple[float | None, float | None, str]:
+def _find_second_vacuum(spec: NonlinearSpec) -> tuple[float | None, float | None, str, str]:
     """Zero of W at positive amplitude, read from the deepest level W/(s^2/2)
-    on (0, 10] so the trivial vacuum at zero cannot masquerade as a witness."""
+    on (0, 10] so the trivial vacuum at zero cannot masquerade as a witness.
+
+    Returns (witness, W(witness), verdict, why); ``why`` explains an
+    inconclusive verdict and is empty otherwise.
+    """
     s1, level = find_binding_amplitude(spec, _CRITERIA_S_MAX)
     m2 = spec.mass**2
     if level < 0.0:
         s1 = _zero_below(spec, s1)
     elif level >= 1e-5 * m2:
-        return None, None, "fails"
-    verdict = "holds" if level < 1e-9 * m2 else "inconclusive"
-    return s1, float(eval_nonlinearity(spec, s1, 0)), verdict
+        return None, None, "fails", ""
+    value = float(eval_nonlinearity(spec, s1, 0))
+    if not 0.0 < s1 < np.inf:
+        # a zero of W below the smallest double comes back as 0, the trivial vacuum
+        return s1, value, "inconclusive", f"zero of W at s = {s1!r} is not a positive, finite amplitude"
+    if level >= 1e-9 * m2:
+        return s1, value, "inconclusive", "W minimum is near zero but outside tolerance; refine the parameters"
+    return s1, value, "holds", ""

@@ -80,9 +80,32 @@ def _hermite_zero(r0: float, p0: float, m0: float, r1: float, p1: float, m1: flo
     return r0 + hi * h
 
 
+def _quintic_hermite(rs: np.ndarray, us: np.ndarray, vs: np.ndarray, accs: np.ndarray,
+                     r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(p, p') at the radii r in [rs[0], rs[-1]] from the quintic Hermite
+    through (p, p', p'') = (us, vs, accs) at the two ascending knots rs
+    that bracket each radius.  The interpolant is C^2 across the knots."""
+    k = np.clip(np.searchsorted(rs, r, side="right") - 1, 0, rs.size - 2)
+    r0 = rs[k]
+    h = rs[k + 1] - r0
+    t = (r - r0) / h
+    s = 1.0 - t
+    t2, s2 = t * t, s * s
+    # factored quintic Hermite basis and its t-derivative; the basis at
+    # the right knot is the left one mirrored in t <-> s
+    p = (s2 * s * (1.0 + 3.0 * t + 6.0 * t2) * us[k]
+         + t2 * t * (1.0 + 3.0 * s + 6.0 * s2) * us[k + 1]
+         + h * (t * s2 * s * (1.0 + 3.0 * t) * vs[k] - t2 * t * s * (1.0 + 3.0 * s) * vs[k + 1])
+         + 0.5 * h * h * t2 * s2 * (s * accs[k] + t * accs[k + 1]))
+    dp = (30.0 * t2 * s2 * (us[k + 1] - us[k]) / h
+          + s2 * (1.0 + 2.0 * t - 15.0 * t2) * vs[k] + t2 * (1.0 + 2.0 * s - 15.0 * s2) * vs[k + 1]
+          + 0.5 * h * t * s * (s * (2.0 - 5.0 * t) * accs[k] + t * (3.0 - 5.0 * t) * accs[k + 1]))
+    return p, dp
+
+
 def _integrate(spec: NonlinearSpec, omega: float, u0: float, r_stop: float,
                nodes: Sequence[float] = ()):
-    """DOP853 from the regular series start; classify the outcome.
+    """One DOP853 run from the regular series start; classify the outcome.
 
     Events: the amplitude reaching zero is an overshoot, a turning point
     with positive amplitude (including the plateau case) an undershoot.
@@ -90,8 +113,12 @@ def _integrate(spec: NonlinearSpec, omega: float, u0: float, r_stop: float,
     event stops the run and the event radius is the zero, inside that
     step, of the cubic Hermite through (u, u') (overshoot) or (u', u'')
     (undershoot) at its ends: it then moves continuously with u0.
-    The run also stops on each of the ascending ``nodes`` before the event
-    and r_stop, and samples (u, u') there.
+    The step ends before the event are kept.  When ascending ``nodes`` are
+    given, (u, u') at each node up to the last of them comes from the
+    quintic Hermite through (u, u', u'') at the two step ends around it,
+    with u'' from the right-hand side after the run, so a run without
+    nodes makes no extra right-hand-side calls; nodes below R_START take
+    the series start.
     Returns (outcome, r_event, (u, u') at the leading nodes).
     """
     # imported on first use: at module level it would slow every package import
@@ -100,7 +127,7 @@ def _integrate(spec: NonlinearSpec, omega: float, u0: float, r_stop: float,
     accel = _accel(spec, omega)
     f0 = accel(u0, 0.0, R_START)  # v = 0 at the origin
 
-    def series(r: float) -> tuple[float, float]:
+    def series(r):
         return u0 + f0 * r * r / 6.0, f0 * r / 3.0
 
     def rhs(r: float, y: np.ndarray) -> tuple[float, float]:
@@ -108,15 +135,15 @@ def _integrate(spec: NonlinearSpec, omega: float, u0: float, r_stop: float,
         return v, accel(u, v, r)
 
     start = series(R_START)
-    last = [R_START, *start]
+    steps: list[tuple[float, float, float]] = []  # falling step ends (r, u, u')
     event: list = []
 
     def stopped(r: float, u: float, v: float) -> bool:
         """Record the first event; false while the trajectory still falls."""
         if u > 0.0 and v < 0.0:
-            last[:] = r, u, v
+            steps.append((r, u, v))
             return False
-        r0, u_0, v_0 = last
+        r0, u_0, v_0 = steps[-1] if steps else (r, u, v)
         if u <= 0.0:
             event[:] = OVERSHOOT, _hermite_zero(r0, u_0, v_0, r, u, v)
         else:
@@ -124,26 +151,33 @@ def _integrate(spec: NonlinearSpec, omega: float, u0: float, r_stop: float,
                                                  r, -v, -accel(u, v, r))
         return True
 
-    # a run to r_stop takes a few hundred steps; the default budget is 500
-    solver = ode(rhs).set_integrator("dop853", rtol=RTOL, atol=ATOL, nsteps=100_000)
-    solver.set_solout(lambda r, y: -1 if stopped(r, *y.tolist()) else 0)
-    solver.set_initial_value(start, R_START)
     # DOP853 reports a stop at its first call, on the start itself, as a
-    # failure, so a start that is already an event never reaches it
-    stopped(R_START, *start)
-    samples = []
-    for r in nodes:
-        if event or r > r_stop:
-            break
-        y = solver.integrate(r).tolist() if r > R_START else series(r)
-        if not event:
-            samples.append(y)
-    if not event and solver.t < r_stop:
+    # failure, so the start is classified here and that first call skipped
+    if not stopped(R_START, *start):
+        # a run to r_stop takes a few hundred steps; the default budget is 500
+        solver = ode(rhs).set_integrator("dop853", rtol=RTOL, atol=ATOL, nsteps=100_000)
+        solver.set_solout(lambda r, y: -1 if r > R_START and stopped(r, *y.tolist()) else 0)
+        solver.set_initial_value(start, R_START)
         solver.integrate(r_stop)
-    if not solver.successful():
-        raise RuntimeError(f"DOP853 failed with return code {solver.get_return_code()}")
+        if not solver.successful():
+            raise RuntimeError(f"DOP853 failed with return code {solver.get_return_code()}")
+        # scipy keeps every dop853 integrator alive after its run; unhooking
+        # the callback (which resets the success flag) frees this run's step ends
+        solver.set_solout(None)
     outcome, r_event = event or (UNDERSHOOT, r_stop)
-    return outcome, r_event, np.array(samples).reshape(-1, 2).T
+
+    if not (len(nodes) and steps):
+        return outcome, r_event, np.empty((2, 0))
+    rs, us, vs = np.array(steps).T
+    nodes = np.asarray(nodes, dtype=float)
+    nodes = nodes[:np.searchsorted(nodes, rs[-1], side="right")]
+    inner = np.searchsorted(nodes, R_START, side="right")
+    samples = np.empty((2, nodes.size))
+    samples[:, :inner] = series(nodes[:inner])
+    if inner < nodes.size:
+        accs = np.array([accel(u, v, r) for r, u, v in steps])
+        samples[:, inner:] = _quintic_hermite(rs, us, vs, accs, nodes[inner:])
+    return outcome, r_event, samples
 
 
 def _bracketed_root(miss: Callable[[float], float], lo: float, m_lo: float,
@@ -201,9 +235,11 @@ def shoot_ground_state(spec: NonlinearSpec, omega: float, grid: RadialGrid | Non
     lower end always undershoots and the upper end always overshoots.
     The default grid spans the integration horizon max(40, 25/kappa),
     kappa = sqrt(m^2 - omega^2), with 4096 cells, so it depends on kappa
-    alone.  Beyond the node where the integrated trajectory stops tracking
-    the decaying solution, the profile continues with the exact linear far
-    field A e^{-kappa r} / r.
+    alone.  One more run, from the bracket midpoint, gives the core of the
+    profile: (u, u') at each node comes from the quintic Hermite through
+    (u, u', u'') at the integrator's own step ends around it.  Beyond the
+    node where that trajectory stops tracking the decaying solution, the
+    profile continues with the exact linear far field A e^{-kappa r} / r.
     """
     m2 = spec.mass**2
     if not omega**2 < m2:
@@ -243,7 +279,6 @@ def shoot_ground_state(spec: NonlinearSpec, omega: float, grid: RadialGrid | Non
     if grid is None:
         grid = RadialGrid(r_stop, 4096)
     nodes = grid.nodes
-    # the integrator stops on each node, so the core needs no interpolation
     _, r_event, (us, vs) = _integrate(spec, omega, u0, r_stop, nodes)
     idx = _graft_point(nodes[:us.size], us, vs, kappa, u0)
     r_graft = float(nodes[idx])

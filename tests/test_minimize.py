@@ -278,6 +278,14 @@ def test_result_carries_the_termination(ground, tent_init):
     assert short.termination == "max_iters" and not short.converged
 
 
+def test_spent_budget_reports_every_accepted_step():
+    # each level takes all max_iters steps and reports them, not max_iters - 1
+    init = TentProfile(1.0, 3.0).realize(RadialGrid(24.0, 1024))
+    res = minimize_nlkg(SPEC, 300.0, init, SolveOptions(max_iters=3))
+    assert res.termination == "max_iters"
+    assert (res.coarse_iterations, res.iterations) == (3, 3)
+
+
 def test_kgm_construct_plan_iteration_budget():
     # conjugate directions: 184 iterations at this plan on its grid alone,
     # where steepest descent along the Sobolev gradient took 552; the two

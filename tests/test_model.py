@@ -120,6 +120,16 @@ def test_violation_witness_is_a_normal_amplitude_where_w_is_negative():
     assert classify_charge_criteria(spec).second_vacuum_value == 0.0
 
 
+def test_second_vacuum_underflowed_to_zero_is_inconclusive():
+    # the zero of W lies below the smallest double and comes back as 0, the
+    # trivial vacuum, which cannot witness a second one
+    spec = NonlinearSpec.power_deficit(2.30, 0.0, 2.000214, 2.2133, mass=0.68)
+    report = classify_charge_criteria(spec)
+    assert report.second_vacuum_witness == 0.0
+    assert report.second_vacuum == "inconclusive"
+    assert any("not a positive, finite amplitude" in note for note in report.notes)
+
+
 def test_validate_preconditions(dw):
     with pytest.raises(ValueError):
         validate_assumptions(dw, s_max=0.0)

@@ -1,3 +1,4 @@
+import gc
 import math
 
 import numpy as np
@@ -122,6 +123,52 @@ class TestShooting:
         # bisection after a full 60-candidate scan made 96
         assert len(calls) <= 40
 
+    def test_right_hand_side_budget(self, monkeypatch):
+        # the profile run is one DOP853 pass sampled by quintic Hermite,
+        # where stopping on every grid node took 31,262 calls; the search
+        # runs evaluate no u'' at their step ends
+        runs = []
+        accel = oracle._accel
+
+        def counted(spec, omega):
+            f = accel(spec, omega)
+            runs.append(0)
+
+            def g(u, v, r):
+                runs[-1] += 1
+                return f(u, v, r)
+            return g
+
+        monkeypatch.setattr(oracle, "_accel", counted)
+        shoot_ground_state(SPEC, 0.5)
+        *search, final = runs
+        assert final < 3000
+        assert np.mean(search) == pytest.approx(1106.0, rel=0.05)
+
+    def test_runs_release_their_step_ends(self):
+        # scipy keeps each dop853 integrator alive after its run; the event
+        # callback, and with it the run's list of step ends, must not stay
+        # attached to it
+        def alive():
+            gc.collect()
+            return sum(1 for f in gc.get_objects()
+                       if getattr(f, "__qualname__", "") == "_integrate.<locals>.stopped")
+
+        before = alive()
+        for u0 in (1.0, 1.05, 1.1):
+            oracle._integrate(SPEC, 0.5, u0, 40.0, np.linspace(0.0, 40.0, 101))
+        assert alive() == before
+
+    @pytest.mark.parametrize("omega", [0.5, 0.9])
+    def test_profile_resolved_by_the_tolerance(self, tolerance_pairs, omega):
+        # the interpolated core moves by less than 1e-8 u0 under 100x
+        # tighter tolerances
+        production, tight = tolerance_pairs[omega]
+        r = production.profile.grid.nodes
+        core = r <= min(production.graft_radius, tight.graft_radius)
+        gap = np.abs(production.profile.values - tight.profile.values)[core]
+        assert gap.max() < 1e-8 * production.u0
+
     @pytest.mark.parametrize("omega", [0.5, 0.7, 0.9])
     def test_default_grid_depends_on_kappa_alone(self, omega):
         kappa = math.sqrt(1.0 - omega**2)
@@ -170,6 +217,21 @@ class TestShooting:
         spec = NonlinearSpec.power_deficit(0.01, 0.01, 3.0, 4.0)
         with pytest.raises(ValueError):
             shoot_ground_state(spec, 0.05)
+
+
+@settings(max_examples=40, deadline=None)
+@given(coeffs=st.lists(st.floats(-10.0, 10.0), min_size=6, max_size=6),
+       knots=st.lists(st.floats(0.01, 2.0), min_size=2, max_size=6))
+def test_quintic_hermite_reproduces_quintics(coeffs, knots):
+    """The interpolant through (p, p', p'') at the knots is exact for a
+    polynomial of degree 5, in value and in slope."""
+    poly = np.polynomial.Polynomial(coeffs)
+    rs = np.cumsum([0.5, *knots])
+    r = np.linspace(rs[0], rs[-1], 97)
+    p, dp = oracle._quintic_hermite(rs, poly(rs), poly.deriv()(rs), poly.deriv(2)(rs), r)
+    scale = np.polynomial.Polynomial(np.abs(coeffs))(rs[-1])
+    assert np.allclose(p, poly(r), rtol=0.0, atol=1e-14 * scale)
+    assert np.allclose(dp, poly.deriv()(r), rtol=0.0, atol=1e-13 * scale)
 
 
 @settings(max_examples=60, deadline=None)
