@@ -6,7 +6,6 @@ from .chargewin import (
     WindowEstimate,
     construct_for_charge,
     estimate_admissible_window,
-    sobolev_constant,
     verify_tent_witness,
 )
 from .evolve import (
@@ -18,16 +17,8 @@ from .evolve import (
     manifold_distance,
     soliton_state,
 )
-from .functionals import (
-    NlkgState,
-    hylomorphy_ratio,
-    nlkg_charge,
-    nlkg_deficiency,
-    nlkg_energy,
-    reduced_energy_sigma,
-    sigma_window,
-)
-from .gauge import GaugePotential, KgmFunctionals, kgm_functionals, kgm_gradient, solve_phi
+from .functionals import deficiency, hylomorphy_ratio, reduced_energy_sigma, sigma_window
+from .gauge import GaugePotential, solve_phi
 from .grid import RadialGrid, RadialProfile, integrate_radial, radial_laplacian
 from .minimize import SolitonResult, SolveOptions, minimize_kgm, minimize_nlkg, residual_stationary
 from .model import (
@@ -53,8 +44,6 @@ __all__ = [
     "EvolutionLedger",
     "EvolutionState",
     "GaugePotential",
-    "KgmFunctionals",
-    "NlkgState",
     "NonlinearSpec",
     "RadialGrid",
     "RadialProfile",
@@ -65,27 +54,22 @@ __all__ = [
     "WindowEstimate",
     "classify_charge_criteria",
     "construct_for_charge",
+    "deficiency",
     "estimate_admissible_window",
     "eval_nonlinearity",
     "evolve_nlkg",
     "hylomorphy_ratio",
     "integrate_radial",
-    "kgm_functionals",
-    "kgm_gradient",
     "localization_fraction",
     "manifold_distance",
     "minimize_kgm",
     "minimize_nlkg",
     "minimize_vortex",
-    "nlkg_charge",
-    "nlkg_deficiency",
-    "nlkg_energy",
     "radial_laplacian",
     "reduced_energy_sigma",
     "residual_stationary",
     "shoot_ground_state",
     "sigma_window",
-    "sobolev_constant",
     "solve_phi",
     "soliton_state",
     "tent_quadratures",

@@ -12,13 +12,13 @@ radius until the verified electric charge q m K exceeds the target.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .functionals import nlkg_deficiency, sigma_window
-from .gauge import kgm_functionals
-from .grid import InvariantError, RadialGrid, RadialProfile, gradient_sq_integral, integrate_radial
+from .functionals import deficiency, sigma_window
+from .gauge import screened_mass
+from .grid import InvariantError, RadialGrid, RadialProfile
 from .model import NonlinearSpec, eval_remainder, find_binding_amplitude
 
 # Best constant c3 with c3 * ||f||_6^2 <= ||grad f||_2^2 on R^3, evaluated
@@ -37,24 +37,6 @@ _COUPLING_NORM = 48.0 ** (1.0 / 3.0) * np.pi ** (2.0 / 3.0)
 # check, coarser for the construction, whose grid grows with its doubling radius.
 SCAN_RESOLUTION = 0.02
 CONSTRUCT_RESOLUTION = 0.05
-
-
-def sobolev_constant() -> float:
-    """The recorded gradient-to-L6 embedding constant for R^3."""
-    return SOBOLEV_C3
-
-
-def dirichlet_l6_quotient(f: Callable[[np.ndarray], np.ndarray], r_max: float, n: int) -> float:
-    """Rayleigh quotient ||grad f||_2^2 / ||f||_6^2 of a radial trial function."""
-    grid = RadialGrid(r_max, n)
-    vals = np.asarray(f(grid.nodes), dtype=float)
-    l6 = integrate_radial(grid, vals**6) ** (1.0 / 3.0)
-    return gradient_sq_integral(grid, vals) / l6
-
-
-def extremal_bubble(r: np.ndarray) -> np.ndarray:
-    """The scaling-extremal radial profile (1 + r^2)^(-1/2)."""
-    return 1.0 / np.sqrt(1.0 + np.asarray(r, dtype=float) ** 2)
 
 
 @dataclass(frozen=True)
@@ -111,8 +93,6 @@ def estimate_admissible_window(
     admissible; the true window over all profiles can only be wider.  An
     empty result is a failed search, not a nonexistence proof.
     """
-    if q < 0:
-        raise ValueError("coupling must be nonnegative")
     if len(s1_values) == 0 or len(r_values) == 0:
         raise ValueError("search grid must be nonempty")
     best_low = None
@@ -122,15 +102,7 @@ def estimate_admissible_window(
     for s1 in s1_values:
         for r in r_values:
             tent = TentProfile(float(s1), float(r))
-            u = tent.realize(tent.default_grid(SCAN_RESOLUTION))
-            if q == 0.0:
-                j = nlkg_deficiency(u, spec)
-                k = u.mass2
-            else:
-                funcs = kgm_functionals(u, 1.0, q, spec)
-                j = funcs.deficiency
-                k = funcs.screened_mass
-            window = sigma_window(u, spec, mass_override=k, deficiency_override=j)
+            window = sigma_window(tent.realize(tent.default_grid(SCAN_RESOLUTION)), spec, q)
             if window is None:
                 continue
             admissible.append(tent)
@@ -191,9 +163,9 @@ def verify_tent_witness(spec: NonlinearSpec, s1: float, r: float, h: float, q: f
 
     tent = TentProfile(s1, r)
     u = tent.realize(tent.default_grid(SCAN_RESOLUTION))
-    funcs = kgm_functionals(u, 1.0, q, spec)
+    j, k = deficiency(u, spec, q)
     mass2 = u.mass2
-    defect_ok = funcs.mass_defect >= (h**2 - 1.0) * mass2 * (1.0 + 1e-9)
+    defect_ok = k - mass2 >= (h**2 - 1.0) * mass2 * (1.0 + 1e-9)
 
     # the comparison term is rho^2 on the plateau and (r + 1 - rho)^2 rho^2 on the
     # ramp; its peak is r^2 for r >= 1 and ((r + 1)/2)^4, inside the ramp, below
@@ -201,17 +173,15 @@ def verify_tent_witness(spec: NonlinearSpec, s1: float, r: float, h: float, q: f
     base = SOBOLEV_C3 * (4.0 * np.pi / 3.0) ** (1.0 / 3.0) * (1.0 - h) ** 2 / q**2
     slope_ok = bool(base - 4.0 * np.pi * h**2 * s1**2 * peak > 0.0)
 
-    deficiency_ok = funcs.deficiency < 0.0
-
     return TentWitnessReport(
         amplitude_ok=bool(amplitude_ok),
         coupling_ok=bool(coupling_ok),
         defect_ok=bool(defect_ok),
         slope_ok=slope_ok,
-        deficiency_ok=bool(deficiency_ok),
-        deficiency=funcs.deficiency,
-        screened_mass=funcs.screened_mass,
-        mass_defect=funcs.mass_defect,
+        deficiency_ok=bool(j < 0.0),
+        deficiency=j,
+        screened_mass=k,
+        mass_defect=k - mass2,
         mass2=mass2,
         amplitude_upper=float(upper),
         coupling_margin=float(margin),
@@ -267,8 +237,8 @@ def construct_for_charge(spec: NonlinearSpec, charge_target: float, r_cap: float
         tent = TentProfile(s1, r)
         grid = tent.default_grid(CONSTRUCT_RESOLUTION)
         u = tent.realize(grid)
-        funcs = kgm_functionals(u, 1.0, q, spec)
-        charge = q * spec.mass * funcs.screened_mass
+        k, _ = screened_mass(u, q)
+        charge = q * spec.mass * k
         if charge >= charge_target:
             break
         if 2.0 * r > r_cap:
@@ -279,7 +249,7 @@ def construct_for_charge(spec: NonlinearSpec, charge_target: float, r_cap: float
     predicted = (2.0 * np.pi / 3.0) * prefactor * spec.mass * h * (1.0 - h) * s1 * r**2
     return ConstructionPlan(
         s1=s1, binding=lam, alpha=alpha, h=h, r=r, q=q,
-        sigma=spec.mass * funcs.screened_mass, charge=charge,
+        sigma=spec.mass * k, charge=charge,
         predicted_charge_lb=predicted,
-        screened_mass=funcs.screened_mass, grid=grid,
+        screened_mass=k, grid=grid,
     )

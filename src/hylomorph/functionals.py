@@ -8,41 +8,33 @@ the constrained search into unconstrained minimization of
 
     E_sigma(u) = integral of |grad u|^2/2 + W(u)  +  sigma^2 / (2 ||u||^2).
 
+The gauge-coupled theory replaces ||u||^2 by the screened mass K(u) of
+``gauge.screened_mass``; ``deficiency`` gives the pair (J, K) of both
+theories, and E_sigma = J + m sigma + (sigma - m K)^2 / (2 K) for either.
 Throughout, sigma > 0 and omega < 0 by convention.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
+from .gauge import screened_mass
 from .grid import RadialGrid, RadialProfile, gradient_sq_integral, integrate_radial, radial_laplacian
 from .model import NonlinearSpec, eval_nonlinearity, eval_remainder
 
 
-@dataclass(frozen=True)
-class NlkgState:
-    """A standing-wave pair (profile, frequency)."""
+def deficiency(u: RadialProfile, spec: NonlinearSpec, q: float = 0.0) -> tuple[float, float]:
+    """The deficiency J and the mass K of the hylomorphy test at coupling q.
 
-    u: RadialProfile
-    omega: float
-
-
-def nlkg_energy(state: NlkgState, spec: NonlinearSpec) -> float:
-    u = state.u
-    w_int = integrate_radial(u.grid, eval_nonlinearity(spec, u.values, 0))
-    return 0.5 * u.gradient2 + w_int + 0.5 * state.omega**2 * u.mass2
-
-
-def nlkg_charge(state: NlkgState) -> float:
-    return -state.omega * state.u.mass2
-
-
-def nlkg_deficiency(u: RadialProfile, spec: NonlinearSpec) -> float:
-    """Integral of |grad u|^2/2 + R(u); negative values open a charge window."""
+    K is ||u||^2 at q = 0 and the screened mass K(u) otherwise, and
+    J = integral of |grad u|^2/2 + R(u)  +  m^2 (||u||^2 - K) / 2;
+    negative values of J open a charge window.
+    """
+    mass2 = u.mass2
+    k = mass2 if q == 0.0 else screened_mass(u, q)[0]
     r_int = integrate_radial(u.grid, eval_remainder(spec, u.values, 0))
-    return 0.5 * u.gradient2 + r_int
+    # q * integral of phi u^2 = ||u||^2 - K by the same quadrature, exactly
+    return 0.5 * u.gradient2 + r_int + 0.5 * spec.mass**2 * (mass2 - k), k
 
 
 def reduced_energy(grid: RadialGrid, u: np.ndarray, spec: NonlinearSpec, sigma: float, k: float) -> float:
@@ -96,31 +88,16 @@ def hylomorphy_ratio(u: RadialProfile, sigma: float, spec: NonlinearSpec) -> flo
     return energy / sigma
 
 
-def sigma_window(
-    u: RadialProfile,
-    spec: NonlinearSpec,
-    mass_override: float | None = None,
-    deficiency_override: float | None = None,
-) -> tuple[float, float] | None:
+def sigma_window(u: RadialProfile, spec: NonlinearSpec, q: float = 0.0) -> tuple[float, float] | None:
     """Charge interval on which this profile certifies a binding minimizer.
 
-    With K = ||u||^2 and J the deficiency, the ratio E_sigma/sigma drops
-    below the mass exactly for sigma in (m K - sqrt(2 K |J|),
-    m K + sqrt(2 K |J|)); the window is empty unless J < 0.  The gauge
-    module passes its own screened K and J through the overrides.
+    With (J, K) from ``deficiency`` at coupling q, the ratio E_sigma/sigma
+    drops below the mass exactly for sigma in (m K - sqrt(2 K |J|),
+    m K + sqrt(2 K |J|)); the window is empty unless J < 0.
     """
-    k = u.mass2 if mass_override is None else float(mass_override)
-    j = nlkg_deficiency(u, spec) if deficiency_override is None else float(deficiency_override)
+    j, k = deficiency(u, spec, q)
     if j >= 0.0 or k <= 0.0:
         return None
     half_width = np.sqrt(2.0 * k * abs(j))
     center = spec.mass * k
     return center - half_width, center + half_width
-
-
-def nlkg_first_variation(u: RadialProfile, sigma: float, spec: NonlinearSpec) -> np.ndarray:
-    """Gradient density of E_sigma: -lap u + W'(u) - omega_star^2 u."""
-    mass2 = u.mass2
-    if mass2 <= 0.0:
-        raise ValueError("zero profile cannot satisfy a nonzero charge constraint")
-    return stationary_operator(u.grid, u.values, spec, (sigma / mass2) ** 2)

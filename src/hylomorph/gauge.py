@@ -21,6 +21,10 @@ gauge-coupled theory: charge C = -q omega K(u), so fixing C = q sigma
 gives omega = -sigma/K and the reduced energy
 
     E_sigma(u) = integral of |grad u|^2/2 + W(u)  +  sigma^2 / (2 K(u)).
+
+This module provides phi_u and K(u) alone; the functionals built on them
+(``functionals.deficiency``, ``reduced_energy``, ``stationary_operator``)
+live in ``functionals``, which imports this module and not the reverse.
 """
 
 from __future__ import annotations
@@ -29,10 +33,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .functionals import reduced_energy, stationary_operator
 from .grid import (FOUR_PI, InvariantError, RadialGrid, RadialProfile, TridiagonalFactor, banded_matvec,
                    gradient_sq_integral, integrate_radial, trapezoid_weights)
-from .model import NonlinearSpec, eval_remainder
 
 _BOUND_SLACK = 1e-10
 
@@ -59,9 +61,11 @@ class GaugePotential:
 
 
 def solve_phi(u: RadialProfile, q: float) -> GaugePotential:
-    """Solve the screened Poisson subproblem by a direct tridiagonal solve."""
-    if not q > 0:
-        raise ValueError("coupling q must be positive")
+    """Solve the screened Poisson subproblem by a direct tridiagonal solve.
+
+    Every gauge-coupled path checks its coupling here."""
+    if not (q > 0 and q * q < np.inf):
+        raise ValueError(f"coupling q must be positive with a finite square, got {q!r}")
     grid = u.grid
     uu = u.values**2
 
@@ -122,69 +126,3 @@ def screened_mass(u: RadialProfile, q: float) -> tuple[float, GaugePotential]:
     """
     phi = solve_phi(u, q)
     return _energy_form(u, phi), phi
-
-
-@dataclass
-class KgmFunctionals:
-    """Scalars of the gauge-coupled reduced problem at one (u, sigma, q)."""
-
-    screened_mass: float      # K(u) = integral of (1 - q phi_u) u^2
-    mass_defect: float        # K(u) - ||u||^2, nonpositive
-    deficiency: float         # |grad u|^2/2 + R(u) + m^2 q phi_u u^2 / 2
-    reduced_energy: float     # E_sigma(u)
-    omega: float              # -sigma / K(u)
-    sigma: float
-    coupling: float
-    phi: GaugePotential
-
-    @property
-    def electric_charge(self) -> float:
-        return self.coupling * self.sigma
-
-    @property
-    def hylomorphy(self) -> float:
-        return self.reduced_energy / self.sigma
-
-
-def _charged_mass2(u: RadialProfile, sigma: float) -> float:
-    """||u||^2 once sigma and u admit a nonzero charge constraint."""
-    if not sigma > 0:
-        raise ValueError("the charge parameter sigma must be positive")
-    mass2 = u.mass2
-    if mass2 <= 0.0:
-        raise ValueError("zero profile cannot satisfy a nonzero charge constraint")
-    return mass2
-
-
-def kgm_functionals(u: RadialProfile, sigma: float, q: float, spec: NonlinearSpec) -> KgmFunctionals:
-    """Solve for phi_u and evaluate the reduced scalars at fixed charge."""
-    mass2 = _charged_mass2(u, sigma)
-    k, phi = screened_mass(u, q)
-    defect = k - mass2
-    m2 = spec.mass**2
-    r_int = integrate_radial(u.grid, eval_remainder(spec, u.values, 0))
-    # q * integral of phi u^2 = mass2 - K by the same quadrature, exactly
-    deficiency = 0.5 * u.gradient2 + r_int + 0.5 * m2 * (mass2 - k)
-    return KgmFunctionals(
-        screened_mass=k,
-        mass_defect=defect,
-        deficiency=deficiency,
-        reduced_energy=reduced_energy(u.grid, u.values, spec, sigma, k),
-        omega=-sigma / k,
-        sigma=sigma,
-        coupling=q,
-        phi=phi,
-    )
-
-
-def kgm_gradient(u: RadialProfile, sigma: float, q: float, spec: NonlinearSpec) -> np.ndarray:
-    """First variation of the gauge reduced energy.
-
-    The screened mass differentiates through its minimizing potential,
-    K'(u) = 2 u (1 - q phi_u)^2, so the gradient is
-    -lap u + W'(u) - omega^2 (1 - q phi_u)^2 u with omega = -sigma/K.
-    It vanishes exactly on solutions of the coupled stationary system.
-    """
-    _charged_mass2(u, sigma)
-    k, phi = screened_mass(u, q)
-    return stationary_operator(u.grid, u.values, spec, (sigma / k) ** 2, phi.screen)

@@ -332,10 +332,8 @@ def minimize_nlkg(spec: NonlinearSpec, sigma: float, init: RadialProfile,
 def minimize_kgm(spec: NonlinearSpec, sigma: float, q: float, init: RadialProfile,
                  opts: SolveOptions | None = None) -> SolitonResult:
     """Minimize the gauge-coupled reduced energy; the potential is re-solved
-    at every energy evaluation and reused by the gradient at that iterate."""
-    if not q > 0:
-        raise ValueError("coupling q must be positive")
-
+    at every energy evaluation and reused by the gradient at that iterate;
+    ``solve_phi`` rejects a bad coupling at the first one."""
     def setup(grid: RadialGrid):
         def energy(u: np.ndarray) -> tuple[float, tuple[float, GaugePotential]]:
             k, phi = screened_mass(RadialProfile(grid, u), q)

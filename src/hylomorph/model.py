@@ -116,11 +116,6 @@ def eval_nonlinearity(spec: NonlinearSpec, s, order: int = 0):
     return _power_sum(spec.power_terms(), _check_s(s), order)
 
 
-def wprime_over_s(spec: NonlinearSpec, s):
-    """The smooth ratio W'(s)/s, equal to m^2 at s = 0."""
-    return _power_sum(spec.power_terms(), _check_s(s), 1, 1.0)
-
-
 def binding_level(spec: NonlinearSpec, s):
     """W(s) / (s^2/2); levels below m^2 certify binding at that amplitude."""
     return 2.0 * _power_sum(spec.power_terms(), _check_s(s), 0, 2.0)

@@ -103,8 +103,23 @@ def _quintic_hermite(rs: np.ndarray, us: np.ndarray, vs: np.ndarray, accs: np.nd
     return p, dp
 
 
+def _dop853(spec: NonlinearSpec, omega: float):
+    """(accel, solver): u'' at this frequency and a DOP853 integrator of it, shared by a shot's runs."""
+    # imported on first use: at module level it would slow every package import
+    from scipy.integrate import ode
+
+    accel = _accel(spec, omega)
+
+    def rhs(r: float, y: np.ndarray) -> tuple[float, float]:
+        u, v = y.tolist()
+        return v, accel(u, v, r)
+
+    # a run to r_stop takes a few hundred steps; the default budget is 500
+    return accel, ode(rhs).set_integrator("dop853", rtol=RTOL, atol=ATOL, nsteps=100_000)
+
+
 def _integrate(spec: NonlinearSpec, omega: float, u0: float, r_stop: float,
-               nodes: Sequence[float] = ()):
+               nodes: Sequence[float] = (), dop=None):
     """One DOP853 run from the regular series start; classify the outcome.
 
     Events: the amplitude reaching zero is an overshoot, a turning point
@@ -119,20 +134,14 @@ def _integrate(spec: NonlinearSpec, omega: float, u0: float, r_stop: float,
     with u'' from the right-hand side after the run, so a run without
     nodes makes no extra right-hand-side calls; nodes below R_START take
     the series start.
+    ``dop`` is the shot's ``_dop853(spec, omega)``; each run sets its own callback and start.
     Returns (outcome, r_event, (u, u') at the leading nodes).
     """
-    # imported on first use: at module level it would slow every package import
-    from scipy.integrate import ode
-
-    accel = _accel(spec, omega)
+    accel, solver = dop or _dop853(spec, omega)
     f0 = accel(u0, 0.0, R_START)  # v = 0 at the origin
 
     def series(r):
         return u0 + f0 * r * r / 6.0, f0 * r / 3.0
-
-    def rhs(r: float, y: np.ndarray) -> tuple[float, float]:
-        u, v = y.tolist()
-        return v, accel(u, v, r)
 
     start = series(R_START)
     steps: list[tuple[float, float, float]] = []  # falling step ends (r, u, u')
@@ -154,8 +163,6 @@ def _integrate(spec: NonlinearSpec, omega: float, u0: float, r_stop: float,
     # DOP853 reports a stop at its first call, on the start itself, as a
     # failure, so the start is classified here and that first call skipped
     if not stopped(R_START, *start):
-        # a run to r_stop takes a few hundred steps; the default budget is 500
-        solver = ode(rhs).set_integrator("dop853", rtol=RTOL, atol=ATOL, nsteps=100_000)
         solver.set_solout(lambda r, y: -1 if r > R_START and stopped(r, *y.tolist()) else 0)
         solver.set_initial_value(start, R_START)
         solver.integrate(r_stop)
@@ -253,12 +260,13 @@ def shoot_ground_state(spec: NonlinearSpec, omega: float, grid: RadialGrid | Non
         raise ValueError("effective potential never negative: no ground state at this omega")
 
     r_stop = max(40.0, 25.0 / kappa)
+    dop = _dop853(spec, omega)
 
     def miss(u0: float) -> float:
         # a start u0* + delta leaves the decaying solution where
         # |delta| e^{2 kappa r} is of order one, so exp(-2 kappa r_event)
         # is close to linear in delta: + for an overshoot, - for an undershoot
-        outcome, r_event, _ = _integrate(spec, omega, u0, r_stop)
+        outcome, r_event, _ = _integrate(spec, omega, u0, r_stop, dop=dop)
         # capped so a run to r_stop at large kappa cannot underflow to a signless 0
         m = math.exp(-min(2.0 * kappa * r_event, 700.0))
         return m if outcome == OVERSHOOT else -m
@@ -279,7 +287,7 @@ def shoot_ground_state(spec: NonlinearSpec, omega: float, grid: RadialGrid | Non
     if grid is None:
         grid = RadialGrid(r_stop, 4096)
     nodes = grid.nodes
-    _, r_event, (us, vs) = _integrate(spec, omega, u0, r_stop, nodes)
+    _, r_event, (us, vs) = _integrate(spec, omega, u0, r_stop, nodes, dop)
     idx = _graft_point(nodes[:us.size], us, vs, kappa, u0)
     r_graft = float(nodes[idx])
     amp = float(us[idx] * r_graft * np.exp(kappa * r_graft))

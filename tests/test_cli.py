@@ -3,7 +3,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hylomorph import cli
+from hylomorph import cli, gauge
 
 
 def write_config(tmp_path: Path, name: str, text: str) -> Path:
@@ -43,13 +43,23 @@ def test_n_samples_is_not_a_config_key(tmp_path):
 @pytest.mark.parametrize("command, text", [
     ("construct", "[construct]\ncharge_target = inf\n"),
     ("solve-nlkg", "[solve]\ninit_r = 30.0\n"),  # the tent's ramp ends past r_max = 24
-], ids=["construct-charge_target_inf", "solve-nlkg-tent_past_r_max"])
+    ("window", "[window]\nq = inf\n"),
+    ("window", "[window]\nq = nan\n"),
+    ("window", "[window]\nq = 1e300\n"),  # q**2 overflows
+    ("solve-kgm", "[solve]\nq = inf\n"),
+    ("solve-kgm", "[solve]\nq = nan\n"),
+    ("solve-kgm", "[solve]\nq = 1e300\n"),
+], ids=["construct-charge_target_inf", "solve-nlkg-tent_past_r_max", "window-q_inf", "window-q_nan",
+        "window-q_1e300", "solve-kgm-q_inf", "solve-kgm-q_nan", "solve-kgm-q_1e300"])
 def test_inputs_rejected_before_any_solve(tmp_path, monkeypatch, command, text):
     def no_solve(*args, **kwargs):
         raise RuntimeError("a solve ran before the inputs were checked")
 
-    monkeypatch.setattr(cli.chargewin, "kgm_functionals", no_solve)
+    monkeypatch.setattr(cli.chargewin, "screened_mass", no_solve)
     monkeypatch.setattr(cli.minimize, "minimize_nlkg", no_solve)
+    monkeypatch.setattr(cli.minimize, "descend", no_solve)
+    # every gauge-coupled path rejects its coupling in solve_phi, before the factorization
+    monkeypatch.setattr(gauge, "TridiagonalFactor", no_solve)
     cfg = write_config(tmp_path, "p.ini", text)
     out = tmp_path / "out"
     assert cli.main([command, "--config", str(cfg), "--out", str(out)]) == cli.EXIT_PRECONDITION

@@ -1,22 +1,32 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hylomorph.chargewin import TentProfile
+from hylomorph.evolve import field_charge, field_energy, soliton_state
 from hylomorph.functionals import (
-    NlkgState,
+    deficiency,
     hylomorphy_ratio,
-    nlkg_charge,
-    nlkg_deficiency,
-    nlkg_energy,
-    nlkg_first_variation,
+    reduced_energy,
     reduced_energy_sigma,
     sigma_window,
+    stationary_operator,
 )
 from hylomorph.grid import RadialGrid, RadialProfile
 from hylomorph.model import NonlinearSpec
 from hylomorph.oracle import tent_quadratures
 
 SPEC = NonlinearSpec.double_well()
+
+
+def energy(u, omega):
+    """E(u, omega) of the standing wave, as the time evolution measures it."""
+    return field_energy(soliton_state(u, omega), SPEC)
+
+
+def charge(u, omega):
+    return field_charge(soliton_state(u, omega))
 
 
 def tent_profile(s1, r, r_max=None, n=4096):
@@ -31,56 +41,55 @@ def closed_form_deficiency(s1, r):
 
 def test_zero_state_energy_and_charge():
     grid = RadialGrid(4.0, 64)
-    state = NlkgState(RadialProfile(grid, np.zeros(grid.n + 1)), omega=0.7)
-    assert nlkg_energy(state, SPEC) == 0.0
-    assert nlkg_charge(NlkgState(state.u, 0.0)) == 0.0
+    zero = RadialProfile(grid, np.zeros(grid.n + 1))
+    assert energy(zero, 0.7) == 0.0
+    assert charge(zero, 0.0) == 0.0
 
 
 def test_energy_even_in_omega():
     u = tent_profile(1.0, 2.0)
-    e_plus = nlkg_energy(NlkgState(u, 0.4), SPEC)
-    e_minus = nlkg_energy(NlkgState(u, -0.4), SPEC)
-    assert e_plus == e_minus
+    assert energy(u, 0.4) == energy(u, -0.4)
 
 
 def test_tent_energy_against_closed_form():
     u = tent_profile(1.0, 1.0)
     tq = tent_quadratures(1.0, 1.0, SPEC)
     expected = 0.5 * tq.grad2 + tq.remainder_int + 0.5 * tq.mass2
-    assert nlkg_energy(NlkgState(u, 0.0), SPEC) == pytest.approx(expected, rel=1e-3)
+    assert energy(u, 0.0) == pytest.approx(expected, rel=1e-3)
 
 
 def test_charge_of_tent():
     u = tent_profile(1.0, 1.0)
-    assert nlkg_charge(NlkgState(u, -1.0)) == pytest.approx(52.0 * np.pi / 15.0, rel=1e-3)
+    assert charge(u, -1.0) == pytest.approx(52.0 * np.pi / 15.0, rel=1e-3)
 
 
 def test_charge_scaling_quadratic():
     u = tent_profile(1.0, 2.0)
     u2 = tent_profile(2.0, 2.0)
-    c1 = nlkg_charge(NlkgState(u, -0.3))
-    c2 = nlkg_charge(NlkgState(u2, -0.3))
+    c1 = charge(u, -0.3)
+    c2 = charge(u2, -0.3)
     assert c2 == pytest.approx(4.0 * c1, rel=1e-12)
 
 
 def test_deficiency_signs_and_values():
     u5 = tent_profile(1.0, 5.0)
-    j5 = nlkg_deficiency(u5, SPEC)
+    j5, k5 = deficiency(u5, SPEC)
+    assert k5 == u5.mass2
     assert j5 == pytest.approx(closed_form_deficiency(1.0, 5.0), rel=0.02)
     assert j5 < 0
     u1 = tent_profile(1.0, 1.0)
-    assert nlkg_deficiency(u1, SPEC) > 0
+    assert deficiency(u1, SPEC)[0] > 0
     grid = RadialGrid(4.0, 64)
-    assert nlkg_deficiency(RadialProfile(grid, np.zeros(grid.n + 1)), SPEC) == 0.0
+    assert deficiency(RadialProfile(grid, np.zeros(grid.n + 1)), SPEC) == (0.0, 0.0)
 
 
 def test_reduced_energy_eliminates_frequency():
     u = tent_profile(1.0, 1.0)
     sigma = 52.0 * np.pi / 15.0
-    energy, omega = reduced_energy_sigma(u, sigma, SPEC)
+    e_sigma, omega = reduced_energy_sigma(u, sigma, SPEC)
     assert omega == pytest.approx(-1.0, rel=1e-3)
     # consistency with the full energy at the eliminated frequency
-    assert nlkg_energy(NlkgState(u, omega), SPEC) == pytest.approx(energy, rel=1e-12)
+    assert energy(u, omega) == pytest.approx(e_sigma, rel=1e-12)
 
 
 def test_reduced_energy_zero_profile_infeasible():
@@ -95,17 +104,17 @@ def test_reduced_energy_zero_profile_infeasible():
 def test_reduced_energy_identity_with_deficiency():
     u = tent_profile(1.1, 3.0)
     sigma = 37.0
-    energy, _ = reduced_energy_sigma(u, sigma, SPEC)
+    e_sigma, _ = reduced_energy_sigma(u, sigma, SPEC)
     m2 = SPEC.mass**2
-    alt = nlkg_deficiency(u, SPEC) + 0.5 * (m2 * u.mass2 + sigma**2 / u.mass2)
-    assert energy == pytest.approx(alt, rel=1e-10)
+    alt = deficiency(u, SPEC)[0] + 0.5 * (m2 * u.mass2 + sigma**2 / u.mass2)
+    assert e_sigma == pytest.approx(alt, rel=1e-10)
 
 
 def test_hylomorphy_at_window_center():
     u = tent_profile(1.0, 5.0)
     sigma = SPEC.mass * u.mass2
     lam = hylomorphy_ratio(u, sigma, SPEC)
-    assert lam == pytest.approx(1.0 + nlkg_deficiency(u, SPEC) / sigma, rel=1e-12)
+    assert lam == pytest.approx(1.0 + deficiency(u, SPEC)[0] / sigma, rel=1e-12)
     assert lam < SPEC.mass
 
 
@@ -118,7 +127,7 @@ def test_hylomorphy_diverges_at_small_charge():
 
 def test_window_empty_without_negative_deficiency():
     u = tent_profile(1.0, 1.0)
-    assert nlkg_deficiency(u, SPEC) > 0
+    assert deficiency(u, SPEC)[0] > 0
     assert sigma_window(u, SPEC) is None
 
 
@@ -131,7 +140,7 @@ def test_window_against_closed_form():
     assert lo == pytest.approx(k - width, rel=1e-3)
     assert hi == pytest.approx(k + width, rel=1e-3)
     # endpoint product identity
-    assert lo * hi == pytest.approx(u.mass2 * (u.mass2 - 2 * abs(nlkg_deficiency(u, SPEC))), rel=1e-10)
+    assert lo * hi == pytest.approx(u.mass2 * (u.mass2 - 2 * abs(deficiency(u, SPEC)[0])), rel=1e-10)
 
 
 def test_ratio_below_mass_exactly_inside_window():
@@ -169,5 +178,34 @@ def test_first_variation_matches_finite_differences():
     e_plus, _ = reduced_energy_sigma(RadialProfile(grid, vals + eps * v), sigma, SPEC)
     e_minus, _ = reduced_energy_sigma(RadialProfile(grid, vals - eps * v), sigma, SPEC)
     fd = (e_plus - e_minus) / (2 * eps)
-    an = float(grid.volume_weights @ (nlkg_first_variation(u, sigma, SPEC) * v))
+    g = stationary_operator(grid, vals, SPEC, (sigma / u.mass2) ** 2)
+    an = float(grid.volume_weights @ (g * v))
     assert abs(fd - an) < 1e-5 * max(1.0, abs(an))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.floats(0.5, 1.5), st.floats(1.0, 10.0), st.just(0.0) | st.floats(1e-3, 0.2),
+       st.floats(0.0, 1.0))
+def test_reduced_energy_is_the_deficiency_plus_a_square(s1, r, q, t):
+    # E_sigma - m sigma = J + (sigma - m K)^2 / (2 K) for either theory, so
+    # E_sigma/sigma < m exactly inside the window of (J, K)
+    u = tent_profile(s1, r, n=512)
+    j, k = deficiency(u, SPEC, q)
+    m = SPEC.mass
+    window = sigma_window(u, SPEC, q)
+    sigma = 2.0 * m * k * t + 1e-3 * k
+    e_sigma = reduced_energy(u.grid, u.values, SPEC, sigma, k)
+    square = (sigma - m * k) ** 2 / (2.0 * k)
+    scale = abs(e_sigma) + m * sigma
+    assert e_sigma - m * sigma == pytest.approx(j + square, abs=1e-12 * scale)
+    if window is None:
+        assert j >= 0.0
+        return
+    lo, hi = window
+    assert (lo, hi) == (m * k - np.sqrt(2.0 * k * abs(j)), m * k + np.sqrt(2.0 * k * abs(j)))
+    assert reduced_energy(u.grid, u.values, SPEC, m * k, k) / (m * k) < m
+    margin = 1e-9 * scale
+    if lo + margin < sigma < hi - margin:
+        assert e_sigma / sigma < m
+    elif not lo - margin <= sigma <= hi + margin:
+        assert e_sigma / sigma >= m

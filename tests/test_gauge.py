@@ -2,12 +2,24 @@ import numpy as np
 import pytest
 
 from hylomorph.chargewin import TentProfile
-from hylomorph.functionals import nlkg_deficiency, reduced_energy_sigma, stationary_operator
-from hylomorph.gauge import kgm_functionals, kgm_gradient, screened_mass_two_forms, solve_phi
+from hylomorph.functionals import deficiency, reduced_energy, reduced_energy_sigma, stationary_operator
+from hylomorph.gauge import screened_mass, screened_mass_two_forms, solve_phi
 from hylomorph.grid import RadialGrid, RadialProfile, integrate_radial
 from hylomorph.model import NonlinearSpec, eval_nonlinearity
 
 SPEC = NonlinearSpec.double_well()
+
+
+def gauged_energy(u, sigma, q):
+    """E_sigma(u) with the screened mass, as minimize_kgm evaluates it."""
+    k, _ = screened_mass(u, q)
+    return reduced_energy(u.grid, u.values, SPEC, sigma, k)
+
+
+def gauged_gradient(u, sigma, q):
+    """-lap u + W'(u) - (sigma/K)^2 (1 - q phi_u)^2 u, as minimize_kgm evaluates it."""
+    k, phi = screened_mass(u, q)
+    return stationary_operator(u.grid, u.values, SPEC, (sigma / k) ** 2, phi.screen)
 
 
 @pytest.fixture(scope="module")
@@ -51,19 +63,23 @@ def test_two_forms_of_screened_mass_agree(tent11):
 
 
 def test_screened_mass_between_zero_and_bare_mass(tent11):
-    f = kgm_functionals(tent11, 1.0, 1.0, SPEC)
-    assert 0.0 < f.screened_mass < tent11.mass2
-    assert f.mass_defect == pytest.approx(f.screened_mass - tent11.mass2, rel=1e-12)
-    assert f.omega == pytest.approx(-1.0 / f.screened_mass, rel=1e-12)
+    j, k = deficiency(tent11, SPEC, 1.0)
+    assert k == screened_mass(tent11, 1.0)[0]
+    assert 0.0 < k < tent11.mass2
+    # the screening raises the deficiency by m^2 (||u||^2 - K) / 2
+    j0, k0 = deficiency(tent11, SPEC)
+    assert k0 == tent11.mass2
+    assert j - j0 == pytest.approx(0.5 * SPEC.mass**2 * (k0 - k), rel=1e-12)
 
 
 def test_decoupling_limit_matches_ungauged_functionals(tent11):
     sigma = 5.0
-    f = kgm_functionals(tent11, sigma, 1e-8, SPEC)
+    j, k = deficiency(tent11, SPEC, 1e-8)
+    j0, _ = deficiency(tent11, SPEC)
     e_nl, _ = reduced_energy_sigma(tent11, sigma, SPEC)
-    assert abs(f.screened_mass - tent11.mass2) < 1e-5 * tent11.mass2
-    assert abs(f.deficiency - nlkg_deficiency(tent11, SPEC)) < 1e-5 * abs(nlkg_deficiency(tent11, SPEC))
-    assert abs(f.reduced_energy - e_nl) < 1e-5 * e_nl
+    assert abs(k - tent11.mass2) < 1e-5 * tent11.mass2
+    assert abs(j - j0) < 1e-5 * abs(j0)
+    assert abs(gauged_energy(tent11, sigma, 1e-8) - e_nl) < 1e-5 * e_nl
 
 
 def test_reduced_energy_identity():
@@ -77,11 +93,11 @@ def test_reduced_energy_identity():
         u = RadialProfile(grid, vals)
         sigma = rng.uniform(0.5, 100.0)
         q = rng.uniform(0.05, 5.0)
-        f = kgm_functionals(u, sigma, q, SPEC)
+        k, _ = screened_mass(u, q)
         direct = (0.5 * u.gradient2
                   + integrate_radial(grid, eval_nonlinearity(SPEC, vals, 0))
-                  + sigma**2 / (2.0 * f.screened_mass))
-        assert abs(f.reduced_energy - direct) < 1e-10 * abs(direct)
+                  + sigma**2 / (2.0 * k))
+        assert abs(reduced_energy(grid, vals, SPEC, sigma, k) - direct) < 1e-10 * abs(direct)
 
 
 def test_monotone_screening():
@@ -106,48 +122,35 @@ def test_gradient_matches_finite_differences():
             w += rng.normal() * np.exp(-((r - rng.uniform(0, 9)) ** 2) / rng.uniform(0.5, 3.0) ** 2)
         w /= max(1.0, np.max(np.abs(w)))
         v = vals * w
-        g = kgm_gradient(u, sigma, q, SPEC)
-        e_plus = kgm_functionals(RadialProfile(grid, vals + eps * v), sigma, q, SPEC).reduced_energy
-        e_minus = kgm_functionals(RadialProfile(grid, vals - eps * v), sigma, q, SPEC).reduced_energy
+        g = gauged_gradient(u, sigma, q)
+        e_plus = gauged_energy(RadialProfile(grid, vals + eps * v), sigma, q)
+        e_minus = gauged_energy(RadialProfile(grid, vals - eps * v), sigma, q)
         fd = (e_plus - e_minus) / (2 * eps)
         an = float(grid.volume_weights @ (g * v))
         assert abs(fd - an) < 1e-5 * max(1.0, abs(an))
 
 
-def test_gradient_is_the_bundle_expression(tent11):
-    # the gradient needs only K and phi; it must equal the expression built
-    # from the whole kgm_functionals bundle bit for bit
-    sigma, q = 150.0, 0.7
-    funcs = kgm_functionals(tent11, sigma, q, SPEC)
-    bundle = stationary_operator(tent11.grid, tent11.values, SPEC,
-                                 (sigma / funcs.screened_mass) ** 2, funcs.phi.screen)
-    assert np.array_equal(kgm_gradient(tent11, sigma, q, SPEC), bundle)
-
-
 def test_gradient_decoupling_limit():
-    from hylomorph.functionals import nlkg_first_variation
-
     grid = RadialGrid(16.0, 512)
     r = grid.nodes
     vals = np.exp(-((r - 2.0) ** 2))
     vals[-1] = 0.0
     u = RadialProfile(grid, vals)
-    g_gauge = kgm_gradient(u, 20.0, 1e-8, SPEC)
-    g_plain = nlkg_first_variation(u, 20.0, SPEC)
+    g_gauge = gauged_gradient(u, 20.0, 1e-8)
+    g_plain = stationary_operator(grid, vals, SPEC, (20.0 / u.mass2) ** 2)
     assert np.max(np.abs(g_gauge - g_plain)) < 1e-5 * max(1.0, np.max(np.abs(g_plain)))
 
 
 def test_preconditions():
-    grid = RadialGrid(10.0, 256)
-    u = RadialProfile(grid, np.zeros(grid.n + 1))
-    with pytest.raises(ValueError):
-        solve_phi(u, 0.0)
-    with pytest.raises(ValueError):
-        kgm_functionals(u, 1.0, 1.0, SPEC)
-    tent = TentProfile(1.0, 1.0).realize(grid)
-    with pytest.raises(ValueError):
-        kgm_functionals(tent, -1.0, 1.0, SPEC)
-    with pytest.raises(ValueError):
-        kgm_gradient(u, 1.0, 1.0, SPEC)
-    with pytest.raises(ValueError):
-        kgm_gradient(tent, -1.0, 1.0, SPEC)
+    # a coupling that is not positive or whose square overflows is rejected
+    # before any solve, on every path that reaches the potential
+    tent = TentProfile(1.0, 1.0).realize(RadialGrid(10.0, 256))
+    for q in (0.0, -1.0, np.inf, np.nan, 1e300, 1.35e154):
+        for call in (solve_phi, screened_mass):
+            with pytest.raises(ValueError, match="coupling q"):
+                call(tent, q)
+        if q != 0.0:
+            with pytest.raises(ValueError, match="coupling q"):
+                deficiency(tent, SPEC, q)
+    # a strong coupling whose square is finite is a valid input
+    assert solve_phi(tent, 1e150).values.max() <= 1e-150

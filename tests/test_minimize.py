@@ -10,8 +10,8 @@ import numpy as np
 import pytest
 
 from hylomorph.chargewin import TentProfile, construct_for_charge
-from hylomorph.functionals import reduced_energy_sigma, sigma_window
-from hylomorph.gauge import kgm_functionals, solve_phi
+from hylomorph.functionals import reduced_energy, reduced_energy_sigma, sigma_window
+from hylomorph.gauge import screened_mass, solve_phi
 from hylomorph.grid import RadialGrid, RadialProfile, weighted_norm
 from hylomorph.minimize import (DIVERGED_NOTE, SolveOptions, _solve, descend, minimize_kgm,
                                 minimize_nlkg, residual_stationary)
@@ -116,9 +116,9 @@ def test_each_result_carries_the_state_of_its_own_profile(ground, gauged, tent_i
         energy, omega = reduced_energy_sigma(res.u, res.charge, SPEC)
         assert (res.energy, res.omega, res.screened_mass, res.phi) == (energy, omega, res.u.mass2, None)
     for res in (gauged, minimize_kgm(SPEC, gauged.charge, gauged.coupling, tent_init, one_step)):
-        fresh = kgm_functionals(res.u, res.charge, res.coupling, SPEC)
-        assert (res.energy, res.omega, res.screened_mass) == (fresh.reduced_energy, fresh.omega,
-                                                              fresh.screened_mass)
+        k, _ = screened_mass(res.u, res.coupling)
+        energy = reduced_energy(res.u.grid, res.u.values, SPEC, res.charge, k)
+        assert (res.energy, res.omega, res.screened_mass) == (energy, -res.charge / k, k)
         assert np.array_equal(res.phi.values, solve_phi(res.u, res.coupling).values)
 
 

@@ -5,14 +5,19 @@ from hypothesis import strategies as st
 
 from hylomorph.model import (
     NonlinearSpec,
+    _power_sum,
     binding_level,
     classify_charge_criteria,
     eval_nonlinearity,
     eval_remainder,
     find_binding_amplitude,
     validate_assumptions,
-    wprime_over_s,
 )
+
+
+def wprime_over_s(spec, s):
+    """W'(s)/s as the leapfrog evaluates it."""
+    return _power_sum(spec.power_terms(), s, 1, 1.0)
 
 
 @pytest.fixture

@@ -127,19 +127,27 @@ class TestShooting:
         # the profile run is one DOP853 pass sampled by quintic Hermite,
         # where stopping on every grid node took 31,262 calls; the search
         # runs evaluate no u'' at their step ends
-        runs = []
-        accel = oracle._accel
+        # one right-hand side serves every run of the shot, so the calls are
+        # split into runs at the boundaries of _integrate
+        calls, runs = [0], []
+        accel, integrate = oracle._accel, oracle._integrate
 
         def counted(spec, omega):
             f = accel(spec, omega)
-            runs.append(0)
 
             def g(u, v, r):
-                runs[-1] += 1
+                calls[0] += 1
                 return f(u, v, r)
             return g
 
+        def run(*args, **kwargs):
+            before = calls[0]
+            out = integrate(*args, **kwargs)
+            runs.append(calls[0] - before)
+            return out
+
         monkeypatch.setattr(oracle, "_accel", counted)
+        monkeypatch.setattr(oracle, "_integrate", run)
         shoot_ground_state(SPEC, 0.5)
         *search, final = runs
         assert final < 3000
@@ -158,6 +166,18 @@ class TestShooting:
         for u0 in (1.0, 1.05, 1.1):
             oracle._integrate(SPEC, 0.5, u0, 40.0, np.linspace(0.0, 40.0, 101))
         assert alive() == before
+
+    def test_each_shot_keeps_at_most_one_integrator(self):
+        # scipy keeps each dop853 integrator alive; a shot builds one and
+        # gives every run of its search and its profile run to it
+        def alive():
+            gc.collect()
+            return sum(1 for obj in gc.get_objects() if type(obj).__name__ == "dop853")
+
+        before = alive()
+        for omega in (0.5, 0.7, 0.9):
+            shoot_ground_state(SPEC, omega)
+        assert alive() - before <= 3
 
     @pytest.mark.parametrize("omega", [0.5, 0.9])
     def test_profile_resolved_by_the_tolerance(self, tolerance_pairs, omega):

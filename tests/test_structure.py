@@ -33,6 +33,21 @@ def test_descend_has_one_caller():
     assert _callers("descend") == {("minimize", "_solve")}
 
 
+def test_deficiency_is_defined_once():
+    # J needs the integral of R(u); only the deficiency takes it, beside the
+    # pointwise R(s0) of the assumption report and R(s1) of the tent witness
+    assert _callers("eval_remainder") == {("model", "validate_assumptions"),
+                                          ("functionals", "deficiency"),
+                                          ("chargewin", "verify_tent_witness")}
+
+
+def test_gauge_does_not_import_functionals():
+    # the functionals build on phi_u and K(u), not the reverse
+    tree = dict(_modules())["gauge"]
+    imported = {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+    assert "functionals" not in imported
+
+
 def _mentions(name: str) -> set[str]:
     """Modules that use ``name`` as a variable, an attribute or an imported name."""
     return {module for module, tree in _modules() for node in ast.walk(tree)
