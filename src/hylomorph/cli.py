@@ -174,6 +174,20 @@ def write_profile_csv(out_dir: Path, name: str, columns: dict[str, np.ndarray]) 
             fh.write(line * len(block) % tuple(block.ravel().tolist()))
 
 
+def _write_solution(cfg: RunConfig, res: minimize.SolitonResult) -> None:
+    """profile.csv of the solved amplitude over its grid's nodes, (r, u) or
+    (r, z, u), and phi.csv of the potential of a gauge-coupled state."""
+    grid = res.u.grid
+    if isinstance(grid, vortex.AxisymGrid):
+        rr, zz = np.meshgrid(grid.r, grid.z, indexing="ij")
+        nodes = {"r": rr.ravel(), "z": zz.ravel()}
+    else:
+        nodes = {"r": grid.nodes}
+    write_profile_csv(cfg.out_dir, "profile.csv", {**nodes, "u": res.u.values.ravel()})
+    if res.phi is not None:
+        write_profile_csv(cfg.out_dir, "phi.csv", {"r": grid.nodes, "phi": res.phi.values})
+
+
 def _grid(cfg: RunConfig) -> RadialGrid:
     return RadialGrid(cfg.get("grid", "r_max"), cfg.get("grid", "n"))
 
@@ -250,20 +264,17 @@ def _run_window(cfg: RunConfig) -> dict[str, object]:
 
 def _run_solve_nlkg(cfg: RunConfig) -> dict[str, object]:
     spec = _nonlinearity(cfg)
-    grid = _grid(cfg)
-    res = minimize.minimize_nlkg(spec, cfg.get("solve", "sigma"), _tent_init(cfg, grid),
+    res = minimize.minimize_nlkg(spec, cfg.get("solve", "sigma"), _tent_init(cfg, _grid(cfg)),
                                  _solver_opts(cfg))
-    write_profile_csv(cfg.out_dir, "profile.csv", {"r": grid.nodes, "u": res.u.values})
+    _write_solution(cfg, res)
     return _result_scalars(res)
 
 
 def _run_solve_kgm(cfg: RunConfig) -> dict[str, object]:
     spec = _nonlinearity(cfg)
-    grid = _grid(cfg)
     res = minimize.minimize_kgm(spec, cfg.get("solve", "sigma"), cfg.get("solve", "q"),
-                                _tent_init(cfg, grid), _solver_opts(cfg))
-    write_profile_csv(cfg.out_dir, "profile.csv", {"r": grid.nodes, "u": res.u.values})
-    write_profile_csv(cfg.out_dir, "phi.csv", {"r": grid.nodes, "phi": res.phi.values})
+                                _tent_init(cfg, _grid(cfg)), _solver_opts(cfg))
+    _write_solution(cfg, res)
     out = _result_scalars(res)
     out["screened_mass"] = res.screened_mass
     return out
@@ -278,9 +289,7 @@ def _run_solve_vortex(cfg: RunConfig) -> dict[str, object]:
                              cfg.get("solve", "torus_r0"),
                              cfg.get("solve", "torus_width"), ell)
     res = vortex.minimize_vortex(spec, cfg.get("solve", "sigma"), ell, init, _solver_opts(cfg))
-    rr, zz = np.meshgrid(grid.r, grid.z, indexing="ij")
-    write_profile_csv(cfg.out_dir, "profile.csv",
-                      {"r": rr.ravel(), "z": zz.ravel(), "u": res.u.values.ravel()})
+    _write_solution(cfg, res)
     out = _result_scalars(res)
     charge, l3 = vortex.vortex_observables(res)
     out["angular_momentum"] = l3
@@ -292,11 +301,9 @@ def _run_construct(cfg: RunConfig) -> dict[str, object]:
     spec = _nonlinearity(cfg)
     plan = chargewin.construct_for_charge(spec, cfg.get("construct", "charge_target"))
     report = chargewin.verify_tent_witness(spec, plan.s1, plan.r, plan.h, plan.q)
-    grid = plan.grid
-    init = chargewin.TentProfile(plan.s1, plan.r).realize(grid)
+    init = chargewin.TentProfile(plan.s1, plan.r).realize(plan.grid)
     res = minimize.minimize_kgm(spec, plan.sigma, plan.q, init, _solver_opts(cfg))
-    write_profile_csv(cfg.out_dir, "profile.csv", {"r": grid.nodes, "u": res.u.values})
-    write_profile_csv(cfg.out_dir, "phi.csv", {"r": grid.nodes, "phi": res.phi.values})
+    _write_solution(cfg, res)
     out = {
         "plan_s1": plan.s1,
         "plan_binding": plan.binding,

@@ -11,6 +11,8 @@ the constrained search into unconstrained minimization of
 The gauge-coupled theory replaces ||u||^2 by the screened mass K(u) of
 ``gauge.screened_mass``; ``deficiency`` gives the pair (J, K) of both
 theories, and E_sigma = J + m sigma + (sigma - m K)^2 / (2 K) for either.
+A vortex adds the centrifugal potential V = ell^2/r^2, so ``reduced_energy``
+and its first variation ``stationary_operator`` serve all three theories.
 Throughout, sigma > 0 and omega < 0 by convention.
 """
 
@@ -19,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from .gauge import screened_mass
-from .grid import RadialGrid, RadialProfile, gradient_sq_integral, integrate_radial, radial_laplacian
+from .grid import RadialProfile
 from .model import NonlinearSpec, eval_nonlinearity, eval_remainder
 
 
@@ -32,19 +34,24 @@ def deficiency(u: RadialProfile, spec: NonlinearSpec, q: float = 0.0) -> tuple[f
     """
     mass2 = u.mass2
     k = mass2 if q == 0.0 else screened_mass(u, q)[0]
-    r_int = integrate_radial(u.grid, eval_remainder(spec, u.values, 0))
+    r_int = u.grid.integrate(eval_remainder(spec, u.values, 0))
     # q * integral of phi u^2 = ||u||^2 - K by the same quadrature, exactly
     return 0.5 * u.gradient2 + r_int + 0.5 * spec.mass**2 * (mass2 - k), k
 
 
-def reduced_energy(grid: RadialGrid, u: np.ndarray, spec: NonlinearSpec, sigma: float, k: float) -> float:
-    """E_sigma(u) = integral of |grad u|^2/2 + W(u)  +  sigma^2 / (2 K).
+def reduced_energy(grid, u: np.ndarray, spec: NonlinearSpec, sigma: float, k: float,
+                   potential: np.ndarray | float = 0.0) -> float:
+    """E_sigma(u) = integral of |grad u|^2/2 + V u^2/2 + W(u)  +  sigma^2 / (2 K).
 
-    K is the mass ||u||^2 in the ungauged theory and the screened mass K(u)
-    in the gauge-coupled one; at sigma = 0 the charge term is dropped.
+    ``grid`` is a RadialGrid or a vortex AxisymGrid.  K is the mass
+    ||u||^2 in the ungauged theory and the screened mass K(u) in the
+    gauge-coupled one; at sigma = 0 the charge term is dropped.  V is the
+    centrifugal ell^2/r^2 of a vortex and 0, whose term is skipped, radially.
     """
-    w_int = integrate_radial(grid, eval_nonlinearity(spec, u, 0))
-    return 0.5 * gradient_sq_integral(grid, u) + w_int + charge_energy(sigma, k)
+    dirichlet = grid.dirichlet(u)
+    if not np.isscalar(potential) or potential:
+        dirichlet += grid.integrate(potential * u * u)
+    return 0.5 * dirichlet + grid.integrate(eval_nonlinearity(spec, u, 0)) + charge_energy(sigma, k)
 
 
 def charge_energy(sigma: float, k: float) -> float:
@@ -54,17 +61,18 @@ def charge_energy(sigma: float, k: float) -> float:
     return np.inf if sigma else 0.0
 
 
-def stationary_operator(grid: RadialGrid, u: np.ndarray, spec: NonlinearSpec, omega2: float,
-                        screen: np.ndarray | float = 1.0) -> np.ndarray:
-    """-lap u + W'(u) - omega^2 s u with the truncation node zeroed.
+def stationary_operator(grid, u: np.ndarray, spec: NonlinearSpec, omega2: float,
+                        screen: np.ndarray | float = 1.0,
+                        potential: np.ndarray | float = 0.0) -> np.ndarray:
+    """-lap u + W'(u) + (V - omega^2 s) u with the grid's Dirichlet nodes zeroed.
 
     The screen is s = 1 for the ungauged equation and s = (1 - q phi)^2
-    for the gauge-coupled one.  At omega^2 = (sigma/K)^2 this is the first
+    for the gauge-coupled one; the potential V is that of
+    ``reduced_energy``.  At omega^2 = (sigma/K)^2 this is the first
     variation of E_sigma; it vanishes on solutions of the stationary system.
     """
-    g = -radial_laplacian(grid, u) + eval_nonlinearity(spec, u, 1) - omega2 * screen * u
-    g[-1] = 0.0
-    return g
+    g = -grid.laplacian(u) + eval_nonlinearity(spec, u, 1) + (potential - omega2 * screen) * u
+    return grid.zero_boundary(g)
 
 
 def reduced_energy_sigma(u: RadialProfile, sigma: float, spec: NonlinearSpec) -> tuple[float, float]:

@@ -37,6 +37,10 @@ from .grid import (FOUR_PI, InvariantError, RadialGrid, RadialProfile, Tridiagon
                    gradient_sq_integral, integrate_radial, trapezoid_weights)
 
 _BOUND_SLACK = 1e-10
+# K must exceed this multiple of eps^2 ||u||^2: K is a sum of (q phi - 1)^2
+# u^2 whose factors 1 - q phi are resolved only to about eps, so a smaller
+# K is round-off, not the screened mass
+_MASS_FLOOR = 1e6 * float(np.finfo(float).eps) ** 2
 
 
 @dataclass
@@ -72,6 +76,10 @@ def solve_phi(u: RadialProfile, q: float) -> GaugePotential:
     # the grid's cell fluxes a_i = r_i r_{i+1} / h and node masses b_i = w_i r_i^2
     a = grid.flux
     b = trapezoid_weights(grid.n, grid.h) * grid.nodes**2
+    # the diagonal adds (b_i q^2) u_i^2, and q^2 u_0^2 at the origin, to O(1)
+    # fluxes; checked by division, since the products themselves may overflow
+    if q > np.sqrt(np.finfo(float).max / 2.0 / (max(b.max(), 1.0) * max(uu.max(), 1.0))):
+        raise ValueError(f"coupling q = {q!r} overflows the screened Poisson matrix on this grid")
 
     ab = np.zeros((3, grid.n + 1))
     rhs = q * b * uu
@@ -123,6 +131,11 @@ def screened_mass(u: RadialProfile, q: float) -> tuple[float, GaugePotential]:
 
     The energy form is stationary in phi, so solve noise enters K only at
     second order; the source form would leak it into finite differences.
+    A coupling so strong that K falls below 1e6 eps^2 ||u||^2, where round-off
+    in 1 - q phi dominates it, is rejected.
     """
     phi = solve_phi(u, q)
-    return _energy_form(u, phi), phi
+    k = _energy_form(u, phi)
+    if k < _MASS_FLOOR * u.mass2:
+        raise ValueError(f"coupling q = {q!r} screens K(u) = {k:.3g} below float resolution")
+    return k, phi

@@ -2,9 +2,11 @@
 
 A field u(|x|) on R^3 is sampled on the uniform grid r_i = i*h, i = 0..n,
 h = r_max/n.  Volume integrals use the trapezoid rule weighted by 4*pi*r^2.
-The discrete gradient pairing and the Laplacian are built from the same
+The Dirichlet form and the Laplacian are built from the same
 first-difference fluxes, so summation by parts holds to round-off for
-fields vanishing at both ends.
+fields vanishing at both ends.  ``RadialGrid`` and ``vortex.AxisymGrid``
+share the geometry members through which the functionals and the
+minimizers are written once.
 """
 
 from __future__ import annotations
@@ -110,6 +112,31 @@ class RadialGrid:
         ab.setflags(write=False)
         return ab
 
+    def integrate(self, samples: np.ndarray) -> float:
+        """Integral of a radial integrand over R^3; see ``integrate_radial``."""
+        return integrate_radial(self, samples)
+
+    def dirichlet(self, u: np.ndarray) -> float:
+        """Integral of |grad u|^2; see ``gradient_sq_integral``."""
+        return gradient_sq_integral(self, u)
+
+    def laplacian(self, u: np.ndarray) -> np.ndarray:
+        """The Laplacian of a radial field; see ``radial_laplacian``."""
+        return radial_laplacian(self, u)
+
+    def zero_boundary(self, v: np.ndarray) -> np.ndarray:
+        """Zero v in place at the truncation node, its one Dirichlet node, and return it."""
+        v[-1] = 0.0
+        return v
+
+    def preconditioner(self, ell: int = 0) -> "TridiagonalFactor":
+        """(I - lap) factored once for a whole descent; a radial profile has no winding."""
+        if ell:
+            raise ValueError(f"a radial profile has winding 0, not {ell}")
+        ab = -self.laplacian_bands
+        ab[1] += 1.0
+        return TridiagonalFactor(ab)
+
 
 @dataclass
 class RadialProfile:
@@ -141,12 +168,12 @@ class RadialProfile:
     @cached_property
     def mass2(self) -> float:
         """Integral of u^2 over R^3."""
-        return integrate_radial(self.grid, self.values**2)
+        return self.grid.integrate(self.values**2)
 
     @cached_property
     def gradient2(self) -> float:
         """Integral of |grad u|^2 over R^3."""
-        return gradient_sq_integral(self.grid, self.values)
+        return self.grid.dirichlet(self.values)
 
     def resample(self, grid: RadialGrid) -> "RadialProfile":
         """Linear interpolation onto another grid of the same domain."""
@@ -177,15 +204,6 @@ def integrate_radial(grid: RadialGrid, samples: np.ndarray) -> float:
     if samples.shape != (grid.n + 1,):
         raise ValueError(f"expected {grid.n + 1} samples, got {samples.shape}")
     return float(grid.volume_weights @ samples)
-
-
-def gradient_pairing(grid: RadialGrid, a: np.ndarray, b: np.ndarray) -> float:
-    """Discrete integral of grad a . grad b, the exact dual of radial_laplacian."""
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.shape != (grid.n + 1,) or b.shape != (grid.n + 1,):
-        raise ValueError("samples do not match the grid")
-    return float(grid.gradient_weights @ (np.diff(a) * np.diff(b)))
 
 
 def gradient_sq_integral(grid: RadialGrid, samples: np.ndarray) -> float:

@@ -2,7 +2,7 @@
 
 The search directions are preconditioned Polak-Ribiere+ conjugate
 gradients in the H^1 metric: the raw first variation g is smoothed by one
-tridiagonal solve of (I - lap), the Sobolev gradient Pg, which removes the
+solve of (I - lap + ell^2/r^2), the Sobolev gradient Pg, which removes the
 grid-scale stiffness of explicit flow, and successive directions are
 combined as p = Pg + beta p_old with beta = max(0, <g, Pg - Pg_old> /
 <g_old, Pg_old>).  The direction restarts along Pg whenever it stops
@@ -12,19 +12,20 @@ decrease.  Convergence is declared on the weighted L2 norm of the
 stationary-equation residual; every solve reports why it stopped.  A
 start far from the minimizer on a grid with at least COARSEN *
 MIN_COARSE_CELLS cells per direction is solved on two levels, a 4x
-coarser grid first (see ``_solve``).
+coarser grid first (see ``_solve``).  One ``_problem`` builds the descent
+of every theory from ``functionals`` and the geometry of the profile's grid.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Any, Callable
+from typing import Any, Callable
 
 import numpy as np
 
 from .functionals import reduced_energy, stationary_operator
 from .gauge import GaugePotential, screened_mass, solve_phi
-from .grid import InvariantError, RadialGrid, RadialProfile, TridiagonalFactor, weighted_norm
+from .grid import InvariantError, RadialProfile
 from .model import NonlinearSpec
 
 COLLAPSE_AMPLITUDE_FACTOR = 1e-3
@@ -58,15 +59,11 @@ class SolveOptions:
                 raise ValueError(f"{name} must be positive")
 
 
-if TYPE_CHECKING:
-    from .vortex import AxisymProfile
-
-
 @dataclass
 class SolitonResult:
     """Converged (or best-effort) constrained minimizer bundle."""
 
-    u: "RadialProfile | AxisymProfile"
+    u: Any                         # a RadialProfile, or a vortex.AxisymProfile of a winding solve
     omega: float
     phi: GaugePotential | None
     energy: float
@@ -89,13 +86,6 @@ class SolitonResult:
     discretization_error: float = np.nan
     """Richardson estimate (E_h - E_H) / ((H/h)^2 - 1) of E_continuum - energy;
     NaN unless both levels converged."""
-
-
-def radial_preconditioner(grid: RadialGrid) -> TridiagonalFactor:
-    """(I - lap) on the radial grid, factored once for the whole descent."""
-    ab = -grid.laplacian_bands
-    ab[1] += 1.0
-    return TridiagonalFactor(ab)
 
 
 def descend(
@@ -211,19 +201,41 @@ def descend(
     return u, residual, iterations, termination, e_cur, state
 
 
-# setup(grid) -> (energy, gradient, project, weights, pc_solve) of one minimizer on grid
-Setup = Callable[[Any], tuple[Callable, Callable, Callable, np.ndarray, Callable]]
+def _problem(grid, spec: NonlinearSpec, sigma: float, q: float | None, ell: int):
+    """The (energy, gradient, project, weights, pc_solve) of ``descend`` on ``grid``.
+
+    ``energy(u)`` returns E_sigma(u) and its state (K, phi): ||u||^2 and
+    None when ``q`` is None, else K(u) and phi_u at coupling q.  A winding
+    ell != 0 adds the grid's centrifugal potential.
+    """
+    potential = grid.centrifugal(ell) if ell else 0.0
+
+    def energy(u: np.ndarray) -> tuple[float, tuple[float, GaugePotential | None]]:
+        if q is None:
+            k, phi = grid.integrate(u * u), None
+        else:
+            k, phi = screened_mass(RadialProfile(grid, u), q)
+        return reduced_energy(grid, u, spec, sigma, k, potential), (k, phi)
+
+    def gradient(u: np.ndarray, state: tuple[float, GaugePotential | None]) -> np.ndarray:
+        k, phi = state
+        screen = 1.0 if phi is None else phi.screen
+        return stationary_operator(grid, u, spec, (sigma / k) ** 2, screen, potential)
+
+    def project(u: np.ndarray) -> np.ndarray:
+        return grid.zero_boundary(np.maximum(u, 0.0))
+
+    return energy, gradient, project, grid.volume_weights, grid.preconditioner(ell).solve
 
 
-def _solve(spec: NonlinearSpec, sigma: float, init: "RadialProfile | AxisymProfile", setup: Setup,
-           opts: SolveOptions | None, *, coupling: float | None = None,
-           winding: int = 0) -> SolitonResult:
+def _solve(spec: NonlinearSpec, sigma: float, init, opts: SolveOptions | None, *,
+           coupling: float | None = None, winding: int = 0) -> SolitonResult:
     """The one solve path of every minimizer: descend from ``init`` and build the result.
 
-    ``setup(grid)`` returns the minimizer's (energy, gradient, project,
-    weights, pc_solve) on ``grid``.  ``energy(u)`` returns E_sigma(u) and
-    its state (K, phi), phi being None when ungauged; the result carries
-    both as the descent computed them for the returned profile.
+    ``init`` is a RadialProfile, or a vortex AxisymProfile winding
+    ``winding`` times; ``coupling`` is None for the ungauged theories.
+    ``_problem`` builds the descent on each level; the result carries the
+    state (K, phi) as the descent computed it for the returned profile.
 
     A start far from the minimizer on a grid with at least COARSEN *
     MIN_COARSE_CELLS cells per direction is solved on two levels (nested
@@ -250,7 +262,7 @@ def _solve(spec: NonlinearSpec, sigma: float, init: "RadialProfile | AxisymProfi
     if init.mass2 <= 0.0:
         raise ValueError("initial profile must not vanish identically")
     opts = opts or SolveOptions()
-    fine = setup(init.grid)
+    fine = _problem(init.grid, spec, sigma, coupling, winding)
     fine_energy, gradient, _, weights, pc_solve = fine
     start = init
     coarse_iterations, coarse_converged, e_coarse, ratio2 = 0, False, np.nan, np.nan
@@ -267,7 +279,7 @@ def _solve(spec: NonlinearSpec, sigma: float, init: "RadialProfile | AxisymProfi
         # a profile narrower than the coarse spacing can vanish on the coarse nodes
         if coarse_init.mass2 > 0.0:
             u_c, _, coarse_iterations, termination, e_coarse, _ = descend(
-                coarse_init.values, *setup(coarse_init.grid), opts)
+                coarse_init.values, *_problem(coarse_init.grid, spec, sigma, coupling, winding), opts)
             coarse_converged = termination == "converged"
             candidate = replace(coarse_init, values=u_c).resample(init.grid)
             with np.errstate(over="ignore", invalid="ignore"):
@@ -304,29 +316,10 @@ def _solve(spec: NonlinearSpec, sigma: float, init: "RadialProfile | AxisymProfi
     )
 
 
-def _radial_project(values: np.ndarray) -> np.ndarray:
-    out = np.maximum(values, 0.0)
-    out[-1] = 0.0
-    return out
-
-
 def minimize_nlkg(spec: NonlinearSpec, sigma: float, init: RadialProfile,
                   opts: SolveOptions | None = None) -> SolitonResult:
     """Minimize the reduced energy at charge sigma over nonnegative profiles."""
-
-    def setup(grid: RadialGrid):
-        vw = grid.volume_weights
-
-        def energy(u: np.ndarray) -> tuple[float, tuple[float, None]]:
-            mass2 = float(vw @ (u * u))
-            return reduced_energy(grid, u, spec, sigma, mass2), (mass2, None)
-
-        def gradient(u: np.ndarray, state: tuple[float, None]) -> np.ndarray:
-            return stationary_operator(grid, u, spec, (sigma / state[0]) ** 2)
-
-        return energy, gradient, _radial_project, vw, radial_preconditioner(grid).solve
-
-    return _solve(spec, sigma, init, setup, opts)
+    return _solve(spec, sigma, init, opts)
 
 
 def minimize_kgm(spec: NonlinearSpec, sigma: float, q: float, init: RadialProfile,
@@ -334,19 +327,7 @@ def minimize_kgm(spec: NonlinearSpec, sigma: float, q: float, init: RadialProfil
     """Minimize the gauge-coupled reduced energy; the potential is re-solved
     at every energy evaluation and reused by the gradient at that iterate;
     ``solve_phi`` rejects a bad coupling at the first one."""
-    def setup(grid: RadialGrid):
-        def energy(u: np.ndarray) -> tuple[float, tuple[float, GaugePotential]]:
-            k, phi = screened_mass(RadialProfile(grid, u), q)
-            return reduced_energy(grid, u, spec, sigma, k), (k, phi)
-
-        def gradient(u: np.ndarray, state: tuple[float, GaugePotential]) -> np.ndarray:
-            k, phi = state
-            return stationary_operator(grid, u, spec, (sigma / k) ** 2, phi.screen)
-
-        return (energy, gradient, _radial_project, grid.volume_weights,
-                radial_preconditioner(grid).solve)
-
-    return _solve(spec, sigma, init, setup, opts, coupling=q)
+    return _solve(spec, sigma, init, opts, coupling=q)
 
 
 def residual_stationary(result, spec: NonlinearSpec, kind: str) -> float:
@@ -362,19 +343,16 @@ def residual_stationary(result, spec: NonlinearSpec, kind: str) -> float:
     profile = getattr(result, "u", None)
     if profile is None:
         profile = result.profile
-    omega = result.omega
+    grid = profile.grid
+    screen, potential = 1.0, 0.0
     if kind == "vortex":
-        from .vortex import vortex_residual
-
-        return vortex_residual(profile, omega, spec)
-    if kind == "nlkg":
-        screen = 1.0
+        potential = grid.centrifugal(profile.winding)
     elif kind == "kgm":
         q = result.coupling
         if q is None:
             raise ValueError("gauge residual needs the coupling stored on the result")
         screen = solve_phi(profile, q).screen
-    else:
+    elif kind != "nlkg":
         raise ValueError(f"unknown stationary equation kind {kind!r}")
-    grid = profile.grid
-    return weighted_norm(grid, stationary_operator(grid, profile.values, spec, omega**2, screen))
+    g = stationary_operator(grid, profile.values, spec, result.omega**2, screen, potential)
+    return float(np.sqrt(grid.integrate(g * g)))

@@ -3,24 +3,26 @@
 The phase winds ell times around the symmetry axis, adding the
 centrifugal energy ell^2 u^2 / (2 r^2); finiteness forces the amplitude
 to vanish on the axis, handled as a Dirichlet condition that also
-sidesteps the coordinate singularity.  The charge constraint eliminates
-the frequency exactly as in the radial problem, and the same projected
-preconditioned descent runs on the (r, z) grid with cylindrical measure
-2 pi r dr dz.
+sidesteps the coordinate singularity.  ``AxisymGrid`` carries the (r, z)
+geometry with cylindrical measure 2 pi r dr dz under the same members as
+``grid.RadialGrid``, plus the centrifugal potential ell^2/r^2.  The energy,
+its first variation and the residual are those of ``functionals`` with that
+potential, and ``minimize._solve`` runs the same projected preconditioned
+descent; the charge constraint eliminates the frequency exactly as in the
+radial problem.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property
 
 import numpy as np
 from scipy.fft import dst
 
-from .functionals import charge_energy
 from .grid import TridiagonalFactor, resample_linear, trapezoid_weights
 from .minimize import SolitonResult, SolveOptions, _solve
-from .model import NonlinearSpec, eval_nonlinearity
+from .model import NonlinearSpec
 
 TWO_PI = 2.0 * np.pi
 
@@ -70,7 +72,7 @@ class AxisymGrid:
         return out
 
     @cached_property
-    def cell_weights(self) -> np.ndarray:
+    def volume_weights(self) -> np.ndarray:
         """Trapezoid x trapezoid weights times 2 pi r (volume measure)."""
         wr = trapezoid_weights(self.n_r, self.h_r)
         wz = trapezoid_weights(self.n_z, self.h_z)
@@ -94,6 +96,47 @@ class AxisymGrid:
         f = np.repeat(TWO_PI * (wr * self.r)[:, None] / self.h_z, self.n_z, axis=1)
         f.setflags(write=False)
         return f
+
+    def integrate(self, samples: np.ndarray) -> float:
+        """Integral of an axisymmetric integrand over R^3 (trapezoid in r and z, measure 2 pi r)."""
+        samples = np.asarray(samples)
+        if samples.shape != (self.n_r + 1, self.n_z + 1):
+            raise ValueError("samples do not match the grid")
+        return float(np.sum(self.volume_weights * samples))
+
+    def dirichlet(self, u: np.ndarray) -> float:
+        """Integral of |grad u|^2 over squared face differences, the exact dual of ``laplacian``."""
+        d_r, d_z = np.diff(u, axis=0), np.diff(u, axis=1)
+        return float(np.sum(self.r_face_weights * d_r * d_r)) + float(np.sum(self.z_face_weights * d_z * d_z))
+
+    def laplacian(self, u: np.ndarray) -> np.ndarray:
+        """Cylindrical five-point Laplacian (1/r)(r u_r)_r + u_zz, interior only.
+
+        Face-weighted flux differences divided by the volume weights, so that
+        summation by parts against ``dirichlet`` holds to round-off.
+        """
+        flux_r = self.r_face_weights * np.diff(u, axis=0)
+        flux_z = self.z_face_weights * np.diff(u, axis=1)
+        out = np.zeros_like(u)
+        out[1:-1, 1:-1] = ((flux_r[1:, 1:-1] - flux_r[:-1, 1:-1]) + (flux_z[1:-1, 1:] - flux_z[1:-1, :-1])
+                           ) / self.volume_weights[1:-1, 1:-1]
+        return out
+
+    def zero_boundary(self, v: np.ndarray) -> np.ndarray:
+        """Zero v in place on the axis and the outer boundary, its Dirichlet nodes, and return it."""
+        v[0, :] = v[-1, :] = 0.0
+        v[:, 0] = v[:, -1] = 0.0
+        return v
+
+    def centrifugal(self, ell: int) -> np.ndarray:
+        """The potential ell^2/r^2 as a column over r; 0 on the axis, where winding profiles vanish."""
+        fac = np.zeros((self.n_r + 1, 1))
+        fac[1:, 0] = 1.0 / self.r[1:] ** 2
+        return ell**2 * fac
+
+    def preconditioner(self, ell: int) -> "AxisymPreconditioner":
+        """(I - lap + ell^2/r^2) on the interior, factored once for a whole descent."""
+        return AxisymPreconditioner(self, ell)
 
 
 @dataclass
@@ -127,7 +170,7 @@ class AxisymProfile:
 
     @cached_property
     def mass2(self) -> float:
-        return integrate_axisym(self.grid, self.values**2)
+        return self.grid.integrate(self.values**2)
 
     def resample(self, grid: AxisymGrid) -> "AxisymProfile":
         """Linear interpolation onto another grid of the same domain, along r and then z."""
@@ -137,54 +180,13 @@ class AxisymProfile:
         return AxisymProfile(grid, resample_linear(along_r, grid.n_z, axis=1), self.winding)
 
 
-def integrate_axisym(grid: AxisymGrid, samples: np.ndarray) -> float:
-    samples = np.asarray(samples)
-    if samples.shape != (grid.n_r + 1, grid.n_z + 1):
-        raise ValueError("samples do not match the grid")
-    return float(np.sum(grid.cell_weights * samples))
-
-
-def axisym_gradient_pairing(grid: AxisymGrid, a: np.ndarray, b: np.ndarray) -> float:
-    """Discrete integral of grad a . grad b, the exact dual of axisym_laplacian."""
-    return (float(np.sum(grid.r_face_weights * np.diff(a, axis=0) * np.diff(b, axis=0)))
-            + float(np.sum(grid.z_face_weights * np.diff(a, axis=1) * np.diff(b, axis=1))))
-
-
-def axisym_laplacian(grid: AxisymGrid, v: np.ndarray) -> np.ndarray:
-    """Cylindrical five-point Laplacian (1/r)(r u_r)_r + u_zz, interior only.
-
-    Face-weighted flux differences divided by the cell weights, so that
-    summation by parts against axisym_gradient_pairing holds to round-off.
-    """
-    flux_r = grid.r_face_weights * np.diff(v, axis=0)
-    flux_z = grid.z_face_weights * np.diff(v, axis=1)
-    out = np.zeros_like(v)
-    out[1:-1, 1:-1] = ((flux_r[1:, 1:-1] - flux_r[:-1, 1:-1]) + (flux_z[1:-1, 1:] - flux_z[1:-1, :-1])
-                       ) / grid.cell_weights[1:-1, 1:-1]
-    return out
-
-
-def centrifugal_factor(grid: AxisymGrid) -> np.ndarray:
-    """1/r^2 with the axis masked (profiles vanish there)."""
-    fac = np.zeros((grid.n_r + 1, 1))
-    fac[1:, 0] = 1.0 / grid.r[1:] ** 2
-    return fac
-
-
 def torus_bump(grid: AxisymGrid, amplitude: float, r0: float, width: float,
                winding: int) -> AxisymProfile:
     """Gaussian torus initial guess centered at radius r0 in the z = 0 plane."""
     rr = grid.r[:, None]
     zz = grid.z[None, :]
     v = amplitude * np.exp(-((rr - r0) ** 2 + zz**2) / width**2)
-    return AxisymProfile(grid, _zero_boundary(v), winding)
-
-
-def _zero_boundary(v: np.ndarray) -> np.ndarray:
-    """Zero v in place on the axis and the outer boundary, and return it."""
-    v[0, :] = v[-1, :] = 0.0
-    v[:, 0] = v[:, -1] = 0.0
-    return v
+    return AxisymProfile(grid, grid.zero_boundary(v), winding)
 
 
 class AxisymPreconditioner:
@@ -196,13 +198,13 @@ class AxisymPreconditioner:
     that coupling; mode k leaves the r-tridiagonal A_r + t mu_k with
     mu_k = 2 - 2 cos(k pi / n_z).  All modes are factored once as one
     block-diagonal tridiagonal system (Buzbee, Golub & Nielson 1970;
-    Swarztrauber 1977).  The coefficients are those of axisym_laplacian,
-    so this is the same operator to round-off.
+    Swarztrauber 1977).  The coefficients are those of
+    ``AxisymGrid.laplacian``, so this is the same operator to round-off.
     """
 
     def __init__(self, grid: AxisymGrid, ell: int):
         nr, nz = grid.n_r - 1, grid.n_z - 1  # interior unknowns per direction
-        cw = grid.cell_weights[1:-1, 1]
+        cw = grid.volume_weights[1:-1, 1]
         up_r = grid.r_face_weights[1:, 1] / cw
         dn_r = grid.r_face_weights[:-1, 1] / cw
         t_z = grid.z_face_weights[1:-1, 1] / cw
@@ -225,23 +227,6 @@ class AxisymPreconditioner:
         return out
 
 
-def _vortex_operator(grid: AxisymGrid, v: np.ndarray, spec: NonlinearSpec, ell: int,
-                     omega2: float) -> np.ndarray:
-    """-lap v + W'(v) + (ell^2/r^2 - omega^2) v, zero on the axis and the outer boundary."""
-    return _zero_boundary(-axisym_laplacian(grid, v) + eval_nonlinearity(spec, v, 1)
-                          + (ell**2 * centrifugal_factor(grid) - omega2) * v)
-
-
-def _vortex_energy(grid: AxisymGrid, spec: NonlinearSpec, ell: int, sigma: float,
-                   v: np.ndarray) -> tuple[float, tuple[float, None]]:
-    """E_sigma(v) with the centrifugal term, and its descent state (||v||^2, None)."""
-    mass2 = integrate_axisym(grid, v * v)
-    dirichlet = (axisym_gradient_pairing(grid, v, v)
-                 + integrate_axisym(grid, ell**2 * centrifugal_factor(grid) * v * v))
-    pot = integrate_axisym(grid, eval_nonlinearity(spec, v, 0))
-    return 0.5 * dirichlet + pot + charge_energy(sigma, mass2), (mass2, None)
-
-
 def minimize_vortex(spec: NonlinearSpec, sigma: float, ell: int, init: AxisymProfile,
                     opts: SolveOptions | None = None) -> SolitonResult:
     """Minimize the reduced energy with winding ell over nonnegative profiles."""
@@ -249,25 +234,7 @@ def minimize_vortex(spec: NonlinearSpec, sigma: float, ell: int, init: AxisymPro
         raise ValueError("zero winding is the radial problem; use minimize_nlkg")
     if init.winding != ell:
         raise ValueError(f"initial profile winds {init.winding} times, not ell = {ell}")
-
-    def project(v: np.ndarray) -> np.ndarray:
-        return _zero_boundary(np.maximum(v, 0.0))
-
-    def setup(grid: AxisymGrid):
-        def gradient(v: np.ndarray, state: tuple[float, None]) -> np.ndarray:
-            return _vortex_operator(grid, v, spec, ell, (sigma / state[0]) ** 2)
-
-        return (partial(_vortex_energy, grid, spec, ell, sigma), gradient, project, grid.cell_weights,
-                AxisymPreconditioner(grid, ell).solve)
-
-    return _solve(spec, sigma, init, setup, opts, winding=ell)
-
-
-def vortex_residual(profile: AxisymProfile, omega: float, spec: NonlinearSpec) -> float:
-    """Cylindrical L2 norm of the stationary vortex equation."""
-    grid = profile.grid
-    lhs = _vortex_operator(grid, profile.values, spec, profile.winding, omega**2)
-    return float(np.sqrt(np.sum(grid.cell_weights * lhs**2)))
+    return _solve(spec, sigma, init, opts, winding=ell)
 
 
 def vortex_observables(result: SolitonResult) -> tuple[float, float]:

@@ -200,13 +200,11 @@ def test_criterion_6_gradient_checks():
         assert abs(fd - an) < 1e-5 * max(1.0, abs(an))
 
     from hylomorph.model import eval_nonlinearity as evalw
-    from hylomorph.vortex import axisym_laplacian, centrifugal_factor
-
     agrid = AxisymGrid(12.0, 8.0, 96, 96)
     init = torus_bump(agrid, 0.9, 4.0, 1.8, winding=1)
     base = init.values
-    w2 = agrid.cell_weights
-    fac = centrifugal_factor(agrid)
+    w2 = agrid.volume_weights
+    fac = agrid.centrifugal(1)
     sigma_v = 90.0
 
     def energy2d(v):
@@ -226,7 +224,7 @@ def test_criterion_6_gradient_checks():
 
     def grad2d(v):
         mass2 = float(np.sum(w2 * v * v))
-        g = (-axisym_laplacian(agrid, v) + evalw(SPEC, v, 1)
+        g = (-agrid.laplacian(v) + evalw(SPEC, v, 1)
              + (fac - (sigma_v / mass2) ** 2) * v)
         g[0, :] = g[-1, :] = 0.0
         g[:, 0] = g[:, -1] = 0.0

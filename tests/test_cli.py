@@ -46,11 +46,12 @@ def test_n_samples_is_not_a_config_key(tmp_path):
     ("window", "[window]\nq = inf\n"),
     ("window", "[window]\nq = nan\n"),
     ("window", "[window]\nq = 1e300\n"),  # q**2 overflows
+    ("window", "[window]\nq = 1e154\n"),  # b q**2 u**2 overflows the screened Poisson diagonal
     ("solve-kgm", "[solve]\nq = inf\n"),
     ("solve-kgm", "[solve]\nq = nan\n"),
     ("solve-kgm", "[solve]\nq = 1e300\n"),
 ], ids=["construct-charge_target_inf", "solve-nlkg-tent_past_r_max", "window-q_inf", "window-q_nan",
-        "window-q_1e300", "solve-kgm-q_inf", "solve-kgm-q_nan", "solve-kgm-q_1e300"])
+        "window-q_1e300", "window-q_1e154", "solve-kgm-q_inf", "solve-kgm-q_nan", "solve-kgm-q_1e300"])
 def test_inputs_rejected_before_any_solve(tmp_path, monkeypatch, command, text):
     def no_solve(*args, **kwargs):
         raise RuntimeError("a solve ran before the inputs were checked")
@@ -63,6 +64,13 @@ def test_inputs_rejected_before_any_solve(tmp_path, monkeypatch, command, text):
     cfg = write_config(tmp_path, "p.ini", text)
     out = tmp_path / "out"
     assert cli.main([command, "--config", str(cfg), "--out", str(out)]) == cli.EXIT_PRECONDITION
+    assert not (out / "summary.txt").exists()
+
+
+def test_window_rejects_a_coupling_that_screens_k_below_float_resolution(tmp_path):
+    cfg = write_config(tmp_path, "w.ini", "[window]\nq = 1e20\n")
+    out = tmp_path / "out"
+    assert cli.main(["window", "--config", str(cfg), "--out", str(out)]) == cli.EXIT_PRECONDITION
     assert not (out / "summary.txt").exists()
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hylomorph.chargewin import TentProfile
+from hylomorph.chargewin import SCAN_RESOLUTION, TentProfile
 from hylomorph.functionals import deficiency, reduced_energy, reduced_energy_sigma, stationary_operator
 from hylomorph.gauge import screened_mass, screened_mass_two_forms, solve_phi
 from hylomorph.grid import RadialGrid, RadialProfile, integrate_radial
@@ -142,10 +142,11 @@ def test_gradient_decoupling_limit():
 
 
 def test_preconditions():
-    # a coupling that is not positive or whose square overflows is rejected
+    # a coupling that is not positive, whose square overflows, or whose
+    # b_i q^2 u_i^2 overflows the matrix diagonal (1e154 here) is rejected
     # before any solve, on every path that reaches the potential
     tent = TentProfile(1.0, 1.0).realize(RadialGrid(10.0, 256))
-    for q in (0.0, -1.0, np.inf, np.nan, 1e300, 1.35e154):
+    for q in (0.0, -1.0, np.inf, np.nan, 1e300, 1.35e154, 1e154):
         for call in (solve_phi, screened_mass):
             with pytest.raises(ValueError, match="coupling q"):
                 call(tent, q)
@@ -154,3 +155,19 @@ def test_preconditions():
                 deficiency(tent, SPEC, q)
     # a strong coupling whose square is finite is a valid input
     assert solve_phi(tent, 1e150).values.max() <= 1e-150
+
+
+def test_screened_mass_below_float_resolution_is_rejected():
+    # K q^2 tends to a constant as q grows, until 1 - q phi drowns in round-off;
+    # K < 1e6 eps^2 ||u||^2 is rejected, while phi itself stays inside its bounds
+    scan = TentProfile(1.0, 5.0)
+    tent = scan.realize(scan.default_grid(SCAN_RESOLUTION))
+    kq2 = screened_mass(tent, 1e9)[0] * 1e9 * 1e9
+    assert screened_mass(tent, 1e12)[0] * 1e12 * 1e12 == pytest.approx(kq2, rel=1e-6)
+    for q in (1e15, 1e20, 1e100):
+        with pytest.raises(ValueError, match="coupling q"):
+            screened_mass(tent, q)
+        with pytest.raises(ValueError, match="coupling q"):
+            deficiency(tent, SPEC, q)
+    phi = solve_phi(tent, 1e150)
+    assert phi.values.min() >= 0.0 and phi.values.max() <= 1e-150

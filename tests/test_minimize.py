@@ -9,6 +9,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from hylomorph import minimize
 from hylomorph.chargewin import TentProfile, construct_for_charge
 from hylomorph.functionals import reduced_energy, reduced_energy_sigma, sigma_window
 from hylomorph.gauge import screened_mass, solve_phi
@@ -323,7 +324,7 @@ def test_two_levels_need_the_floor_and_a_far_start(n, r, levels):
     assert np.isfinite(res.discretization_error) == (levels == 2)
 
 
-def test_fine_descent_keeps_init_over_a_worse_coarse_minimizer():
+def test_fine_descent_keeps_init_over_a_worse_coarse_minimizer(monkeypatch):
     # a stand-in minimizer whose coarse level pulls toward 20 while the fine
     # energy is |u - 3|^2: the resampled coarse minimizer lies far above init,
     # so the fine descent starts from init and ends below it; from the coarse
@@ -331,7 +332,7 @@ def test_fine_descent_keeps_init_over_a_worse_coarse_minimizer():
     fine = RadialGrid(8.0, 256)
     init = RadialProfile(fine, np.append(np.ones(256), 0.0))
 
-    def setup(g):
+    def problem(g, *_):
         target = np.append(np.full(g.n, 3.0 if g == fine else 20.0), 0.0)
         w = np.ones(g.n + 1)
 
@@ -340,9 +341,10 @@ def test_fine_descent_keeps_init_over_a_worse_coarse_minimizer():
 
         return energy, lambda u, state: 2.0 * (u - target), lambda u: np.maximum(u, 0.0), w, lambda g: 0.4 * g
 
-    res = _solve(SPEC, 1.0, init, setup, SolveOptions(max_iters=2))
+    monkeypatch.setattr(minimize, "_problem", problem)
+    res = _solve(SPEC, 1.0, init, SolveOptions(max_iters=2))
     assert res.coarse_iterations > 0 and res.termination == "max_iters"
-    assert res.energy < setup(fine)[0](init.values)[0]
+    assert res.energy < problem(fine)[0](init.values)[0]
 
 
 def test_unconverged_level_leaves_no_error_estimate(grid):

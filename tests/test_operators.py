@@ -15,11 +15,10 @@ from hylomorph.chargewin import TentProfile
 from hylomorph.evolve import EvolutionState, evolve_nlkg, field_charge, field_energy
 from hylomorph.functionals import reduced_energy, stationary_operator
 from hylomorph.gauge import solve_phi
-from hylomorph.grid import RadialGrid, RadialProfile, banded_matvec, gradient_pairing, integrate_radial, radial_laplacian
-from hylomorph.minimize import SolveOptions, minimize_nlkg, radial_preconditioner
+from hylomorph.grid import RadialGrid, RadialProfile, banded_matvec, integrate_radial, radial_laplacian
+from hylomorph.minimize import SolveOptions, minimize_nlkg
 from hylomorph.model import NonlinearSpec, find_binding_amplitude
-from hylomorph.vortex import (AxisymGrid, AxisymPreconditioner, AxisymProfile, axisym_gradient_pairing,
-                              axisym_laplacian, centrifugal_factor)
+from hylomorph.vortex import AxisymGrid, AxisymPreconditioner, AxisymProfile, torus_bump
 
 SETTINGS = settings(max_examples=40, deadline=None)
 
@@ -43,7 +42,7 @@ def test_radial_summation_by_parts(n, r_max, seed):
     grid = RadialGrid(r_max, n)
     rng = np.random.default_rng(seed)
     a, b = _radial_field(rng, grid), _radial_field(rng, grid)
-    lhs = gradient_pairing(grid, a, b)
+    lhs = float(grid.gradient_weights @ (np.diff(a) * np.diff(b)))
     rhs = -integrate_radial(grid, a * radial_laplacian(grid, b))
     scale = float(grid.gradient_weights @ np.abs(np.diff(a) * np.diff(b)))
     assert abs(lhs - rhs) <= 1e-10 * scale
@@ -55,7 +54,7 @@ def test_preconditioner_bands_are_shifted_laplacian(n, r_max, seed):
     # the factored preconditioner inverts I - lap: y - lap y reproduces x
     grid = RadialGrid(r_max, n)
     x = np.random.default_rng(seed).standard_normal(n + 1)
-    y = radial_preconditioner(grid).solve(x)
+    y = grid.preconditioner().solve(x)
     scale = np.abs(y) + banded_matvec(np.abs(grid.laplacian_bands), np.abs(y))
     assert np.max(np.abs(y - radial_laplacian(grid, y) - x)) <= 1e-13 * scale.max()
 
@@ -66,10 +65,10 @@ def test_axisym_summation_by_parts(n_r, n_z, r_max, z_max, seed):
     grid = AxisymGrid(r_max, z_max, n_r, n_z)
     rng = np.random.default_rng(seed)
     a, b = (np.pad(rng.standard_normal((n_r - 1, n_z - 1)), 1) for _ in range(2))
-    lhs = axisym_gradient_pairing(grid, a, b)
-    rhs = -float(np.sum(grid.cell_weights * a * axisym_laplacian(grid, b)))
-    scale = (float(np.sum(grid.r_face_weights * np.abs(np.diff(a, axis=0) * np.diff(b, axis=0))))
-             + float(np.sum(grid.z_face_weights * np.abs(np.diff(a, axis=1) * np.diff(b, axis=1)))))
+    d_r, d_z = np.diff(a, axis=0) * np.diff(b, axis=0), np.diff(a, axis=1) * np.diff(b, axis=1)
+    lhs = float(np.sum(grid.r_face_weights * d_r)) + float(np.sum(grid.z_face_weights * d_z))
+    rhs = -grid.integrate(a * grid.laplacian(b))
+    scale = float(np.sum(grid.r_face_weights * np.abs(d_r))) + float(np.sum(grid.z_face_weights * np.abs(d_z)))
     assert abs(lhs - rhs) <= 1e-10 * scale
 
 
@@ -82,7 +81,7 @@ def test_axisym_preconditioner_inverts_the_shifted_operator(n_r, n_z, r_max, z_m
     grid = AxisymGrid(r_max, z_max, n_r, n_z)
     g = np.pad(np.random.default_rng(seed).standard_normal((n_r - 1, n_z - 1)), 1)
     x = AxisymPreconditioner(grid, ell).solve(g)
-    applied = x - axisym_laplacian(grid, x) + ell**2 * centrifugal_factor(grid) * x
+    applied = x - grid.laplacian(x) + grid.centrifugal(ell) * x
     assert np.abs(applied - g).max() <= 1e-12 * np.abs(g).max()
 
 
@@ -120,21 +119,29 @@ def test_screened_potential_bounds(spec, q, r, n):
 
 
 @settings(max_examples=25, deadline=None)
-@given(power_deficit, st.integers(64, 2048), st.floats(1.0, 500.0), seeds)
-def test_stationary_operator_is_the_reduced_energy_gradient(spec, n, sigma, seed):
-    grid = RadialGrid(12.0, n)
-    r = grid.nodes
-    u = RadialProfile(grid, np.cos(0.5 * np.pi * r / grid.r_max) ** 2 * (1.0 + 0.2 * np.sin(r))).values
-    direction = np.random.default_rng(seed).standard_normal(n + 1) * u
-    k = integrate_radial(grid, u * u)
-    g = stationary_operator(grid, u, spec, (sigma / k) ** 2)
+@given(power_deficit, st.integers(64, 2048), st.floats(1.0, 500.0), seeds, st.sampled_from([0, 1, 2]))
+def test_stationary_operator_is_the_reduced_energy_gradient(spec, n, sigma, seed, ell):
+    # ell = 0 is a radial profile; ell = 1, 2 a torus winding ell times on a coarser (r, z) grid,
+    # whose centrifugal potential enters both functionals
+    if ell == 0:
+        grid = RadialGrid(12.0, n)
+        r = grid.nodes
+        u = RadialProfile(grid, np.cos(0.5 * np.pi * r / grid.r_max) ** 2 * (1.0 + 0.2 * np.sin(r))).values
+        potential = 0.0
+    else:
+        grid = AxisymGrid(12.0, 8.0, 16 + n // 32, 16 + n // 32)
+        u = torus_bump(grid, 1.0, 4.0, 2.0, ell).values * (1.0 + 0.2 * np.sin(grid.r))[:, None]
+        potential = grid.centrifugal(ell)
+    direction = np.random.default_rng(seed).standard_normal(u.shape) * u
+    k = grid.integrate(u * u)
+    g = stationary_operator(grid, u, spec, (sigma / k) ** 2, potential=potential)
 
     def energy(v):
-        return reduced_energy(grid, v, spec, sigma, integrate_radial(grid, v * v))
+        return reduced_energy(grid, v, spec, sigma, grid.integrate(v * v), potential)
 
     eps = 1e-5
     slope = (energy(u + eps * direction) - energy(u - eps * direction)) / (2.0 * eps)
-    predicted = integrate_radial(grid, g * direction)
+    predicted = grid.integrate(g * direction)
     assert abs(slope - predicted) <= 1e-5 * (abs(predicted) + abs(energy(u)) / np.sqrt(n))
 
 

@@ -48,6 +48,20 @@ def test_gauge_does_not_import_functionals():
     assert "functionals" not in imported
 
 
+def test_one_energy_and_one_operator_serve_every_solve():
+    # the radial, gauge-coupled and vortex descents are all built by minimize._problem
+    assert _callers("reduced_energy") == {("functionals", "reduced_energy_sigma"), ("minimize", "_problem")}
+    assert _callers("stationary_operator") == {("minimize", "_problem"), ("minimize", "residual_stationary")}
+
+
+def test_vortex_defines_no_functional_of_its_own():
+    # the winding enters the shared functionals as the grid's centrifugal potential
+    tree = dict(_modules())["minimize"]
+    assert "vortex" not in {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+    for name in ("eval_nonlinearity", "charge_energy"):
+        assert "vortex" not in _mentions(name), name
+
+
 def _mentions(name: str) -> set[str]:
     """Modules that use ``name`` as a variable, an attribute or an imported name."""
     return {module for module, tree in _modules() for node in ast.walk(tree)

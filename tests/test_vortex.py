@@ -1,20 +1,10 @@
 import numpy as np
 import pytest
 
-from hylomorph.minimize import COLLAPSE_NOTE, UNBOUND_NOTE, SolveOptions
+from hylomorph.functionals import reduced_energy
+from hylomorph.minimize import COLLAPSE_NOTE, UNBOUND_NOTE, SolveOptions, residual_stationary
 from hylomorph.model import NonlinearSpec, eval_nonlinearity
-from hylomorph.vortex import (
-    AxisymGrid,
-    AxisymProfile,
-    axisym_laplacian,
-    centrifugal_factor,
-    integrate_axisym,
-    minimize_vortex,
-    torus_bump,
-    vortex_observables,
-    vortex_residual,
-    _vortex_energy,
-)
+from hylomorph.vortex import AxisymGrid, AxisymProfile, minimize_vortex, torus_bump, vortex_observables
 
 SPEC = NonlinearSpec.double_well()
 
@@ -31,7 +21,7 @@ def solved(grid):
 
 
 def test_cylinder_volume(grid):
-    vol = integrate_axisym(grid, np.ones((grid.n_r + 1, grid.n_z + 1)))
+    vol = grid.integrate(np.ones((grid.n_r + 1, grid.n_z + 1)))
     expected = np.pi * grid.r_max**2 * 2.0 * grid.z_max
     assert vol == pytest.approx(expected, rel=1e-10)
 
@@ -40,7 +30,7 @@ def test_laplacian_of_quadratic(grid):
     rr = grid.r[:, None]
     zz = grid.z[None, :]
     v = rr**2 + zz**2
-    lap = axisym_laplacian(grid, v)
+    lap = grid.laplacian(v)
     # (1/r)(r (r^2)')' = 4 and (z^2)'' = 2
     assert np.max(np.abs(lap[1:-1, 1:-1] - 6.0)) < 1e-8
 
@@ -92,7 +82,7 @@ def test_energy_dominates_radial_ground_state(solved):
 
 
 def test_residual_norm_matches_result(solved):
-    assert vortex_residual(solved.u, solved.omega, SPEC) == pytest.approx(solved.residual, rel=1e-6)
+    assert residual_stationary(solved, SPEC, "vortex") == pytest.approx(solved.residual, rel=1e-6)
 
 
 def test_gradient_matches_finite_differences(grid):
@@ -100,8 +90,8 @@ def test_gradient_matches_finite_differences(grid):
     init = torus_bump(grid, 0.9, 4.0, 2.0, winding=1)
     vals = init.values
     sigma = 120.0
-    w = grid.cell_weights
-    fac = centrifugal_factor(grid)
+    w = grid.volume_weights
+    fac = grid.centrifugal(1)
 
     def energy(v):
         mass2 = float(np.sum(w * v * v))
@@ -120,7 +110,7 @@ def test_gradient_matches_finite_differences(grid):
 
     def gradient(v):
         mass2 = float(np.sum(w * v * v))
-        g = (-axisym_laplacian(grid, v) + eval_nonlinearity(SPEC, v, 1)
+        g = (-grid.laplacian(v) + eval_nonlinearity(SPEC, v, 1)
              + (fac - (sigma / mass2) ** 2) * v)
         g[0, :] = g[-1, :] = 0.0
         g[:, 0] = g[:, -1] = 0.0
@@ -179,8 +169,9 @@ def test_result_carries_the_state_of_its_own_profile(solved):
     one_step = minimize_vortex(SPEC, 200.0, 1, torus_bump(SMALL, 1.0, 4.0, 1.5, winding=1),
                                SolveOptions(max_iters=1))
     for res in (solved, one_step):
-        energy, (mass2, phi) = _vortex_energy(res.u.grid, SPEC, res.winding, res.charge, res.u.values)
-        assert res.energy == energy
-        assert res.screened_mass == mass2 == res.u.mass2
+        mass2 = res.u.mass2
+        potential = res.u.grid.centrifugal(res.winding)
+        assert res.energy == reduced_energy(res.u.grid, res.u.values, SPEC, res.charge, mass2, potential)
+        assert res.screened_mass == mass2
         assert res.omega == -res.charge / mass2
-        assert res.phi is phi is None
+        assert res.phi is None
