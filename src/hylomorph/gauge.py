@@ -22,6 +22,12 @@ gives omega = -sigma/K and the reduced energy
 
     E_sigma(u) = integral of |grad u|^2/2 + W(u)  +  sigma^2 / (2 K(u)).
 
+``ScreenedPoisson`` holds the grid-only part of the matrix; its
+``potential`` is the one assembly and solve, and its ``mass`` the one
+energy form of K.  ``solve_phi`` and ``screened_mass`` are its wrappers
+for a validated ``RadialProfile``; the minimizer builds one kernel per
+grid and calls it on the arrays of its projected iterates.
+
 This module provides phi_u and K(u) alone; the functionals built on them
 (``functionals.deficiency``, ``reduced_energy``, ``stationary_operator``)
 live in ``functionals``, which imports this module and not the reverse.
@@ -29,18 +35,21 @@ live in ``functionals``, which imports this module and not the reverse.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .grid import (FOUR_PI, InvariantError, RadialGrid, RadialProfile, TridiagonalFactor, banded_matvec,
-                   gradient_sq_integral, integrate_radial, trapezoid_weights)
+                   integrate_radial, trapezoid_weights)
 
 _BOUND_SLACK = 1e-10
 # K must exceed this multiple of eps^2 ||u||^2: K is a sum of (q phi - 1)^2
 # u^2 whose factors 1 - q phi are resolved only to about eps, so a smaller
 # K is round-off, not the screened mass
 _MASS_FLOOR = 1e6 * float(np.finfo(float).eps) ** 2
+_FLOAT_MAX = float(np.finfo(float).max)
 
 
 @dataclass
@@ -58,84 +67,117 @@ class GaugePotential:
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
 
-    @property
+    @cached_property
     def screen(self) -> np.ndarray:
         """The factor (1 - q phi)^2 by which the potential screens omega^2 in the matter equation."""
-        return (1.0 - self.coupling * self.values) ** 2
+        screen = (1.0 - self.coupling * self.values) ** 2
+        screen.setflags(write=False)
+        return screen
+
+
+class ScreenedPoisson:
+    """The grid-only part of the screened Poisson matrix, built once for a grid.
+
+    The bands hold the flux sums a_{i-1} + a_i on the diagonal and -a_i
+    beside it, the Robin entry and the origin row; ``potential`` adds only
+    the b_i q^2 u_i^2 diagonal and the source.
+    The node masses b_i = w_i r_i^2 carry 1 at the origin, whose row
+    collocates 3 phi''(0) + q^2 u_0^2 phi_0 = q u_0^2.  Every array is
+    read-only, so one kernel serves every profile on its grid (a whole
+    descent, for the minimizer).
+    """
+
+    def __init__(self, grid: RadialGrid):
+        self.grid = grid
+        # the grid's cell fluxes a_i = r_i r_{i+1} / h and node masses b_i = w_i r_i^2
+        a = grid.flux
+        b = trapezoid_weights(grid.n, grid.h) * grid.nodes**2
+        self.mass_scale = max(float(b.max()), 1.0)
+        ab = np.zeros((3, grid.n + 1))
+        ab[1, 1:-1] = a[:-1] + a[1:]
+        # Robin closure: the exterior A/r tail contributes r_max * phi_n^2 to the
+        # quadratic form, hence + r_max on the last diagonal entry
+        ab[1, -1] = a[-1] + grid.r_max
+        ab[0, 2:] = -a[1:]
+        ab[2, :-1] = -a
+        # origin row: collocation of the regular limit 3 phi''(0) (the grid
+        # Laplacian's origin row), decoupled from the energy rows because the
+        # first cell carries zero weight
+        ab[1, 0] = -grid.laplacian_bands[1, 0]
+        ab[0, 1] = -grid.laplacian_bands[0, 1]
+        b[0] = 1.0
+        for arr in (ab, b):
+            arr.setflags(write=False)
+        self.bands, self.node_mass = ab, b
+
+    def potential(self, uu: np.ndarray, q: float) -> GaugePotential:
+        """phi_u for the squared amplitude uu = u^2 by a direct tridiagonal solve.
+
+        The one assembly of the screened Poisson matrix; every gauge-coupled
+        path checks its coupling here.  ``uu`` is trusted to be the square
+        of a nonnegative profile vanishing at r_max.
+        """
+        if not (q > 0 and q * q < np.inf):
+            raise ValueError(f"coupling q must be positive with a finite square, got {q!r}")
+        # the diagonal adds (b_i q^2) u_i^2, and q^2 u_0^2 at the origin, to O(1)
+        # fluxes; checked by division, since the products themselves may overflow
+        if q > math.sqrt(_FLOAT_MAX / 2.0 / (self.mass_scale * max(uu.max(), 1.0))):
+            raise ValueError(f"coupling q = {q!r} overflows the screened Poisson matrix on this grid")
+        ab = self.bands.copy()
+        # (b_i q^2) u_i^2 onto the flux sums, in the order of a whole assembly,
+        # so phi keeps its bits
+        ab[1] += self.node_mass * q**2 * uu
+        rhs = q * self.node_mass * uu
+        factor = TridiagonalFactor(ab)
+        phi = factor.solve(rhs)
+        # one step of iterative refinement, on the same factor: the Dirichlet rows
+        # are stiff at fine grids and downstream finite differences of K(u) see
+        # the solve noise
+        phi = phi + factor.solve(rhs - banded_matvec(ab, phi))
+
+        slack = _BOUND_SLACK * max(1.0, 1.0 / q)
+        if not (phi.min() >= -slack and phi.max() <= 1.0 / q + slack):
+            raise InvariantError("screened potential violated its a priori bounds; solver defect")
+        return GaugePotential(self.grid, np.clip(phi, 0.0, 1.0 / q), q)
+
+    def energy_form(self, uu: np.ndarray, phi: GaugePotential) -> float:
+        """K as field energy, including the exterior tail 4 pi R phi(R)^2 of the
+        A/r continuation implied by the Robin closure."""
+        grid = self.grid
+        p = phi.values
+        tail = FOUR_PI * grid.r_max * p[-1] ** 2
+        return grid.dirichlet(p) + tail + grid.integrate(phi.screen * uu)
+
+    def mass(self, uu: np.ndarray, phi: GaugePotential) -> float:
+        """K(u) in its energy form at the potential phi_u of ``potential``.
+
+        The energy form is stationary in phi, so solve noise enters K only at
+        second order; the source form would leak it into finite differences.
+        A coupling so strong that K falls below 1e6 eps^2 ||u||^2, where
+        round-off in 1 - q phi dominates it, is rejected.
+        """
+        k = self.energy_form(uu, phi)
+        if k < _MASS_FLOOR * self.grid.integrate(uu):
+            raise ValueError(f"coupling q = {phi.coupling!r} screens K(u) = {k:.3g} below float resolution")
+        return k
 
 
 def solve_phi(u: RadialProfile, q: float) -> GaugePotential:
-    """Solve the screened Poisson subproblem by a direct tridiagonal solve.
-
-    Every gauge-coupled path checks its coupling here."""
-    if not (q > 0 and q * q < np.inf):
-        raise ValueError(f"coupling q must be positive with a finite square, got {q!r}")
-    grid = u.grid
-    uu = u.values**2
-
-    # the grid's cell fluxes a_i = r_i r_{i+1} / h and node masses b_i = w_i r_i^2
-    a = grid.flux
-    b = trapezoid_weights(grid.n, grid.h) * grid.nodes**2
-    # the diagonal adds (b_i q^2) u_i^2, and q^2 u_0^2 at the origin, to O(1)
-    # fluxes; checked by division, since the products themselves may overflow
-    if q > np.sqrt(np.finfo(float).max / 2.0 / (max(b.max(), 1.0) * max(uu.max(), 1.0))):
-        raise ValueError(f"coupling q = {q!r} overflows the screened Poisson matrix on this grid")
-
-    ab = np.zeros((3, grid.n + 1))
-    rhs = q * b * uu
-    ab[1, 1:-1] = a[:-1] + a[1:] + b[1:-1] * q**2 * uu[1:-1]
-    # Robin closure: the exterior A/r tail contributes r_max * phi_n^2 to the
-    # quadratic form, hence + r_max on the last diagonal entry
-    ab[1, -1] = a[-1] + grid.r_max + b[-1] * q**2 * uu[-1]
-    ab[0, 2:] = -a[1:]
-    ab[2, :-1] = -a
-
-    # origin row: collocation of the regular limit 3 phi''(0) (the grid
-    # Laplacian's origin row), decoupled from the energy rows because the
-    # first cell carries zero weight
-    ab[1, 0] = -grid.laplacian_bands[1, 0] + q**2 * uu[0]
-    ab[0, 1] = -grid.laplacian_bands[0, 1]
-    rhs[0] = q * uu[0]
-
-    factor = TridiagonalFactor(ab)
-    phi = factor.solve(rhs)
-    # one step of iterative refinement, on the same factor: the Dirichlet rows
-    # are stiff at fine grids and downstream finite differences of K(u) see
-    # the solve noise
-    phi = phi + factor.solve(rhs - banded_matvec(ab, phi))
-
-    slack = _BOUND_SLACK * max(1.0, 1.0 / q)
-    if not (phi.min() >= -slack and phi.max() <= 1.0 / q + slack):
-        raise InvariantError("screened potential violated its a priori bounds; solver defect")
-    return GaugePotential(grid, np.clip(phi, 0.0, 1.0 / q), q)
-
-
-def _energy_form(u: RadialProfile, phi: GaugePotential) -> float:
-    """K as field energy, including the exterior tail 4 pi R phi(R)^2 of the
-    A/r continuation implied by the Robin closure."""
-    grid = u.grid
-    p = phi.values
-    grad_part = gradient_sq_integral(grid, p)
-    tail = FOUR_PI * grid.r_max * p[-1] ** 2
-    mass_part = integrate_radial(grid, (phi.coupling * p - 1.0) ** 2 * u.values**2)
-    return grad_part + tail + mass_part
+    """The reduced potential phi_u of a validated profile; see ``ScreenedPoisson.potential``."""
+    return ScreenedPoisson(u.grid).potential(u.values**2, q)
 
 
 def screened_mass_two_forms(u: RadialProfile, phi: GaugePotential) -> tuple[float, float]:
     """K evaluated as field energy and as screened source; equal at the solution."""
-    return _energy_form(u, phi), integrate_radial(u.grid, (1.0 - phi.coupling * phi.values) * u.values**2)
+    uu = u.values**2
+    source_form = integrate_radial(u.grid, (1.0 - phi.coupling * phi.values) * uu)
+    return ScreenedPoisson(u.grid).energy_form(uu, phi), source_form
 
 
 def screened_mass(u: RadialProfile, q: float) -> tuple[float, GaugePotential]:
-    """K(u) in its energy form, and the potential phi_u it is evaluated at.
-
-    The energy form is stationary in phi, so solve noise enters K only at
-    second order; the source form would leak it into finite differences.
-    A coupling so strong that K falls below 1e6 eps^2 ||u||^2, where round-off
-    in 1 - q phi dominates it, is rejected.
-    """
-    phi = solve_phi(u, q)
-    k = _energy_form(u, phi)
-    if k < _MASS_FLOOR * u.mass2:
-        raise ValueError(f"coupling q = {q!r} screens K(u) = {k:.3g} below float resolution")
-    return k, phi
+    """K(u) in its energy form, and the potential phi_u it is evaluated at;
+    see ``ScreenedPoisson.mass``."""
+    kernel = ScreenedPoisson(u.grid)
+    uu = u.values**2
+    phi = kernel.potential(uu, q)
+    return kernel.mass(uu, phi), phi

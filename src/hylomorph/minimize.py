@@ -11,8 +11,9 @@ profiles and the Armijo test on <g, move> guarantees monotone energy
 decrease.  Convergence is declared on the weighted L2 norm of the
 stationary-equation residual; every solve reports why it stopped.  A
 start far from the minimizer on a grid with at least COARSEN *
-MIN_COARSE_CELLS cells per direction is solved on two levels, a 4x
-coarser grid first (see ``_solve``).  One ``_problem`` builds the descent
+MIN_COARSE_CELLS cells per direction is solved by nested iteration, each
+level first solved on a 4x coarser grid, which nests again while it is
+large enough (see ``_solve``).  One ``_problem`` builds the descent
 of every theory from ``functionals`` and the geometry of the profile's grid.
 """
 
@@ -24,7 +25,7 @@ from typing import Any, Callable
 import numpy as np
 
 from .functionals import reduced_energy, stationary_operator
-from .gauge import GaugePotential, screened_mass, solve_phi
+from .gauge import GaugePotential, ScreenedPoisson, solve_phi
 from .grid import InvariantError, RadialProfile
 from .model import NonlinearSpec
 
@@ -39,10 +40,10 @@ STEP_INIT = 1.0
 SHRINK = 0.5
 ARMIJO = 1e-4
 
-# two-level solves: a start whose first preconditioned step is at least
+# nested levels: a start whose first preconditioned step is at least
 # FAR_START times its own norm, on a grid with at least
-# COARSEN * MIN_COARSE_CELLS cells per direction, first descends on a grid
-# with COARSEN times fewer cells
+# COARSEN * MIN_COARSE_CELLS cells per direction, is first solved on a grid
+# with COARSEN times fewer cells, and so on down
 COARSEN = 4
 MIN_COARSE_CELLS = 64
 FAR_START = 0.75
@@ -82,10 +83,10 @@ class SolitonResult:
     certified: bool = False
     """True when the converged state certifies its charge (ratio below the mass)."""
     coarse_iterations: int = 0
-    """Descent iterations on the coarse level; 0 on a one-level grid."""
+    """Descent iterations on every coarser level together; 0 when one level ran."""
     discretization_error: float = np.nan
     """Richardson estimate (E_h - E_H) / ((H/h)^2 - 1) of E_continuum - energy;
-    NaN unless both levels converged."""
+    NaN unless the final level and the next coarser one both converged."""
 
 
 def descend(
@@ -96,6 +97,7 @@ def descend(
     weights: np.ndarray,
     pc_solve: Callable[[np.ndarray], np.ndarray],
     opts: SolveOptions,
+    start: tuple[float, Any] | None = None,
 ) -> tuple[np.ndarray, float, int, str, float, Any]:
     """Projected, preconditioned nonlinear conjugate gradients shared by all solvers.
 
@@ -103,6 +105,8 @@ def descend(
     way; ``gradient(u, state)`` receives the state of the same iterate, so
     work both need (the screened mass and its potential) is done once.
     Inner products and the residual norm use the quadrature ``weights``.
+    ``start``, when given, is ``energy(u0)`` as the caller already computed
+    it for a ``u0`` that ``project`` leaves unchanged; it is not evaluated again.
 
     Returns (u, residual, iterations, termination, energy, state), the
     last two as ``energy(u)`` returned them for the returned u.  The
@@ -126,7 +130,7 @@ def descend(
 
     u = project(u0.copy())
     tau = STEP_INIT
-    e_cur, state = energy(u)
+    e_cur, state = energy(u) if start is None else start
     e_mark = e_cur
     res_best = np.inf
     it_mark = 0
@@ -209,12 +213,17 @@ def _problem(grid, spec: NonlinearSpec, sigma: float, q: float | None, ell: int)
     ell != 0 adds the grid's centrifugal potential.
     """
     potential = grid.centrifugal(ell) if ell else 0.0
+    # the projected iterates are nonnegative and vanish at r_max, so K and phi
+    # are evaluated on their arrays without building a validated profile
+    kernel = None if q is None else ScreenedPoisson(grid)
 
     def energy(u: np.ndarray) -> tuple[float, tuple[float, GaugePotential | None]]:
-        if q is None:
+        if kernel is None:
             k, phi = grid.integrate(u * u), None
         else:
-            k, phi = screened_mass(RadialProfile(grid, u), q)
+            uu = u**2
+            phi = kernel.potential(uu, q)
+            k = kernel.mass(uu, phi)
         return reduced_energy(grid, u, spec, sigma, k, potential), (k, phi)
 
     def gradient(u: np.ndarray, state: tuple[float, GaugePotential | None]) -> np.ndarray:
@@ -238,20 +247,23 @@ def _solve(spec: NonlinearSpec, sigma: float, init, opts: SolveOptions | None, *
     state (K, phi) as the descent computed it for the returned profile.
 
     A start far from the minimizer on a grid with at least COARSEN *
-    MIN_COARSE_CELLS cells per direction is solved on two levels (nested
+    MIN_COARSE_CELLS cells per direction is solved on nested levels (nested
     iteration; Briggs, Henson & McCormick, *A Multigrid Tutorial*, 2000,
     ch. 3).  Far means that the first preconditioned step P^-1 g, which
     estimates the distance to the minimizer as far as P approximates the
     Hessian, is at least FAR_START times the norm of ``init``: only a long
-    descent leaves most of the travel to the coarse level.  ``init`` is
-    then resampled onto the grid with COARSEN times fewer cells, descended
-    there with the same ``opts`` (each level has the whole ``max_iters``
-    budget), and the minimizer is resampled back.  The fine descent starts from whichever of that and
-    ``init`` has the lower fine energy, ``init`` on a tie, so a converged
-    start stays a fixed point and the result never has a higher energy than
-    ``init``.  When both levels converge, the Richardson estimate
-    (E_h - E_H) / ((H/h)^2 - 1) of the second-order scheme is the result's
-    discretization error.
+    descent leaves most of the travel to the coarser levels.  ``init`` is
+    then resampled onto the grid with COARSEN times fewer cells and solved
+    there by ``_solve`` itself with the same ``opts``, so that level nests
+    again while it has cells enough and a far start (each level has the
+    whole ``max_iters`` budget), and the minimizer is resampled back.  The
+    descent on this level starts from whichever of that and ``init`` has
+    the lower energy here, ``init`` on a tie, so a converged start stays a
+    fixed point and the result never has a higher energy than ``init``;
+    the energy and state found for the start are handed to ``descend``, not
+    evaluated again.  When this level and the next coarser one both
+    converge, the Richardson estimate (E_h - E_H) / ((H/h)^2 - 1) of the
+    second-order scheme is the result's discretization error.
 
     Eliminates omega = -sigma/K, flags a collapse or a run-off to infinity
     (a non-finite residual or energy), and certifies the charge only for a
@@ -264,31 +276,34 @@ def _solve(spec: NonlinearSpec, sigma: float, init, opts: SolveOptions | None, *
     opts = opts or SolveOptions()
     fine = _problem(init.grid, spec, sigma, coupling, winding)
     fine_energy, gradient, _, weights, pc_solve = fine
-    start = init
+    # the start and its (energy, state) once known, so no level evaluates its start twice
+    start, known = init, None
     coarse_iterations, coarse_converged, e_coarse, ratio2 = 0, False, np.nan, np.nan
-    two_level = min(init.grid.cells) >= COARSEN * MIN_COARSE_CELLS
-    if two_level:
+    nested = min(init.grid.cells) >= COARSEN * MIN_COARSE_CELLS
+    if nested:
         with np.errstate(over="ignore", invalid="ignore"):
-            e_init, state = fine_energy(init.values)
-            step = pc_solve(gradient(init.values, state))
+            known = fine_energy(init.values)
+            step = pc_solve(gradient(init.values, known[1]))
         w = weights.ravel()
         u0 = init.values.ravel()
-        two_level = w @ (step * step).ravel() >= FAR_START**2 * (w @ (u0 * u0))
-    if two_level:
+        nested = w @ (step * step).ravel() >= FAR_START**2 * (w @ (u0 * u0))
+    if nested:
         coarse_init = init.resample(init.grid.coarsen(COARSEN))
         # a profile narrower than the coarse spacing can vanish on the coarse nodes
         if coarse_init.mass2 > 0.0:
-            u_c, _, coarse_iterations, termination, e_coarse, _ = descend(
-                coarse_init.values, *_problem(coarse_init.grid, spec, sigma, coupling, winding), opts)
-            coarse_converged = termination == "converged"
-            candidate = replace(coarse_init, values=u_c).resample(init.grid)
+            coarse = _solve(spec, sigma, coarse_init, opts, coupling=coupling, winding=winding)
+            coarse_iterations = coarse.iterations + coarse.coarse_iterations
+            coarse_converged = coarse.termination == "converged"
+            e_coarse = coarse.energy
+            candidate = coarse.u.resample(init.grid)
             with np.errstate(over="ignore", invalid="ignore"):
-                if fine_energy(candidate.values)[0] < e_init:
-                    start = candidate
+                at_candidate = fine_energy(candidate.values)
+            if at_candidate[0] < known[0]:
+                start, known = candidate, at_candidate
             # (H/h)^2 from the exact cell counts, a geometric mean over directions
             ratios = np.divide(init.grid.cells, coarse_init.grid.cells)
             ratio2 = float(np.prod(ratios)) ** (2.0 / ratios.size)
-    u, residual, iterations, termination, e_sigma, (k, phi) = descend(start.values, *fine, opts)
+    u, residual, iterations, termination, e_sigma, (k, phi) = descend(start.values, *fine, opts, start=known)
     profile = replace(init, values=u)
     q = 1.0 if coupling is None else coupling
     omega = -sigma / k
@@ -325,8 +340,9 @@ def minimize_nlkg(spec: NonlinearSpec, sigma: float, init: RadialProfile,
 def minimize_kgm(spec: NonlinearSpec, sigma: float, q: float, init: RadialProfile,
                  opts: SolveOptions | None = None) -> SolitonResult:
     """Minimize the gauge-coupled reduced energy; the potential is re-solved
-    at every energy evaluation and reused by the gradient at that iterate;
-    ``solve_phi`` rejects a bad coupling at the first one."""
+    at every energy evaluation by the grid's ``gauge.ScreenedPoisson`` and
+    reused by the gradient at that iterate; the kernel rejects a bad
+    coupling at the first one."""
     return _solve(spec, sigma, init, opts, coupling=q)
 
 

@@ -59,7 +59,7 @@ def test_inputs_rejected_before_any_solve(tmp_path, monkeypatch, command, text):
     monkeypatch.setattr(cli.chargewin, "screened_mass", no_solve)
     monkeypatch.setattr(cli.minimize, "minimize_nlkg", no_solve)
     monkeypatch.setattr(cli.minimize, "descend", no_solve)
-    # every gauge-coupled path rejects its coupling in solve_phi, before the factorization
+    # every gauge-coupled path rejects its coupling in ScreenedPoisson.potential, before the factorization
     monkeypatch.setattr(gauge, "TridiagonalFactor", no_solve)
     cfg = write_config(tmp_path, "p.ini", text)
     out = tmp_path / "out"

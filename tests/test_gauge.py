@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hylomorph.chargewin import SCAN_RESOLUTION, TentProfile
 from hylomorph.functionals import deficiency, reduced_energy, reduced_energy_sigma, stationary_operator
-from hylomorph.gauge import screened_mass, screened_mass_two_forms, solve_phi
-from hylomorph.grid import RadialGrid, RadialProfile, integrate_radial
+from hylomorph.gauge import ScreenedPoisson, screened_mass, screened_mass_two_forms, solve_phi
+from hylomorph.grid import (FOUR_PI, InvariantError, RadialGrid, RadialProfile, TridiagonalFactor, banded_matvec,
+                            gradient_sq_integral, integrate_radial, trapezoid_weights)
+from hylomorph.minimize import minimize_kgm
 from hylomorph.model import NonlinearSpec, eval_nonlinearity
 
 SPEC = NonlinearSpec.double_well()
@@ -144,10 +148,11 @@ def test_gradient_decoupling_limit():
 def test_preconditions():
     # a coupling that is not positive, whose square overflows, or whose
     # b_i q^2 u_i^2 overflows the matrix diagonal (1e154 here) is rejected
-    # before any solve, on every path that reaches the potential
+    # before any solve, on every path that reaches the potential, the
+    # descent's own kernel included
     tent = TentProfile(1.0, 1.0).realize(RadialGrid(10.0, 256))
     for q in (0.0, -1.0, np.inf, np.nan, 1e300, 1.35e154, 1e154):
-        for call in (solve_phi, screened_mass):
+        for call in (solve_phi, screened_mass, lambda u, q: minimize_kgm(SPEC, 10.0, q, u)):
             with pytest.raises(ValueError, match="coupling q"):
                 call(tent, q)
         if q != 0.0:
@@ -169,5 +174,121 @@ def test_screened_mass_below_float_resolution_is_rejected():
             screened_mass(tent, q)
         with pytest.raises(ValueError, match="coupling q"):
             deficiency(tent, SPEC, q)
+        with pytest.raises(ValueError, match="coupling q"):
+            minimize_kgm(SPEC, 10.0, q, tent)
     phi = solve_phi(tent, 1e150)
     assert phi.values.min() >= 0.0 and phi.values.max() <= 1e-150
+
+
+# The per-grid kernel against a from-scratch assembly --------------------------
+
+
+def scratch_potential(u, q):
+    """phi_u by assembling the whole screened Poisson matrix anew: the
+    reference the per-grid kernel must reproduce bit for bit."""
+    if not (q > 0 and q * q < np.inf):
+        raise ValueError("coupling q")
+    grid = u.grid
+    uu = u.values**2
+    a = grid.flux
+    b = trapezoid_weights(grid.n, grid.h) * grid.nodes**2
+    if q > np.sqrt(np.finfo(float).max / 2.0 / (max(b.max(), 1.0) * max(uu.max(), 1.0))):
+        raise ValueError("coupling q")
+    ab = np.zeros((3, grid.n + 1))
+    rhs = q * b * uu
+    ab[1, 1:-1] = a[:-1] + a[1:] + b[1:-1] * q**2 * uu[1:-1]
+    ab[1, -1] = a[-1] + grid.r_max + b[-1] * q**2 * uu[-1]
+    ab[0, 2:] = -a[1:]
+    ab[2, :-1] = -a
+    ab[1, 0] = -grid.laplacian_bands[1, 0] + q**2 * uu[0]
+    ab[0, 1] = -grid.laplacian_bands[0, 1]
+    rhs[0] = q * uu[0]
+    factor = TridiagonalFactor(ab)
+    phi = factor.solve(rhs)
+    phi = phi + factor.solve(rhs - banded_matvec(ab, phi))
+    slack = 1e-10 * max(1.0, 1.0 / q)
+    if not (phi.min() >= -slack and phi.max() <= 1.0 / q + slack):
+        raise InvariantError("bounds")
+    return np.clip(phi, 0.0, 1.0 / q)
+
+
+def scratch_mass(u, q, phi):
+    """K in its energy form at the reference potential, with the float-resolution floor."""
+    grid = u.grid
+    k = (gradient_sq_integral(grid, phi) + FOUR_PI * grid.r_max * phi[-1] ** 2
+         + integrate_radial(grid, (q * phi - 1.0) ** 2 * u.values**2))
+    if k < 1e6 * float(np.finfo(float).eps) ** 2 * u.mass2:
+        raise ValueError("coupling q")
+    return k
+
+
+def random_profile(n, r_max, seed, log_scale, shape):
+    """A nonnegative profile vanishing at r_max: noise, a bump or sparse spikes."""
+    rng = np.random.default_rng(seed)
+    grid = RadialGrid(r_max, n)
+    if shape == "noise":
+        vals = rng.uniform(0.0, 1.0, n + 1)
+    elif shape == "bump":
+        vals = np.exp(-((grid.nodes - rng.uniform(0.0, r_max)) / rng.uniform(0.05, 1.0) / r_max) ** 2)
+    else:
+        vals = np.where(rng.uniform(size=n + 1) < 0.05, rng.uniform(0.0, 1.0, n + 1), 0.0)
+    vals *= 10.0**log_scale
+    vals[-1] = 0.0
+    return RadialProfile(grid, vals)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(16, 2048), st.floats(1.0, 200.0), st.integers(0, 2**32 - 1), st.floats(-3.0, 3.0),
+       st.sampled_from(["noise", "bump", "spikes"]), st.one_of(st.floats(-4.0, 12.0), st.floats(12.0, 160.0)))
+@example(2048, 40.0, 7, 0.0, "bump", 0.0)
+@example(16, 1.0, 3, -3.0, "spikes", -4.0)
+@example(23, 146.375, 1, 1.0, "spikes", 17.0)
+def test_kernel_reproduces_the_scratch_assembly(n, r_max, seed, log_scale, shape, log_q):
+    # phi and K keep their bits; a coupling the scratch assembly rejects (not
+    # positive with a finite square, overflowing the matrix, or screening K
+    # below float resolution) is rejected by the kernel at the same check, and
+    # a potential outside its bounds (a single spike at q = 1e17) fails both alike
+    u = random_profile(n, r_max, seed, log_scale, shape)
+    q = 10.0**log_q
+    try:
+        phi = scratch_potential(u, q)
+    except (ValueError, InvariantError) as exc:
+        for call in (solve_phi, screened_mass):
+            with pytest.raises(type(exc), match="coupling q" if isinstance(exc, ValueError) else "bounds"):
+                call(u, q)
+        return
+    assert np.array_equal(solve_phi(u, q).values, phi)
+    try:
+        k = scratch_mass(u, q, phi)
+    except ValueError:
+        with pytest.raises(ValueError, match="coupling q"):
+            screened_mass(u, q)
+        return
+    assert screened_mass(u, q)[0] == k
+    assert np.array_equal(screened_mass(u, q)[1].values, phi)
+
+
+def test_kernel_arrays_are_read_only():
+    grid = RadialGrid(10.0, 256)
+    kernel = ScreenedPoisson(grid)
+    phi = kernel.potential(TentProfile(1.0, 1.0).realize(grid).values ** 2, 1.0)
+    for arr in (kernel.bands, kernel.node_mass, phi.values, phi.screen):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 1.0
+
+
+def test_solving_two_profiles_leaves_the_kernel_unchanged():
+    # one kernel serves a whole descent: its solves must not write into it
+    grid = RadialGrid(20.0, 512)
+    kernel = ScreenedPoisson(grid)
+    bands, node_mass = kernel.bands.copy(), kernel.node_mass.copy()
+    first = TentProfile(1.0, 2.0).realize(grid).values ** 2
+    second = TentProfile(0.5, 6.0).realize(grid).values ** 2
+    phi = kernel.potential(first, 0.3)
+    k = kernel.mass(first, phi)
+    kernel.mass(second, kernel.potential(second, 3.0))
+    kernel.potential(second, 0.01)
+    assert np.array_equal(kernel.bands, bands) and np.array_equal(kernel.node_mass, node_mass)
+    again = kernel.potential(first, 0.3)
+    assert np.array_equal(again.values, phi.values) and kernel.mass(first, again) == k

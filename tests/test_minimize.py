@@ -280,11 +280,20 @@ def test_result_carries_the_termination(ground, tent_init):
 
 
 def test_spent_budget_reports_every_accepted_step():
-    # each level takes all max_iters steps and reports them, not max_iters - 1
+    # each level takes all max_iters steps and reports them, not max_iters - 1;
+    # 1024 cells nest down to 256 and 64, and coarse_iterations sums both
     init = TentProfile(1.0, 3.0).realize(RadialGrid(24.0, 1024))
     res = minimize_nlkg(SPEC, 300.0, init, SolveOptions(max_iters=3))
     assert res.termination == "max_iters"
-    assert (res.coarse_iterations, res.iterations) == (3, 3)
+    assert (res.coarse_iterations, res.iterations) == (6, 3)
+
+
+def test_spent_budget_counts_every_coarser_level():
+    # 4096 cells nest down to 1024, 256 and 64: four levels of two steps each
+    init = TentProfile(1.0, 3.0).realize(RadialGrid(24.0, 4096))
+    res = minimize_nlkg(SPEC, 300.0, init, SolveOptions(max_iters=2))
+    assert res.termination == "max_iters"
+    assert (res.coarse_iterations, res.iterations) == (6, 2)
 
 
 def test_kgm_construct_plan_iteration_budget():

@@ -41,6 +41,23 @@ def test_deficiency_is_defined_once():
                                           ("chargewin", "verify_tent_witness")}
 
 
+def test_screened_poisson_matrix_is_assembled_once():
+    # the per-grid kernel's ``potential`` is the one assembly (the one factor
+    # in gauge); the validating wrappers and the descent's energy call it
+    tree = dict(_modules())["gauge"]
+    factoring = set()
+    for top in tree.body:
+        for fn in ([top] if isinstance(top, ast.FunctionDef) else
+                   [m for m in getattr(top, "body", []) if isinstance(m, ast.FunctionDef)]):
+            for node in ast.walk(fn):
+                if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                        and node.func.id == "TridiagonalFactor"):
+                    factoring.add(fn.name if top is fn else f"{top.name}.{fn.name}")
+    assert factoring == {"ScreenedPoisson.potential"}
+    assert _callers("potential") == {("gauge", "solve_phi"), ("gauge", "screened_mass"),
+                                     ("minimize", "_problem")}
+
+
 def test_gauge_does_not_import_functionals():
     # the functionals build on phi_u and K(u), not the reverse
     tree = dict(_modules())["gauge"]
