@@ -17,9 +17,9 @@ from .evolve import (
     manifold_distance,
     soliton_state,
 )
-from .functionals import deficiency, hylomorphy_ratio, reduced_energy_sigma, sigma_window
+from .functionals import deficiency, reduced_energy_sigma, sigma_window
 from .gauge import GaugePotential, solve_phi
-from .grid import RadialGrid, RadialProfile, integrate_radial, radial_laplacian
+from .grid import RadialGrid, RadialProfile
 from .minimize import SolitonResult, SolveOptions, minimize_kgm, minimize_nlkg, residual_stationary
 from .model import (
     AssumptionReport,
@@ -29,7 +29,7 @@ from .model import (
     eval_nonlinearity,
     validate_assumptions,
 )
-from .oracle import ShootResult, shoot_ground_state, tent_quadratures
+from .oracle import ShootResult, shoot_ground_state
 from .vortex import AxisymGrid, AxisymProfile, minimize_vortex, torus_bump, vortex_observables
 
 __version__ = "0.1.0"
@@ -58,21 +58,17 @@ __all__ = [
     "estimate_admissible_window",
     "eval_nonlinearity",
     "evolve_nlkg",
-    "hylomorphy_ratio",
-    "integrate_radial",
     "localization_fraction",
     "manifold_distance",
     "minimize_kgm",
     "minimize_nlkg",
     "minimize_vortex",
-    "radial_laplacian",
     "reduced_energy_sigma",
     "residual_stationary",
     "shoot_ground_state",
     "sigma_window",
     "solve_phi",
     "soliton_state",
-    "tent_quadratures",
     "torus_bump",
     "validate_assumptions",
     "verify_tent_witness",

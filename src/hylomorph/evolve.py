@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import RadialGrid, RadialProfile, gradient_sq_integral, integrate_radial
+from .grid import RadialGrid, RadialProfile
 from .model import NonlinearSpec, _power_sum, eval_nonlinearity
 
 BLOWUP_FACTOR = 1e6
@@ -84,18 +84,18 @@ def soliton_state(profile: RadialProfile, omega: float) -> EvolutionState:
 
 def field_energy(state: EvolutionState, spec: NonlinearSpec, free_field: bool = False) -> float:
     grid = state.grid
-    kinetic = 0.5 * integrate_radial(grid, np.abs(state.psi_t) ** 2)
-    gradient = 0.5 * gradient_sq_integral(grid, state.psi)
+    kinetic = 0.5 * grid.integrate(np.abs(state.psi_t) ** 2)
+    gradient = 0.5 * grid.dirichlet(state.psi)
     amp = np.abs(state.psi)
     if free_field:
-        potential = integrate_radial(grid, 0.5 * spec.mass**2 * amp**2)
+        potential = grid.integrate(0.5 * spec.mass**2 * amp**2)
     else:
-        potential = integrate_radial(grid, eval_nonlinearity(spec, amp, 0))
+        potential = grid.integrate(eval_nonlinearity(spec, amp, 0))
     return kinetic + gradient + potential
 
 
 def field_charge(state: EvolutionState) -> float:
-    return integrate_radial(state.grid, np.imag(np.conj(state.psi) * state.psi_t))
+    return state.grid.integrate(np.imag(np.conj(state.psi) * state.psi_t))
 
 
 def localization_fraction(state: EvolutionState, radius: float) -> float:
@@ -103,11 +103,11 @@ def localization_fraction(state: EvolutionState, radius: float) -> float:
     if radius > state.grid.r_max:
         raise ValueError("localization radius exceeds the domain")
     density = np.abs(state.psi) ** 2
-    total = integrate_radial(state.grid, density)
+    total = state.grid.integrate(density)
     if total == 0.0:
         return 0.0
     inside = density * (state.grid.nodes <= radius)
-    return 1.0 - integrate_radial(state.grid, inside) / total
+    return 1.0 - state.grid.integrate(inside) / total
 
 
 def mass_radius(profile: RadialProfile, fraction: float = 0.99) -> float:
@@ -148,7 +148,7 @@ def manifold_distance(state: EvolutionState, u0: RadialProfile, omega0: float) -
     # norm_state + norm_ref - 2|overlap| cancels catastrophically on orbit
     d_psi = psi - phase * u
     d_v = psi_t + 1j * omega0 * phase * u
-    d2 = (float(np.real(vw @ (d_psi * np.conj(d_psi)))) + gradient_sq_integral(grid, d_psi)
+    d2 = (float(np.real(vw @ (d_psi * np.conj(d_psi)))) + grid.dirichlet(d_psi)
           + float(np.real(vw @ (d_v * np.conj(d_v)))))
     return float(np.sqrt(max(0.0, d2)))
 

@@ -88,14 +88,6 @@ def reduced_energy_sigma(u: RadialProfile, sigma: float, spec: NonlinearSpec) ->
     return reduced_energy(u.grid, u.values, spec, sigma, mass2), omega
 
 
-def hylomorphy_ratio(u: RadialProfile, sigma: float, spec: NonlinearSpec) -> float:
-    """E_sigma(u)/sigma; values below the mass certify an admissible charge."""
-    if not sigma > 0:
-        raise ValueError("the charge parameter sigma must be positive")
-    energy, _ = reduced_energy_sigma(u, sigma, spec)
-    return energy / sigma
-
-
 def sigma_window(u: RadialProfile, spec: NonlinearSpec, q: float = 0.0) -> tuple[float, float] | None:
     """Charge interval on which this profile certifies a binding minimizer.
 

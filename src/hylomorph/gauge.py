@@ -42,7 +42,7 @@ from functools import cached_property
 import numpy as np
 
 from .grid import (FOUR_PI, InvariantError, RadialGrid, RadialProfile, TridiagonalFactor, banded_matvec,
-                   integrate_radial, trapezoid_weights)
+                   trapezoid_weights)
 
 _BOUND_SLACK = 1e-10
 # K must exceed this multiple of eps^2 ||u||^2: K is a sum of (q phi - 1)^2
@@ -116,6 +116,15 @@ class ScreenedPoisson:
         The one assembly of the screened Poisson matrix; every gauge-coupled
         path checks its coupling here.  ``uu`` is trusted to be the square
         of a nonnegative profile vanishing at r_max.
+
+        Precondition: a profile that vanishes on a core r_1 .. r_{i-1} couples
+        the core to its innermost charged node i only through the flux
+        a_{i-1}, so that flux must stay above the float resolution of node i's
+        diagonal, eps (a_{i-1} + a_i + b_i q^2 u_i^2).  Below it the pivoting
+        of the solve can leave the core's potential to round-off; a phi that
+        then misses its bounds is rejected with ValueError.  A phi outside its
+        bounds otherwise is a solver defect (InvariantError); a phi within
+        them is returned as solved.
         """
         if not (q > 0 and q * q < np.inf):
             raise ValueError(f"coupling q must be positive with a finite square, got {q!r}")
@@ -137,6 +146,10 @@ class ScreenedPoisson:
 
         slack = _BOUND_SLACK * max(1.0, 1.0 / q)
         if not (phi.min() >= -slack and phi.max() <= 1.0 / q + slack):
+            i = int(np.argmax(uu[1:] > 0.0)) + 1  # the innermost charged node past the origin
+            if i > 1 and self.grid.flux[i - 1] < np.finfo(float).eps * ab[1, i]:
+                raise ValueError(f"coupling q = {q!r} decouples the uncharged core r < {self.grid.nodes[i]:.6g} "
+                                 "from the profile below float resolution")
             raise InvariantError("screened potential violated its a priori bounds; solver defect")
         return GaugePotential(self.grid, np.clip(phi, 0.0, 1.0 / q), q)
 
@@ -165,13 +178,6 @@ class ScreenedPoisson:
 def solve_phi(u: RadialProfile, q: float) -> GaugePotential:
     """The reduced potential phi_u of a validated profile; see ``ScreenedPoisson.potential``."""
     return ScreenedPoisson(u.grid).potential(u.values**2, q)
-
-
-def screened_mass_two_forms(u: RadialProfile, phi: GaugePotential) -> tuple[float, float]:
-    """K evaluated as field energy and as screened source; equal at the solution."""
-    uu = u.values**2
-    source_form = integrate_radial(u.grid, (1.0 - phi.coupling * phi.values) * uu)
-    return ScreenedPoisson(u.grid).energy_form(uu, phi), source_form
 
 
 def screened_mass(u: RadialProfile, q: float) -> tuple[float, GaugePotential]:

@@ -11,8 +11,9 @@ minimizers are written once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
+from typing import Any
 
 import numpy as np
 from scipy.linalg.lapack import dgttrf, dgttrs
@@ -56,6 +57,11 @@ class RadialGrid:
         """Cell count per direction."""
         return (self.n,)
 
+    @property
+    def domain(self) -> tuple[float]:
+        """The extents that fix the domain; a resampled profile keeps them."""
+        return (self.r_max,)
+
     def coarsen(self, factor: int) -> "RadialGrid":
         """The grid with n // factor cells on the same domain."""
         return RadialGrid(self.r_max, self.n // factor)
@@ -90,7 +96,7 @@ class RadialGrid:
 
     @cached_property
     def laplacian_bands(self) -> np.ndarray:
-        """Tridiagonal bands of radial_laplacian in scipy ``solve_banded`` layout.
+        """Tridiagonal bands of ``laplacian`` in scipy ``solve_banded`` layout.
 
         Row i divides the flux difference a_i (u_{i+1} - u_i) - a_{i-1} (u_i - u_{i-1})
         by the node mass h r_i^2.  The origin row is the regular limit
@@ -112,17 +118,28 @@ class RadialGrid:
         ab.setflags(write=False)
         return ab
 
+    def _samples(self, samples: np.ndarray) -> np.ndarray:
+        samples = np.asarray(samples)
+        if samples.shape != (self.n + 1,):
+            raise ValueError(f"expected {self.n + 1} samples, got {samples.shape}")
+        return samples
+
     def integrate(self, samples: np.ndarray) -> float:
-        """Integral of a radial integrand over R^3; see ``integrate_radial``."""
-        return integrate_radial(self, samples)
+        """Integral of a radial integrand over R^3 (trapezoid in r, weight 4*pi*r^2)."""
+        return float(self.volume_weights @ self._samples(samples))
 
     def dirichlet(self, u: np.ndarray) -> float:
-        """Integral of |grad u|^2; see ``gradient_sq_integral``."""
-        return gradient_sq_integral(self, u)
+        """Integral of |grad u|^2; supports complex fields."""
+        d = np.diff(self._samples(u))
+        return float(np.real(self.gradient_weights @ (d * np.conj(d))))
 
     def laplacian(self, u: np.ndarray) -> np.ndarray:
-        """The Laplacian of a radial field; see ``radial_laplacian``."""
-        return radial_laplacian(self, u)
+        """Second-order Laplacian u'' + (2/r) u' of a radial field.
+
+        The origin uses the regular limit 3*u''(0) with u'(0) = 0; the outer
+        node is closed with a zero ghost value (Dirichlet continuation).
+        """
+        return banded_matvec(self.laplacian_bands, self._samples(u))
 
     def zero_boundary(self, v: np.ndarray) -> np.ndarray:
         """Zero v in place at the truncation node, its one Dirichlet node, and return it."""
@@ -139,31 +156,34 @@ class RadialGrid:
 
 
 @dataclass
-class RadialProfile:
-    """Nonnegative radial matter amplitude sampled on a RadialGrid.
+class Profile:
+    """Nonnegative samples on a grid, zero on its Dirichlet nodes; stored read-only.
 
-    The amplitude vanishes at the truncation radius; values are stored
-    read-only.
+    The one validation and resampling of ``RadialProfile`` and
+    ``vortex.AxisymProfile``: the shape comes from ``grid.cells``, the
+    samples must be finite, and negative values and values on the nodes
+    that ``grid.zero_boundary`` pins are accepted, and zeroed, only at
+    round-off level (1e-9 of the largest sample, or of 1).
     """
 
-    grid: RadialGrid
+    grid: Any
     values: np.ndarray
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
-        if v.shape != (self.grid.n + 1,):
-            raise ValueError(f"expected {self.grid.n + 1} samples, got {v.shape}")
+        shape = tuple(c + 1 for c in self.grid.cells)
+        if v.shape != shape:
+            raise ValueError(f"expected samples of shape {shape}, got {v.shape}")
         if not np.isfinite(v).all():
             raise ValueError("profile samples must be finite")
-        scale = float(np.max(np.abs(v))) if v.size else 0.0
-        if np.min(v) < -1e-9 * max(scale, 1.0):
+        tol = 1e-9 * max(float(np.max(np.abs(v))), 1.0)
+        if np.min(v) < -tol:
             raise ValueError("profile values must be nonnegative")
-        if abs(v[-1]) > 1e-9 * max(scale, 1.0):
-            raise ValueError("profile must vanish at the truncation radius")
-        v = np.maximum(v, 0.0)
-        v[-1] = 0.0
-        v.setflags(write=False)
-        object.__setattr__(self, "values", v)
+        clean = self.grid.zero_boundary(np.maximum(v, 0.0))
+        if np.max(np.abs(v - clean)) > tol:
+            raise ValueError("profile must vanish on the Dirichlet nodes of its grid")
+        clean.setflags(write=False)
+        object.__setattr__(self, "values", clean)
 
     @cached_property
     def mass2(self) -> float:
@@ -175,11 +195,18 @@ class RadialProfile:
         """Integral of |grad u|^2 over R^3."""
         return self.grid.dirichlet(self.values)
 
-    def resample(self, grid: RadialGrid) -> "RadialProfile":
-        """Linear interpolation onto another grid of the same domain."""
-        if grid.r_max != self.grid.r_max:
+    def resample(self, grid) -> "Profile":
+        """Linear interpolation onto another grid of the same domain, along each axis in turn."""
+        if grid.domain != self.grid.domain:
             raise ValueError("resampling needs a grid of the same domain")
-        return RadialProfile(grid, resample_linear(self.values, grid.n))
+        v = self.values
+        for axis, n in enumerate(grid.cells):
+            v = resample_linear(v, n, axis)
+        return replace(self, grid=grid, values=v)
+
+
+class RadialProfile(Profile):
+    """Nonnegative radial matter amplitude on a RadialGrid, zero at the truncation radius."""
 
 
 def resample_linear(values: np.ndarray, n: int, axis: int = 0) -> np.ndarray:
@@ -196,23 +223,6 @@ def resample_linear(values: np.ndarray, n: int, axis: int = 0) -> np.ndarray:
     i = np.minimum(x.astype(np.intp), n_src - 1)
     t = (x - i).reshape((-1,) + (1,) * (v.ndim - 1))
     return np.moveaxis((1.0 - t) * v[i] + t * v[i + 1], 0, axis)
-
-
-def integrate_radial(grid: RadialGrid, samples: np.ndarray) -> float:
-    """Integrate a radial integrand over R^3 (trapezoid in r, weight 4*pi*r^2)."""
-    samples = np.asarray(samples)
-    if samples.shape != (grid.n + 1,):
-        raise ValueError(f"expected {grid.n + 1} samples, got {samples.shape}")
-    return float(grid.volume_weights @ samples)
-
-
-def gradient_sq_integral(grid: RadialGrid, samples: np.ndarray) -> float:
-    """Integral of |grad u|^2; supports complex fields."""
-    samples = np.asarray(samples)
-    if samples.shape != (grid.n + 1,):
-        raise ValueError("samples do not match the grid")
-    d = np.diff(samples)
-    return float(np.real(grid.gradient_weights @ (d * np.conj(d))))
 
 
 def banded_matvec(ab: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -238,18 +248,6 @@ class TridiagonalFactor:
     def solve(self, b: np.ndarray) -> np.ndarray:
         x, _ = dgttrs(*self._lu, b)
         return x
-
-
-def radial_laplacian(grid: RadialGrid, samples: np.ndarray) -> np.ndarray:
-    """Second-order Laplacian u'' + (2/r) u' of a radial field.
-
-    The origin uses the regular limit 3*u''(0) with u'(0) = 0; the outer
-    node is closed with a zero ghost value (Dirichlet continuation).
-    """
-    v = np.asarray(samples)
-    if v.shape != (grid.n + 1,):
-        raise ValueError("samples do not match the grid")
-    return banded_matvec(grid.laplacian_bands, v)
 
 
 def weighted_norm(grid: RadialGrid, samples: np.ndarray) -> float:

@@ -269,8 +269,9 @@ def _solve(spec: NonlinearSpec, sigma: float, init, opts: SolveOptions | None, *
     (a non-finite residual or energy), and certifies the charge only for a
     converged state with E_sigma/sigma below the mass.
     """
-    if not sigma > 0:
-        raise ValueError("sigma must be positive; the zero charge admits only the trivial field")
+    if not (sigma > 0 and sigma * sigma < np.inf):
+        # the zero charge admits only the trivial field, and sigma^2 enters the energy
+        raise ValueError(f"sigma must be positive with a finite square, got {sigma!r}")
     if init.mass2 <= 0.0:
         raise ValueError("initial profile must not vanish identically")
     opts = opts or SolveOptions()

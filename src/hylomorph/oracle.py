@@ -1,9 +1,7 @@
-"""Independent verification oracles for the radial ground state.
+"""Independent verification oracle for the radial ground state.
 
-Two routes that never touch the variational solver: a shooting method for
-the stationary radial equation u'' + (2/r) u' = W'(u) - omega^2 u, and
-exact piecewise-polynomial quadratures for the plateau-and-ramp trial
-profiles used by the charge-window machinery.
+A shooting method for the stationary radial equation
+u'' + (2/r) u' = W'(u) - omega^2 u that never touches the variational solver.
 """
 
 from __future__ import annotations
@@ -337,40 +335,3 @@ def _graft_point(rs: np.ndarray, us: np.ndarray, vs: np.ndarray, kappa: float, u
     ok &= us >= 1e-7 * u0
     hits = np.flatnonzero(ok)
     return int(hits[-1]) if hits.size else int(np.argmin(np.abs(us - 1e-5 * u0)))
-
-
-@dataclass(frozen=True)
-class TentQuadratures:
-    mass2: float
-    grad2: float
-    remainder_int: float
-
-
-def _ramp_moment(r: float, k: float) -> float:
-    """Exact integral over the unit ramp of tau^k (r+1-tau)^2 dtau."""
-    top = r + 1.0
-    return top**2 / (k + 1.0) - 2.0 * top / (k + 2.0) + 1.0 / (k + 3.0)
-
-
-def tent_quadratures(s1: float, r: float, spec: NonlinearSpec) -> TentQuadratures:
-    """Closed-form integrals of the plateau-and-ramp profile.
-
-    The profile equals s1 on |x| <= r, falls linearly to zero across a
-    unit shell, and vanishes beyond; all three integrals reduce to exact
-    polynomial (or power) moments.
-    """
-    if not (s1 > 0 and r > 0):
-        raise ValueError("plateau amplitude and radius must be positive")
-    four_pi = 4.0 * np.pi
-    # integral over the shell of (r+1-t)^2 t^2 dt in closed form
-    shell_mass = r**2 / 3.0 + r / 6.0 + 1.0 / 30.0
-    mass2 = four_pi * s1**2 * (r**3 / 3.0 + shell_mass)
-    grad2 = four_pi * s1**2 * ((r + 1.0) ** 3 - r**3) / 3.0
-    ball = four_pi / 3.0 * r**3
-    r_at_s1 = 0.0
-    shell = 0.0
-    for coef, k in spec.remainder_powers():
-        r_at_s1 += coef * s1**k
-        shell += coef * s1**k * _ramp_moment(r, k)
-    remainder_int = r_at_s1 * ball + four_pi * shell
-    return TentQuadratures(mass2=float(mass2), grad2=float(grad2), remainder_int=float(remainder_int))

@@ -20,7 +20,7 @@ from functools import cached_property
 import numpy as np
 from scipy.fft import dst
 
-from .grid import TridiagonalFactor, resample_linear, trapezoid_weights
+from .grid import Profile, TridiagonalFactor, trapezoid_weights
 from .minimize import SolitonResult, SolveOptions, _solve
 from .model import NonlinearSpec
 
@@ -54,6 +54,11 @@ class AxisymGrid:
     def cells(self) -> tuple[int, int]:
         """Cell counts in r and z."""
         return (self.n_r, self.n_z)
+
+    @property
+    def domain(self) -> tuple[float, float]:
+        """The extents that fix the domain; a resampled profile keeps them."""
+        return (self.r_max, self.z_max)
 
     def coarsen(self, factor: int) -> "AxisymGrid":
         """The grid with n_r // factor by n_z // factor cells on the same domain."""
@@ -140,49 +145,27 @@ class AxisymGrid:
 
 
 @dataclass
-class AxisymProfile:
-    """Nonnegative amplitude on an AxisymGrid, zero on the axis and boundary."""
+class AxisymProfile(Profile):
+    """Nonnegative amplitude on an AxisymGrid winding ``winding`` != 0 times around
+    the axis, zero on the axis and the outer boundary."""
 
-    grid: AxisymGrid
-    values: np.ndarray
     winding: int
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        if v.shape != (self.grid.n_r + 1, self.grid.n_z + 1):
-            raise ValueError("value array does not match the grid")
-        scale = max(1.0, float(np.max(np.abs(v))))
-        if np.min(v) < -1e-9 * scale:
-            raise ValueError("profile values must be nonnegative")
-        edges = (np.abs(v[-1, :]).max(), np.abs(v[:, 0]).max(), np.abs(v[:, -1]).max())
-        if max(edges) > 1e-9 * scale:
-            raise ValueError("profile must vanish on the outer boundaries")
-        if self.winding != 0 and np.abs(v[0, :]).max() > 1e-9 * scale:
-            raise ValueError("nonzero winding requires the amplitude to vanish on the axis")
-        v = np.maximum(v, 0.0)
-        v[-1, :] = 0.0
-        v[:, 0] = 0.0
-        v[:, -1] = 0.0
-        if self.winding != 0:
-            v[0, :] = 0.0
-        v.setflags(write=False)
-        object.__setattr__(self, "values", v)
-
-    @cached_property
-    def mass2(self) -> float:
-        return self.grid.integrate(self.values**2)
-
-    def resample(self, grid: AxisymGrid) -> "AxisymProfile":
-        """Linear interpolation onto another grid of the same domain, along r and then z."""
-        if (grid.r_max, grid.z_max) != (self.grid.r_max, self.grid.z_max):
-            raise ValueError("resampling needs a grid of the same domain")
-        along_r = resample_linear(self.values, grid.n_r, axis=0)
-        return AxisymProfile(grid, resample_linear(along_r, grid.n_z, axis=1), self.winding)
+        if self.winding == 0:
+            raise ValueError("an axisymmetric profile needs a nonzero winding; winding 0 is the radial problem")
+        super().__post_init__()
 
 
 def torus_bump(grid: AxisymGrid, amplitude: float, r0: float, width: float,
                winding: int) -> AxisymProfile:
-    """Gaussian torus initial guess centered at radius r0 in the z = 0 plane."""
+    """Gaussian torus initial guess centered at radius r0 in the z = 0 plane.
+
+    The amplitude, r0 and width must be finite and the width positive.
+    """
+    if not (np.isfinite([amplitude, r0, width]).all() and width > 0):
+        raise ValueError(f"torus needs a finite amplitude and r0 and a finite positive width, "
+                         f"got {amplitude!r}, {r0!r}, {width!r}")
     rr = grid.r[:, None]
     zz = grid.z[None, :]
     v = amplitude * np.exp(-((rr - r0) ** 2 + zz**2) / width**2)

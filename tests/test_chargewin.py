@@ -11,7 +11,7 @@ from hylomorph.chargewin import (
 )
 from hylomorph.functionals import sigma_window
 from hylomorph.gauge import screened_mass
-from hylomorph.grid import RadialGrid, gradient_sq_integral, integrate_radial
+from hylomorph.grid import RadialGrid
 from hylomorph.model import NonlinearSpec
 
 SPEC = NonlinearSpec.double_well()
@@ -21,8 +21,8 @@ def dirichlet_l6_quotient(f, r_max: float, n: int) -> float:
     """Rayleigh quotient ||grad f||_2^2 / ||f||_6^2 of a radial trial function."""
     grid = RadialGrid(r_max, n)
     vals = np.asarray(f(grid.nodes), dtype=float)
-    l6 = integrate_radial(grid, vals**6) ** (1.0 / 3.0)
-    return gradient_sq_integral(grid, vals) / l6
+    l6 = grid.integrate(vals**6) ** (1.0 / 3.0)
+    return grid.dirichlet(vals) / l6
 
 
 def extremal_bubble(r):

@@ -50,14 +50,26 @@ def test_n_samples_is_not_a_config_key(tmp_path):
     ("solve-kgm", "[solve]\nq = inf\n"),
     ("solve-kgm", "[solve]\nq = nan\n"),
     ("solve-kgm", "[solve]\nq = 1e300\n"),
+    ("solve-nlkg", "[solve]\nsigma = inf\n"),
+    ("solve-nlkg", "[solve]\nsigma = 1e160\n"),  # sigma**2 overflows
+    ("solve-kgm", "[solve]\nsigma = inf\n"),
+    ("solve-kgm", "[solve]\nsigma = 1e160\n"),
+    ("solve-vortex", "[solve]\nsigma = inf\n"),
+    ("solve-vortex", "[solve]\nsigma = 1e160\n"),
+    ("solve-vortex", "[solve]\ntorus_width = 0\n"),
+    ("solve-vortex", "[solve]\ntorus_r0 = nan\n"),
+    ("solve-vortex", "[solve]\ntorus_amplitude = inf\n"),
 ], ids=["construct-charge_target_inf", "solve-nlkg-tent_past_r_max", "window-q_inf", "window-q_nan",
-        "window-q_1e300", "window-q_1e154", "solve-kgm-q_inf", "solve-kgm-q_nan", "solve-kgm-q_1e300"])
+        "window-q_1e300", "window-q_1e154", "solve-kgm-q_inf", "solve-kgm-q_nan", "solve-kgm-q_1e300",
+        "solve-nlkg-sigma_inf", "solve-nlkg-sigma_1e160", "solve-kgm-sigma_inf", "solve-kgm-sigma_1e160",
+        "solve-vortex-sigma_inf", "solve-vortex-sigma_1e160", "solve-vortex-torus_width_0",
+        "solve-vortex-torus_r0_nan", "solve-vortex-torus_amplitude_inf"])
 def test_inputs_rejected_before_any_solve(tmp_path, monkeypatch, command, text):
     def no_solve(*args, **kwargs):
         raise RuntimeError("a solve ran before the inputs were checked")
 
     monkeypatch.setattr(cli.chargewin, "screened_mass", no_solve)
-    monkeypatch.setattr(cli.minimize, "minimize_nlkg", no_solve)
+    # every minimizer descends in minimize._solve, which checks sigma on entry
     monkeypatch.setattr(cli.minimize, "descend", no_solve)
     # every gauge-coupled path rejects its coupling in ScreenedPoisson.potential, before the factorization
     monkeypatch.setattr(gauge, "TridiagonalFactor", no_solve)

@@ -5,11 +5,12 @@ from hypothesis import strategies as st
 
 from hylomorph.chargewin import SCAN_RESOLUTION, TentProfile
 from hylomorph.functionals import deficiency, reduced_energy, reduced_energy_sigma, stationary_operator
-from hylomorph.gauge import ScreenedPoisson, screened_mass, screened_mass_two_forms, solve_phi
+from hylomorph.gauge import ScreenedPoisson, screened_mass, solve_phi
 from hylomorph.grid import (FOUR_PI, InvariantError, RadialGrid, RadialProfile, TridiagonalFactor, banded_matvec,
-                            gradient_sq_integral, integrate_radial, trapezoid_weights)
+                            trapezoid_weights)
 from hylomorph.minimize import minimize_kgm
 from hylomorph.model import NonlinearSpec, eval_nonlinearity
+from references import screened_mass_two_forms
 
 SPEC = NonlinearSpec.double_well()
 
@@ -49,7 +50,7 @@ def test_far_field_moment(tent11):
     # exterior potential is A/r with 4 pi A equal to the screened source qK
     for q in (0.1, 1.0, 10.0):
         phi = solve_phi(tent11, q)
-        k = integrate_radial(tent11.grid, (1.0 - q * phi.values) * tent11.values**2)
+        k = tent11.grid.integrate((1.0 - q * phi.values) * tent11.values**2)
         moment = 4.0 * np.pi * tent11.grid.r_max * phi.values[-1]
         assert abs(moment - q * k) < 0.02 * q * k
 
@@ -99,7 +100,7 @@ def test_reduced_energy_identity():
         q = rng.uniform(0.05, 5.0)
         k, _ = screened_mass(u, q)
         direct = (0.5 * u.gradient2
-                  + integrate_radial(grid, eval_nonlinearity(SPEC, vals, 0))
+                  + grid.integrate(eval_nonlinearity(SPEC, vals, 0))
                   + sigma**2 / (2.0 * k))
         assert abs(reduced_energy(grid, vals, SPEC, sigma, k) - direct) < 1e-10 * abs(direct)
 
@@ -215,8 +216,8 @@ def scratch_potential(u, q):
 def scratch_mass(u, q, phi):
     """K in its energy form at the reference potential, with the float-resolution floor."""
     grid = u.grid
-    k = (gradient_sq_integral(grid, phi) + FOUR_PI * grid.r_max * phi[-1] ** 2
-         + integrate_radial(grid, (q * phi - 1.0) ** 2 * u.values**2))
+    k = (grid.dirichlet(phi) + FOUR_PI * grid.r_max * phi[-1] ** 2
+         + grid.integrate((q * phi - 1.0) ** 2 * u.values**2))
     if k < 1e6 * float(np.finfo(float).eps) ** 2 * u.mass2:
         raise ValueError("coupling q")
     return k
@@ -247,14 +248,15 @@ def test_kernel_reproduces_the_scratch_assembly(n, r_max, seed, log_scale, shape
     # phi and K keep their bits; a coupling the scratch assembly rejects (not
     # positive with a finite square, overflowing the matrix, or screening K
     # below float resolution) is rejected by the kernel at the same check, and
-    # a potential outside its bounds (a single spike at q = 1e17) fails both alike
+    # a potential outside its bounds (a single spike at q = 1e17, whose flux
+    # into the uncharged core is below float resolution) is bad input to the kernel
     u = random_profile(n, r_max, seed, log_scale, shape)
     q = 10.0**log_q
     try:
         phi = scratch_potential(u, q)
-    except (ValueError, InvariantError) as exc:
+    except (ValueError, InvariantError):
         for call in (solve_phi, screened_mass):
-            with pytest.raises(type(exc), match="coupling q" if isinstance(exc, ValueError) else "bounds"):
+            with pytest.raises(ValueError, match="coupling q"):
                 call(u, q)
         return
     assert np.array_equal(solve_phi(u, q).values, phi)

@@ -9,21 +9,18 @@ from hylomorph.grid import (
     RadialGrid,
     RadialProfile,
     TridiagonalFactor,
-    gradient_sq_integral,
-    integrate_radial,
-    radial_laplacian,
 )
 
 
 def test_unit_ball_volume():
     grid = RadialGrid(1.0, 256)
-    vol = integrate_radial(grid, np.ones(grid.n + 1))
+    vol = grid.integrate(np.ones(grid.n + 1))
     assert vol == pytest.approx(4.0 * np.pi / 3.0, rel=1e-4)
 
 
 def test_zero_integrand():
     grid = RadialGrid(2.0, 64)
-    assert integrate_radial(grid, np.zeros(grid.n + 1)) == 0.0
+    assert grid.integrate(np.zeros(grid.n + 1)) == 0.0
 
 
 def test_tent_mass_against_closed_form():
@@ -32,13 +29,13 @@ def test_tent_mass_against_closed_form():
     r = grid.nodes
     u = np.clip(2.0 - np.maximum(r, 1.0), 0.0, 1.0)
     expected = 52.0 * np.pi / 15.0
-    assert integrate_radial(grid, u**2) == pytest.approx(expected, rel=1e-3)
+    assert grid.integrate(u**2) == pytest.approx(expected, rel=1e-3)
 
 
 def test_length_mismatch_rejected():
     grid = RadialGrid(1.0, 64)
     with pytest.raises(ValueError):
-        integrate_radial(grid, np.ones(12))
+        grid.integrate(np.ones(12))
 
 
 def test_quadrature_order_at_least_two():
@@ -47,7 +44,7 @@ def test_quadrature_order_at_least_two():
     errs = []
     for n in (64, 128, 256):
         grid = RadialGrid(2.0, n)
-        errs.append(abs(integrate_radial(grid, grid.nodes**4) - exact))
+        errs.append(abs(grid.integrate(grid.nodes**4) - exact))
     order1 = np.log2(errs[0] / errs[1])
     order2 = np.log2(errs[1] / errs[2])
     assert order1 > 1.8 and order2 > 1.8
@@ -57,21 +54,21 @@ def test_laplacian_of_quadratic():
     grid = RadialGrid(4.0, 1024)
     r = grid.nodes
     u = 1.0 - r**2 / grid.r_max**2
-    lap = radial_laplacian(grid, u)
+    lap = grid.laplacian(u)
     expected = -6.0 / grid.r_max**2
     assert np.max(np.abs(lap[:-1] - expected)) < 1e-3 * abs(expected)
 
 
 def test_laplacian_of_zero():
     grid = RadialGrid(4.0, 64)
-    assert np.all(radial_laplacian(grid, np.zeros(grid.n + 1)) == 0.0)
+    assert np.all(grid.laplacian(np.zeros(grid.n + 1)) == 0.0)
 
 
 def test_laplacian_spherical_bessel_eigenfunction():
     grid = RadialGrid(3.0, 2048)
     k = np.pi / grid.r_max
     u = np.sinc(grid.nodes / grid.r_max)  # sin(pi x)/(pi x)
-    lap = radial_laplacian(grid, u)
+    lap = grid.laplacian(u)
     err = np.abs(lap[:-1] + k**2 * u[:-1])
     assert np.max(err) < 1e-3 * k**2
 
@@ -83,9 +80,9 @@ def test_integration_by_parts_exact():
     b = np.cos(r) * np.exp(-((r - 5.0) ** 2) / 2.0)
     a[0] = a[-1] = 0.0
     b[0] = b[-1] = 0.0
-    lhs = integrate_radial(grid, radial_laplacian(grid, a) * b)
+    lhs = grid.integrate(grid.laplacian(a) * b)
     rhs = -float(grid.gradient_weights @ (np.diff(a) * np.diff(b)))
-    scale = (abs(lhs) + gradient_sq_integral(grid, a) + gradient_sq_integral(grid, b))
+    scale = (abs(lhs) + grid.dirichlet(a) + grid.dirichlet(b))
     assert abs(lhs - rhs) < 1e-8 * scale
 
 
@@ -94,7 +91,7 @@ def test_gradient_integral_of_linear_ramp():
     r = grid.nodes
     u = np.clip(2.0 - np.maximum(r, 1.0), 0.0, 1.0)
     expected = 4.0 * np.pi * 7.0 / 3.0  # slope 1 on the shell [1, 2]
-    assert gradient_sq_integral(grid, u) == pytest.approx(expected, rel=1e-3)
+    assert grid.dirichlet(u) == pytest.approx(expected, rel=1e-3)
 
 
 def test_profile_invariants():

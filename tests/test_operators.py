@@ -15,7 +15,7 @@ from hylomorph.chargewin import TentProfile
 from hylomorph.evolve import EvolutionState, evolve_nlkg, field_charge, field_energy
 from hylomorph.functionals import reduced_energy, stationary_operator
 from hylomorph.gauge import solve_phi
-from hylomorph.grid import RadialGrid, RadialProfile, banded_matvec, integrate_radial, radial_laplacian
+from hylomorph.grid import RadialGrid, RadialProfile, banded_matvec, resample_linear
 from hylomorph.minimize import SolveOptions, minimize_nlkg
 from hylomorph.model import NonlinearSpec, find_binding_amplitude
 from hylomorph.vortex import AxisymGrid, AxisymPreconditioner, AxisymProfile, torus_bump
@@ -43,7 +43,7 @@ def test_radial_summation_by_parts(n, r_max, seed):
     rng = np.random.default_rng(seed)
     a, b = _radial_field(rng, grid), _radial_field(rng, grid)
     lhs = float(grid.gradient_weights @ (np.diff(a) * np.diff(b)))
-    rhs = -integrate_radial(grid, a * radial_laplacian(grid, b))
+    rhs = -grid.integrate(a * grid.laplacian(b))
     scale = float(grid.gradient_weights @ np.abs(np.diff(a) * np.diff(b)))
     assert abs(lhs - rhs) <= 1e-10 * scale
 
@@ -56,7 +56,7 @@ def test_preconditioner_bands_are_shifted_laplacian(n, r_max, seed):
     x = np.random.default_rng(seed).standard_normal(n + 1)
     y = grid.preconditioner().solve(x)
     scale = np.abs(y) + banded_matvec(np.abs(grid.laplacian_bands), np.abs(y))
-    assert np.max(np.abs(y - radial_laplacian(grid, y) - x)) <= 1e-13 * scale.max()
+    assert np.max(np.abs(y - grid.laplacian(y) - x)) <= 1e-13 * scale.max()
 
 
 @SETTINGS
@@ -166,7 +166,7 @@ def test_leapfrog_conserves_charge(n, seed, record_every):
     final, ledger = evolve_nlkg(EvolutionState(grid, psi, psi_t), spec, 2.0, grid.h / 2,
                                 record_every=record_every)
     charge = ledger.arrays()["charge"]
-    scale = integrate_radial(grid, np.abs(psi) ** 2 + np.abs(psi_t) ** 2)
+    scale = grid.integrate(np.abs(psi) ** 2 + np.abs(psi_t) ** 2)
     assert np.max(np.abs(charge - charge[0])) <= 1e-12 * scale
     # the last step is recorded even where record_every does not divide the
     # step count, and the returned state is that synchronised record: it
@@ -215,8 +215,9 @@ def test_resample_keeps_axisym_fields_linear_in_r_and_z(n_r, half_z, n_r_dst, ha
     def field(g):
         return (r_max - g.r)[:, None] * (z_max - np.abs(g.z))[None, :]
 
-    out = AxisymProfile(src, field(src), 0).resample(dst)
-    assert np.max(np.abs(out.values - field(dst))) <= 1e-13 * r_max * z_max
+    # the field does not vanish on the axis, so it is resampled as samples, not as a winding profile
+    out = resample_linear(resample_linear(field(src), dst.n_r, axis=0), dst.n_z, axis=1)
+    assert np.max(np.abs(out - field(dst))) <= 1e-13 * r_max * z_max
 
 
 @SETTINGS
@@ -248,9 +249,30 @@ def test_resample_round_trip_is_exact_at_shared_nodes(n, r_max, seed):
     assert np.array_equal(back[shared], v[shared])
     grid2 = AxisymGrid(r_max, 10.0, n // 4 * 4, 256)
     w = rng.uniform(0.0, 1.0, (grid2.n_r + 1, grid2.n_z + 1))
-    w[-1, :] = w[:, 0] = w[:, -1] = 0.0
-    back2 = AxisymProfile(grid2, w, 0).resample(grid2.coarsen(4)).resample(grid2).values
+    w[0, :] = w[-1, :] = w[:, 0] = w[:, -1] = 0.0
+    back2 = AxisymProfile(grid2, w, 1).resample(grid2.coarsen(4)).resample(grid2).values
     assert np.array_equal(back2[::4, ::4], w[::4, ::4])
+
+
+@SETTINGS
+@given(st.integers(16, 64), st.integers(16, 64), seeds, st.sampled_from(["nan", "inf", "-inf", "negative", "dirichlet"]))
+def test_both_profile_types_check_their_samples_alike(n_r, n_z, seed, fault):
+    # one check: finite, nonnegative and zero on the grid's Dirichlet nodes, where
+    # round-off (1e-12 here) is accepted and zeroed
+    rng = np.random.default_rng(seed)
+    radial, axisym = RadialGrid(14.0, n_r), AxisymGrid(14.0, 10.0, n_r, n_z)
+    for grid, make in ((radial, lambda v: RadialProfile(radial, v)), (axisym, lambda v: AxisymProfile(axisym, v, 1))):
+        shape = tuple(c + 1 for c in grid.cells)
+        pinned = grid.zero_boundary(np.ones(shape)) == 0.0
+        v = np.where(pinned, 1e-12, rng.uniform(0.5, 1.0, shape))
+        v[~pinned & (rng.uniform(size=shape) < 0.1)] = -1e-12
+        assert np.array_equal(make(v).values, np.where(pinned, 0.0, np.maximum(v, 0.0)))
+        nodes = np.flatnonzero(pinned if fault == "dirichlet" else ~pinned)
+        bad = v.copy()
+        bad.flat[rng.choice(nodes)] = {"nan": np.nan, "inf": np.inf, "-inf": -np.inf, "negative": -0.5,
+                                       "dirichlet": 0.5}[fault]
+        with pytest.raises(ValueError):
+            make(bad)
 
 
 def test_resample_needs_the_same_domain():

@@ -131,3 +131,34 @@ def test_package_import_leaves_scipy_integrate_unloaded():
     env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+def test_grid_defines_each_operation_once():
+    # the integral, Dirichlet form and Laplacian are grid members; no module-level
+    # function repeats one, and weighted_norm (a norm no member computes) is the
+    # one free function of a grid
+    tree = dict(_modules())["grid"]
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    members = {m.name for node in tree.body if isinstance(node, ast.ClassDef)
+               for m in node.body if isinstance(m, ast.FunctionDef)}
+    assert not set(functions) & members
+    assert {name for name, fn in functions.items() if fn.args.args and fn.args.args[0].arg == "grid"} == {
+        "weighted_norm"}
+    for name in ("integrate_radial", "gradient_sq_integral", "radial_laplacian", "hylomorphy_ratio",
+                 "tent_quadratures", "TentQuadratures", "_ramp_moment", "screened_mass_two_forms"):
+        assert _mentions(name) == set(), name
+        assert not any(isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name == name
+                       for _, tree in _modules() for node in ast.walk(tree)), name
+
+
+def test_profiles_share_one_validation_and_resample():
+    # grid.Profile validates and resamples both profile types; the vortex profile
+    # adds only its winding check
+    classes = {node.name: node for _, tree in _modules() for node in tree.body if isinstance(node, ast.ClassDef)}
+    for name in ("RadialProfile", "AxisymProfile"):
+        assert [_dotted(base) for base in classes[name].bases] == ["Profile"], name
+    assert not [m for m in classes["RadialProfile"].body if isinstance(m, ast.FunctionDef)]
+    own = [m for m in classes["AxisymProfile"].body if isinstance(m, ast.FunctionDef)]
+    assert [m.name for m in own] == ["__post_init__"]
+    assert {node.attr for node in ast.walk(own[0]) if isinstance(node, ast.Attribute)} == {
+        "winding", "__post_init__"}

@@ -175,3 +175,13 @@ def test_result_carries_the_state_of_its_own_profile(solved):
         assert res.screened_mass == mass2
         assert res.omega == -res.charge / mass2
         assert res.phi is None
+
+
+def test_profile_needs_a_finite_amplitude_and_a_winding(grid):
+    vals = torus_bump(grid, 1.0, 4.0, 1.5, winding=1).values.copy()
+    with pytest.raises(ValueError, match="winding"):
+        AxisymProfile(grid, vals, winding=0)
+    for bad in (np.nan, np.inf):
+        vals[5, 5] = bad
+        with pytest.raises(ValueError, match="finite"):
+            AxisymProfile(grid, vals, winding=1)
