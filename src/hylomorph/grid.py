@@ -43,10 +43,18 @@ class RadialGrid:
     n: int
 
     def __post_init__(self):
-        if not self.r_max > 0:
-            raise ValueError(f"r_max must be positive, got {self.r_max}")
+        if not 0 < self.r_max < np.inf:
+            raise ValueError(f"r_max must be positive and finite, got {self.r_max}")
         if self.n < 16:
             raise ValueError(f"grid needs n >= 16, got {self.n}")
+        r = float(self.r_max)  # Python floats overflow to inf without a warning
+        h = r / self.n
+        # the geometry runs from the node mass h^3 at r_1 to h^2, r_max^2, the
+        # volume weight 4 pi h r_max^2 and the flux r_max (r_max + h) / h of the
+        # outer row; each must be a normal, finite float
+        if not (np.finfo(float).tiny <= h * h * h and FOUR_PI * h * r * r < np.inf
+                and r * (r + h) / h < np.inf):
+            raise ValueError(f"r_max = {r!r} on {self.n} cells gives a grid geometry outside float range")
 
     @property
     def h(self) -> float:

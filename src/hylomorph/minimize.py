@@ -6,9 +6,13 @@ solve of (I - lap + ell^2/r^2), the Sobolev gradient Pg, which removes the
 grid-scale stiffness of explicit flow, and successive directions are
 combined as p = Pg + beta p_old with beta = max(0, <g, Pg - Pg_old> /
 <g_old, Pg_old>).  The direction restarts along Pg whenever it stops
-descending.  A backtracking line search with projection onto nonnegative
-profiles and the Armijo test on <g, move> guarantees monotone energy
-decrease.  Convergence is declared on the weighted L2 norm of the
+descending.  The line search projects each trial onto nonnegative
+profiles and accepts it on the Armijo test on <g, move>, which guarantees
+monotone energy decrease; a rejected trial's energy places the next trial
+at the minimizer of the quadratic fitted along the line, and an accepted
+one caps the next iteration's first trial there, so each energy
+evaluation (a phi solve in the gauge-coupled theory) also steers the
+search.  Convergence is declared on the weighted L2 norm of the
 stationary-equation residual; every solve reports why it stopped.  A
 start far from the minimizer on a grid with at least COARSEN *
 MIN_COARSE_CELLS cells per direction is solved by nested iteration, each
@@ -34,8 +38,9 @@ COLLAPSE_NOTE = "profile collapsed toward zero; sigma likely below every certifi
 UNBOUND_NOTE = "ratio at or above the mass; no binding certificate at this sigma"
 DIVERGED_NOTE = "iterates ran off to infinity; the energy is likely unbounded below"
 
-# backtracking line search: first trial step, shrink factor per rejection,
-# and the Armijo sufficient-decrease constant
+# line search: the first trial step, the shrink factor of a rejected trial
+# that the quadratic fit cannot place (see _line_fit), and the Armijo
+# sufficient-decrease constant
 STEP_INIT = 1.0
 SHRINK = 0.5
 ARMIJO = 1e-4
@@ -55,9 +60,11 @@ class SolveOptions:
     max_iters: int = 50_000
 
     def __post_init__(self):
-        for name in ("tol", "max_iters"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive")
+        # an infinite tol would pass the start's residual test and report it as solved
+        if not 0 < self.tol < np.inf:
+            raise ValueError(f"tol must be positive and finite, got {self.tol!r}")
+        if not self.max_iters > 0:
+            raise ValueError("max_iters must be positive")
 
 
 @dataclass
@@ -107,6 +114,13 @@ def descend(
     Inner products and the residual norm use the quadrature ``weights``.
     ``start``, when given, is ``energy(u0)`` as the caller already computed
     it for a ``u0`` that ``project`` leaves unchanged; it is not evaluated again.
+
+    Each trial is ``project(u - tau p)``.  A rejected trial's next tau is
+    the minimizer of the quadratic fitted to the energy at u, the slope
+    <g, move> and the trial's energy, safeguarded in [0.1, 0.5] of the
+    rejected tau, or SHRINK times it where no convex fit exists.  After an
+    acceptance tau doubles if the first trial passed with a decrease above
+    float noise, and is then capped at the accepted trial's fitted minimizer.
 
     Returns (u, residual, iterations, termination, energy, state), the
     last two as ``energy(u)`` returned them for the returned u.  The
@@ -172,25 +186,35 @@ def descend(
             move = u - trial
             if not move.any():
                 break
-            # a projected move may leave the descent cone; it must then not
-            # raise the energy at all
-            decrease = ARMIJO * max(inner(g, move), 0.0)
+            # a projected move may leave the descent cone (slope <= 0); it must
+            # then not raise the energy at all
+            slope = inner(g, move)
+            decrease = ARMIJO * max(slope, 0.0)
+            noise = 1e-14 * max(1.0, abs(e_cur))
             # a long trial step may overflow W(s); such a trial is rejected below
             with np.errstate(over="ignore", invalid="ignore"):
                 e_trial, trial_state = energy(trial)
+            fit = _line_fit(slope, e_trial - e_cur, noise)
             if np.isfinite(e_trial) and e_trial <= e_cur - decrease + 1e-15 * abs(e_cur):
                 if not e_trial <= e_cur + 1e-12 * max(1.0, abs(e_cur)):
                     raise InvariantError("descent step increased the energy")
+                tried = tau
                 # grow the step only when the first trial passed and the
                 # decrease beats float noise; noise acceptances otherwise
                 # inflate tau into an overshoot cycle
-                if trial_no == 0 and e_cur - e_trial > 1e-14 * max(1.0, abs(e_cur)):
+                if trial_no == 0 and e_cur - e_trial > noise:
                     tau = min(tau * 2.0, 1e3 * STEP_INIT)
+                # the next first trial stops at this line's fitted minimizer;
+                # an accepted trial puts it past 0.45 of the step taken, so
+                # the cap never falls below a quarter of the doubled step
+                if fit is not None:
+                    tau = min(tau, fit * tried)
                 u, e_cur, state = trial, e_trial, trial_state
                 iterations += 1
                 accepted = True
                 break
-            tau *= SHRINK
+            # the next trial is the fitted minimizer, safeguarded in [0.1, 0.5] of this one
+            tau *= SHRINK if fit is None else min(max(fit, 0.1), 0.5)
         if not accepted:
             termination = "line_search_failed"
             break
@@ -203,6 +227,23 @@ def descend(
         if converged_at(residual, u):
             termination = "converged"
     return u, residual, iterations, termination, e_cur, state
+
+
+def _line_fit(slope: float, rise: float, noise: float) -> float | None:
+    """The minimizer of the quadratic fit along a trial move, as a fraction of that move.
+
+    The quadratic takes the energy at the current iterate, the slope
+    -``slope`` = -<g, move> there and the ``rise`` E(trial) - E(u) over the
+    whole move, so its minimizer lies at slope / (2 (rise + slope)) of the
+    move (Nocedal & Wright, *Numerical Optimization*, 2006, sec. 3.5).  None
+    when the fit locates nothing: a move outside the descent cone, a
+    decrease ``slope`` the energy cannot resolve above its float ``noise``,
+    a non-finite trial energy or a fit that is not convex.
+    """
+    curvature = rise + slope
+    if not (slope > noise and 0.0 < curvature < np.inf):
+        return None
+    return 0.5 * slope / curvature
 
 
 def _problem(grid, spec: NonlinearSpec, sigma: float, q: float | None, ell: int):

@@ -102,8 +102,22 @@ def _power_sum(terms, s, order: int, shift: float = 0.0):
             coef *= k - j
         e = k - (order + shift)
         # a term whose exponent drops to 0 is added as a scalar, not an array of ones
-        out = out + (coef if e == 0 else coef * s**e)
+        out = out + (coef if e == 0 else coef * _power(s, e))
     return out if np.ndim(out) else float(out)
+
+
+def _power(s, e: float):
+    """s^e, as products for the integral exponents 1 to 4, where a float power costs over twice as much."""
+    if e == 1:
+        return s
+    if e not in (2, 3, 4):
+        return s**e
+    out = s * s
+    if e == 3:
+        out *= s
+    elif e == 4:
+        out *= out
+    return out
 
 
 def eval_remainder(spec: NonlinearSpec, s, order: int = 0):

@@ -37,10 +37,22 @@ class AxisymGrid:
     n_z: int
 
     def __post_init__(self):
-        if not (self.r_max > 0 and self.z_max > 0):
-            raise ValueError("domain extents must be positive")
+        if not (0 < self.r_max < np.inf and 0 < self.z_max < np.inf):
+            raise ValueError(f"domain extents must be positive and finite, got r_max = {self.r_max}, "
+                             f"z_max = {self.z_max}")
         if self.n_r < 16 or self.n_z < 16:
             raise ValueError("axisymmetric grid needs at least 16 cells per direction")
+        r = float(self.r_max)  # Python floats overflow to inf without a warning
+        h_r, h_z = r / self.n_r, 2.0 * float(self.z_max) / self.n_z
+        # the geometry runs from the stencil's 1/h^2 and the node volume
+        # 2 pi h_r^2 h_z next to the axis, both in range while the smaller
+        # spacing cubed is a normal float, to the volume weight 2 pi r_max h_r h_z
+        # and the face weights 2 pi r_max h_z / h_r and 2 pi r_max h_r / h_z
+        h = min(h_r, h_z)
+        if not (np.finfo(float).tiny <= h * h * h and TWO_PI * r * h_r * h_z < np.inf
+                and TWO_PI * r * (h_z / h_r + h_r / h_z) < np.inf):
+            raise ValueError(f"r_max = {r!r} and z_max = {self.z_max!r} on {self.n_r} x {self.n_z} "
+                             "cells give a grid geometry outside float range")
 
     @property
     def h_r(self) -> float:

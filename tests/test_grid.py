@@ -127,6 +127,22 @@ def test_grid_validation():
         RadialGrid(1.0, 8)
 
 
+@pytest.mark.parametrize("r_max", [np.inf, np.nan, 1e308, 1e150, 1e-120])
+def test_grid_geometry_outside_float_range_rejected(r_max):
+    # 1e308: h**2 overflows; 1e150: the outer volume weight 4 pi h r_max**2
+    # does; 1e-120: the node mass h**3 underflows
+    with pytest.raises(ValueError, match="r_max"):
+        RadialGrid(r_max, 64)
+
+
+def test_grid_geometry_inside_float_range_builds():
+    # extents far from 1 build while their geometry stays in float range
+    for r_max in (1e100, 1e-90):
+        grid = RadialGrid(r_max, 64)
+        assert np.isfinite(grid.laplacian_bands).all() and np.isfinite(grid.volume_weights).all()
+        assert grid.volume_weights[1] > 0.0
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(3, 2000), st.integers(0, 2**32 - 1))
 def test_tridiagonal_factor_matches_solve_banded(n, seed):

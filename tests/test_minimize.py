@@ -8,13 +8,15 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hylomorph import minimize
 from hylomorph.chargewin import TentProfile, construct_for_charge
 from hylomorph.functionals import reduced_energy, reduced_energy_sigma, sigma_window
 from hylomorph.gauge import screened_mass, solve_phi
 from hylomorph.grid import RadialGrid, RadialProfile, weighted_norm
-from hylomorph.minimize import (DIVERGED_NOTE, SolveOptions, _solve, descend, minimize_kgm,
+from hylomorph.minimize import (ARMIJO, DIVERGED_NOTE, SolveOptions, _solve, descend, minimize_kgm,
                                 minimize_nlkg, residual_stationary)
 from hylomorph.model import NonlinearSpec
 
@@ -131,8 +133,9 @@ def test_residual_kind_validation(ground):
 
 
 def test_options_validation():
-    with pytest.raises(ValueError):
-        SolveOptions(tol=0.0)
+    for tol in (0.0, -1.0, np.inf, np.nan):
+        with pytest.raises(ValueError, match="tol"):
+            SolveOptions(tol=tol)
     with pytest.raises(ValueError):
         SolveOptions(max_iters=0)
 
@@ -273,6 +276,135 @@ def test_spent_budget_takes_a_final_gradient(max_iters, evaluations):
     assert residual == pytest.approx(np.sqrt(float(np.sum((u - 2.0) ** 2))), rel=1e-14)
 
 
+def _quadratic_trials(a, max_iters):
+    """The points where descend evaluates E = a/2 |u - 2|^2 from u = 0 along p = g."""
+    trials = []
+
+    def energy(u):
+        trials.append(u.copy())
+        return 0.5 * a * float(np.sum((u - 2.0) ** 2)), None
+
+    *_, termination, _, _ = descend(np.zeros(8), energy, lambda u, _: a * (u - 2.0), lambda u: u,
+                                    np.ones(8), lambda g: g, SolveOptions(max_iters=max_iters))
+    return trials, termination
+
+
+@pytest.mark.parametrize("a", [1.99995, 3.0, 4.0, 15.0])
+def test_rejected_first_trial_is_followed_by_the_clamped_line_minimizer(a):
+    # the unit trial lands at 2a: above the start for a > 2, and at
+    # a = 1.99995 below it by less than the Armijo fraction of its slope; the
+    # quadratic fit through it is exact, so the one further trial is the
+    # line minimizer 1/a, clamped to [0.1, 0.5] of the rejected step
+    (start, rejected, accepted), _ = _quadratic_trials(a, max_iters=1)
+    assert np.array_equal(rejected, np.full(8, 2.0 * a))
+    tau = min(max(1.0 / a, 0.1), 0.5)
+    assert accepted == pytest.approx(np.full(8, 2.0 * a * tau), rel=1e-14)
+
+
+def test_accepted_trial_caps_the_next_step_at_the_fitted_minimizer():
+    # at a = 0.8 the unit trial (to 1.6) passes and doubles tau to 2; the fit
+    # through it puts the line minimizer at 1/a = 1.25, and the next first
+    # trial, along p = g = -0.32, stops there, on the exact minimizer u = 2
+    trials, termination = _quadratic_trials(0.8, max_iters=2)
+    assert len(trials) == 3 and termination == "converged"
+    assert trials[1] == pytest.approx(np.full(8, 1.6), rel=1e-15)
+    assert trials[2] == pytest.approx(np.full(8, 2.0), rel=1e-14)
+
+
+def _recorded_descent(n, energy, gradient, project, pc_scale, u0):
+    """Run descend and group its trials by the iterate they start from.
+
+    Returns [(base, trials)], one per gradient evaluation, with trials as
+    (unprojected, projected, energy) triples: ``project`` sees u - tau p,
+    so the trial steps of a group are proportional to the distances of the
+    unprojected points from its base.  Every group but the last ends with
+    the accepted trial, where the next group starts.
+    """
+    groups, unprojected = [], []
+
+    def rec_project(x):
+        unprojected[:] = [x.copy()]
+        return project(x)
+
+    def rec_energy(u):
+        e = energy(u)
+        if groups:  # the start's energy precedes the first gradient
+            groups[-1][1].append((unprojected[0], u.copy(), e[0]))
+        return e
+
+    def rec_gradient(u, state):
+        groups.append((u.copy(), []))
+        return gradient(u, state)
+
+    descend(u0, rec_energy, rec_gradient, rec_project, np.ones(n), lambda g: g / pc_scale,
+            SolveOptions(tol=1e-10, max_iters=40))
+    return groups
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(4, 12), st.integers(0, 2**32 - 1), st.floats(0.0, 5.0), st.floats(0.01, 10.0),
+       st.booleans())
+def test_line_search_accepts_armijo_steps_and_interpolates_inside_the_safeguard(n, seed, kappa, pc_scale,
+                                                                                 clipped):
+    # E = sum d/2 (u - c)^2 + kappa/4 u^4: convex plus quartic, stiff enough
+    # (d up to 100) that first trials overshoot; with clipped, some c < 0
+    # put the projection onto u >= 0 in play
+    rng = np.random.default_rng(seed)
+    d = rng.uniform(0.1, 100.0, n)
+    c = rng.uniform(-2.0 if clipped else 0.5, 3.0, n)
+    u0 = rng.uniform(0.0, 3.0, n)
+
+    def energy(u):
+        return float(np.sum(0.5 * d * (u - c) ** 2 + 0.25 * kappa * u**4)), None
+
+    def gradient(u, _):
+        return d * (u - c) + kappa * u**3
+
+    project = (lambda u: np.maximum(u, 0.0)) if clipped else (lambda u: u)
+    groups = _recorded_descent(n, energy, gradient, project, pc_scale, u0)
+    e_base = energy(groups[0][0])[0]
+    for i, (base, trials) in enumerate(groups):
+        moves = [float(np.linalg.norm(base - x)) for x, _, _ in trials]
+        for before, after in zip(moves, moves[1:]):
+            # every retry is a fitted minimizer or a plain halving, both in [0.1, 0.5]
+            if after > 1e-7 * (1.0 + np.linalg.norm(base)):
+                assert 0.1 * (1 - 1e-6) <= after / before <= 0.5 * (1 + 1e-6)
+        if i + 1 == len(groups):
+            break
+        _, accepted, e_accepted = trials[-1]
+        assert np.array_equal(accepted, groups[i + 1][0])
+        slope = float(gradient(base, None) @ (base - accepted))
+        assert e_accepted <= e_base - ARMIJO * max(slope, 0.0) + 1e-15 * abs(e_base)
+        assert e_accepted <= e_base + 1e-15 * abs(e_base)
+        e_base = e_accepted
+
+
+def test_construct_plans_spend_few_energy_evaluations_per_step(monkeypatch):
+    # every energy evaluation of the gauge-coupled descent is a phi solve; the
+    # fitted line search keeps the rejected trials of the four construct
+    # plans (targets 10 to 10000) to under 0.4 per accepted step
+    evaluations = []
+    problem = minimize._problem
+
+    def counted_problem(*args):
+        energy, *rest = problem(*args)
+
+        def counted(u):
+            evaluations.append(1)
+            return energy(u)
+
+        return (counted, *rest)
+
+    monkeypatch.setattr(minimize, "_problem", counted_problem)
+    steps = 0
+    for target in (10.0, 100.0, 1000.0, 10000.0):
+        plan = construct_for_charge(SPEC, target)
+        res = minimize_kgm(SPEC, plan.sigma, plan.q, TentProfile(plan.s1, plan.r).realize(plan.grid))
+        assert res.converged
+        steps += res.iterations + res.coarse_iterations
+    assert len(evaluations) <= 1.4 * steps
+
+
 def test_result_carries_the_termination(ground, tent_init):
     assert ground.termination == "converged"
     short = minimize_nlkg(SPEC, ground.charge, tent_init, SolveOptions(max_iters=3))
@@ -337,7 +469,8 @@ def test_fine_descent_keeps_init_over_a_worse_coarse_minimizer(monkeypatch):
     # a stand-in minimizer whose coarse level pulls toward 20 while the fine
     # energy is |u - 3|^2: the resampled coarse minimizer lies far above init,
     # so the fine descent starts from init and ends below it; from the coarse
-    # start two iterations would end above it
+    # start one iteration would end above it (the line search fits the exact
+    # quadratic, so two iterations would reach its minimizer from either start)
     fine = RadialGrid(8.0, 256)
     init = RadialProfile(fine, np.append(np.ones(256), 0.0))
 
@@ -351,7 +484,7 @@ def test_fine_descent_keeps_init_over_a_worse_coarse_minimizer(monkeypatch):
         return energy, lambda u, state: 2.0 * (u - target), lambda u: np.maximum(u, 0.0), w, lambda g: 0.4 * g
 
     monkeypatch.setattr(minimize, "_problem", problem)
-    res = _solve(SPEC, 1.0, init, SolveOptions(max_iters=2))
+    res = _solve(SPEC, 1.0, init, SolveOptions(max_iters=1))
     assert res.coarse_iterations > 0 and res.termination == "max_iters"
     assert res.energy < problem(fine)[0](init.values)[0]
 

@@ -26,6 +26,17 @@ def test_cylinder_volume(grid):
     assert vol == pytest.approx(expected, rel=1e-10)
 
 
+@pytest.mark.parametrize("r_max, z_max", [
+    (np.inf, 10.0), (14.0, np.nan),
+    (1e308, 10.0), (14.0, 1e308),  # 2 z_max overflows, and so does the volume weight
+    (1e160, 10.0),                 # the volume weight 2 pi r_max h_r h_z overflows
+    (1e-120, 1e-120),              # the node volume next to the axis underflows
+])
+def test_grid_geometry_outside_float_range_rejected(r_max, z_max):
+    with pytest.raises(ValueError, match="r_max.*z_max"):
+        AxisymGrid(r_max, z_max, 32, 32)
+
+
 def test_laplacian_of_quadratic(grid):
     rr = grid.r[:, None]
     zz = grid.z[None, :]
