@@ -30,7 +30,7 @@ from .model import (
     validate_assumptions,
 )
 from .oracle import ShootResult, shoot_ground_state
-from .vortex import AxisymGrid, AxisymProfile, minimize_vortex, torus_bump, vortex_observables
+from .vortex import AxisymGrid, AxisymProfile, minimize_vortex, torus_bump
 
 __version__ = "0.1.0"
 
@@ -72,5 +72,4 @@ __all__ = [
     "torus_bump",
     "validate_assumptions",
     "verify_tent_witness",
-    "vortex_observables",
 ]

@@ -284,15 +284,13 @@ def _run_solve_vortex(cfg: RunConfig) -> dict[str, object]:
     spec = _nonlinearity(cfg)
     grid = vortex.AxisymGrid(cfg.get("grid", "r_max"), cfg.get("grid", "z_max"),
                              cfg.get("grid", "n"), cfg.get("grid", "n_z"))
-    ell = cfg.get("solve", "ell")
     init = vortex.torus_bump(grid, cfg.get("solve", "torus_amplitude"),
                              cfg.get("solve", "torus_r0"),
-                             cfg.get("solve", "torus_width"), ell)
-    res = vortex.minimize_vortex(spec, cfg.get("solve", "sigma"), ell, init, _solver_opts(cfg))
+                             cfg.get("solve", "torus_width"), cfg.get("solve", "ell"))
+    res = vortex.minimize_vortex(spec, cfg.get("solve", "sigma"), init, _solver_opts(cfg))
     _write_solution(cfg, res)
     out = _result_scalars(res)
-    charge, l3 = vortex.vortex_observables(res)
-    out["angular_momentum"] = l3
+    out["angular_momentum"] = res.winding * res.charge  # the axial angular momentum L_3
     out["winding"] = res.winding
     return out
 

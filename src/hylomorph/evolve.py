@@ -40,6 +40,9 @@ class EvolutionState:
     t: float = 0.0
 
     def __post_init__(self):
+        if not isinstance(self.grid, RadialGrid):
+            # the leapfrog steps the radial Laplacian's bands; a winding field has none
+            raise ValueError(f"time evolution is radial: it needs a RadialGrid, not a {type(self.grid).__name__}")
         psi = np.asarray(self.psi, dtype=complex)
         psi_t = np.asarray(self.psi_t, dtype=complex)
         if psi.shape != (self.grid.n + 1,) or psi_t.shape != psi.shape:
@@ -334,9 +337,9 @@ def stability_experiment(profile: RadialProfile, omega: float, spec: NonlinearSp
     unperturbed run back for t_final.
     """
     check_delta(delta)
+    base = soliton_state(profile, omega)  # rejects a non-radial profile first
     grid = profile.grid
     radius = soliton_radius(profile)
-    base = soliton_state(profile, omega)
     bump = delta * np.exp(-((grid.nodes - mass_radius(profile, 0.5)) ** 2))
     bump[-1] = 0.0
     names = ["ledger", "ledger_scaled", "ledger_bump", "ledger_free"]

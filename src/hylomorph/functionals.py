@@ -11,8 +11,9 @@ the constrained search into unconstrained minimization of
 The gauge-coupled theory replaces ||u||^2 by the screened mass K(u) of
 ``gauge.screened_mass``; ``deficiency`` gives the pair (J, K) of both
 theories, and E_sigma = J + m sigma + (sigma - m K)^2 / (2 K) for either.
-A vortex adds the centrifugal potential V = ell^2/r^2, so ``reduced_energy``
-and its first variation ``stationary_operator`` serve all three theories.
+A vortex adds the centrifugal potential V = ell^2/r^2 of its winding, so
+``reduced_energy``, its first variation ``stationary_operator`` and the functionals
+of a profile serve all three theories (a gauge-coupled profile is radial).
 Throughout, sigma > 0 and omega < 0 by convention.
 """
 
@@ -21,22 +22,23 @@ from __future__ import annotations
 import numpy as np
 
 from .gauge import screened_mass
-from .grid import RadialProfile
+from .grid import Profile
 from .model import NonlinearSpec, eval_nonlinearity, eval_remainder
 
 
-def deficiency(u: RadialProfile, spec: NonlinearSpec, q: float = 0.0) -> tuple[float, float]:
+def deficiency(u: Profile, spec: NonlinearSpec, q: float = 0.0) -> tuple[float, float]:
     """The deficiency J and the mass K of the hylomorphy test at coupling q.
 
     K is ||u||^2 at q = 0 and the screened mass K(u) otherwise, and
-    J = integral of |grad u|^2/2 + R(u)  +  m^2 (||u||^2 - K) / 2;
+    J = integral of |grad u|^2/2 + V u^2/2 + R(u)  +  m^2 (||u||^2 - K) / 2;
     negative values of J open a charge window.
     """
     mass2 = u.mass2
     k = mass2 if q == 0.0 else screened_mass(u, q)[0]
     r_int = u.grid.integrate(eval_remainder(spec, u.values, 0))
     # q * integral of phi u^2 = ||u||^2 - K by the same quadrature, exactly
-    return 0.5 * u.gradient2 + r_int + 0.5 * spec.mass**2 * (mass2 - k), k
+    kinetic = u.gradient2 + u.grid.integrate(u.grid.centrifugal(u.winding) * u.values**2)
+    return 0.5 * kinetic + r_int + 0.5 * spec.mass**2 * (mass2 - k), k
 
 
 def reduced_energy(grid, u: np.ndarray, spec: NonlinearSpec, sigma: float, k: float,
@@ -75,7 +77,7 @@ def stationary_operator(grid, u: np.ndarray, spec: NonlinearSpec, omega2: float,
     return grid.zero_boundary(g)
 
 
-def reduced_energy_sigma(u: RadialProfile, sigma: float, spec: NonlinearSpec) -> tuple[float, float]:
+def reduced_energy_sigma(u: Profile, sigma: float, spec: NonlinearSpec) -> tuple[float, float]:
     """Energy at fixed charge after eliminating the frequency.
 
     Returns (E_sigma, omega_star).  The zero profile cannot carry a
@@ -85,10 +87,10 @@ def reduced_energy_sigma(u: RadialProfile, sigma: float, spec: NonlinearSpec) ->
     if sigma != 0.0 and mass2 <= 0.0:
         raise ValueError("zero profile cannot satisfy a nonzero charge constraint")
     omega = -sigma / mass2 if sigma else 0.0
-    return reduced_energy(u.grid, u.values, spec, sigma, mass2), omega
+    return reduced_energy(u.grid, u.values, spec, sigma, mass2, u.grid.centrifugal(u.winding)), omega
 
 
-def sigma_window(u: RadialProfile, spec: NonlinearSpec, q: float = 0.0) -> tuple[float, float] | None:
+def sigma_window(u: Profile, spec: NonlinearSpec, q: float = 0.0) -> tuple[float, float] | None:
     """Charge interval on which this profile certifies a binding minimizer.
 
     With (J, K) from ``deficiency`` at coupling q, the ratio E_sigma/sigma

@@ -26,7 +26,7 @@ gives omega = -sigma/K and the reduced energy
 ``potential`` is the one assembly and solve, and its ``mass`` the one
 energy form of K.  ``solve_phi`` and ``screened_mass`` are its wrappers
 for a validated ``RadialProfile``; the minimizer builds one kernel per
-grid and calls it on the arrays of its projected iterates.
+grid and calls it on the arrays of its projected iterates; it rejects a vortex grid.
 
 This module provides phi_u and K(u) alone; the functionals built on them
 (``functionals.deficiency``, ``reduced_energy``, ``stationary_operator``)
@@ -88,6 +88,8 @@ class ScreenedPoisson:
     """
 
     def __init__(self, grid: RadialGrid):
+        if not isinstance(grid, RadialGrid):
+            raise ValueError(f"the gauge-coupled theory is radial; a {type(grid).__name__} is not a RadialGrid")
         self.grid = grid
         # the grid's cell fluxes a_i = r_i r_{i+1} / h and node masses b_i = w_i r_i^2
         a = grid.flux

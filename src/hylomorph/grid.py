@@ -154,12 +154,16 @@ class RadialGrid:
         v[-1] = 0.0
         return v
 
-    def preconditioner(self, ell: int = 0) -> "TridiagonalFactor":
-        """(I - lap) factored once for a whole descent; a radial profile has no winding."""
+    def centrifugal(self, ell: int) -> float:
+        """The centrifugal potential ell^2/r^2 of winding ell: 0, since a radial profile has winding 0."""
         if ell:
             raise ValueError(f"a radial profile has winding 0, not {ell}")
+        return 0.0
+
+    def preconditioner(self, ell: int = 0) -> "TridiagonalFactor":
+        """(I - lap + ell^2/r^2) factored once for a whole descent; see ``centrifugal``."""
         ab = -self.laplacian_bands
-        ab[1] += 1.0
+        ab[1] += 1.0 + self.centrifugal(ell)
         return TridiagonalFactor(ab)
 
 
@@ -215,6 +219,8 @@ class Profile:
 
 class RadialProfile(Profile):
     """Nonnegative radial matter amplitude on a RadialGrid, zero at the truncation radius."""
+
+    winding = 0  # a spherically symmetric field has no phase winding
 
 
 def resample_linear(values: np.ndarray, n: int, axis: int = 0) -> np.ndarray:

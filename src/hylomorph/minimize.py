@@ -18,7 +18,7 @@ start far from the minimizer on a grid with at least COARSEN *
 MIN_COARSE_CELLS cells per direction is solved by nested iteration, each
 level first solved on a 4x coarser grid, which nests again while it is
 large enough (see ``_solve``).  One ``_problem`` builds the descent
-of every theory from ``functionals`` and the geometry of the profile's grid.
+of every theory from ``functionals`` and the grid and winding of the start.
 """
 
 from __future__ import annotations
@@ -151,10 +151,11 @@ def descend(
     residual = np.inf
     iterations = 0  # accepted steps
     termination = "max_iters"
-    p = g_old = pg_old = None
+    p = pg_old = None
     for it in range(opts.max_iters):
         g = gradient(u, state)
-        residual = np.sqrt(inner(g, g))
+        gg = inner(g, g)
+        residual = np.sqrt(gg)
         if converged_at(residual, u):
             return u, residual, iterations, "converged", e_cur, state
         # stall guard: break only when neither the energy (which pins at
@@ -169,17 +170,19 @@ def descend(
             termination = "stalled"
             break
         pg = pc_solve(g)
-        if not np.isfinite(pg).all() or inner(pg, g) <= 0.0:
-            pg = g
+        # <pg, g> is the next iteration's beta denominator; a NaN keeps pg
+        pg_g = inner(pg, g) if np.isfinite(pg).all() else 0.0
+        if pg_g <= 0.0:
+            pg, pg_g = g, gg
         # Polak-Ribiere+ in the preconditioned metric; restart along the
         # Sobolev gradient whenever the conjugate direction does not descend
         if p is not None:
             with np.errstate(over="ignore", invalid="ignore"):
-                beta = max(0.0, inner(g, pg - pg_old) / inner(g_old, pg_old))
+                beta = max(0.0, inner(g, pg - pg_old) / pg_g_old)
                 p = pg + beta * p
         if p is None or not inner(g, p) > 0.0 or not np.isfinite(p).all():
             p = pg
-        g_old, pg_old = g, pg
+        pg_old, pg_g_old = pg, pg_g
         accepted = False
         for trial_no in range(60):
             trial = project(u - tau * p)
@@ -246,14 +249,14 @@ def _line_fit(slope: float, rise: float, noise: float) -> float | None:
     return 0.5 * slope / curvature
 
 
-def _problem(grid, spec: NonlinearSpec, sigma: float, q: float | None, ell: int):
+def _problem(grid, spec: NonlinearSpec, sigma: float, q: float | None, winding: int):
     """The (energy, gradient, project, weights, pc_solve) of ``descend`` on ``grid``.
 
     ``energy(u)`` returns E_sigma(u) and its state (K, phi): ||u||^2 and
-    None when ``q`` is None, else K(u) and phi_u at coupling q.  A winding
-    ell != 0 adds the grid's centrifugal potential.
+    None when ``q`` is None, else K(u) and phi_u at coupling q.  V is the
+    grid's centrifugal potential at the start's ``winding``, 0 radially.
     """
-    potential = grid.centrifugal(ell) if ell else 0.0
+    potential = grid.centrifugal(winding)
     # the projected iterates are nonnegative and vanish at r_max, so K and phi
     # are evaluated on their arrays without building a validated profile
     kernel = None if q is None else ScreenedPoisson(grid)
@@ -275,15 +278,15 @@ def _problem(grid, spec: NonlinearSpec, sigma: float, q: float | None, ell: int)
     def project(u: np.ndarray) -> np.ndarray:
         return grid.zero_boundary(np.maximum(u, 0.0))
 
-    return energy, gradient, project, grid.volume_weights, grid.preconditioner(ell).solve
+    return energy, gradient, project, grid.volume_weights, grid.preconditioner(winding).solve
 
 
 def _solve(spec: NonlinearSpec, sigma: float, init, opts: SolveOptions | None, *,
-           coupling: float | None = None, winding: int = 0) -> SolitonResult:
+           coupling: float | None = None) -> SolitonResult:
     """The one solve path of every minimizer: descend from ``init`` and build the result.
 
-    ``init`` is a RadialProfile, or a vortex AxisymProfile winding
-    ``winding`` times; ``coupling`` is None for the ungauged theories.
+    ``init`` and ``coupling`` state the equation: a RadialProfile, or a vortex
+    AxisymProfile whose winding adds the centrifugal potential, and None for the ungauged theories.
     ``_problem`` builds the descent on each level; the result carries the
     state (K, phi) as the descent computed it for the returned profile.
 
@@ -308,7 +311,9 @@ def _solve(spec: NonlinearSpec, sigma: float, init, opts: SolveOptions | None, *
 
     Eliminates omega = -sigma/K, flags a collapse or a run-off to infinity
     (a non-finite residual or energy), and certifies the charge only for a
-    converged state with E_sigma/sigma below the mass.
+    converged state with E_sigma/sigma below the mass.  A start whose
+    frequency squared (sigma/K)^2 leaves float range is rejected before
+    the descent.
     """
     if not (sigma > 0 and sigma * sigma < np.inf):
         # the zero charge admits only the trivial field, and sigma^2 enters the energy
@@ -316,15 +321,20 @@ def _solve(spec: NonlinearSpec, sigma: float, init, opts: SolveOptions | None, *
     if init.mass2 <= 0.0:
         raise ValueError("initial profile must not vanish identically")
     opts = opts or SolveOptions()
-    fine = _problem(init.grid, spec, sigma, coupling, winding)
+    fine = _problem(init.grid, spec, sigma, coupling, init.winding)
     fine_energy, gradient, _, weights, pc_solve = fine
-    # the start and its (energy, state) once known, so no level evaluates its start twice
-    start, known = init, None
+    # the start and its (energy, state), handed to descend so no level evaluates its start twice
+    with np.errstate(over="ignore", invalid="ignore"):
+        start, known = init, fine_energy(init.values)
+    frequency = sigma / known[1][0]
+    if not frequency * frequency < np.inf:
+        # the gradient squares sigma/K as a Python float, which raises on overflow
+        raise ValueError(f"sigma = {sigma!r} on a start of mass K = {known[1][0]:.3g} "
+                         "gives a frequency squared (sigma/K)^2 outside float range")
     coarse_iterations, coarse_converged, e_coarse, ratio2 = 0, False, np.nan, np.nan
     nested = min(init.grid.cells) >= COARSEN * MIN_COARSE_CELLS
     if nested:
         with np.errstate(over="ignore", invalid="ignore"):
-            known = fine_energy(init.values)
             step = pc_solve(gradient(init.values, known[1]))
         w = weights.ravel()
         u0 = init.values.ravel()
@@ -333,7 +343,7 @@ def _solve(spec: NonlinearSpec, sigma: float, init, opts: SolveOptions | None, *
         coarse_init = init.resample(init.grid.coarsen(COARSEN))
         # a profile narrower than the coarse spacing can vanish on the coarse nodes
         if coarse_init.mass2 > 0.0:
-            coarse = _solve(spec, sigma, coarse_init, opts, coupling=coupling, winding=winding)
+            coarse = _solve(spec, sigma, coarse_init, opts, coupling=coupling)
             coarse_iterations = coarse.iterations + coarse.coarse_iterations
             coarse_converged = coarse.termination == "converged"
             e_coarse = coarse.energy
@@ -367,7 +377,7 @@ def _solve(spec: NonlinearSpec, sigma: float, init, opts: SolveOptions | None, *
         u=profile, omega=omega, phi=phi, energy=e_sigma, screened_mass=k, charge=sigma,
         electric_charge=q * sigma, hylomorphy=hylomorphy, residual=residual,
         iterations=iterations, converged=converged, termination=termination, collapsed=collapsed,
-        winding=winding, coupling=coupling, note=note,
+        winding=init.winding, coupling=coupling, note=note,
         certified=bool(converged and hylomorphy < spec.mass),
         coarse_iterations=coarse_iterations, discretization_error=discretization_error,
     )
@@ -375,7 +385,7 @@ def _solve(spec: NonlinearSpec, sigma: float, init, opts: SolveOptions | None, *
 
 def minimize_nlkg(spec: NonlinearSpec, sigma: float, init: RadialProfile,
                   opts: SolveOptions | None = None) -> SolitonResult:
-    """Minimize the reduced energy at charge sigma over nonnegative profiles."""
+    """Minimize the reduced energy at charge sigma over nonnegative profiles winding as ``init`` does."""
     return _solve(spec, sigma, init, opts)
 
 
@@ -383,34 +393,31 @@ def minimize_kgm(spec: NonlinearSpec, sigma: float, q: float, init: RadialProfil
                  opts: SolveOptions | None = None) -> SolitonResult:
     """Minimize the gauge-coupled reduced energy; the potential is re-solved
     at every energy evaluation by the grid's ``gauge.ScreenedPoisson`` and
-    reused by the gradient at that iterate; the kernel rejects a bad
-    coupling at the first one."""
+    reused by the gradient at that iterate; the kernel rejects a non-radial
+    start when it is built, and a bad coupling at the first evaluation."""
     return _solve(spec, sigma, init, opts, coupling=q)
 
 
 def residual_stationary(result, spec: NonlinearSpec, kind: str) -> float:
     """Grid L2 norm of the stationary equation for a solved state.
 
-    ``kind`` selects the equation: "nlkg" for -lap u - omega^2 u + W'(u),
-    "kgm" for its screened variant, "vortex" for the axisymmetric equation
-    with the centrifugal term.  The frequency is taken from the result
-    (shooting results carry no charge parameter), and the potential is
-    re-solved from scratch for the gauge case so the check is independent
-    of the stored one.
+    The result states its equation: -lap u + W'(u) + (V - omega^2 s) u with
+    the screen s = (1 - q phi_u)^2 at its ``coupling`` q (s = 1 without
+    one; shooting results carry none) and the centrifugal V of its
+    profile's winding.  ``kind`` must name that equation, "nlkg", "kgm" or
+    "vortex", or ValueError is raised.  The frequency is taken from the
+    result, and the potential is re-solved from scratch for the gauge case
+    so the check is independent of the stored one.
     """
     profile = getattr(result, "u", None)
     if profile is None:
         profile = result.profile
+    q = getattr(result, "coupling", None)
+    solves = "vortex" if profile.winding else "nlkg" if q is None else "kgm"
+    if kind != solves:
+        raise ValueError(f"the result solves the {solves} equation, not {kind!r}")
     grid = profile.grid
-    screen, potential = 1.0, 0.0
-    if kind == "vortex":
-        potential = grid.centrifugal(profile.winding)
-    elif kind == "kgm":
-        q = result.coupling
-        if q is None:
-            raise ValueError("gauge residual needs the coupling stored on the result")
-        screen = solve_phi(profile, q).screen
-    elif kind != "nlkg":
-        raise ValueError(f"unknown stationary equation kind {kind!r}")
-    g = stationary_operator(grid, profile.values, spec, result.omega**2, screen, potential)
+    screen = 1.0 if q is None else solve_phi(profile, q).screen
+    g = stationary_operator(grid, profile.values, spec, result.omega**2, screen,
+                            grid.centrifugal(profile.winding))
     return float(np.sqrt(grid.integrate(g * g)))

@@ -222,16 +222,10 @@ class AxisymPreconditioner:
         return out
 
 
-def minimize_vortex(spec: NonlinearSpec, sigma: float, ell: int, init: AxisymProfile,
+def minimize_vortex(spec: NonlinearSpec, sigma: float, init: AxisymProfile,
                     opts: SolveOptions | None = None) -> SolitonResult:
-    """Minimize the reduced energy with winding ell over nonnegative profiles."""
-    if ell == 0:
-        raise ValueError("zero winding is the radial problem; use minimize_nlkg")
-    if init.winding != ell:
-        raise ValueError(f"initial profile winds {init.winding} times, not ell = {ell}")
-    return _solve(spec, sigma, init, opts, winding=ell)
-
-
-def vortex_observables(result: SolitonResult) -> tuple[float, float]:
-    """Charge and axial angular momentum; the latter is winding times charge."""
-    return result.charge, result.winding * result.charge
+    """Minimize the reduced energy over nonnegative profiles winding as ``init`` does:
+    the solve of ``minimize_nlkg``, with the check that the start winds."""
+    if not init.winding:
+        raise ValueError("a vortex start must wind; winding 0 is the radial problem, use minimize_nlkg")
+    return _solve(spec, sigma, init, opts)

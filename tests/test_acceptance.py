@@ -23,7 +23,7 @@ from hylomorph.grid import RadialGrid, RadialProfile, weighted_norm
 from hylomorph.minimize import SolveOptions, minimize_kgm, minimize_nlkg, residual_stationary
 from hylomorph.model import NonlinearSpec, eval_nonlinearity, validate_assumptions, classify_charge_criteria
 from hylomorph.oracle import shoot_ground_state
-from hylomorph.vortex import AxisymGrid, minimize_vortex, torus_bump, vortex_observables
+from hylomorph.vortex import AxisymGrid, minimize_vortex, torus_bump
 from references import screened_mass_two_forms, tent_quadratures
 
 SPEC = NonlinearSpec.double_well()
@@ -311,7 +311,7 @@ def test_criterion_9_vortex():
     results = {}
     for ell in (1, -1):
         init = torus_bump(grid, 1.0, 6.0, 2.0, winding=ell)
-        results[ell] = minimize_vortex(SPEC, sigma, ell, init, opts)
+        results[ell] = minimize_vortex(SPEC, sigma, init, opts)
         assert results[ell].converged
     plus, minus = results[1], results[-1]
     assert abs(plus.energy - minus.energy) < 1e-8 * plus.energy
@@ -320,8 +320,8 @@ def test_criterion_9_vortex():
         assert np.abs(u[0, :]).max() == 0.0
         assert np.abs(u[1, :]).max() < 1e-2 * u.max()
         assert res.residual < 1e-5
-        charge, l3 = vortex_observables(res)
-        assert l3 == res.winding * sigma
+        l3 = res.winding * res.charge  # the axial angular momentum
+        assert l3 == res.u.winding * sigma
     radial = minimize_nlkg(SPEC, sigma, TentProfile(1.0, 5.0).realize(RadialGrid(16.0, 1024)))
     assert radial.converged
     assert plus.energy >= radial.energy

@@ -64,13 +64,14 @@ def test_n_samples_is_not_a_config_key(tmp_path):
     ("solve-nlkg", "[grid]\nr_max = inf\n"),
     ("solve-vortex", "[grid]\nr_max = 1e308\n"),
     ("solve-vortex", "[grid]\nz_max = 1e308\n"),
+    ("solve-vortex", "[grid]\nr_max = 1e-90\n"),  # K ~ 1e-187, so (sigma/K)**2 overflows
 ], ids=["construct-charge_target_inf", "solve-nlkg-tent_past_r_max", "window-q_inf", "window-q_nan",
         "window-q_1e300", "window-q_1e154", "solve-kgm-q_inf", "solve-kgm-q_nan", "solve-kgm-q_1e300",
         "solve-nlkg-sigma_inf", "solve-nlkg-sigma_1e160", "solve-kgm-sigma_inf", "solve-kgm-sigma_1e160",
         "solve-vortex-sigma_inf", "solve-vortex-sigma_1e160", "solve-vortex-torus_width_0",
         "solve-vortex-torus_r0_nan", "solve-vortex-torus_amplitude_inf", "solve-nlkg-tol_inf",
         "solve-nlkg-r_max_1e308", "solve-nlkg-r_max_inf", "solve-vortex-r_max_1e308",
-        "solve-vortex-z_max_1e308"])
+        "solve-vortex-z_max_1e308", "solve-vortex-r_max_1e-90"])
 def test_inputs_rejected_before_any_solve(tmp_path, monkeypatch, command, text):
     def no_solve(*args, **kwargs):
         raise RuntimeError("a solve ran before the inputs were checked")

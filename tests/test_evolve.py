@@ -19,6 +19,7 @@ from hylomorph.evolve import (
 from hylomorph.grid import RadialGrid
 from hylomorph.minimize import SolveOptions, minimize_nlkg
 from hylomorph.model import NonlinearSpec
+from hylomorph.vortex import AxisymGrid, torus_bump
 
 SPEC = NonlinearSpec.double_well()
 
@@ -73,6 +74,15 @@ def test_nonfinite_state_rejected(grid):
         EvolutionState(grid, bad, psi)
     with pytest.raises(ValueError):
         EvolutionState(grid, psi, bad)
+
+
+def test_evolution_is_radial():
+    # the leapfrog steps the radial Laplacian; a winding profile is refused by name
+    vortex = torus_bump(AxisymGrid(12.0, 8.0, 32, 32), 1.0, 4.0, 1.5, winding=1)
+    with pytest.raises(ValueError, match="radial"):
+        soliton_state(vortex, -0.5)
+    with pytest.raises(ValueError, match="radial"):
+        stability_experiment(vortex, -0.5, SPEC, 1.0, 0.1, 0.01)
 
 
 def test_nan_field_trips_blowup_guard(grid, ground, monkeypatch):

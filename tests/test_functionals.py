@@ -14,6 +14,7 @@ from hylomorph.functionals import (
 )
 from hylomorph.grid import RadialGrid, RadialProfile
 from hylomorph.model import NonlinearSpec
+from hylomorph.vortex import AxisymGrid, torus_bump
 from references import tent_quadratures
 
 SPEC = NonlinearSpec.double_well()
@@ -101,12 +102,15 @@ def test_reduced_energy_zero_profile_infeasible():
 
 
 def test_reduced_energy_identity_with_deficiency():
-    u = tent_profile(1.1, 3.0)
-    sigma = 37.0
-    e_sigma, _ = reduced_energy_sigma(u, sigma, SPEC)
-    m2 = SPEC.mass**2
-    alt = deficiency(u, SPEC)[0] + 0.5 * (m2 * u.mass2 + sigma**2 / u.mass2)
-    assert e_sigma == pytest.approx(alt, rel=1e-10)
+    # a winding profile's centrifugal energy enters E_sigma and J alike
+    torus = torus_bump(AxisymGrid(12.0, 8.0, 48, 48), 1.1, 4.0, 1.5, winding=2)
+    for u in (tent_profile(1.1, 3.0), torus):
+        sigma = 37.0
+        e_sigma, _ = reduced_energy_sigma(u, sigma, SPEC)
+        assert e_sigma == reduced_energy(u.grid, u.values, SPEC, sigma, u.mass2, u.grid.centrifugal(u.winding))
+        m2 = SPEC.mass**2
+        alt = deficiency(u, SPEC)[0] + 0.5 * (m2 * u.mass2 + sigma**2 / u.mass2)
+        assert e_sigma == pytest.approx(alt, rel=1e-10)
 
 
 def test_hylomorphy_at_window_center():

@@ -125,11 +125,15 @@ def test_each_result_carries_the_state_of_its_own_profile(ground, gauged, tent_i
         assert np.array_equal(res.phi.values, solve_phi(res.u, res.coupling).values)
 
 
-def test_residual_kind_validation(ground):
+def test_residual_kind_validation(ground, gauged):
     with pytest.raises(ValueError):
         residual_stationary(ground, SPEC, "kgm")  # no coupling stored
     with pytest.raises(ValueError):
         residual_stationary(ground, SPEC, "bogus")
+    # the result states its equation; a kind naming another one is refused
+    for res, wrong in ((ground, "vortex"), (gauged, "nlkg"), (gauged, "vortex")):
+        with pytest.raises(ValueError, match="solves the"):
+            residual_stationary(res, SPEC, wrong)
 
 
 def test_options_validation():

@@ -162,3 +162,43 @@ def test_profiles_share_one_validation_and_resample():
     assert [m.name for m in own] == ["__post_init__"]
     assert {node.attr for node in ast.walk(own[0]) if isinstance(node, ast.Attribute)} == {
         "winding", "__post_init__"}
+
+
+def test_no_solve_entry_restates_the_winding():
+    # the start profile (grid and winding) and the coupling state a solve's
+    # equation; the angular momentum is winding times charge, with no helper
+    functions = {node.name: node for _, tree in _modules() for node in ast.walk(tree)
+                 if isinstance(node, ast.FunctionDef)}
+    for name in ("_solve", "minimize_nlkg", "minimize_vortex"):
+        args = functions[name].args
+        assert not {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs} & {"winding", "ell"}, name
+    assert _mentions("vortex_observables") == set()
+
+
+def test_centrifugal_potential_is_read_at_a_profile_winding():
+    # V = grid.centrifugal(winding) with the winding of a profile, or of the
+    # start that _solve hands _problem; no call sits behind a fork on the winding
+    calls = set()
+    for module, tree in _modules():
+        for top in tree.body:
+            fns = [top] if isinstance(top, ast.FunctionDef) else [
+                m for m in getattr(top, "body", []) if isinstance(m, ast.FunctionDef)]
+            for fn in fns:
+                forked = {id(n) for fork in ast.walk(fn) if isinstance(fork, (ast.If, ast.IfExp))
+                          for n in ast.walk(fork)}
+                for node in ast.walk(fn):
+                    if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "centrifugal":
+                        assert id(node) not in forked, (module, fn.name)
+                        calls.add((module, fn.name if fn is top else f"{top.name}.{fn.name}",
+                                   ast.unparse(node.args[0])))
+    assert calls == {("functionals", "deficiency", "u.winding"),
+                     ("functionals", "reduced_energy_sigma", "u.winding"),
+                     ("minimize", "residual_stationary", "profile.winding"),
+                     ("minimize", "_problem", "winding"),
+                     ("grid", "RadialGrid.preconditioner", "ell")}
+    assert _callers("_problem") == {("minimize", "_solve")}
+    solve = next(node for node in ast.walk(dict(_modules())["minimize"])
+                 if isinstance(node, ast.FunctionDef) and node.name == "_solve")
+    [call] = [node for node in ast.walk(solve) if isinstance(node, ast.Call)
+              and isinstance(node.func, ast.Name) and node.func.id == "_problem"]
+    assert ast.unparse(call.args[-1]) == "init.winding"

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
-from hylomorph.functionals import reduced_energy
-from hylomorph.minimize import COLLAPSE_NOTE, UNBOUND_NOTE, SolveOptions, residual_stationary
+from hylomorph.functionals import reduced_energy, reduced_energy_sigma, sigma_window
+from hylomorph.gauge import screened_mass, solve_phi
+from hylomorph.minimize import (COLLAPSE_NOTE, UNBOUND_NOTE, SolveOptions, minimize_kgm, minimize_nlkg,
+                                residual_stationary)
 from hylomorph.model import NonlinearSpec, eval_nonlinearity
-from hylomorph.vortex import AxisymGrid, AxisymProfile, minimize_vortex, torus_bump, vortex_observables
+from hylomorph.vortex import AxisymGrid, AxisymProfile, minimize_vortex, torus_bump
 
 SPEC = NonlinearSpec.double_well()
 
@@ -17,7 +19,7 @@ def grid():
 @pytest.fixture(scope="module")
 def solved(grid):
     init = torus_bump(grid, 1.0, 4.0, 1.5, winding=1)
-    return minimize_vortex(SPEC, 200.0, 1, init, SolveOptions(tol=1e-5))
+    return minimize_vortex(SPEC, 200.0, init, SolveOptions(tol=1e-5))
 
 
 def test_cylinder_volume(grid):
@@ -60,27 +62,24 @@ def test_axis_vanishing(solved):
 
 def test_winding_sign_irrelevant(grid, solved):
     init = torus_bump(grid, 1.0, 4.0, 1.5, winding=-1)
-    mirrored = minimize_vortex(SPEC, 200.0, -1, init, SolveOptions(tol=1e-5))
+    mirrored = minimize_vortex(SPEC, 200.0, init, SolveOptions(tol=1e-5))
     assert mirrored.energy == solved.energy
     assert np.array_equal(mirrored.u.values, solved.u.values)
 
 
 def test_angular_momentum_identity(solved):
-    charge, l3 = vortex_observables(solved)
-    assert charge == solved.charge
+    l3 = solved.winding * solved.charge  # the axial angular momentum
+    assert solved.winding == solved.u.winding == 1
     assert l3 == 1 * solved.charge
 
 
-def test_zero_winding_rejected(grid):
-    init = torus_bump(grid, 1.0, 4.0, 1.5, winding=1)
-    with pytest.raises(ValueError):
-        minimize_vortex(SPEC, 200.0, 0, init)
+def test_start_without_winding_rejected():
+    # the start states the winding; a radial start is minimize_nlkg's problem
+    from hylomorph.chargewin import TentProfile
+    from hylomorph.grid import RadialGrid
 
-
-def test_initial_winding_must_be_ell(grid):
-    # the result's profile is the initial one with new values, so it keeps its winding
-    with pytest.raises(ValueError, match="winds"):
-        minimize_vortex(SPEC, 200.0, 1, torus_bump(grid, 1.0, 4.0, 1.5, winding=-1))
+    with pytest.raises(ValueError, match="wind"):
+        minimize_vortex(SPEC, 200.0, TentProfile(1.0, 4.0).realize(RadialGrid(14.0, 128)))
 
 
 def test_energy_dominates_radial_ground_state(solved):
@@ -94,6 +93,10 @@ def test_energy_dominates_radial_ground_state(solved):
 
 def test_residual_norm_matches_result(solved):
     assert residual_stationary(solved, SPEC, "vortex") == pytest.approx(solved.residual, rel=1e-6)
+    # the result states its equation; a kind naming another one is refused
+    for kind in ("nlkg", "kgm"):
+        with pytest.raises(ValueError, match="vortex"):
+            residual_stationary(solved, SPEC, kind)
 
 
 def test_gradient_matches_finite_differences(grid):
@@ -153,7 +156,7 @@ SMALL = AxisymGrid(14.0, 10.0, 32, 32)
 
 def test_unconverged_ratio_above_mass_carries_note():
     init = torus_bump(SMALL, 1.0, 4.0, 1.5, winding=1)
-    res = minimize_vortex(SPEC, 20.0, 1, init, SolveOptions(max_iters=3))
+    res = minimize_vortex(SPEC, 20.0, init, SolveOptions(max_iters=3))
     assert not res.converged and not res.collapsed
     assert res.hylomorphy >= SPEC.mass
     assert res.note == UNBOUND_NOTE
@@ -162,7 +165,7 @@ def test_unconverged_ratio_above_mass_carries_note():
 
 def test_collapse_uses_shared_note():
     init = torus_bump(SMALL, 1.0, 4.0, 1.5, winding=1)
-    res = minimize_vortex(SPEC, 1e-3, 1, init, SolveOptions(max_iters=200))
+    res = minimize_vortex(SPEC, 1e-3, init, SolveOptions(max_iters=200))
     assert res.collapsed and not res.converged
     assert res.note == COLLAPSE_NOTE
 
@@ -170,19 +173,43 @@ def test_collapse_uses_shared_note():
 def test_trial_that_annihilates_the_profile_is_rejected():
     # a step that projects every sample to zero has infinite reduced energy
     init = torus_bump(SMALL, 1.0, 4.0, 1.5, winding=1)
-    res = minimize_vortex(SPEC, 1.0, 1, init, SolveOptions(max_iters=500))
+    res = minimize_vortex(SPEC, 1.0, init, SolveOptions(max_iters=500))
     assert np.isfinite(res.energy)
     assert res.u.values.max() > 0.0
 
 
+def test_minimize_nlkg_on_a_winding_start_is_the_vortex_solve():
+    # the start's winding states the equation; the radial entry must not drop it
+    init = torus_bump(SMALL, 1.0, 4.0, 1.5, winding=1)
+    vortex = minimize_vortex(SPEC, 200.0, init, SolveOptions(max_iters=40))
+    plain = minimize_nlkg(SPEC, 200.0, init, SolveOptions(max_iters=40))
+    assert plain.winding == plain.u.winding == vortex.winding == 1
+    assert (plain.energy, plain.residual, plain.iterations, plain.termination) == (
+        vortex.energy, vortex.residual, vortex.iterations, vortex.termination)
+    assert np.array_equal(plain.u.values, vortex.u.values)
+
+
+def test_gauge_coupled_functionals_reject_a_winding_profile():
+    # the screened Poisson kernel is radial; a winding profile has no K(u)
+    init = torus_bump(SMALL, 1.0, 4.0, 1.5, winding=1)
+    with pytest.raises(ValueError, match="RadialGrid"):
+        minimize_kgm(SPEC, 200.0, 0.05, init)
+    for call in (screened_mass, solve_phi):
+        with pytest.raises(ValueError, match="RadialGrid"):
+            call(init, 0.05)
+    with pytest.raises(ValueError, match="RadialGrid"):
+        sigma_window(init, SPEC, 0.05)
+
+
 def test_result_carries_the_state_of_its_own_profile(solved):
     # the one-iteration solve rejects its first trial step, so a state kept from it would show
-    one_step = minimize_vortex(SPEC, 200.0, 1, torus_bump(SMALL, 1.0, 4.0, 1.5, winding=1),
+    one_step = minimize_vortex(SPEC, 200.0, torus_bump(SMALL, 1.0, 4.0, 1.5, winding=1),
                                SolveOptions(max_iters=1))
     for res in (solved, one_step):
         mass2 = res.u.mass2
         potential = res.u.grid.centrifugal(res.winding)
         assert res.energy == reduced_energy(res.u.grid, res.u.values, SPEC, res.charge, mass2, potential)
+        assert reduced_energy_sigma(res.u, res.charge, SPEC) == (res.energy, res.omega)
         assert res.screened_mass == mass2
         assert res.omega == -res.charge / mass2
         assert res.phi is None
