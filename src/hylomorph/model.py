@@ -15,16 +15,18 @@ falls from m^2 and turns up at most once, so the structural checks
 (zero-point normalization, nonnegativity, a binding amplitude,
 subcritical growth of R'') and the charge criteria are exact for both
 families: they are read from the two terms, not sampled.  The one
-numeric step is the zero of W below the deepest level, a bracketed root.
+numeric step is the zero of W below the deepest level, a bracketed root
+(``_bracketed_root``, which the shooting oracle shares).
 """
 
 from __future__ import annotations
 
 import math
+import sys
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
 
 FAMILIES = ("double_well", "power_deficit")
 
@@ -161,6 +163,58 @@ def find_binding_amplitude(spec: NonlinearSpec, s_max: float = 10.0) -> tuple[fl
     return s0, level
 
 
+def _bracketed_root(f: Callable[[float], float], lo: float, f_lo: float, hi: float, f_hi: float,
+                    xtol: float) -> tuple[float, float]:
+    """Close the bracket [lo, hi] of a sign change of f to a width of at most
+    xtol + 4 eps |x|, x the end with the smaller |f|, the closing rule of
+    scipy's ``brentq``.
+
+    f_lo and f_hi are f at the ends, of opposite signs in either order;
+    each returned end keeps the sign of the end it replaces (an exact zero
+    counts with the nonnegative end).  Brent-Dekker steps: inverse
+    quadratic interpolation through the best end, the other end and the
+    previous best point, regula falsi when those three values are not
+    distinct or the interpolant leaves the bracket.  Every probe lies
+    strictly inside the bracket, at least a quarter of the closing width
+    from either end, so the loop always closes; after two probes in a row
+    that fail to halve the bracket the next probe is the midpoint, so every
+    three probes at least halve it.
+    """
+    if not (lo < hi and (f_lo < 0.0 < f_hi or f_hi < 0.0 < f_lo)):
+        raise ValueError(f"no bracket: f({lo!r}) = {f_lo!r} and f({hi!r}) = {f_hi!r}")
+    rising = f_lo < 0.0
+    a = fa = None  # the previous best end
+    slow = 0
+    while True:
+        width = hi - lo
+        if abs(f_lo) <= abs(f_hi):
+            b, fb, c, fc = lo, f_lo, hi, f_hi
+        else:
+            b, fb, c, fc = hi, f_hi, lo, f_lo
+        tol = xtol + 4.0 * sys.float_info.epsilon * abs(b)
+        if width <= tol:
+            return lo, hi
+        if slow >= 2:
+            x = 0.5 * (lo + hi)
+        else:
+            x = b - fb * (c - b) / (fc - fb)
+            if fa is not None and fa != fb and fa != fc:
+                # ratios first: products of tiny values would underflow
+                iqi = (a * fb / (fa - fb) * fc / (fa - fc)
+                       + b * fa / (fb - fa) * fc / (fb - fc)
+                       + c * fa / (fc - fa) * fb / (fc - fb))
+                if lo < iqi < hi:
+                    x = iqi
+        x = min(max(x, lo + 0.25 * tol), hi - 0.25 * tol)
+        fx = f(x)
+        a, fa = b, fb
+        if (fx < 0.0) == rising:
+            lo, f_lo = x, fx
+        else:
+            hi, f_hi = x, fx
+        slow = slow + 1 if hi - lo > 0.5 * width else 0
+
+
 def _zero_below(spec: NonlinearSpec, s0: float) -> float:
     """The one zero of W in (0, s0), where the level falls from m^2 to below 0.
 
@@ -168,11 +222,17 @@ def _zero_below(spec: NonlinearSpec, s0: float) -> float:
     m^2 + 2 c_p t + 2 c_q t^((q-2)/(p-2)) is convex and finite in slope at
     t = 0, where in s it is steep and the zero can sit at s ~ 1e-60.  With
     p close to 2 it can lie below the smallest normal double and come back
-    as 0 or a subnormal.
+    as 0 or a subnormal.  The bracket closes to 1e-300 + 4 eps t, and the
+    end with the smaller level is the zero.
     """
     (_, p), _ = spec.remainder_powers()
-    t = brentq(lambda t: binding_level(spec, t ** (1.0 / (p - 2.0))), 0.0, s0 ** (p - 2.0), xtol=1e-300)
-    return float(t ** (1.0 / (p - 2.0)))
+
+    def level(t: float) -> float:
+        return binding_level(spec, t ** (1.0 / (p - 2.0)))
+
+    t_hi = s0 ** (p - 2.0)
+    ends = _bracketed_root(level, 0.0, level(0.0), t_hi, level(t_hi), 1e-300)
+    return float(min(ends, key=lambda t: abs(level(t))) ** (1.0 / (p - 2.0)))
 
 
 @dataclass

@@ -207,7 +207,7 @@ class AxisymPreconditioner:
         # unknowns are numbered r-fastest within each z-mode; no coupling across modes
         ab = np.zeros((3, nz, nr))
         ab[0, :, 1:] = -up_r[:-1]
-        ab[1] = (1.0 + up_r + dn_r + ell**2 / grid.r[1:-1] ** 2) + mu[:, None] * t_z
+        ab[1] = (1.0 + up_r + dn_r + grid.centrifugal(ell)[1:-1, 0]) + mu[:, None] * t_z
         ab[2, :, :-1] = -dn_r[1:]
         self._factor = TridiagonalFactor(ab.reshape(3, -1))
         self._shape = (nz, nr)

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from hylomorph.model import (
     NonlinearSpec,
+    _bracketed_root,
     _power_sum,
+    _zero_below,
     binding_level,
     classify_charge_criteria,
     eval_nonlinearity,
@@ -206,3 +208,51 @@ def test_exact_checks_match_dense_samples(spec, s_max):
         z = report.nonnegative_violation
         assert 0.0 < z < s0
         assert abs(binding_level(spec, z)) <= 1e-12 * magnitude(z)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.floats(0.1, 3.0), st.just(0.0) | st.floats(0.0, 3.0), st.floats(2.05, 5.5), st.floats(0.05, 3.0),
+       st.floats(0.5, 2.0), st.floats(-0.3, 6.0).map(lambda e: 10.0**e))
+def test_zero_of_w_matches_brentq(a, b, p, dq, mass, s_max):
+    """The shared bracketed root finds the zero of W in t = s^(p-2) where
+    scipy's brentq does, to 4 eps relative beyond the band of t in which the
+    level's round-off hides its sign, and holds its bracket in either sign
+    orientation."""
+    from scipy.optimize import brentq
+
+    spec = NonlinearSpec.power_deficit(a, b, p, min(p + dq, 5.99), mass=mass)
+    s0, level = find_binding_amplitude(spec, s_max)
+    assume(level < 0.0)
+    (c_p, p), (c_q, q) = spec.remainder_powers()
+    k = (q - 2.0) / (p - 2.0)
+    eps = np.finfo(float).eps
+
+    def g(t: float) -> float:
+        return binding_level(spec, t ** (1.0 / (p - 2.0)))
+
+    t_hi = s0 ** (p - 2.0)
+    ref = brentq(g, 0.0, t_hi, xtol=1e-300)
+    # the level's round-off, eps times the sum of its term magnitudes, over its slope
+    band = 4.0 * eps * ((mass**2 - 2.0 * c_p * ref + 2.0 * c_q * ref**k)
+                        / abs(2.0 * c_p + 2.0 * c_q * k * ref ** (k - 1.0)))
+    for sign in (1.0, -1.0):
+        def f(t: float) -> float:
+            return sign * g(t)
+
+        f_lo, f_hi = f(0.0), f(t_hi)
+        lo, hi = _bracketed_root(f, 0.0, f_lo, t_hi, f_hi, 1e-300)
+        assert 0.0 <= lo < hi <= t_hi
+        assert hi - lo <= 1e-300 + 4.0 * eps * hi
+        # each end keeps the sign of the end it replaced; a zero counts as nonnegative
+        assert (f(lo) < 0.0) == (f_lo < 0.0) and (f(hi) < 0.0) == (f_hi < 0.0)
+        best = min((lo, hi), key=lambda t: abs(g(t)))
+        assert abs(best - ref) <= 4.0 * eps * ref + band
+    rel = (4.0 * eps * ref + band) / ref / (p - 2.0) + 4.0 * eps
+    assert _zero_below(spec, s0) == pytest.approx(ref ** (1.0 / (p - 2.0)), rel=rel, abs=0.0)
+
+
+def test_bracketed_root_rejects_an_open_bracket():
+    with pytest.raises(ValueError, match="no bracket"):
+        _bracketed_root(lambda x: x, 1.0, 1.0, 2.0, 2.0, 1e-12)
+    with pytest.raises(ValueError, match="no bracket"):
+        _bracketed_root(lambda x: x, 1.0, -1.0, 0.0, 1.0, 1e-12)

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from hylomorph import oracle
 from hylomorph.grid import RadialGrid
 from hylomorph.minimize import residual_stationary
-from hylomorph.model import NonlinearSpec, eval_nonlinearity
+from hylomorph.model import NonlinearSpec, _bracketed_root, eval_nonlinearity
 from hylomorph.oracle import BRACKET_TOL, OVERSHOOT, UNDERSHOOT, shoot_ground_state
 from references import tent_quadratures
 
@@ -155,30 +155,39 @@ class TestShooting:
         assert np.mean(search) == pytest.approx(1106.0, rel=0.05)
 
     def test_runs_release_their_step_ends(self):
-        # scipy keeps each dop853 integrator alive after its run; the event
-        # callback, and with it the run's list of step ends, must not stay
-        # attached to it
+        # a run leaves its integrator suspended at the first event; the
+        # generator, with its stages and the run's right-hand side, must not
+        # outlive the run
         def alive():
             gc.collect()
             return sum(1 for f in gc.get_objects()
-                       if getattr(f, "__qualname__", "") == "_integrate.<locals>.stopped")
+                       if getattr(f, "__qualname__", "") == "_dop853_steps")
 
         before = alive()
         for u0 in (1.0, 1.05, 1.1):
             oracle._integrate(SPEC, 0.5, u0, 40.0, np.linspace(0.0, 40.0, 101))
         assert alive() == before
 
-    def test_each_shot_keeps_at_most_one_integrator(self):
-        # scipy keeps each dop853 integrator alive; a shot builds one and
-        # gives every run of its search and its profile run to it
+    def test_each_shot_keeps_at_most_one_integrator(self, monkeypatch):
+        # a shot builds one right-hand side and gives every run of its search
+        # and its profile run to it; no integrator outlives the shot
+        built, accel = [], oracle._accel
+
+        def counted(spec, omega):
+            built.append(omega)
+            return accel(spec, omega)
+
         def alive():
             gc.collect()
-            return sum(1 for obj in gc.get_objects() if type(obj).__name__ == "dop853")
+            return sum(1 for f in gc.get_objects()
+                       if getattr(f, "__qualname__", "") in ("_dop853_steps", "_accel.<locals>.accel"))
 
+        monkeypatch.setattr(oracle, "_accel", counted)
         before = alive()
         for omega in (0.5, 0.7, 0.9):
             shoot_ground_state(SPEC, omega)
-        assert alive() - before <= 3
+        assert built == [0.5, 0.7, 0.9]
+        assert alive() == before
 
     @pytest.mark.parametrize("omega", [0.5, 0.9])
     def test_profile_resolved_by_the_tolerance(self, tolerance_pairs, omega):
@@ -224,6 +233,41 @@ class TestShooting:
         assert fine.converged
         assert residual_stationary(fine, spec, "nlkg") < 1e-4
 
+    @pytest.mark.parametrize("omega", [0.5, 0.7, 0.9])
+    def test_u0_matches_scipy_dop853(self, monkeypatch, omega):
+        # the same search with scipy's compiled DOP853 under _integrate
+        u0 = shoot_ground_state(SPEC, omega).u0
+        monkeypatch.setattr(oracle, "_dop853_steps", _scipy_dop853_steps)
+        assert abs(shoot_ground_state(SPEC, omega).u0 - u0) < BRACKET_TOL
+
+    @pytest.mark.parametrize("omega, u0", [(0.5, 1.0670010448482827), (0.5, 0.9), (0.7, 0.7611907120246012),
+                                           (0.9, 0.27357024917873385), (0.9, 0.35)])
+    def test_dop853_takes_scipys_steps(self, omega, u0):
+        # the same controller accepts and rejects the same steps: equal
+        # right-hand-side calls and step ends; round-off in the error
+        # estimates moves the radii by up to 7e-5 relative
+        f0 = oracle._accel(SPEC, omega)(u0, 0.0, oracle.R_START)
+        start = u0 + f0 * oracle.R_START**2 / 6.0, f0 * oracle.R_START / 3.0
+        runs = []
+        for steps in (oracle._dop853_steps, _scipy_dop853_steps):
+            accel, calls = oracle._accel(SPEC, omega), [0]
+
+            def counted(u, v, r):
+                calls[0] += 1
+                return accel(u, v, r)
+
+            ends = []
+            for r, u, v, a in steps(counted, oracle.R_START, *start, 40.0):
+                ends.append(r)
+                if not (u > 0.0 and v < 0.0):
+                    break
+            # scipy's callback also evaluates u'' at every step end
+            runs.append((calls[0] - (len(ends) if steps is _scipy_dop853_steps else 0), np.array(ends)))
+        (calls, ends), (scipy_calls, scipy_ends) = runs
+        assert calls == scipy_calls
+        assert ends.shape == scipy_ends.shape
+        assert np.allclose(ends, scipy_ends, rtol=1e-3, atol=0.0)
+
     def test_even_in_omega(self, shot):
         grid = shot.profile.grid
         other = shoot_ground_state(SPEC, -0.5, grid=grid)
@@ -238,6 +282,30 @@ class TestShooting:
         spec = NonlinearSpec.power_deficit(0.01, 0.01, 3.0, 4.0)
         with pytest.raises(ValueError):
             shoot_ground_state(spec, 0.05)
+
+
+def _scipy_dop853_steps(accel, r, u, v, r_end):
+    """``oracle._dop853_steps`` through scipy's compiled DOP853, whose
+    callback reports each step end and stops at the first one that no
+    longer falls (u > 0 and u' < 0), as ``oracle._integrate`` does."""
+    from scipy.integrate import ode
+
+    ends = [(r, u, v, accel(u, v, r))]
+
+    def solout(t, y):
+        u, v = y.tolist()
+        if t > r:
+            ends.append((t, u, v, accel(u, v, t)))
+        return 0 if u > 0.0 and v < 0.0 else -1
+
+    if u > 0.0 and v < 0.0:
+        solver = ode(lambda t, y: (y[1], accel(y[0], y[1], t)))
+        solver.set_integrator("dop853", rtol=oracle.RTOL, atol=oracle.ATOL, nsteps=oracle.MAX_STEPS)
+        solver.set_solout(solout)
+        solver.set_initial_value([u, v], r)
+        solver.integrate(r_end)
+        assert solver.successful()
+    yield from ends
 
 
 @settings(max_examples=40, deadline=None)
@@ -261,25 +329,73 @@ def test_quintic_hermite_reproduces_quintics(coeffs, knots):
 @settings(max_examples=60, deadline=None)
 @given(root=st.floats(0.01, 0.99), power=st.sampled_from([1, 3, 9]), skew=st.floats(1e-6, 1e6))
 def test_bracketed_root_keeps_an_explicit_bracket(root, power, skew):
-    """Every probe lies inside the bracket, at least BRACKET_TOL/4 from either
-    end, and every three probes at least halve it, also where interpolation
-    is poor (flat, steep or lopsided misses)."""
+    """At the oracle's tolerance every probe lies inside the bracket, at
+    least a quarter of the closing width from either end, and every three
+    probes at least halve it, also where interpolation is poor (flat, steep
+    or lopsided misses); the bracket closes below BRACKET_TOL."""
     bracket = [0.0, 1.0]
     probes = []
+    # as the oracle passes it: xtol + 4 eps |x| stays within BRACKET_TOL for x <= 1
+    xtol = BRACKET_TOL - 4.0 * np.finfo(float).eps
 
     def f(d: float) -> float:
         return math.copysign(abs(d) ** power + 1e-300, d) * (skew if d < 0 else 1.0)
 
     def miss(x: float) -> float:
         lo, hi = bracket
-        assert lo + BRACKET_TOL / 4 <= x <= hi - BRACKET_TOL / 4
+        assert lo + xtol / 4 <= x <= hi - xtol / 4
         probes.append(x)
         m = f(x - root)
         bracket[0 if m < 0 else 1] = x
         return m
 
-    lo, hi = oracle._bracketed_root(miss, 0.0, f(-root), 1.0, f(1.0 - root))
+    lo, hi = _bracketed_root(miss, 0.0, f(-root), 1.0, f(1.0 - root), xtol)
     assert [lo, hi] == bracket
     assert hi - lo <= BRACKET_TOL
     assert lo < root <= hi
     assert len(probes) <= 3 * (math.ceil(math.log2(1.0 / BRACKET_TOL)) + 1)
+
+
+@pytest.mark.parametrize("kappa", [0.3, 1.0, 2.0])
+def test_dop853_steps_follow_the_regular_solution(kappa):
+    """u'' + (2/r) u' = kappa^2 u from the series start at R_START is
+    sinh(kappa r)/(kappa r); every step end agrees to 1e-10 relative, in
+    value, slope and the integrator's own u''.  The series carries the
+    x^4 term, so the start itself is exact to round-off."""
+    k2 = kappa * kappa
+    r0 = oracle.R_START
+    x0 = kappa * r0
+
+    def accel(u, v, r):
+        return k2 * u - 2.0 * v / r
+
+    start = 1.0 + x0**2 / 6.0 + x0**4 / 120.0, kappa * (x0 / 3.0 + x0**3 / 30.0)
+    steps = np.array(list(oracle._dop853_steps(accel, r0, *start, 20.0)))
+    r, u, v, a = steps.T
+    assert r[0] == r0 and r[-1] == pytest.approx(20.0, rel=1e-15)
+    assert np.all(np.diff(r) > 0.0)
+    x = kappa * r
+    exact = np.sinh(x) / x
+    # d/dr sinh(x)/x = kappa (x cosh x - sinh x)/x^2 = kappa sum_k 2k x^(2k-1)/(2k+1)!,
+    # summed as the series below x = 1, where the closed form cancels
+    series = sum(2.0 * k * x ** (2 * k - 1) / float(math.factorial(2 * k + 1)) for k in range(1, 12))
+    slope = kappa * np.where(x < 1.0, series, (x * np.cosh(x) - np.sinh(x)) / (x * x))
+    assert np.allclose(u, exact, rtol=1e-10, atol=0.0)
+    assert np.allclose(v, slope, rtol=1e-10, atol=0.0)
+    assert np.allclose(a, k2 * exact - 2.0 * slope / r, rtol=1e-10, atol=0.0)
+
+
+def test_dop853_steps_fail_loudly(monkeypatch):
+    # u'' = u^3 from u = 10 at rest blows up near r = 0.185: the step underflows
+    with pytest.raises(RuntimeError, match="underflows"):
+        for _ in oracle._dop853_steps(lambda u, v, r: u * u * u, 0.0, 10.0, 0.0, 1.0):
+            pass
+    # a run that needs more steps than the budget
+    monkeypatch.setattr(oracle, "MAX_STEPS", 20)
+    with pytest.raises(RuntimeError, match="20 steps"):
+        for _ in oracle._dop853_steps(lambda u, v, r: -u, 0.0, 1.0, 0.0, 100.0):
+            pass
+    # tolerances the error control cannot meet
+    monkeypatch.setattr(oracle, "RTOL", 10.0 * np.finfo(float).eps)
+    with pytest.raises(ValueError, match="RTOL"):
+        shoot_ground_state(SPEC, 0.5)

@@ -95,9 +95,14 @@ def test_lapack_tridiagonal_calls_live_in_grid():
 
 def test_hypothesis_checks_minimize_nothing_numerically():
     # the binding amplitude, sign, growth and tent slope are closed forms of the two
-    # power terms; the one numeric step is the zero of W, a bracketed root in model
+    # power terms; the one numeric step is the zero of W, the bracketed root in
+    # model that the shooting oracle shares, and no other root function exists
     assert _mentions("minimize_scalar") == set()
-    assert _mentions("brentq") == {"model"}
+    assert _mentions("brentq") == set()
+    assert _callers("_bracketed_root") == {("model", "_zero_below"), ("oracle", "shoot_ground_state")}
+    roots = {(module, node.name) for module, tree in _modules() for node in ast.walk(tree)
+             if isinstance(node, ast.FunctionDef) and "root" in node.name}
+    assert roots == {("model", "_bracketed_root")}
 
 
 def _dotted(node: ast.AST) -> str | None:
@@ -109,8 +114,12 @@ def _dotted(node: ast.AST) -> str | None:
     return None
 
 
-def test_scipy_integrate_lives_in_the_oracle():
-    # the shooting oracle is the one ODE integrator; no other module loads it
+UNLOADED = ("scipy.optimize", "scipy.integrate")
+
+
+def test_no_module_imports_scipy_optimize_or_integrate():
+    # the shooting oracle integrates with its own DOP853 and both roots share
+    # model's bracketed root; no import at any depth, nor a dotted use, loads either
     mentions = set()
     for module, tree in _modules():
         for node in ast.walk(tree):
@@ -120,17 +129,19 @@ def test_scipy_integrate_lives_in_the_oracle():
                 names = [a.name for a in node.names]
             else:
                 names = [_dotted(node) or ""]
-            if any(n == "scipy.integrate" or n.startswith("scipy.integrate.") for n in names):
+            if any(n == pkg or n.startswith(pkg + ".") for n in names for pkg in UNLOADED):
                 mentions.add(module)
-    assert mentions == {"oracle"}
+    assert mentions == set()
 
 
 def test_package_import_leaves_scipy_integrate_unloaded():
-    # the oracle imports it on first use, so no CLI start pays for it
-    code = "import sys, hylomorph, hylomorph.cli; print('scipy.integrate' in sys.modules)"
+    # neither scipy.integrate nor scipy.optimize (which it imports) is loaded
+    # by the package or the CLI, so no start-up pays for them
+    code = ("import sys, hylomorph, hylomorph.cli; "
+            f"print(sorted(name for name in {UNLOADED!r} if name in sys.modules))")
     env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "[]"
 
 
 def test_grid_defines_each_operation_once():
@@ -195,7 +206,8 @@ def test_centrifugal_potential_is_read_at_a_profile_winding():
                      ("functionals", "reduced_energy_sigma", "u.winding"),
                      ("minimize", "residual_stationary", "profile.winding"),
                      ("minimize", "_problem", "winding"),
-                     ("grid", "RadialGrid.preconditioner", "ell")}
+                     ("grid", "RadialGrid.preconditioner", "ell"),
+                     ("vortex", "AxisymPreconditioner.__init__", "ell")}
     assert _callers("_problem") == {("minimize", "_solve")}
     solve = next(node for node in ast.walk(dict(_modules())["minimize"])
                  if isinstance(node, ast.FunctionDef) and node.name == "_solve")
