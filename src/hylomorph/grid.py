@@ -154,6 +154,18 @@ class RadialGrid:
         v[-1] = 0.0
         return v
 
+    def shift(self, u: np.ndarray, cells: float) -> np.ndarray:
+        """The radial shift u(max(r - delta, 0)) by delta = ``cells`` * h, as a new array.
+
+        Linear interpolation between nodes, exact for a whole number of
+        cells; zero past r_max.  A positive shift moves a wall outward and
+        extends the value at the origin over r < delta; a negative one
+        moves it inward.  The collective move of a thin-wall profile,
+        whose energy barely changes as its wall slides (see ``minimize``).
+        """
+        x = np.maximum(np.arange(self.n + 1) - cells, 0.0)
+        return np.interp(x, np.arange(self.n + 1), self._samples(u), right=0.0)
+
     def centrifugal(self, ell: int) -> float:
         """The centrifugal potential ell^2/r^2 of winding ell: 0, since a radial profile has winding 0."""
         if ell:

@@ -14,6 +14,11 @@ one caps the next iteration's first trial there, so each energy
 evaluation (a phi solve in the gauge-coupled theory) also steers the
 search.  Convergence is declared on the weighted L2 norm of the
 stationary-equation residual; every solve reports why it stopped.  A
+radial start far from the minimizer first moves as a whole: a thin-wall
+Q-ball is a plateau inside a wall whose slide barely changes the energy,
+which the preconditioned directions take one small step at a time, so
+``descend`` searches the wall shift u(max(r - delta, 0)) of
+``RadialGrid.shift`` once before its first direction.  A
 start far from the minimizer on a grid with at least COARSEN *
 MIN_COARSE_CELLS cells per direction is solved by nested iteration, each
 level first solved on a 4x coarser grid, which nests again while it is
@@ -45,10 +50,10 @@ STEP_INIT = 1.0
 SHRINK = 0.5
 ARMIJO = 1e-4
 
-# nested levels: a start whose first preconditioned step is at least
-# FAR_START times its own norm, on a grid with at least
-# COARSEN * MIN_COARSE_CELLS cells per direction, is first solved on a grid
-# with COARSEN times fewer cells, and so on down
+# far starts (see _far): a start whose first preconditioned step is at least
+# FAR_START times its own norm searches its wall shift before descending and,
+# on a grid with at least COARSEN * MIN_COARSE_CELLS cells per direction, is
+# first solved on a grid with COARSEN times fewer cells, and so on down
 COARSEN = 4
 MIN_COARSE_CELLS = 64
 FAR_START = 0.75
@@ -105,6 +110,7 @@ def descend(
     pc_solve: Callable[[np.ndarray], np.ndarray],
     opts: SolveOptions,
     start: tuple[float, Any] | None = None,
+    shift: Callable[[np.ndarray, float], np.ndarray] | None = None,
 ) -> tuple[np.ndarray, float, int, str, float, Any]:
     """Projected, preconditioned nonlinear conjugate gradients shared by all solvers.
 
@@ -115,12 +121,26 @@ def descend(
     ``start``, when given, is ``energy(u0)`` as the caller already computed
     it for a ``u0`` that ``project`` leaves unchanged; it is not evaluated again.
 
+    ``shift(u, cells)``, when given, is a collective move of the whole
+    profile (the radial wall shift by ``cells`` spacings), handed only for
+    a start far from the minimizer.  The start is first moved along it by
+    ``_wall_search``: the lowest-energy shifted start, if one lowers the
+    energy by more than float noise, and its energy and state go to the
+    descent without being evaluated again.  Those trials are energy
+    evaluations of this descent.
+
     Each trial is ``project(u - tau p)``.  A rejected trial's next tau is
     the minimizer of the quadratic fitted to the energy at u, the slope
     <g, move> and the trial's energy, safeguarded in [0.1, 0.5] of the
     rejected tau, or SHRINK times it where no convex fit exists.  After an
     acceptance tau doubles if the first trial passed with a decrease above
     float noise, and is then capped at the accepted trial's fitted minimizer.
+    A trial whose energy is not finite also caps the next move at half of
+    1 + ||u||.  This keeps a descent that runs off to infinity stepping until
+    its residual leaves float range, so ``_solve`` gives it the diverged
+    note.  Without it a shifted runaway start ends in a failed line search
+    at a finite residual near 6e137: sixty halvings do not bring a step
+    that overflows back into float range.
 
     Returns (u, residual, iterations, termination, energy, state), the
     last two as ``energy(u)`` returned them for the returned u.  The
@@ -145,6 +165,10 @@ def descend(
     u = project(u0.copy())
     tau = STEP_INIT
     e_cur, state = energy(u) if start is None else start
+    if shift is not None:
+        shifted = _wall_search(u, e_cur, shift, project, energy)
+        if shifted is not None:
+            e_cur, u, state = shifted
     e_mark = e_cur
     res_best = np.inf
     it_mark = 0
@@ -216,6 +240,10 @@ def descend(
                 iterations += 1
                 accepted = True
                 break
+            if not np.isfinite(e_trial):
+                # a trial outside float range says nothing of how much too long
+                # it was; the next one moves u by at most half of 1 + ||u||
+                tau = min(tau, (1.0 + np.sqrt(inner(u, u))) / np.sqrt(inner(p, p)))
             # the next trial is the fitted minimizer, safeguarded in [0.1, 0.5] of this one
             tau *= SHRINK if fit is None else min(max(fit, 0.1), 0.5)
         if not accepted:
@@ -230,6 +258,48 @@ def descend(
         if converged_at(residual, u):
             termination = "converged"
     return u, residual, iterations, termination, e_cur, state
+
+
+def _far(step: np.ndarray, u: np.ndarray, weights: np.ndarray) -> bool:
+    """Whether the preconditioned step ``step`` from ``u`` is at least FAR_START times as long as ``u``.
+
+    Weighted L2 norms with the quadrature ``weights``.  The first step
+    P^-1 g estimates the distance to the minimizer as far as P approximates
+    the Hessian, so only a start that is far by this test has a long descent
+    ahead: ``_solve`` nests it, and hands ``descend`` its move to search.
+    """
+    w = weights.ravel()
+    u = u.ravel()
+    with np.errstate(over="ignore", invalid="ignore"):
+        return bool(w @ (step * step).ravel() >= FAR_START**2 * (w @ (u * u)))
+
+
+def _wall_search(u: np.ndarray, e_cur: float, shift: Callable[[np.ndarray, float], np.ndarray],
+                 project: Callable[[np.ndarray], np.ndarray],
+                 energy: Callable[[np.ndarray], tuple[float, Any]]) -> tuple[float, np.ndarray, Any] | None:
+    """The (energy, u, state) of the best trial of ``project(shift(u, cells))``, or None.
+
+    The cells start at 2 and double while the energy falls; the opposite
+    sign is tried only when the first gave nothing.  A trial counts only
+    when it lowers the best energy so far by more than float noise, so a
+    non-finite trial energy (a move that leaves no mass) is never taken
+    and the search never raises the energy.  None when no trial counted.
+    """
+    noise = 1e-14 * max(1.0, abs(e_cur))
+    best = None
+    for sign in (1.0, -1.0):
+        cells = 2.0 * sign
+        while True:
+            trial = project(shift(u, cells))
+            with np.errstate(over="ignore", invalid="ignore"):
+                e_trial, trial_state = energy(trial)
+            if not e_trial < (e_cur if best is None else best[0]) - noise:
+                break
+            best = (e_trial, trial, trial_state)
+            cells *= 2.0
+        if best is not None:
+            break
+    return best
 
 
 def _line_fit(slope: float, rise: float, noise: float) -> float | None:
@@ -250,11 +320,13 @@ def _line_fit(slope: float, rise: float, noise: float) -> float | None:
 
 
 def _problem(grid, spec: NonlinearSpec, sigma: float, q: float | None, winding: int):
-    """The (energy, gradient, project, weights, pc_solve) of ``descend`` on ``grid``.
+    """The (energy, gradient, project, weights, pc_solve, shift) of ``descend`` on ``grid``.
 
     ``energy(u)`` returns E_sigma(u) and its state (K, phi): ||u||^2 and
     None when ``q`` is None, else K(u) and phi_u at coupling q.  V is the
     grid's centrifugal potential at the start's ``winding``, 0 radially.
+    ``shift`` is the grid's radial wall move ``RadialGrid.shift``; a vortex
+    AxisymGrid offers none, and it is None there.
     """
     potential = grid.centrifugal(winding)
     # the projected iterates are nonnegative and vanish at r_max, so K and phi
@@ -278,7 +350,8 @@ def _problem(grid, spec: NonlinearSpec, sigma: float, q: float | None, winding: 
     def project(u: np.ndarray) -> np.ndarray:
         return grid.zero_boundary(np.maximum(u, 0.0))
 
-    return energy, gradient, project, grid.volume_weights, grid.preconditioner(winding).solve
+    return (energy, gradient, project, grid.volume_weights, grid.preconditioner(winding).solve,
+            getattr(grid, "shift", None))
 
 
 def _solve(spec: NonlinearSpec, sigma: float, init, opts: SolveOptions | None, *,
@@ -293,19 +366,19 @@ def _solve(spec: NonlinearSpec, sigma: float, init, opts: SolveOptions | None, *
     A start far from the minimizer on a grid with at least COARSEN *
     MIN_COARSE_CELLS cells per direction is solved on nested levels (nested
     iteration; Briggs, Henson & McCormick, *A Multigrid Tutorial*, 2000,
-    ch. 3).  Far means that the first preconditioned step P^-1 g, which
-    estimates the distance to the minimizer as far as P approximates the
-    Hessian, is at least FAR_START times the norm of ``init``: only a long
-    descent leaves most of the travel to the coarser levels.  ``init`` is
-    then resampled onto the grid with COARSEN times fewer cells and solved
-    there by ``_solve`` itself with the same ``opts``, so that level nests
-    again while it has cells enough and a far start (each level has the
-    whole ``max_iters`` budget), and the minimizer is resampled back.  The
-    descent on this level starts from whichever of that and ``init`` has
-    the lower energy here, ``init`` on a tie, so a converged start stays a
-    fixed point and the result never has a higher energy than ``init``;
-    the energy and state found for the start are handed to ``descend``, not
-    evaluated again.  When this level and the next coarser one both
+    ch. 3).  Far is the test of ``_far`` on the first preconditioned step
+    P^-1 g from ``init``: only a long descent leaves most of the travel to
+    the coarser levels.  ``init`` is then resampled onto the grid with
+    COARSEN times fewer cells and solved there by ``_solve`` itself with
+    the same ``opts``, so that level nests again while it has cells enough
+    and a far start (each level has the whole ``max_iters`` budget), and
+    the minimizer is resampled back.  The descent on this level starts
+    from whichever of that and ``init`` has the lower energy here,
+    ``init`` on a tie, so a converged start stays a fixed point and the
+    result never has a higher energy than ``init``; the energy and state
+    found for the start are handed to ``descend``, not evaluated again,
+    with the grid's wall shift to search when that start is the far
+    ``init`` itself.  When this level and the next coarser one both
     converge, the Richardson estimate (E_h - E_H) / ((H/h)^2 - 1) of the
     second-order scheme is the result's discretization error.
 
@@ -321,8 +394,8 @@ def _solve(spec: NonlinearSpec, sigma: float, init, opts: SolveOptions | None, *
     if init.mass2 <= 0.0:
         raise ValueError("initial profile must not vanish identically")
     opts = opts or SolveOptions()
-    fine = _problem(init.grid, spec, sigma, coupling, init.winding)
-    fine_energy, gradient, _, weights, pc_solve = fine
+    fine_energy, gradient, project, weights, pc_solve, shift = _problem(
+        init.grid, spec, sigma, coupling, init.winding)
     # the start and its (energy, state), handed to descend so no level evaluates its start twice
     with np.errstate(over="ignore", invalid="ignore"):
         start, known = init, fine_energy(init.values)
@@ -332,14 +405,9 @@ def _solve(spec: NonlinearSpec, sigma: float, init, opts: SolveOptions | None, *
         raise ValueError(f"sigma = {sigma!r} on a start of mass K = {known[1][0]:.3g} "
                          "gives a frequency squared (sigma/K)^2 outside float range")
     coarse_iterations, coarse_converged, e_coarse, ratio2 = 0, False, np.nan, np.nan
-    nested = min(init.grid.cells) >= COARSEN * MIN_COARSE_CELLS
-    if nested:
-        with np.errstate(over="ignore", invalid="ignore"):
-            step = pc_solve(gradient(init.values, known[1]))
-        w = weights.ravel()
-        u0 = init.values.ravel()
-        nested = w @ (step * step).ravel() >= FAR_START**2 * (w @ (u0 * u0))
-    if nested:
+    with np.errstate(over="ignore", invalid="ignore"):
+        far = _far(pc_solve(gradient(init.values, known[1])), init.values, weights)
+    if far and min(init.grid.cells) >= COARSEN * MIN_COARSE_CELLS:
         coarse_init = init.resample(init.grid.coarsen(COARSEN))
         # a profile narrower than the coarse spacing can vanish on the coarse nodes
         if coarse_init.mass2 > 0.0:
@@ -355,7 +423,9 @@ def _solve(spec: NonlinearSpec, sigma: float, init, opts: SolveOptions | None, *
             # (H/h)^2 from the exact cell counts, a geometric mean over directions
             ratios = np.divide(init.grid.cells, coarse_init.grid.cells)
             ratio2 = float(np.prod(ratios)) ** (2.0 / ratios.size)
-    u, residual, iterations, termination, e_sigma, (k, phi) = descend(start.values, *fine, opts, start=known)
+    u, residual, iterations, termination, e_sigma, (k, phi) = descend(
+        start.values, fine_energy, gradient, project, weights, pc_solve, opts, start=known,
+        shift=shift if far and start is init else None)
     profile = replace(init, values=u)
     q = 1.0 if coupling is None else coupling
     omega = -sigma / k

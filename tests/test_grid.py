@@ -163,3 +163,23 @@ def test_tridiagonal_factor_matches_solve_banded(n, seed):
 def test_singular_tridiagonal_factor_raises():
     with pytest.raises(InvariantError):
         TridiagonalFactor(np.zeros((3, 16)))
+
+
+def test_shift_moves_a_profile_by_whole_cells():
+    # u(max(r - delta, 0)): outward it extends the origin value, inward it
+    # brings in zeros past r_max; whole cells move the samples bit for bit
+    grid = RadialGrid(4.0, 16)
+    u = grid.r_max - grid.nodes
+    assert np.array_equal(grid.shift(u, 3), np.concatenate([np.full(3, u[0]), u[:-3]]))
+    assert np.array_equal(grid.shift(u, -3), np.concatenate([u[3:], np.zeros(3)]))
+    assert np.array_equal(grid.shift(u, 0), u)
+    assert np.array_equal(grid.shift(u, -grid.n), np.zeros(grid.n + 1))
+    assert np.array_equal(grid.shift(u, 2 * grid.n), np.full(grid.n + 1, u[0]))
+
+
+def test_shift_interpolates_a_fraction_of_a_cell():
+    grid = RadialGrid(4.0, 16)
+    u = (grid.r_max - grid.nodes) ** 2
+    assert np.allclose(grid.shift(u, 0.5)[1:], 0.5 * (u[1:] + u[:-1]), rtol=1e-15, atol=0)
+    with pytest.raises(ValueError):
+        grid.shift(np.ones(grid.n), 2)

@@ -432,15 +432,97 @@ def test_spent_budget_counts_every_coarser_level():
     assert (res.coarse_iterations, res.iterations) == (6, 2)
 
 
+def _construct_solve(target: float, opts: SolveOptions | None = None):
+    plan = construct_for_charge(SPEC, target)
+    return plan, minimize_kgm(SPEC, plan.sigma, plan.q, TentProfile(plan.s1, plan.r).realize(plan.grid), opts)
+
+
 def test_kgm_construct_plan_iteration_budget():
     # conjugate directions: 184 iterations at this plan on its grid alone,
-    # where steepest descent along the Sobolev gradient took 552; the two
-    # levels take 135 coarse and 44 fine ones, and the bound holds the sum
-    plan = construct_for_charge(SPEC, 100.0)
-    res = minimize_kgm(SPEC, plan.sigma, plan.q, TentProfile(plan.s1, plan.r).realize(plan.grid))
+    # where steepest descent along the Sobolev gradient took 552; after the
+    # wall shift the two levels take 98 coarse and 29 fine ones (135 without
+    # it), and the bound holds the sum with a quarter to spare
+    _, res = _construct_solve(100.0)
     assert res.converged
     assert res.coarse_iterations > 0
-    assert res.iterations + res.coarse_iterations <= 330
+    assert res.iterations + res.coarse_iterations <= 158
+
+
+def test_kgm_construct_large_charge_iteration_budget():
+    # the wall of target 10000 slid from the tent radius to the edge of the
+    # box over 704 iterations on four levels; one wall shift on the coarsest
+    # level leaves 11 + 22 + 13 + 9, and the bound holds the sum with a quarter to spare
+    _, res = _construct_solve(10000.0)
+    assert res.converged and res.certified
+    assert res.iterations + res.coarse_iterations <= 68
+
+
+@pytest.mark.parametrize("target", [10.0, 100.0])
+def test_construct_solve_agrees_with_a_tight_solve(target):
+    # the default tol against tol = 1e-10 on the same plan: E within the
+    # reported discretization error (it is about 1e-6 of it) and omega
+    # within 2e-5 (it is at most 6.9e-6)
+    _, res = _construct_solve(target)
+    _, ref = _construct_solve(target, SolveOptions(tol=1e-10))
+    assert res.converged and ref.converged
+    assert abs(res.energy - ref.energy) <= abs(res.discretization_error)
+    assert abs(res.omega / ref.omega - 1.0) <= 2e-5
+
+
+def test_resolving_a_converged_construct_result_is_a_fixed_point():
+    # the converged profile is not a far start, so it neither nests nor shifts
+    plan, res = _construct_solve(1000.0)
+    again = minimize_kgm(SPEC, plan.sigma, plan.q, res.u)
+    assert res.converged and again.converged
+    assert (again.iterations, again.coarse_iterations) == (0, 0)
+    assert np.array_equal(again.u.values, res.u.values)
+    assert (again.energy, again.omega, again.residual) == (res.energy, res.omega, res.residual)
+
+
+def _refuse_shift(*_):
+    raise AssertionError("the wall shift was called")
+
+
+def test_near_start_never_calls_the_shift(monkeypatch, grid):
+    # the tent of radius 5 at sigma = 300 is near (first step 0.24 of its
+    # norm); the tent of radius 3 is far (2.3) and does call it
+    monkeypatch.setattr(RadialGrid, "shift", _refuse_shift)
+    assert minimize_nlkg(SPEC, 300.0, TentProfile(1.0, 5.0).realize(grid)).converged
+    assert minimize_kgm(SPEC, 300.0, 0.05, TentProfile(1.0, 5.0).realize(grid)).converged
+    with pytest.raises(AssertionError, match="wall shift"):
+        minimize_nlkg(SPEC, 300.0, TentProfile(1.0, 3.0).realize(grid))
+
+
+@settings(max_examples=20, deadline=None)
+@given(s1=st.floats(0.6, 1.4), r=st.floats(1.0, 9.0), sigma=st.floats(20.0, 3000.0),
+       q=st.sampled_from([None, 0.05]))
+def test_wall_search_never_raises_the_energy(s1, r, sigma, q):
+    grid = RadialGrid(24.0, 128)
+    energy, gradient, project, weights, pc_solve, shift = minimize._problem(grid, SPEC, sigma, q, 0)
+    u = TentProfile(s1, r).realize(grid).values
+    e0 = energy(u)[0]
+    found = minimize._wall_search(u, e0, shift, project, energy)
+    if found is not None:
+        e, shifted, state = found
+        assert e < e0 - 1e-14 * max(1.0, abs(e0))
+        # the state handed to the descent is that of the shifted profile
+        again, (k, _) = energy(shifted)
+        assert (e, state[0]) == (again, k)
+    # nor does the descent that may start with it
+    *_, e_end, _ = descend(u, energy, gradient, project, weights, pc_solve, SolveOptions(max_iters=2),
+                           shift=shift)
+    assert e_end <= e0
+
+
+@pytest.mark.parametrize("q", [None, 0.05])
+def test_shift_that_leaves_no_mass_is_rejected(q):
+    # K = 0 gives the energy +inf (no warning), which never beats the start
+    grid = RadialGrid(24.0, 128)
+    energy, _, project, _, _, shift = minimize._problem(grid, SPEC, 300.0, q, 0)
+    u = TentProfile(1.0, 3.0).realize(grid).values
+    assert energy(project(shift(u, -grid.n)))[0] == np.inf
+    e0 = energy(u)[0]
+    assert minimize._wall_search(u, e0, lambda v, cells: np.zeros_like(v), project, energy) is None
 
 
 def test_discretization_error_uses_the_exact_spacing_ratio():
@@ -485,7 +567,8 @@ def test_fine_descent_keeps_init_over_a_worse_coarse_minimizer(monkeypatch):
         def energy(u):
             return float(w @ (u - target) ** 2), (float(w @ (u * u)), None)
 
-        return energy, lambda u, state: 2.0 * (u - target), lambda u: np.maximum(u, 0.0), w, lambda g: 0.4 * g
+        return (energy, lambda u, state: 2.0 * (u - target), lambda u: np.maximum(u, 0.0), w, lambda g: 0.4 * g,
+                None)
 
     monkeypatch.setattr(minimize, "_problem", problem)
     res = _solve(SPEC, 1.0, init, SolveOptions(max_iters=1))

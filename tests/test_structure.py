@@ -214,3 +214,30 @@ def test_centrifugal_potential_is_read_at_a_profile_winding():
     [call] = [node for node in ast.walk(solve) if isinstance(node, ast.Call)
               and isinstance(node.func, ast.Name) and node.func.id == "_problem"]
     assert ast.unparse(call.args[-1]) == "init.winding"
+
+
+def _functions_using(module: str, name: str) -> set[str]:
+    """Top-level functions of ``module`` whose bodies read the name ``name``."""
+    tree = dict(_modules())[module]
+    return {top.name for top in tree.body if isinstance(top, ast.FunctionDef)
+            for node in ast.walk(top) if isinstance(node, ast.Name) and node.id == name}
+
+
+def test_wall_shift_is_defined_once_and_only_descend_searches_it():
+    # the collective move is RadialGrid.shift; the vortex grid offers none, and
+    # descend's _wall_search is the one place that calls the move it is handed
+    defined = {(module, top.name) for module, tree in _modules() for top in tree.body
+               if isinstance(top, ast.ClassDef)
+               for m in top.body if isinstance(m, ast.FunctionDef) and m.name == "shift"}
+    assert defined == {("grid", "RadialGrid")}
+    assert _callers("shift") == {("minimize", "_wall_search")}
+    assert _callers("_wall_search") == {("minimize", "descend")}
+
+
+def test_one_far_test_decides_nesting_and_the_wall_search():
+    # _solve evaluates the test of the first preconditioned step once and
+    # both nests and hands descend its move on it; descend searches whatever
+    # move it is handed and never tests the start itself
+    assert _callers("_far") == {("minimize", "_solve")}
+    assert _functions_using("minimize", "FAR_START") == {"_far"}
+    assert _mentions("FAR_START") == {"minimize"}
