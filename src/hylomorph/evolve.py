@@ -269,20 +269,26 @@ def _leapfrog(inits: list[EvolutionState], spec: NonlinearSpec, t_final: float, 
     record(0, amplitude)
     A *= 0.5
     U += A
-    for step in range(1, n_steps + 1):
-        X += U
-        amp = accelerate()
-        if step % record_every == 0 or step == n_steps:
-            amplitude = amp.max(axis=1)
-            # written so that a NaN amplitude trips the guard as well
-            if not np.all(amplitude <= guard):
-                raise BlowUpError(f"amplitude exceeded {BLOWUP_FACTOR:g} times its initial scale "
-                                  f"or stopped being finite at t={step * dt:g}")
-            A *= 0.5
-            U += A
-            record(step, amplitude)
-        if step < n_steps:
-            U += A
+    passed = 0  # the step of the last record that passed the guard
+    # a run that blows up overflows between two records; its inf and nan
+    # fields then fail the guard at the next record, which raises
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step in range(1, n_steps + 1):
+            X += U
+            amp = accelerate()
+            if step % record_every == 0 or step == n_steps:
+                amplitude = amp.max(axis=1)
+                # written so that a NaN amplitude trips the guard as well
+                if not np.all(amplitude <= guard):
+                    raise BlowUpError(f"amplitude exceeded {BLOWUP_FACTOR:g} times its initial scale "
+                                      f"or stopped being finite between {passed * dt:g} (the last record "
+                                      f"that passed) and {step * dt:g} time units into the run")
+                passed = step
+                A *= 0.5
+                U += A
+                record(step, amplitude)
+            if step < n_steps:
+                U += A
 
     return states(n_steps), ledgers
 
@@ -300,7 +306,11 @@ def evolve_nlkg(init: EvolutionState, spec: NonlinearSpec, t_final: float, dt: f
     ratio W'(s)/s times psi, which extends continuously by the squared
     mass at zero amplitude; ``free_field`` replaces it by the bare mass
     term.  Raises BlowUpError if the amplitude grows by six orders of
-    magnitude or stops being finite.
+    magnitude or stops being finite.  The guard reads the amplitude only at
+    the record steps, every ``record_every`` steps and the last, so a run
+    that overflows in between steps on in inf and nan, without a
+    floating-point warning, until the next record raises; the error names
+    that window.
     """
     finals, ledgers = _leapfrog([init], spec, t_final, dt, record_every, localization_radius, reference,
                                 int(free_field))

@@ -110,6 +110,7 @@ def descend(
     pc_solve: Callable[[np.ndarray], np.ndarray],
     opts: SolveOptions,
     start: tuple[float, Any] | None = None,
+    step: tuple[np.ndarray, np.ndarray] | None = None,
     shift: Callable[[np.ndarray, float], np.ndarray] | None = None,
 ) -> tuple[np.ndarray, float, int, str, float, Any]:
     """Projected, preconditioned nonlinear conjugate gradients shared by all solvers.
@@ -120,6 +121,9 @@ def descend(
     Inner products and the residual norm use the quadrature ``weights``.
     ``start``, when given, is ``energy(u0)`` as the caller already computed
     it for a ``u0`` that ``project`` leaves unchanged; it is not evaluated again.
+    ``step``, when given with ``start``, is the gradient at ``u0`` and its
+    ``pc_solve`` as the caller computed them; the first pass takes them
+    instead of solving again, unless the wall search moved the start.
 
     ``shift(u, cells)``, when given, is a collective move of the whole
     profile (the radial wall shift by ``cells`` spacings), handed only for
@@ -169,6 +173,7 @@ def descend(
         shifted = _wall_search(u, e_cur, shift, project, energy)
         if shifted is not None:
             e_cur, u, state = shifted
+            step = None
     e_mark = e_cur
     res_best = np.inf
     it_mark = 0
@@ -177,7 +182,10 @@ def descend(
     termination = "max_iters"
     p = pg_old = None
     for it in range(opts.max_iters):
-        g = gradient(u, state)
+        if step is None:
+            g, pg = gradient(u, state), None
+        else:
+            (g, pg), step = step, None
         gg = inner(g, g)
         residual = np.sqrt(gg)
         if converged_at(residual, u):
@@ -193,7 +201,8 @@ def descend(
         if it - it_mark > 256:
             termination = "stalled"
             break
-        pg = pc_solve(g)
+        if pg is None:
+            pg = pc_solve(g)
         # <pg, g> is the next iteration's beta denominator; a NaN keeps pg
         pg_g = inner(pg, g) if np.isfinite(pg).all() else 0.0
         if pg_g <= 0.0:
@@ -376,11 +385,12 @@ def _solve(spec: NonlinearSpec, sigma: float, init, opts: SolveOptions | None, *
     from whichever of that and ``init`` has the lower energy here,
     ``init`` on a tie, so a converged start stays a fixed point and the
     result never has a higher energy than ``init``; the energy and state
-    found for the start are handed to ``descend``, not evaluated again,
-    with the grid's wall shift to search when that start is the far
-    ``init`` itself.  When this level and the next coarser one both
-    converge, the Richardson estimate (E_h - E_H) / ((H/h)^2 - 1) of the
-    second-order scheme is the result's discretization error.
+    found for the start are handed to ``descend``, not evaluated again.
+    When that start is ``init`` itself, so are the gradient and step of
+    the far test, with the grid's wall shift to search when it is far.
+    When this level and the next coarser one both converge, the Richardson
+    estimate (E_h - E_H) / ((H/h)^2 - 1) of the second-order scheme is the
+    result's discretization error.
 
     Eliminates omega = -sigma/K, flags a collapse or a run-off to infinity
     (a non-finite residual or energy), and certifies the charge only for a
@@ -406,7 +416,9 @@ def _solve(spec: NonlinearSpec, sigma: float, init, opts: SolveOptions | None, *
                          "gives a frequency squared (sigma/K)^2 outside float range")
     coarse_iterations, coarse_converged, e_coarse, ratio2 = 0, False, np.nan, np.nan
     with np.errstate(over="ignore", invalid="ignore"):
-        far = _far(pc_solve(gradient(init.values, known[1])), init.values, weights)
+        g_init = gradient(init.values, known[1])
+        step_init = pc_solve(g_init)
+        far = _far(step_init, init.values, weights)
     if far and min(init.grid.cells) >= COARSEN * MIN_COARSE_CELLS:
         coarse_init = init.resample(init.grid.coarsen(COARSEN))
         # a profile narrower than the coarse spacing can vanish on the coarse nodes
@@ -423,9 +435,10 @@ def _solve(spec: NonlinearSpec, sigma: float, init, opts: SolveOptions | None, *
             # (H/h)^2 from the exact cell counts, a geometric mean over directions
             ratios = np.divide(init.grid.cells, coarse_init.grid.cells)
             ratio2 = float(np.prod(ratios)) ** (2.0 / ratios.size)
+    from_init = start is init
     u, residual, iterations, termination, e_sigma, (k, phi) = descend(
         start.values, fine_energy, gradient, project, weights, pc_solve, opts, start=known,
-        shift=shift if far and start is init else None)
+        step=(g_init, step_init) if from_init else None, shift=shift if far and from_init else None)
     profile = replace(init, values=u)
     q = 1.0 if coupling is None else coupling
     omega = -sigma / k

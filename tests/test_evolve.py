@@ -1,3 +1,6 @@
+import re
+import warnings
+
 import numpy as np
 import pytest
 
@@ -14,6 +17,7 @@ from hylomorph.evolve import (
     mass_radius,
     soliton_state,
     stability_experiment,
+    step_plan,
     time_reversed,
 )
 from hylomorph.grid import RadialGrid
@@ -251,6 +255,26 @@ def test_blowup_detected():
     state = EvolutionState(grid, psi, np.zeros_like(psi))
     with pytest.raises(BlowUpError):
         evolve_nlkg(state, spec, 20.0, grid.h / 2, record_every=8)
+
+
+def test_blowup_between_records_raises_no_floating_point_warning():
+    # the field overflows between two records and steps on in inf and nan;
+    # the next record's guard raises and names the window since the last one
+    grid = RadialGrid(8.0, 64)
+    spec = NonlinearSpec.power_deficit(4.0, 1.0, 4.0, 5.0)
+    psi = 3.0 * np.exp(-grid.nodes**2) + 0j
+    psi[-1] = 0.0
+    state = EvolutionState(grid, psi, np.zeros_like(psi))
+    dt = grid.h / 2
+    n_steps, record_every = step_plan(grid, spec, 50.0, dt, None)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(BlowUpError) as info:
+            evolve_nlkg(state, spec, 50.0, dt)
+    window = re.search(r"between (\S+) \(the last record that passed\) and (\S+) time units", str(info.value))
+    passed, failed = float(window[1]), float(window[2])
+    assert 0.0 < passed < failed < n_steps * dt
+    assert failed - passed == pytest.approx(record_every * dt)
 
 
 def test_free_field_energy_uses_bare_mass(grid, ground):

@@ -493,6 +493,37 @@ def test_near_start_never_calls_the_shift(monkeypatch, grid):
         minimize_nlkg(SPEC, 300.0, TentProfile(1.0, 3.0).realize(grid))
 
 
+@pytest.mark.parametrize("q", [None, 0.05])
+@pytest.mark.parametrize("r, cells, shifted", [(5.0, 1024, False), (3.0, 128, True)])
+def test_descent_takes_the_start_gradient_and_step_of_the_far_test(monkeypatch, q, r, cells, shifted):
+    # _solve's far test takes the start's gradient and preconditioned step,
+    # and the first pass of the descent reuses them: one gradient per pass
+    # (the converging pass included) and one step per accepted iteration.
+    # A far start on too few cells to nest is moved by the wall search
+    # first, and the moved start's gradient and step are solved again.
+    calls = {"gradient": 0, "pc_solve": 0}
+    problem = minimize._problem
+
+    def counted_problem(*args):
+        energy, gradient, project, weights, pc_solve, shift = problem(*args)
+
+        def counted_gradient(u, state):
+            calls["gradient"] += 1
+            return gradient(u, state)
+
+        def counted_pc_solve(g):
+            calls["pc_solve"] += 1
+            return pc_solve(g)
+
+        return energy, counted_gradient, project, weights, counted_pc_solve, shift
+
+    monkeypatch.setattr(minimize, "_problem", counted_problem)
+    init = TentProfile(1.0, r).realize(RadialGrid(24.0, cells))
+    res = minimize_nlkg(SPEC, 300.0, init) if q is None else minimize_kgm(SPEC, 300.0, q, init)
+    assert res.converged and res.iterations > 0 and res.coarse_iterations == 0
+    assert calls == {"gradient": res.iterations + 1 + shifted, "pc_solve": res.iterations + shifted}
+
+
 @settings(max_examples=20, deadline=None)
 @given(s1=st.floats(0.6, 1.4), r=st.floats(1.0, 9.0), sigma=st.floats(20.0, 3000.0),
        q=st.sampled_from([None, 0.05]))

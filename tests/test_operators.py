@@ -86,6 +86,26 @@ def test_axisym_preconditioner_inverts_the_shifted_operator(n_r, n_z, r_max, z_m
     assert np.abs(applied - g).max() <= 1e-12 * np.abs(g).max()
 
 
+# n_z with n_z - 1 prime: the sine transform has a prime number of samples per row
+PRIME_PLUS_ONE = [p + 1 for p in range(17, 300) if all(p % d for d in range(2, int(p**0.5) + 1))]
+
+
+@SETTINGS
+@given(st.integers(16, 200), st.one_of(st.integers(16, 300), st.sampled_from(PRIME_PLUS_ONE)), seeds)
+@example(n_r=130, n_z=252, seed=0)
+def test_axisym_sine_transform_is_the_orthonormal_dst_i(n_r, n_z, seed):
+    # 15 to 199 rows: one to four blocks of the padded buffer, most often with a partial last one
+    grid = AxisymGrid(1.0, 1.0, n_r, n_z)
+    rows = np.random.default_rng(seed).standard_normal((n_r - 1, n_z - 1))
+    pc = AxisymPreconditioner(grid, 1)
+    # sqrt(2/n_z) sin(pi j k / n_z), its argument reduced mod 2 pi in integers
+    jk = np.outer(np.arange(1, n_z), np.arange(1, n_z)) % (2 * n_z)
+    expected = rows @ (np.sqrt(2.0 / n_z) * np.sin(np.pi * jk / n_z))
+    assert np.abs(pc.sine_transform(rows) - expected).max() <= 1e-13 * np.abs(expected).max()
+    # orthonormal and symmetric, so it is its own inverse
+    assert np.abs(pc.sine_transform(pc.sine_transform(rows)) - rows).max() <= 1e-13 * np.abs(rows).max()
+
+
 def test_axisym_preconditioner_matches_a_sparse_five_point_solve():
     # the textbook cylindrical stencil, assembled independently of the grid weights
     grid = AxisymGrid(3.0, 2.0, 17, 20)

@@ -114,12 +114,13 @@ def _dotted(node: ast.AST) -> str | None:
     return None
 
 
-UNLOADED = ("scipy.optimize", "scipy.integrate")
+UNLOADED = ("scipy.optimize", "scipy.integrate", "scipy.fft", "scipy.special")
 
 
 def test_no_module_imports_scipy_optimize_or_integrate():
-    # the shooting oracle integrates with its own DOP853 and both roots share
-    # model's bracketed root; no import at any depth, nor a dotted use, loads either
+    # the shooting oracle integrates with its own DOP853, both roots share
+    # model's bracketed root and the vortex preconditioner's DST-I runs on
+    # numpy.fft; no import at any depth, nor a dotted use, loads any of UNLOADED
     mentions = set()
     for module, tree in _modules():
         for node in ast.walk(tree):
@@ -135,13 +136,29 @@ def test_no_module_imports_scipy_optimize_or_integrate():
 
 
 def test_package_import_leaves_scipy_integrate_unloaded():
-    # neither scipy.integrate nor scipy.optimize (which it imports) is loaded
-    # by the package or the CLI, so no start-up pays for them
+    # none of UNLOADED (scipy.integrate and the scipy.optimize it imports,
+    # scipy.fft and the scipy.special it imports) is loaded by the package or
+    # the CLI, so no start-up pays for them
     code = ("import sys, hylomorph, hylomorph.cli; "
             f"print(sorted(name for name in {UNLOADED!r} if name in sys.modules))")
     env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_scipy_enters_only_through_lapack_in_grid():
+    # the tridiagonal factor is the one use of scipy in the package
+    imports = set()
+    for module, tree in _modules():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            elif isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            else:
+                continue
+            imports |= {(module, n) for n in names if n == "scipy" or n.startswith("scipy.")}
+    assert imports == {("grid", "scipy.linalg.lapack")}
 
 
 def test_grid_defines_each_operation_once():
