@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import RadialGrid, RadialProfile
+from .grid import RadialGrid, RadialProfile, weighted_sum
 from .model import NonlinearSpec, _power_sum, eval_nonlinearity
 
 BLOWUP_FACTOR = 1e6
@@ -144,16 +144,16 @@ def manifold_distance(state: EvolutionState, u0: RadialProfile, omega0: float) -
     u = u0.values
     psi, psi_t = state.psi, state.psi_t
 
-    overlap = (complex(vw @ (psi * u)) + complex(gw @ (np.diff(psi) * np.diff(u)))
-               + 1j * omega0 * complex(vw @ (psi_t * u)))
+    overlap = (complex(weighted_sum(vw, psi, u)) + complex(weighted_sum(gw, np.diff(psi), np.diff(u)))
+               + 1j * omega0 * complex(weighted_sum(vw, psi_t, u)))
     phase = overlap / abs(overlap) if abs(overlap) > 0 else 1.0
     # norm of the difference field at the optimal phase; the closed form
     # norm_state + norm_ref - 2|overlap| cancels catastrophically on orbit
     d_psi = psi - phase * u
     d_v = psi_t + 1j * omega0 * phase * u
-    d2 = (float(np.real(vw @ (d_psi * np.conj(d_psi)))) + grid.dirichlet(d_psi)
-          + float(np.real(vw @ (d_v * np.conj(d_v)))))
-    return float(np.sqrt(max(0.0, d2)))
+    d2 = (float(np.real(weighted_sum(vw, d_psi, np.conj(d_psi)))) + grid.dirichlet(d_psi)
+          + float(np.real(weighted_sum(vw, d_v, np.conj(d_v)))))
+    return float(np.sqrt(d2))
 
 
 def cfl_margin(grid: RadialGrid, spec: NonlinearSpec, dt: float) -> float:
@@ -220,10 +220,15 @@ def _leapfrog(inits: list[EvolutionState], spec: NonlinearSpec, t_final: float, 
     for b, init in enumerate(inits):
         X[b] = init.psi.real, init.psi.imag
         U[b] = init.psi_t.real, init.psi_t.imag
-    U *= dt
     # the outer node is pinned: its field, velocity and acceleration stay 0
     X[..., -1] = 0.0
     U[..., -1] = 0.0
+    # |psi|^2 enters the force and |psi_t|^2 the energy; a finite field whose
+    # squares overflow is a bad start, not a blow-up of the run
+    with np.errstate(over="ignore"):
+        if not all(np.isfinite(F[:, 0] ** 2 + F[:, 1] ** 2).all() for F in (X, U)):
+            raise ValueError("initial fields must have finite squared moduli |psi|^2 and |psi_t|^2")
+    U *= dt
     bands = dt * dt * grid.laplacian_bands
     diag = bands[1].copy()
     diag[-1] = 0.0
@@ -305,7 +310,8 @@ def evolve_nlkg(init: EvolutionState, spec: NonlinearSpec, t_final: float, dt: f
     origin row of the Laplacian carries 6/h^2.  The force is the smooth
     ratio W'(s)/s times psi, which extends continuously by the squared
     mass at zero amplitude; ``free_field`` replaces it by the bare mass
-    term.  Raises BlowUpError if the amplitude grows by six orders of
+    term.  Raises ValueError if |psi|^2 or |psi_t|^2 of ``init`` overflows,
+    and BlowUpError if the amplitude grows by six orders of
     magnitude or stops being finite.  The guard reads the amplitude only at
     the record steps, every ``record_every`` steps and the last, so a run
     that overflows in between steps on in inf and nan, without a

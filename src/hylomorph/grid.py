@@ -35,6 +35,20 @@ def trapezoid_weights(n: int, h: float) -> np.ndarray:
     return w
 
 
+def weighted_sum(weights: np.ndarray, a: np.ndarray, b: np.ndarray | float) -> np.number:
+    """The sum over all nodes of weights * a * b, real or complex.
+
+    The one reduction behind every quadrature and inner product of the
+    package.  The product a * b is formed once and weighted in place, and
+    ``np.add.reduce`` sums it in numpy's fixed pairwise order, so a result
+    keeps its bits on every CPU; a BLAS dot kernel picks its summation
+    order by the CPU it runs on.
+    """
+    terms = a * b
+    terms *= weights
+    return np.add.reduce(terms.ravel())
+
+
 @dataclass(frozen=True)
 class RadialGrid:
     """Uniform nodes on [0, r_max] including both endpoints."""
@@ -134,12 +148,12 @@ class RadialGrid:
 
     def integrate(self, samples: np.ndarray) -> float:
         """Integral of a radial integrand over R^3 (trapezoid in r, weight 4*pi*r^2)."""
-        return float(self.volume_weights @ self._samples(samples))
+        return float(weighted_sum(self.volume_weights, self._samples(samples), 1.0))
 
     def dirichlet(self, u: np.ndarray) -> float:
         """Integral of |grad u|^2; supports complex fields."""
         d = np.diff(self._samples(u))
-        return float(np.real(self.gradient_weights @ (d * np.conj(d))))
+        return float(np.real(weighted_sum(self.gradient_weights, d, np.conj(d))))
 
     def laplacian(self, u: np.ndarray) -> np.ndarray:
         """Second-order Laplacian u'' + (2/r) u' of a radial field.
@@ -277,6 +291,6 @@ class TridiagonalFactor:
 
 
 def weighted_norm(grid: RadialGrid, samples: np.ndarray) -> float:
-    """Grid L^2 norm sqrt(integral of |f|^2 over R^3)."""
+    """Grid L^2 norm sqrt(integral of |f|^2 over R^3); NaN if a sample is NaN."""
     samples = np.asarray(samples)
-    return float(np.sqrt(max(0.0, float(np.real(grid.volume_weights @ (samples * np.conj(samples)))))))
+    return float(np.sqrt(np.real(weighted_sum(grid.volume_weights, samples, np.conj(samples)))))

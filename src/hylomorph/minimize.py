@@ -35,7 +35,7 @@ import numpy as np
 
 from .functionals import reduced_energy, stationary_operator
 from .gauge import GaugePotential, ScreenedPoisson, solve_phi
-from .grid import InvariantError, RadialProfile
+from .grid import InvariantError, RadialProfile, weighted_sum
 from .model import NonlinearSpec
 
 COLLAPSE_AMPLITUDE_FACTOR = 1e-3
@@ -154,17 +154,15 @@ def descend(
     "line_search_failed" (no trial step along the search direction was
     accepted).
     """
-    w = weights.ravel()
-
-    def inner(a: np.ndarray, b: np.ndarray) -> float:
-        # far out on an energy unbounded below, squares of finite fields pass
-        # float range; inf or nan then fails every test it enters (no
-        # convergence, no Armijo acceptance)
+    def pair(a: np.ndarray, b: np.ndarray) -> float:
+        # the weighted inner product <a, b>; far out on an energy unbounded
+        # below, squares of finite fields pass float range; inf or nan then
+        # fails every test it enters (no convergence, no Armijo acceptance)
         with np.errstate(over="ignore", invalid="ignore"):
-            return float(w @ (a * b).ravel())
+            return float(weighted_sum(weights, a, b))
 
     def converged_at(residual: float, u: np.ndarray) -> bool:
-        return bool(residual < opts.tol * (1.0 + np.sqrt(inner(u, u))))
+        return bool(residual < opts.tol * (1.0 + np.sqrt(pair(u, u))))
 
     u = project(u0.copy())
     tau = STEP_INIT
@@ -186,7 +184,7 @@ def descend(
             g, pg = gradient(u, state), None
         else:
             (g, pg), step = step, None
-        gg = inner(g, g)
+        gg = pair(g, g)
         residual = np.sqrt(gg)
         if converged_at(residual, u):
             return u, residual, iterations, "converged", e_cur, state
@@ -204,16 +202,16 @@ def descend(
         if pg is None:
             pg = pc_solve(g)
         # <pg, g> is the next iteration's beta denominator; a NaN keeps pg
-        pg_g = inner(pg, g) if np.isfinite(pg).all() else 0.0
+        pg_g = pair(pg, g) if np.isfinite(pg).all() else 0.0
         if pg_g <= 0.0:
             pg, pg_g = g, gg
         # Polak-Ribiere+ in the preconditioned metric; restart along the
         # Sobolev gradient whenever the conjugate direction does not descend
         if p is not None:
             with np.errstate(over="ignore", invalid="ignore"):
-                beta = max(0.0, inner(g, pg - pg_old) / pg_g_old)
+                beta = max(0.0, pair(g, pg - pg_old) / pg_g_old)
                 p = pg + beta * p
-        if p is None or not inner(g, p) > 0.0 or not np.isfinite(p).all():
+        if p is None or not pair(g, p) > 0.0 or not np.isfinite(p).all():
             p = pg
         pg_old, pg_g_old = pg, pg_g
         accepted = False
@@ -224,7 +222,7 @@ def descend(
                 break
             # a projected move may leave the descent cone (slope <= 0); it must
             # then not raise the energy at all
-            slope = inner(g, move)
+            slope = pair(g, move)
             decrease = ARMIJO * max(slope, 0.0)
             noise = 1e-14 * max(1.0, abs(e_cur))
             # a long trial step may overflow W(s); such a trial is rejected below
@@ -252,7 +250,7 @@ def descend(
             if not np.isfinite(e_trial):
                 # a trial outside float range says nothing of how much too long
                 # it was; the next one moves u by at most half of 1 + ||u||
-                tau = min(tau, (1.0 + np.sqrt(inner(u, u))) / np.sqrt(inner(p, p)))
+                tau = min(tau, (1.0 + np.sqrt(pair(u, u))) / np.sqrt(pair(p, p)))
             # the next trial is the fitted minimizer, safeguarded in [0.1, 0.5] of this one
             tau *= SHRINK if fit is None else min(max(fit, 0.1), 0.5)
         if not accepted:
@@ -263,7 +261,7 @@ def descend(
         # without one, at max_iters = 0); a stall or a failed line search
         # stopped at the u whose residual is already known
         g = gradient(u, state)
-        residual = np.sqrt(inner(g, g))
+        residual = np.sqrt(pair(g, g))
         if converged_at(residual, u):
             termination = "converged"
     return u, residual, iterations, termination, e_cur, state
@@ -277,10 +275,8 @@ def _far(step: np.ndarray, u: np.ndarray, weights: np.ndarray) -> bool:
     the Hessian, so only a start that is far by this test has a long descent
     ahead: ``_solve`` nests it, and hands ``descend`` its move to search.
     """
-    w = weights.ravel()
-    u = u.ravel()
     with np.errstate(over="ignore", invalid="ignore"):
-        return bool(w @ (step * step).ravel() >= FAR_START**2 * (w @ (u * u)))
+        return bool(weighted_sum(weights, step, step) >= FAR_START**2 * weighted_sum(weights, u, u))
 
 
 def _wall_search(u: np.ndarray, e_cur: float, shift: Callable[[np.ndarray, float], np.ndarray],

@@ -19,7 +19,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .grid import Profile, TridiagonalFactor, trapezoid_weights
+from .grid import Profile, TridiagonalFactor, trapezoid_weights, weighted_sum
 from .minimize import SolitonResult, SolveOptions, _solve
 from .model import NonlinearSpec
 
@@ -123,12 +123,12 @@ class AxisymGrid:
         samples = np.asarray(samples)
         if samples.shape != (self.n_r + 1, self.n_z + 1):
             raise ValueError("samples do not match the grid")
-        return float(np.sum(self.volume_weights * samples))
+        return float(weighted_sum(self.volume_weights, samples, 1.0))
 
     def dirichlet(self, u: np.ndarray) -> float:
         """Integral of |grad u|^2 over squared face differences, the exact dual of ``laplacian``."""
         d_r, d_z = np.diff(u, axis=0), np.diff(u, axis=1)
-        return float(np.sum(self.r_face_weights * d_r * d_r)) + float(np.sum(self.z_face_weights * d_z * d_z))
+        return float(weighted_sum(self.r_face_weights, d_r, d_r)) + float(weighted_sum(self.z_face_weights, d_z, d_z))
 
     def laplacian(self, u: np.ndarray) -> np.ndarray:
         """Cylindrical five-point Laplacian (1/r)(r u_r)_r + u_zz, interior only.

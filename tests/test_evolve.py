@@ -238,6 +238,14 @@ def test_manifold_distance_linear_in_perturbation(grid, ground):
     assert dists[0] == pytest.approx(2.0 * dists[1], rel=1e-6)
 
 
+def test_manifold_distance_of_a_nan_sample_is_nan(grid, ground):
+    # a state can only hold a NaN by being changed after validation; its
+    # distance must then be NaN, not a clamped 0
+    state = soliton_state(ground.u, ground.omega)
+    state.psi[3] = np.nan
+    assert np.isnan(manifold_distance(state, ground.u, ground.omega))
+
+
 def test_perturbed_soliton_stays_near_orbit(grid, ground):
     base = soliton_state(ground.u, ground.omega)
     state = EvolutionState(grid, 1.01 * base.psi, 1.01 * base.psi_t)
@@ -275,6 +283,22 @@ def test_blowup_between_records_raises_no_floating_point_warning():
     passed, failed = float(window[1]), float(window[2])
     assert 0.0 < passed < failed < n_steps * dt
     assert failed - passed == pytest.approx(record_every * dt)
+
+
+@pytest.mark.parametrize("moving", [False, True])
+def test_finite_start_whose_square_overflows_is_rejected(moving):
+    # |psi|^2 of a finite field may overflow; the run refuses such a start
+    # before the first force evaluation, without a floating-point warning,
+    # rather than blaming the interval after t = 0
+    grid = RadialGrid(8.0, 64)
+    big = 1e160 * np.exp(-grid.nodes**2) + 0j
+    big[-1] = 0.0
+    zero = np.zeros_like(big)
+    state = EvolutionState(grid, zero, big) if moving else EvolutionState(grid, big, zero)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="squared moduli"):
+            evolve_nlkg(state, SPEC, 1.0, grid.h / 2)
 
 
 def test_free_field_energy_uses_bare_mass(grid, ground):

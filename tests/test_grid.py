@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,8 @@ from hylomorph.grid import (
     RadialGrid,
     RadialProfile,
     TridiagonalFactor,
+    weighted_norm,
+    weighted_sum,
 )
 
 
@@ -36,6 +40,32 @@ def test_length_mismatch_rejected():
     grid = RadialGrid(1.0, 64)
     with pytest.raises(ValueError):
         grid.integrate(np.ones(12))
+
+
+@pytest.mark.parametrize("shape", [(4097,), (65, 33)])
+def test_weighted_sum_matches_an_exact_sum(shape):
+    # the pairwise sum stays within eps * log2(n) of the exactly rounded one,
+    # on real and complex products, and leaves its inputs untouched
+    rng = np.random.default_rng(3)
+    w, a, b = rng.random(shape), rng.standard_normal(shape), rng.standard_normal(shape)
+    before = a.copy()
+    terms = (w * a * b).ravel()
+    bound = 4.0 * np.finfo(float).eps * np.log2(terms.size) * math.fsum(np.abs(terms))
+    assert abs(weighted_sum(w, a, b) - math.fsum(terms)) <= bound
+    assert np.array_equal(a, before)
+    z = a + 1j * b
+    total = weighted_sum(w, z, np.conj(z))
+    assert abs(total.imag) <= bound
+    assert abs(total.real - math.fsum((w * (a * a + b * b)).ravel())) <= 2.0 * bound
+
+
+def test_weighted_norm_of_a_nan_sample_is_nan():
+    # a sum of nonnegative terms is never clamped, so a NaN is not read as 0
+    grid = RadialGrid(4.0, 64)
+    samples = np.exp(-grid.nodes**2)
+    assert weighted_norm(grid, samples) > 0.0
+    samples[5] = np.nan
+    assert np.isnan(weighted_norm(grid, samples))
 
 
 def test_quadrature_order_at_least_two():

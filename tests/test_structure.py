@@ -14,18 +14,59 @@ def _modules():
         yield path.stem, ast.parse(path.read_text(), filename=str(path))
 
 
+def _called(call: ast.Call) -> str | None:
+    return call.func.id if isinstance(call.func, ast.Name) else getattr(call.func, "attr", None)
+
+
 def _callers(name: str) -> set[tuple[str, str]]:
     """(module, enclosing top-level function) of every call to ``name``."""
     out = set()
     for module, tree in _modules():
         for top in tree.body:
             for node in ast.walk(top):
-                if isinstance(node, ast.Call):
-                    func = node.func
-                    called = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-                    if called == name:
-                        out.add((module, getattr(top, "name", "<module>")))
+                if isinstance(node, ast.Call) and _called(node) == name:
+                    out.add((module, getattr(top, "name", "<module>")))
     return out
+
+
+def _call_sites(name: str) -> list[str]:
+    """Dotted path (module, classes, functions) of the definition enclosing each call to ``name``, once per call."""
+    sites = []
+
+    def visit(node, path):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, path + [child.name])
+                continue
+            if isinstance(child, ast.Call) and _called(child) == name:
+                sites.append(".".join(path))
+            visit(child, path)
+
+    for module, tree in _modules():
+        visit(tree, [module])
+    return sorted(sites)
+
+
+REDUCTIONS = ("sum", "dot", "vdot", "inner", "einsum", "matmul")
+
+
+def test_every_sum_goes_through_weighted_sum():
+    # grid.weighted_sum is the one reduction and sums in numpy's pairwise
+    # order on every CPU: no @ (a BLAS dot whose kernel, and so its order,
+    # depends on the CPU) and no other summing call remains
+    for module, tree in _modules():
+        for node in ast.walk(tree):
+            assert not isinstance(getattr(node, "op", None), ast.MatMult), module
+            if isinstance(node, ast.Call):
+                assert _called(node) not in REDUCTIONS, (module, ast.unparse(node))
+    assert _call_sites("reduce") == ["grid.weighted_sum"]
+    # a running sum is sequential: the one cumulative sum stays
+    assert _call_sites("cumsum") == ["evolve.mass_radius"]
+    # the fourteen quadratures and inner products, one entry per call
+    assert _call_sites("weighted_sum") == sorted(
+        ["grid.RadialGrid.integrate", "grid.RadialGrid.dirichlet", "grid.weighted_norm",
+         "vortex.AxisymGrid.integrate"] + ["vortex.AxisymGrid.dirichlet"] * 2
+        + ["minimize.descend.pair"] + ["minimize._far"] * 2 + ["evolve.manifold_distance"] * 5)
 
 
 def test_descend_has_one_caller():
