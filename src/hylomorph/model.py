@@ -15,8 +15,8 @@ falls from m^2 and turns up at most once, so the structural checks
 (zero-point normalization, nonnegativity, a binding amplitude,
 subcritical growth of R'') and the charge criteria are exact for both
 families: they are read from the two terms, not sampled.  The one
-numeric step is the zero of W below the deepest level, a bracketed root
-(``_bracketed_root``, which the shooting oracle shares).
+numeric step is a crossing of the level (``_level_crossing``, a bracketed
+root): the zero of W and the ends of the shooting oracle's scan.
 """
 
 from __future__ import annotations
@@ -176,10 +176,12 @@ def _bracketed_root(f: Callable[[float], float], lo: float, f_lo: float, hi: flo
     previous best point, regula falsi when those three values are not
     distinct or the interpolant leaves the bracket.  Every probe lies
     strictly inside the bracket, at least a quarter of the closing width
-    from either end, so the loop always closes; after two probes in a row
-    that fail to halve the bracket the next probe is the midpoint, so every
-    three probes at least halve it.
+    from either end, so the loop closes for every positive finite xtol;
+    after two probes in a row that fail to halve the bracket the next
+    probe is the midpoint, so every three probes at least halve it.
     """
+    if not 0.0 < xtol < math.inf:
+        raise ValueError(f"xtol must be positive and finite, got {xtol!r}")
     if not (lo < hi and (f_lo < 0.0 < f_hi or f_hi < 0.0 < f_lo)):
         raise ValueError(f"no bracket: f({lo!r}) = {f_lo!r} and f({hi!r}) = {f_hi!r}")
     rising = f_lo < 0.0
@@ -215,24 +217,25 @@ def _bracketed_root(f: Callable[[float], float], lo: float, f_lo: float, hi: flo
         slow = slow + 1 if hi - lo > 0.5 * width else 0
 
 
-def _zero_below(spec: NonlinearSpec, s0: float) -> float:
-    """The one zero of W in (0, s0), where the level falls from m^2 to below 0.
+def _level_crossing(spec: NonlinearSpec, level: float, s_lo: float, s_hi: float) -> float:
+    """The amplitude in [s_lo, s_hi], whose ends lie on either side of
+    ``level``, where the level W/(s^2/2) crosses it.
 
-    The root is bracketed in t = s^(p-2): there the level
+    The crossing is bracketed in t = s^(p-2): there the level
     m^2 + 2 c_p t + 2 c_q t^((q-2)/(p-2)) is convex and finite in slope at
-    t = 0, where in s it is steep and the zero can sit at s ~ 1e-60.  With
-    p close to 2 it can lie below the smallest normal double and come back
-    as 0 or a subnormal.  The bracket closes to 1e-300 + 4 eps t, and the
-    end with the smaller level is the zero.
+    t = 0, where in s it is steep and the zero of W can sit at s ~ 1e-60.
+    With p close to 2 it can lie below the smallest normal double and come
+    back as 0 or a subnormal.  The bracket closes to 1e-300 + 4 eps t, and
+    the end nearer the level is the crossing.
     """
     (_, p), _ = spec.remainder_powers()
 
-    def level(t: float) -> float:
-        return binding_level(spec, t ** (1.0 / (p - 2.0)))
+    def gap(t: float) -> float:
+        return binding_level(spec, t ** (1.0 / (p - 2.0))) - level
 
-    t_hi = s0 ** (p - 2.0)
-    ends = _bracketed_root(level, 0.0, level(0.0), t_hi, level(t_hi), 1e-300)
-    return float(min(ends, key=lambda t: abs(level(t))) ** (1.0 / (p - 2.0)))
+    t_lo, t_hi = s_lo ** (p - 2.0), s_hi ** (p - 2.0)
+    ends = _bracketed_root(gap, t_lo, gap(t_lo), t_hi, gap(t_hi), 1e-300)
+    return float(min(ends, key=lambda t: abs(gap(t))) ** (1.0 / (p - 2.0)))
 
 
 @dataclass
@@ -280,7 +283,7 @@ def validate_assumptions(spec: NonlinearSpec, s_max: float) -> AssumptionReport:
     violation = None
     if not nonneg_ok:
         # a zero of W that underflows is no usable witness; s0, where W < 0, is
-        violation = _zero_below(spec, s0)
+        violation = _level_crossing(spec, 0.0, 0.0, s0)
         if violation < np.finfo(float).tiny:
             violation = s0
 
@@ -376,7 +379,7 @@ def _find_second_vacuum(spec: NonlinearSpec) -> tuple[float | None, float | None
     s1, level = find_binding_amplitude(spec, _CRITERIA_S_MAX)
     m2 = spec.mass**2
     if level < 0.0:
-        s1 = _zero_below(spec, s1)
+        s1 = _level_crossing(spec, 0.0, 0.0, s1)
     elif level >= 1e-5 * m2:
         return None, None, "fails", ""
     value = float(eval_nonlinearity(spec, s1, 0))

@@ -14,14 +14,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import RadialGrid, RadialProfile
-from .model import NonlinearSpec, _bracketed_root, eval_nonlinearity
+from .model import NonlinearSpec, _bracketed_root, _level_crossing, find_binding_amplitude
 
 RTOL = 1e-12  # DOP853 relative tolerance; it rejects 10 eps and below
 ATOL = 1e-16  # absolute floor, far below the event amplitudes of about 1e-8
 MAX_STEPS = 100_000  # DOP853 step budget of one run; a run to r_stop takes a few hundred
 R_START = 1e-3  # radius of the regular series start
-BRACKET_TOL = 1e-12
-N_SCAN = 60  # central amplitudes scanned for the first bracket
+BRACKET_TOL = 1e-12  # relative width of the closed bracket
+N_SCAN = 35  # central amplitudes scanned for the first bracket
 
 OVERSHOOT = "overshoot"
 UNDERSHOOT = "undershoot"
@@ -115,22 +115,22 @@ def _accel(spec: NonlinearSpec, omega: float):
 
 def _hermite_zero(r0: float, p0: float, m0: float, r1: float, p1: float, m1: float) -> float:
     """Radius in [r0, r1] where the cubic Hermite through (p, p') at both
-    ends falls from p0 > 0 to zero; p1 <= 0.  Bisection to float resolution
-    keeps the radius continuous in the end data."""
+    ends falls from p0 > 0 to zero; p1 <= 0.  The bracketed root, closed
+    to float resolution, keeps the radius continuous in the end data; the
+    end returned is the one where the cubic is <= 0 (r1 when p1 = 0)."""
     if not p0 > 0.0:
         return r0
+    if p1 == 0.0:
+        return r1
     h = r1 - r0
     a0, b0, a1, b1 = p0, h * m0, p1, h * m1
-    lo, hi = 0.0, 1.0
-    for _ in range(53):
-        t = 0.5 * (lo + hi)
+
+    def cubic(t: float) -> float:
         s = 1.0 - t
         # factored Hermite basis: s^2 (1 + 2t), t s^2, t^2 (3 - 2t), -t^2 s
-        p = s * s * ((1.0 + 2.0 * t) * a0 + t * b0) + t * t * ((3.0 - 2.0 * t) * a1 - s * b1)
-        if p > 0.0:
-            lo = t
-        else:
-            hi = t
+        return s * s * ((1.0 + 2.0 * t) * a0 + t * b0) + t * t * ((3.0 - 2.0 * t) * a1 - s * b1)
+
+    _, hi = _bracketed_root(cubic, 0.0, a0, 1.0, a1, 1e-300)
     return r0 + hi * h
 
 
@@ -166,10 +166,11 @@ def _dop853_steps(accel: Callable[[float, float, float], float], r: float, u: fl
     the controller of Hairer's dop853.f (Hairer, Norsett & Wanner, Solving
     ODEs I, II.5 and II.10): the error norm combines the order-5 and
     order-3 estimates; after an accepted step the next is 0.9 err^(-1/8)
-    times as long, at most 6 times, and not longer right after a
-    rejection; the first step is dop853's ``hinit``.  A rejected step
-    retries at 0.3 of its length whatever its error, as scipy's compiled
-    dop853 does, so the two take the same steps.  Each step costs 11
+    times as long (three square roots, correctly rounded everywhere), at
+    most 6 times, and not longer right after a rejection; the first step
+    is dop853's ``hinit``.  A rejected step retries at 0.3 of its length
+    whatever its error, as scipy's compiled dop853 does, so the two take
+    the same steps.  Each step costs 11
     right-hand sides, and an accepted one a 12th at its end, which the
     next step reuses.  RTOL and ATOL are read when the run starts.
     Raises ValueError when RTOL is at or below 10 eps (or ATOL is not
@@ -191,7 +192,8 @@ def _dop853_steps(accel: Callable[[float, float, float], float], r: float, u: fl
     a1 = accel(u + h * v, v + h * a, r + h)
     der2 = math.sqrt(((v + h * a - v) / su) ** 2 + ((a1 - a) / sv) ** 2) / h
     der12 = max(der2, math.sqrt(dnf))
-    h = min(100.0 * h, max(1e-6, h * 1e-3) if der12 <= 1e-15 else (0.01 / der12) ** 0.125, h_max)
+    h = min(100.0 * h, h_max, max(1e-6, h * 1e-3) if der12 <= 1e-15
+            else math.sqrt(math.sqrt(math.sqrt(0.01 / der12))))
 
     reject = last = False
     for _ in range(max_steps):
@@ -251,7 +253,7 @@ def _dop853_steps(accel: Callable[[float, float, float], float], r: float, u: fl
             yield r, u, v, a
             if last:
                 return
-            h_new = min(h / max(FACC2, err**0.125 / SAFE), h_max)
+            h_new = min(h / max(FACC2, math.sqrt(math.sqrt(math.sqrt(err))) / SAFE), h_max)
             if reject:
                 h_new = min(h_new, h)
             reject = False
@@ -314,12 +316,14 @@ def _integrate(spec: NonlinearSpec, omega: float, u0: float, r_stop: float,
 def shoot_ground_state(spec: NonlinearSpec, omega: float, grid: RadialGrid | None = None) -> ShootResult:
     """Shooting for the monotone radial ground state.
 
-    N_SCAN central amplitudes from the binding threshold upward are
+    Friction makes u'^2/2 - W + omega^2 u^2/2 fall along a shot, so a ground
+    state starts between the two amplitudes u_in < u_out where the level
+    W/(u^2/2) crosses omega^2.  N_SCAN starts spread over [u_in, u_out] are
     integrated in order until the first undershoot followed by an
-    overshoot.  That bracket is closed below BRACKET_TOL by a bracketed
-    Brent-Dekker root of the miss signal +-exp(-2 kappa r_event), which is
-    close to linear in the central amplitude near the ground state; the
-    lower end always undershoots and the upper end always overshoots.
+    overshoot.  That bracket is closed to BRACKET_TOL relative by a
+    bracketed Brent-Dekker root of the miss signal +-exp(-2 kappa r_event),
+    which is close to linear in the central amplitude near the ground
+    state; the lower end always undershoots and the upper end overshoots.
     The default grid spans the integration horizon max(40, 25/kappa),
     kappa = sqrt(m^2 - omega^2), with 4096 cells, so it depends on kappa
     alone.  One more run, from the bracket midpoint, gives the core of the
@@ -333,11 +337,15 @@ def shoot_ground_state(spec: NonlinearSpec, omega: float, grid: RadialGrid | Non
         raise ValueError("no bound state: need omega^2 below the squared mass")
     kappa = float(np.sqrt(m2 - omega**2))
 
-    s_hi = _amplitude_scan_limit(spec, omega)
-    ss = np.linspace(1e-6, s_hi, 2048)
-    weff = eval_nonlinearity(spec, ss, 0) - 0.5 * omega**2 * ss**2
-    if not np.any(weff < 0):
+    (c_p, p), (c_q, q) = spec.remainder_powers()
+    if c_q == 0.0:
+        raise ValueError("W is unbounded below (c_q = 0): the effective potential has no outer zero to scan to")
+    s_zero = (-c_p / c_q) ** (1.0 / (q - p))  # R = 0, so the level is m^2 > omega^2
+    s_c, lowest = find_binding_amplitude(spec, s_zero)
+    if lowest >= omega**2:
         raise ValueError("effective potential never negative: no ground state at this omega")
+    u_in = _level_crossing(spec, omega**2, 0.0, s_c)
+    u_out = _level_crossing(spec, omega**2, s_c, s_zero)
 
     r_stop = max(40.0, 25.0 / kappa)
     accel = _accel(spec, omega)
@@ -352,7 +360,7 @@ def shoot_ground_state(spec: NonlinearSpec, omega: float, grid: RadialGrid | Non
         return m if outcome == OVERSHOOT else -m
 
     prev = None
-    for c in np.linspace(ss[np.argmax(weff < 0)], s_hi, N_SCAN):
+    for c in np.linspace(u_in, u_out, N_SCAN):
         c = float(c)
         m = miss(c)
         if prev is not None and prev[1] < 0.0 < m:
@@ -361,8 +369,8 @@ def shoot_ground_state(spec: NonlinearSpec, omega: float, grid: RadialGrid | Non
     else:
         raise ValueError("no undershoot/overshoot sign change in the scan bracket")
 
-    # every probe is below c, so the closing width xtol + 4 eps |probe| stays within BRACKET_TOL
-    lo, hi = _bracketed_root(miss, *prev, c, m, BRACKET_TOL - 4.0 * EPS * c)
+    # every end lies in [prev, c], so the closing width xtol + 4 eps |end| stays within BRACKET_TOL hi
+    lo, hi = _bracketed_root(miss, *prev, c, m, (BRACKET_TOL - 4.0 * EPS) * prev[0])
     u0 = 0.5 * (lo + hi)
 
     if grid is None:
@@ -384,22 +392,10 @@ def shoot_ground_state(spec: NonlinearSpec, omega: float, grid: RadialGrid | Non
         profile=RadialProfile(grid, vals),
         omega=omega,
         bracket=(lo, hi),
-        converged=(hi - lo) <= BRACKET_TOL and r_event > 1.0,
+        converged=hi - lo <= BRACKET_TOL * hi and r_event > 1.0,
         graft_radius=r_graft,
         decay_rate=kappa,
     )
-
-
-def _amplitude_scan_limit(spec: NonlinearSpec, omega: float) -> float:
-    """Upper end of the bracket scan: past the outer zero of the effective
-    potential the trajectory cannot reach zero with zero velocity."""
-    ss = np.geomspace(1e-3, 1e3, 4096)
-    weff = eval_nonlinearity(spec, ss, 0) - 0.5 * omega**2 * ss**2
-    neg = np.nonzero(weff < 0)[0]
-    if neg.size == 0:
-        return 10.0
-    above = np.nonzero(ss > ss[neg[-1]])[0]
-    return float(ss[above[0]] * 1.5) if above.size else float(ss[-1])
 
 
 def _graft_point(rs: np.ndarray, us: np.ndarray, vs: np.ndarray, kappa: float, u0: float) -> int:

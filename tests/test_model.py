@@ -6,8 +6,8 @@ from hypothesis import strategies as st
 from hylomorph.model import (
     NonlinearSpec,
     _bracketed_root,
+    _level_crossing,
     _power_sum,
-    _zero_below,
     binding_level,
     classify_charge_criteria,
     eval_nonlinearity,
@@ -248,7 +248,7 @@ def test_zero_of_w_matches_brentq(a, b, p, dq, mass, s_max):
         best = min((lo, hi), key=lambda t: abs(g(t)))
         assert abs(best - ref) <= 4.0 * eps * ref + band
     rel = (4.0 * eps * ref + band) / ref / (p - 2.0) + 4.0 * eps
-    assert _zero_below(spec, s0) == pytest.approx(ref ** (1.0 / (p - 2.0)), rel=rel, abs=0.0)
+    assert _level_crossing(spec, 0.0, 0.0, s0) == pytest.approx(ref ** (1.0 / (p - 2.0)), rel=rel, abs=0.0)
 
 
 def test_bracketed_root_rejects_an_open_bracket():
@@ -256,3 +256,16 @@ def test_bracketed_root_rejects_an_open_bracket():
         _bracketed_root(lambda x: x, 1.0, 1.0, 2.0, 2.0, 1e-12)
     with pytest.raises(ValueError, match="no bracket"):
         _bracketed_root(lambda x: x, 1.0, -1.0, 0.0, 1.0, 1e-12)
+
+
+@pytest.mark.parametrize("xtol, root, lo, hi", [
+    # below the float spacing of the root (9.1e-13 near 5957) the bracket never closes
+    (1e-12 - 4.0 * np.finfo(float).eps * 7000.0, 5957.049290208415, 5000.0, 7000.0),
+    # a closing width of 4 eps |root| = 0 that halving can only approach among the subnormals
+    (0.0, 5e-324, 0.0, 1.0),
+    (np.inf, 0.5, 0.0, 1.0),
+    (np.nan, 0.5, 0.0, 1.0),
+])
+def test_bracketed_root_rejects_a_width_it_cannot_close(xtol, root, lo, hi):
+    with pytest.raises(ValueError, match="xtol"):
+        _bracketed_root(lambda x: x - root, lo, lo - root, hi, hi - root, xtol)

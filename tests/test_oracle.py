@@ -1,3 +1,4 @@
+import functools
 import gc
 import math
 
@@ -282,6 +283,38 @@ class TestShooting:
         spec = NonlinearSpec.power_deficit(0.01, 0.01, 3.0, 4.0)
         with pytest.raises(ValueError):
             shoot_ground_state(spec, 0.05)
+
+    def test_remainder_without_a_positive_power_rejected(self):
+        # with b = 0, W falls without bound and W_eff has no outer zero to scan to
+        spec = NonlinearSpec.power_deficit(1.0, 0.0, 3.0, 4.0)
+        with pytest.raises(ValueError, match="no outer zero"):
+            shoot_ground_state(spec, 0.5)
+
+
+def _rescaled(family: str, lam: float) -> NonlinearSpec:
+    """The spec whose ground states are lam times those of its lam = 1 member:
+    W_lam(s) = lam^2 W(s/lam) scales c_k by lam^(2-k)."""
+    if family == "double_well":
+        return NonlinearSpec.double_well(lam)
+    return NonlinearSpec.power_deficit(2.0 * lam ** (2.0 - 2.5), 0.5 * lam ** (2.0 - 4.5), 2.5, 4.5)
+
+
+@functools.cache
+def _unit_u0(family: str, omega: float) -> float:
+    return shoot_ground_state(_rescaled(family, 1.0), omega).u0
+
+
+@settings(max_examples=10, deadline=None)
+@given(lam=st.floats(-4.0, 6.0).map(lambda e: 10.0**e))
+@example(lam=1e4)
+def test_shot_is_covariant_under_amplitude_rescaling(lam):
+    """The equation is covariant under u -> lam u with W -> lam^2 W(s/lam),
+    so the scan range, the relative bracket and the shot scale with lam."""
+    for family in ("double_well", "power_deficit"):
+        for omega in (0.5, 0.8):
+            shot = shoot_ground_state(_rescaled(family, lam), omega)
+            assert shot.converged
+            assert shot.u0 / lam == pytest.approx(_unit_u0(family, omega), rel=1e-9, abs=0.0)
 
 
 def _scipy_dop853_steps(accel, r, u, v, r_end):

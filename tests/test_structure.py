@@ -136,11 +136,18 @@ def test_lapack_tridiagonal_calls_live_in_grid():
 
 def test_hypothesis_checks_minimize_nothing_numerically():
     # the binding amplitude, sign, growth and tent slope are closed forms of the two
-    # power terms; the one numeric step is the zero of W, the bracketed root in
-    # model that the shooting oracle shares, and no other root function exists
+    # power terms; the one numeric step is a crossing of the level W/(s^2/2): the zero
+    # of W and the ends of the oracle's amplitude range, which no sampling of W sets.
+    # The bracketed root in model also closes the oracle's bracket and its event
+    # radii, and no other root function exists
     assert _mentions("minimize_scalar") == set()
     assert _mentions("brentq") == set()
-    assert _callers("_bracketed_root") == {("model", "_zero_below"), ("oracle", "shoot_ground_state")}
+    assert _mentions("geomspace") == set()
+    assert _mentions("_amplitude_scan_limit") == set()
+    assert _callers("_bracketed_root") == {("model", "_level_crossing"), ("oracle", "shoot_ground_state"),
+                                           ("oracle", "_hermite_zero")}
+    assert _callers("_level_crossing") == {("model", "validate_assumptions"), ("model", "_find_second_vacuum"),
+                                           ("oracle", "shoot_ground_state")}
     roots = {(module, node.name) for module, tree in _modules() for node in ast.walk(tree)
              if isinstance(node, ast.FunctionDef) and "root" in node.name}
     assert roots == {("model", "_bracketed_root")}
