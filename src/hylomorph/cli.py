@@ -119,8 +119,6 @@ def _validate_config(cfg: RunConfig) -> None:
         raise ConfigError("axisymmetric grid parameters must be positive")
     if cfg.get("solver", "tol") <= 0 or cfg.get("solver", "max_iters") <= 0:
         raise ConfigError("solver parameters must be positive")
-    if cfg.get("nonlinearity", "mass") <= 0:
-        raise ConfigError("mass must be positive")
     try:
         _nonlinearity(cfg)
     except ValueError as exc:

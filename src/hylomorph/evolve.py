@@ -9,7 +9,7 @@ replaces the force by the bare mass term and serves as the dispersion
 control experiment.
 
 Every run goes through one private kernel, ``_leapfrog``, which advances
-a batch of runs on one grid with the grid's Laplacian bands and the force
+a batch of runs on one grid with the grid's Laplacian matrix and the force
 of ``model._power_sum``, both scaled by dt^2.  ``evolve_nlkg`` is a batch
 of one; ``stability_experiment`` advances its four runs as one batch.
 """
@@ -41,7 +41,7 @@ class EvolutionState:
 
     def __post_init__(self):
         if not isinstance(self.grid, RadialGrid):
-            # the leapfrog steps the radial Laplacian's bands; a winding field has none
+            # the leapfrog steps the radial Laplacian's matrix; a winding field has none
             raise ValueError(f"time evolution is radial: it needs a RadialGrid, not a {type(self.grid).__name__}")
         psi = np.asarray(self.psi, dtype=complex)
         psi_t = np.asarray(self.psi_t, dtype=complex)
@@ -103,8 +103,8 @@ def field_charge(state: EvolutionState) -> float:
 
 def localization_fraction(state: EvolutionState, radius: float) -> float:
     """Mass fraction outside the ball of the given radius (zero field gives 0)."""
-    if radius > state.grid.r_max:
-        raise ValueError("localization radius exceeds the domain")
+    if not 0.0 <= radius <= state.grid.r_max:
+        raise ValueError(f"localization radius must lie in [0, r_max = {state.grid.r_max:g}], got {radius!r}")
     density = np.abs(state.psi) ** 2
     total = state.grid.integrate(density)
     if total == 0.0:
@@ -162,7 +162,7 @@ def cfl_margin(grid: RadialGrid, spec: NonlinearSpec, dt: float) -> float:
     The decoupled origin row of the Laplacian gives its largest eigenvalue
     6/h^2 exactly; every other row's Gershgorin disc stays within 4/h^2.
     """
-    return float(dt * np.sqrt(-grid.laplacian_bands[1, 0] + spec.mass**2))
+    return float(dt * np.sqrt(-grid.laplacian_matrix.diag[0] + spec.mass**2))
 
 
 def step_plan(grid: RadialGrid, spec: NonlinearSpec, t_final: float, dt: float,
@@ -229,12 +229,8 @@ def _leapfrog(inits: list[EvolutionState], spec: NonlinearSpec, t_final: float, 
         if not all(np.isfinite(F[:, 0] ** 2 + F[:, 1] ** 2).all() for F in (X, U)):
             raise ValueError("initial fields must have finite squared moduli |psi|^2 and |psi_t|^2")
     U *= dt
-    bands = dt * dt * grid.laplacian_bands
-    diag = bands[1].copy()
-    diag[-1] = 0.0
-    upper = bands[0, 1:]
-    lower = bands[2, :-1].copy()
-    lower[-1] = 0.0
+    lower, diag, upper = (dt * dt * band for band in grid.laplacian_matrix)
+    diag[-1] = lower[-1] = 0.0
     terms = tuple((dt * dt * coef, k) for coef, k in spec.power_terms())
     forced = len(inits) - n_free
     # diagonal factor diag - f of each row; a free row's f is the constant dt^2 m^2

@@ -41,7 +41,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .grid import (FOUR_PI, InvariantError, RadialGrid, RadialProfile, TridiagonalFactor, banded_matvec,
+from .grid import (FOUR_PI, InvariantError, RadialGrid, RadialProfile, Tridiagonal, TridiagonalFactor,
                    trapezoid_weights)
 
 _BOUND_SLACK = 1e-10
@@ -78,9 +78,9 @@ class GaugePotential:
 class ScreenedPoisson:
     """The grid-only part of the screened Poisson matrix, built once for a grid.
 
-    The bands hold the flux sums a_{i-1} + a_i on the diagonal and -a_i
-    beside it, the Robin entry and the origin row; ``potential`` adds only
-    the b_i q^2 u_i^2 diagonal and the source.
+    Its ``matrix``, a ``Tridiagonal``, holds the flux sums a_{i-1} + a_i on
+    the diagonal and -a_i beside it, the Robin entry and the origin row;
+    ``potential`` adds only the b_i q^2 u_i^2 diagonal and the source.
     The node masses b_i = w_i r_i^2 carry 1 at the origin, whose row
     collocates 3 phi''(0) + q^2 u_0^2 phi_0 = q u_0^2.  Every array is
     read-only, so one kernel serves every profile on its grid (a whole
@@ -95,22 +95,17 @@ class ScreenedPoisson:
         a = grid.flux
         b = trapezoid_weights(grid.n, grid.h) * grid.nodes**2
         self.mass_scale = max(float(b.max()), 1.0)
-        ab = np.zeros((3, grid.n + 1))
-        ab[1, 1:-1] = a[:-1] + a[1:]
-        # Robin closure: the exterior A/r tail contributes r_max * phi_n^2 to the
-        # quadratic form, hence + r_max on the last diagonal entry
-        ab[1, -1] = a[-1] + grid.r_max
-        ab[0, 2:] = -a[1:]
-        ab[2, :-1] = -a
-        # origin row: collocation of the regular limit 3 phi''(0) (the grid
-        # Laplacian's origin row), decoupled from the energy rows because the
-        # first cell carries zero weight
-        ab[1, 0] = -grid.laplacian_bands[1, 0]
-        ab[0, 1] = -grid.laplacian_bands[0, 1]
+        # origin row: collocation of the regular limit 3 phi''(0) (the grid Laplacian's origin
+        # row), decoupled from the energy rows because the first cell carries zero weight; Robin
+        # closure: the exterior A/r tail contributes r_max * phi_n^2 to the quadratic form, hence
+        # + r_max on the last diagonal entry
+        lap = grid.laplacian_matrix
+        self.matrix = Tridiagonal(-a, np.concatenate(([-lap.diag[0]], a[:-1] + a[1:], [a[-1] + grid.r_max])),
+                                  np.append(-lap.upper[0], -a[1:]))
         b[0] = 1.0
-        for arr in (ab, b):
+        for arr in (*self.matrix, b):
             arr.setflags(write=False)
-        self.bands, self.node_mass = ab, b
+        self.node_mass = b
 
     def potential(self, uu: np.ndarray, q: float) -> GaugePotential:
         """phi_u for the squared amplitude uu = u^2 by a direct tridiagonal solve.
@@ -134,22 +129,21 @@ class ScreenedPoisson:
         # fluxes; checked by division, since the products themselves may overflow
         if q > math.sqrt(_FLOAT_MAX / 2.0 / (self.mass_scale * max(uu.max(), 1.0))):
             raise ValueError(f"coupling q = {q!r} overflows the screened Poisson matrix on this grid")
-        ab = self.bands.copy()
         # (b_i q^2) u_i^2 onto the flux sums, in the order of a whole assembly,
         # so phi keeps its bits
-        ab[1] += self.node_mass * q**2 * uu
+        matrix = self.matrix._replace(diag=self.matrix.diag + self.node_mass * q**2 * uu)
         rhs = q * self.node_mass * uu
-        factor = TridiagonalFactor(ab)
+        factor = TridiagonalFactor(matrix)
         phi = factor.solve(rhs)
         # one step of iterative refinement, on the same factor: the Dirichlet rows
         # are stiff at fine grids and downstream finite differences of K(u) see
         # the solve noise
-        phi = phi + factor.solve(rhs - banded_matvec(ab, phi))
+        phi = phi + factor.solve(rhs - matrix.apply(phi))
 
         slack = _BOUND_SLACK * max(1.0, 1.0 / q)
         if not (phi.min() >= -slack and phi.max() <= 1.0 / q + slack):
             i = int(np.argmax(uu[1:] > 0.0)) + 1  # the innermost charged node past the origin
-            if i > 1 and self.grid.flux[i - 1] < np.finfo(float).eps * ab[1, i]:
+            if i > 1 and self.grid.flux[i - 1] < np.finfo(float).eps * matrix.diag[i]:
                 raise ValueError(f"coupling q = {q!r} decouples the uncharged core r < {self.grid.nodes[i]:.6g} "
                                  "from the profile below float resolution")
             raise InvariantError("screened potential violated its a priori bounds; solver defect")

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Any
+from typing import Any, NamedTuple
 
 import numpy as np
 from scipy.linalg.lapack import dgttrf, dgttrs
@@ -117,8 +117,8 @@ class RadialGrid:
         return gw
 
     @cached_property
-    def laplacian_bands(self) -> np.ndarray:
-        """Tridiagonal bands of ``laplacian`` in scipy ``solve_banded`` layout.
+    def laplacian_matrix(self) -> "Tridiagonal":
+        """The tridiagonal matrix of ``laplacian``.
 
         Row i divides the flux difference a_i (u_{i+1} - u_i) - a_{i-1} (u_i - u_{i-1})
         by the node mass h r_i^2.  The origin row is the regular limit
@@ -131,14 +131,10 @@ class RadialGrid:
         mass = h * r[1:] ** 2
         above = np.append(self.flux[1:], ghost) / mass   # a_i / (h r_i^2)
         below = self.flux / mass                         # a_{i-1} / (h r_i^2)
-        ab = np.zeros((3, self.n + 1))
-        ab[0, 1] = 6.0 / h**2
-        ab[1, 0] = -ab[0, 1]
-        ab[1, 1:] = -(above + below)
-        ab[0, 2:] = above[:-1]
-        ab[2, :-1] = below
-        ab.setflags(write=False)
-        return ab
+        matrix = Tridiagonal(below, np.append(-6.0 / h**2, -(above + below)), np.append(6.0 / h**2, above[:-1]))
+        for band in matrix:
+            band.setflags(write=False)
+        return matrix
 
     def _samples(self, samples: np.ndarray) -> np.ndarray:
         samples = np.asarray(samples)
@@ -161,7 +157,7 @@ class RadialGrid:
         The origin uses the regular limit 3*u''(0) with u'(0) = 0; the outer
         node is closed with a zero ghost value (Dirichlet continuation).
         """
-        return banded_matvec(self.laplacian_bands, self._samples(u))
+        return self.laplacian_matrix.apply(self._samples(u))
 
     def zero_boundary(self, v: np.ndarray) -> np.ndarray:
         """Zero v in place at the truncation node, its one Dirichlet node, and return it."""
@@ -188,9 +184,8 @@ class RadialGrid:
 
     def preconditioner(self, ell: int = 0) -> "TridiagonalFactor":
         """(I - lap + ell^2/r^2) factored once for a whole descent; see ``centrifugal``."""
-        ab = -self.laplacian_bands
-        ab[1] += 1.0 + self.centrifugal(ell)
-        return TridiagonalFactor(ab)
+        lap = self.laplacian_matrix
+        return TridiagonalFactor(Tridiagonal(-lap.lower, (1.0 + self.centrifugal(ell)) - lap.diag, -lap.upper))
 
 
 @dataclass
@@ -265,23 +260,31 @@ def resample_linear(values: np.ndarray, n: int, axis: int = 0) -> np.ndarray:
     return np.moveaxis((1.0 - t) * v[i] + t * v[i + 1], 0, axis)
 
 
-def banded_matvec(ab: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Apply a tridiagonal matrix stored in ``solve_banded`` layout to x."""
-    out = ab[1] * x
-    out[:-1] += ab[0, 1:] * x[1:]
-    out[1:] += ab[2, :-1] * x[:-1]
-    return out
+class Tridiagonal(NamedTuple):
+    """A tridiagonal matrix of order n as LAPACK's unpadded dl, d and du: ``lower``
+    (n - 1 entries, row i + 1 at column i), ``diag`` (n) and ``upper`` (n - 1)."""
+
+    lower: np.ndarray
+    diag: np.ndarray
+    upper: np.ndarray
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """The product of the matrix with x."""
+        out = self.diag * x
+        out[:-1] += self.upper * x[1:]
+        out[1:] += self.lower * x[:-1]
+        return out
 
 
 class TridiagonalFactor:
-    """LU factor (LAPACK gttrf) of a tridiagonal matrix of order >= 3 in ``solve_banded`` layout.
+    """LU factor (LAPACK gttrf) of a ``Tridiagonal`` of order >= 3.
 
     Factored once at construction; every ``solve`` reuses it (gttrs) and
     leaves its right-hand side untouched.
     """
 
-    def __init__(self, ab: np.ndarray):
-        *self._lu, info = dgttrf(ab[2, :-1], ab[1], ab[0, 1:])
+    def __init__(self, matrix: Tridiagonal):
+        *self._lu, info = dgttrf(*matrix)
         if info != 0:
             raise InvariantError(f"tridiagonal matrix is singular (dgttrf info {info})")
 

@@ -28,6 +28,7 @@ of every theory from ``functionals`` and the grid and winding of the start.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, replace
 from typing import Any, Callable
 
@@ -68,8 +69,8 @@ class SolveOptions:
         # an infinite tol would pass the start's residual test and report it as solved
         if not 0 < self.tol < np.inf:
             raise ValueError(f"tol must be positive and finite, got {self.tol!r}")
-        if not self.max_iters > 0:
-            raise ValueError("max_iters must be positive")
+        if not (isinstance(self.max_iters, numbers.Integral) and self.max_iters > 0):
+            raise ValueError(f"max_iters must be a positive integer, got {self.max_iters!r}")
 
 
 @dataclass

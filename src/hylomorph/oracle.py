@@ -22,6 +22,7 @@ MAX_STEPS = 100_000  # DOP853 step budget of one run; a run to r_stop takes a fe
 R_START = 1e-3  # radius of the regular series start
 BRACKET_TOL = 1e-12  # relative width of the closed bracket
 N_SCAN = 35  # central amplitudes scanned for the first bracket
+_LOG_TINY, _LOG_MAX = math.log(sys.float_info.min), math.log(sys.float_info.max)  # the normal floats
 
 OVERSHOOT = "overshoot"
 UNDERSHOOT = "undershoot"
@@ -340,7 +341,13 @@ def shoot_ground_state(spec: NonlinearSpec, omega: float, grid: RadialGrid | Non
     (c_p, p), (c_q, q) = spec.remainder_powers()
     if c_q == 0.0:
         raise ValueError("W is unbounded below (c_q = 0): the effective potential has no outer zero to scan to")
-    s_zero = (-c_p / c_q) ** (1.0 / (q - p))  # R = 0, so the level is m^2 > omega^2
+    # R = 0, so the level is m^2 > omega^2, at s_zero; read in logs, which cannot overflow
+    log_ratio = math.log(-c_p) - math.log(c_q)
+    log_zero = log_ratio / (q - p)
+    if not (_LOG_TINY < log_ratio < _LOG_MAX and _LOG_TINY < log_zero < _LOG_MAX):
+        raise ValueError(f"the zero of R, (-c_p/c_q)^(1/(q-p)) = exp({log_zero:.6g}) with -c_p/c_q = "
+                         f"exp({log_ratio:.6g}), leaves float range: no amplitude range to scan")
+    s_zero = (-c_p / c_q) ** (1.0 / (q - p))
     s_c, lowest = find_binding_amplitude(spec, s_zero)
     if lowest >= omega**2:
         raise ValueError("effective potential never negative: no ground state at this omega")

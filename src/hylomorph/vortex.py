@@ -19,7 +19,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .grid import Profile, TridiagonalFactor, trapezoid_weights, weighted_sum
+from .grid import Profile, Tridiagonal, TridiagonalFactor, trapezoid_weights, weighted_sum
 from .minimize import SolitonResult, SolveOptions, _solve
 from .model import NonlinearSpec
 
@@ -210,11 +210,12 @@ class AxisymPreconditioner:
         t_z = grid.z_face_weights[1:-1, 1] / cw
         mu = 2.0 - 2.0 * np.cos(np.pi * np.arange(1, nz + 1) / grid.n_z)
         # unknowns are numbered r-fastest within each z-mode; no coupling across modes
-        ab = np.zeros((3, nz, nr))
-        ab[0, :, 1:] = -up_r[:-1]
-        ab[1] = (1.0 + up_r + dn_r + grid.centrifugal(ell)[1:-1, 0]) + mu[:, None] * t_z
-        ab[2, :, :-1] = -dn_r[1:]
-        self._factor = TridiagonalFactor(ab.reshape(3, -1))
+        bands = np.zeros((3, nz, nr))  # row i's coupling to i - 1, its diagonal, its coupling to i + 1
+        bands[0, :, 1:] = -dn_r[1:]
+        bands[1] = (1.0 + up_r + dn_r + grid.centrifugal(ell)[1:-1, 0]) + mu[:, None] * t_z
+        bands[2, :, :-1] = -up_r[:-1]
+        lower, diag, upper = bands.reshape(3, -1)
+        self._factor = TridiagonalFactor(Tridiagonal(lower[1:], diag, upper[:-1]))
         self._shape = (nz, nr)
         # one block of z-rows of the sine transform, zero-padded to length
         # 2 n_z; only samples 1 ... n_z - 1 are ever written, the rest stays zero

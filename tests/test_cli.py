@@ -40,6 +40,16 @@ def test_n_samples_is_not_a_config_key(tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("mass", ["0", "-1", "nan"])
+def test_mass_not_positive_is_a_config_error(tmp_path, capsys, mass):
+    # NonlinearSpec is the one mass check; nan fails it too, since it is not above 0
+    cfg = write_config(tmp_path, "m.ini", f"[nonlinearity]\nmass = {mass}\n")
+    out = tmp_path / "m"
+    assert cli.main(["validate", "--config", str(cfg), "--out", str(out)]) == cli.EXIT_CONFIG == 2
+    assert "mass must be positive" in capsys.readouterr().err
+    assert not (out / "summary.txt").exists()
+
+
 @pytest.mark.parametrize("command, text", [
     ("construct", "[construct]\ncharge_target = inf\n"),
     ("solve-nlkg", "[solve]\ninit_r = 30.0\n"),  # the tent's ramp ends past r_max = 24

@@ -210,6 +210,17 @@ def test_localization_trivial_at_full_radius(grid, ground):
         localization_fraction(state, 2 * grid.r_max)
 
 
+@pytest.mark.parametrize("radius", [np.nan, -1.0])
+def test_localization_radius_outside_the_domain_rejected(grid, ground, radius):
+    # no ball of such a radius exists: the ledger would read 1.0 at every record,
+    # so a run fails at its first record, before its first step
+    state = soliton_state(ground.u, ground.omega)
+    with pytest.raises(ValueError, match="localization radius"):
+        localization_fraction(state, radius)
+    with pytest.raises(ValueError, match="localization radius"):
+        evolve_nlkg(state, SPEC, 1.0, grid.h / 2, localization_radius=radius)
+
+
 def test_free_field_disperses(grid, ground):
     state = soliton_state(ground.u, ground.omega)
     radius = 2.0 * mass_radius(ground.u)

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from hylomorph.chargewin import SCAN_RESOLUTION, TentProfile
 from hylomorph.functionals import deficiency, reduced_energy, reduced_energy_sigma, stationary_operator
 from hylomorph.gauge import ScreenedPoisson, screened_mass, solve_phi
-from hylomorph.grid import (FOUR_PI, InvariantError, RadialGrid, RadialProfile, TridiagonalFactor, banded_matvec,
+from hylomorph.grid import (FOUR_PI, InvariantError, RadialGrid, RadialProfile, Tridiagonal, TridiagonalFactor,
                             trapezoid_weights)
 from hylomorph.minimize import minimize_kgm
 from hylomorph.model import NonlinearSpec, eval_nonlinearity
@@ -195,18 +195,18 @@ def scratch_potential(u, q):
     b = trapezoid_weights(grid.n, grid.h) * grid.nodes**2
     if q > np.sqrt(np.finfo(float).max / 2.0 / (max(b.max(), 1.0) * max(uu.max(), 1.0))):
         raise ValueError("coupling q")
-    ab = np.zeros((3, grid.n + 1))
     rhs = q * b * uu
-    ab[1, 1:-1] = a[:-1] + a[1:] + b[1:-1] * q**2 * uu[1:-1]
-    ab[1, -1] = a[-1] + grid.r_max + b[-1] * q**2 * uu[-1]
-    ab[0, 2:] = -a[1:]
-    ab[2, :-1] = -a
-    ab[1, 0] = -grid.laplacian_bands[1, 0] + q**2 * uu[0]
-    ab[0, 1] = -grid.laplacian_bands[0, 1]
+    diag = np.empty(grid.n + 1)
+    diag[1:-1] = a[:-1] + a[1:] + b[1:-1] * q**2 * uu[1:-1]
+    diag[-1] = a[-1] + grid.r_max + b[-1] * q**2 * uu[-1]
+    diag[0] = 6.0 / grid.h**2 + q**2 * uu[0]
+    upper = -a
+    upper[0] = -6.0 / grid.h**2
     rhs[0] = q * uu[0]
-    factor = TridiagonalFactor(ab)
+    matrix = Tridiagonal(-a, diag, upper)
+    factor = TridiagonalFactor(matrix)
     phi = factor.solve(rhs)
-    phi = phi + factor.solve(rhs - banded_matvec(ab, phi))
+    phi = phi + factor.solve(rhs - matrix.apply(phi))
     slack = 1e-10 * max(1.0, 1.0 / q)
     if not (phi.min() >= -slack and phi.max() <= 1.0 / q + slack):
         raise InvariantError("bounds")
@@ -274,7 +274,7 @@ def test_kernel_arrays_are_read_only():
     grid = RadialGrid(10.0, 256)
     kernel = ScreenedPoisson(grid)
     phi = kernel.potential(TentProfile(1.0, 1.0).realize(grid).values ** 2, 1.0)
-    for arr in (kernel.bands, kernel.node_mass, phi.values, phi.screen):
+    for arr in (*kernel.matrix, kernel.node_mass, phi.values, phi.screen):
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
             arr[0] = 1.0
@@ -284,13 +284,13 @@ def test_solving_two_profiles_leaves_the_kernel_unchanged():
     # one kernel serves a whole descent: its solves must not write into it
     grid = RadialGrid(20.0, 512)
     kernel = ScreenedPoisson(grid)
-    bands, node_mass = kernel.bands.copy(), kernel.node_mass.copy()
+    matrix, node_mass = [band.copy() for band in kernel.matrix], kernel.node_mass.copy()
     first = TentProfile(1.0, 2.0).realize(grid).values ** 2
     second = TentProfile(0.5, 6.0).realize(grid).values ** 2
     phi = kernel.potential(first, 0.3)
     k = kernel.mass(first, phi)
     kernel.mass(second, kernel.potential(second, 3.0))
     kernel.potential(second, 0.01)
-    assert np.array_equal(kernel.bands, bands) and np.array_equal(kernel.node_mass, node_mass)
+    assert all(map(np.array_equal, kernel.matrix, matrix)) and np.array_equal(kernel.node_mass, node_mass)
     again = kernel.potential(first, 0.3)
     assert np.array_equal(again.values, phi.values) and kernel.mass(first, again) == k

@@ -10,6 +10,7 @@ from hylomorph.grid import (
     InvariantError,
     RadialGrid,
     RadialProfile,
+    Tridiagonal,
     TridiagonalFactor,
     weighted_norm,
     weighted_sum,
@@ -140,14 +141,17 @@ def test_profile_invariants():
             RadialProfile(grid, nonfinite)
 
 
+def _dense(matrix):
+    return np.diag(matrix.diag) + np.diag(matrix.upper, 1) + np.diag(matrix.lower, -1)
+
+
 def test_origin_row_carries_the_largest_laplacian_eigenvalue():
     # the leapfrog stability bound in evolve_nlkg relies on this
     grid = RadialGrid(24.0, 256)
-    ab = grid.laplacian_bands
-    dense = np.diag(ab[1]) + np.diag(ab[0, 1:], 1) + np.diag(ab[2, :-1], -1)
-    eig = np.linalg.eigvals(-dense)
-    assert -ab[1, 0] == pytest.approx(6.0 / grid.h**2, rel=1e-14)
-    assert np.max(np.abs(eig)) == pytest.approx(-ab[1, 0], rel=1e-12)
+    eig = np.linalg.eigvals(-_dense(grid.laplacian_matrix))
+    origin = -grid.laplacian_matrix.diag[0]
+    assert origin == pytest.approx(6.0 / grid.h**2, rel=1e-14)
+    assert np.max(np.abs(eig)) == pytest.approx(origin, rel=1e-12)
 
 
 def test_grid_validation():
@@ -169,7 +173,8 @@ def test_grid_geometry_inside_float_range_builds():
     # extents far from 1 build while their geometry stays in float range
     for r_max in (1e100, 1e-90):
         grid = RadialGrid(r_max, 64)
-        assert np.isfinite(grid.laplacian_bands).all() and np.isfinite(grid.volume_weights).all()
+        assert all(np.isfinite(band).all() for band in grid.laplacian_matrix)
+        assert np.isfinite(grid.volume_weights).all()
         assert grid.volume_weights[1] > 0.0
 
 
@@ -177,10 +182,12 @@ def test_grid_geometry_inside_float_range_builds():
 @given(st.integers(3, 2000), st.integers(0, 2**32 - 1))
 def test_tridiagonal_factor_matches_solve_banded(n, seed):
     rng = np.random.default_rng(seed)
-    ab = rng.standard_normal((3, n))
+    lower, diag, upper = rng.standard_normal(n - 1), rng.standard_normal(n), rng.standard_normal(n - 1)
     # strict diagonal dominance keeps the system well conditioned
-    ab[1] = np.sign(ab[1]) * (np.abs(ab[0]) + np.abs(ab[2]) + 0.1 + np.abs(ab[1]))
-    factor = TridiagonalFactor(ab)
+    diag = np.sign(diag) * (np.abs(np.append(upper, 0.0)) + np.abs(np.append(0.0, lower)) + 0.1 + np.abs(diag))
+    factor = TridiagonalFactor(Tridiagonal(lower, diag, upper))
+    # solve_banded's layout pads the upper diagonal in front and the lower one behind
+    ab = np.array([np.append(0.0, upper), diag, np.append(lower, 0.0)])
     # the one factor serves every right-hand side and leaves it untouched
     for b in rng.standard_normal((2, n)):
         b_in = b.copy()
@@ -190,9 +197,21 @@ def test_tridiagonal_factor_matches_solve_banded(n, seed):
         assert np.max(np.abs(x - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 2000), st.integers(0, 2**32 - 1))
+def test_tridiagonal_apply_is_the_dense_product(n, seed):
+    rng = np.random.default_rng(seed)
+    matrix = Tridiagonal(rng.standard_normal(n - 1), rng.standard_normal(n), rng.standard_normal(n - 1))
+    x = rng.standard_normal(n)
+    dense = _dense(matrix)
+    # each row sums at most three products, in an order the dense product may not share
+    bound = 4.0 * np.finfo(float).eps * (np.abs(dense) @ np.abs(x))
+    assert np.all(np.abs(matrix.apply(x) - dense @ x) <= bound)
+
+
 def test_singular_tridiagonal_factor_raises():
     with pytest.raises(InvariantError):
-        TridiagonalFactor(np.zeros((3, 16)))
+        TridiagonalFactor(Tridiagonal(np.zeros(15), np.zeros(16), np.zeros(15)))
 
 
 def test_shift_moves_a_profile_by_whole_cells():

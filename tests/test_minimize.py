@@ -144,6 +144,14 @@ def test_options_validation():
         SolveOptions(max_iters=0)
 
 
+def test_max_iters_must_be_an_integer():
+    # a float count is refused when the options are built, not deep in the descent
+    for max_iters in (1.5, 2.0, np.inf):
+        with pytest.raises(ValueError, match="max_iters must be a positive integer"):
+            SolveOptions(max_iters=max_iters)
+    assert SolveOptions(max_iters=np.int64(3)).max_iters == 3
+
+
 _PATCHED_GAUGE_SCRIPT = textwrap.dedent("""
     import sys
     import numpy as np

@@ -15,7 +15,7 @@ from hylomorph.chargewin import TentProfile
 from hylomorph.evolve import EvolutionState, evolve_nlkg, field_charge, field_energy
 from hylomorph.functionals import reduced_energy, stationary_operator
 from hylomorph.gauge import solve_phi
-from hylomorph.grid import RadialGrid, RadialProfile, banded_matvec, resample_linear
+from hylomorph.grid import RadialGrid, RadialProfile, Tridiagonal, resample_linear
 from hylomorph.minimize import SolveOptions, minimize_nlkg
 from hylomorph.model import NonlinearSpec, find_binding_amplitude
 from hylomorph.vortex import AxisymGrid, AxisymPreconditioner, AxisymProfile, torus_bump
@@ -55,7 +55,7 @@ def test_preconditioner_bands_are_shifted_laplacian(n, r_max, seed):
     grid = RadialGrid(r_max, n)
     x = np.random.default_rng(seed).standard_normal(n + 1)
     y = grid.preconditioner().solve(x)
-    scale = np.abs(y) + banded_matvec(np.abs(grid.laplacian_bands), np.abs(y))
+    scale = np.abs(y) + Tridiagonal(*map(np.abs, grid.laplacian_matrix)).apply(np.abs(y))
     assert np.max(np.abs(y - grid.laplacian(y) - x)) <= 1e-13 * scale.max()
 
 

@@ -290,6 +290,14 @@ class TestShooting:
         with pytest.raises(ValueError, match="no outer zero"):
             shoot_ground_state(spec, 0.5)
 
+    @pytest.mark.parametrize("b, q", [(9.05e-235, 3.05), (1e-320, 4.0)])
+    def test_zero_of_remainder_outside_float_range_rejected(self, b, q):
+        # the zero (-c_p/c_q)^(1/(q-p)) that ends the amplitude range overflows:
+        # through the power at q - p = 0.05, through the quotient at b = 1e-320
+        spec = NonlinearSpec.power_deficit(1.0, b, 3.0, q)
+        with pytest.raises(ValueError, match=r"zero of R, \(-c_p/c_q\)\^\(1/\(q-p\)\).*leaves float range"):
+            shoot_ground_state(spec, 0.5)
+
 
 def _rescaled(family: str, lam: float) -> NonlinearSpec:
     """The spec whose ground states are lam times those of its lam = 1 member:

@@ -132,6 +132,11 @@ def test_lapack_tridiagonal_calls_live_in_grid():
     # the factor-once tridiagonal solve is grid.TridiagonalFactor; no module calls LAPACK beside it
     for name in ("dgttrf", "dgttrs"):
         assert _mentions(name) == {"grid"}, name
+    # every banded system is a grid.Tridiagonal of LAPACK's unpadded diagonals; no
+    # module keeps scipy's padded solve_banded layout or a product of its own for it
+    assert _mentions("laplacian_bands") == set()
+    assert _mentions("banded_matvec") == set()
+    assert [path.name for path in SRC.glob("*.py") if "solve_banded" in path.read_text()] == []
 
 
 def test_hypothesis_checks_minimize_nothing_numerically():
