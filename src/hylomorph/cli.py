@@ -117,10 +117,10 @@ def _validate_config(cfg: RunConfig) -> None:
         raise ConfigError("grid parameters must be positive")
     if cfg.get("grid", "n_z") <= 0 or cfg.get("grid", "z_max") <= 0:
         raise ConfigError("axisymmetric grid parameters must be positive")
-    if cfg.get("solver", "tol") <= 0 or cfg.get("solver", "max_iters") <= 0:
-        raise ConfigError("solver parameters must be positive")
+    # NonlinearSpec and SolveOptions are the one check of their parameters
     try:
         _nonlinearity(cfg)
+        _solver_opts(cfg)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 

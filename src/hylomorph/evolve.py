@@ -238,17 +238,24 @@ def _leapfrog(inits: list[EvolutionState], spec: NonlinearSpec, t_final: float, 
     factor[forced:] = diag - dt * dt * spec.mass**2
     A = np.empty_like(X)
     off = np.empty_like(X[..., 1:])
+    # every step writes into buffers made once: a (4, 4097) array just exceeds
+    # glibc's 128 KiB mmap threshold, so a fresh one would be mapped and
+    # unmapped, and its pages faulted in, at every step
+    amp = np.empty_like(factor)
+    square = np.empty_like(factor)
 
-    def accelerate() -> np.ndarray:
-        """Fill A from X; return the amplitude |psi| of every node of every row."""
-        amp = np.sqrt(X[:, 0] ** 2 + X[:, 1] ** 2)
+    def accelerate():
+        """Fill A from X, and amp with the amplitude |psi| of every node of every row."""
+        np.multiply(X[:, 0], X[:, 0], out=square)
+        np.multiply(X[:, 1], X[:, 1], out=amp)
+        np.add(square, amp, out=amp)
+        np.sqrt(amp, out=amp)
         np.subtract(diag, _power_sum(terms, amp[:forced], 1, 1.0), out=factor[:forced])
         np.multiply(factor[:, None], X, out=A)
         np.multiply(upper, X[..., 1:], out=off)
         A[..., :-1] += off
         np.multiply(lower, X[..., :-1], out=off)
         A[..., 1:] += off
-        return amp
 
     ledgers = [EvolutionLedger() for _ in inits]
 
@@ -265,7 +272,8 @@ def _leapfrog(inits: list[EvolutionState], spec: NonlinearSpec, t_final: float, 
             ledger.distance.append(np.nan if reference is None else manifold_distance(state, *reference))
             ledger.amplitude.append(float(peak))
 
-    amplitude = accelerate().max(axis=1)
+    accelerate()
+    amplitude = amp.max(axis=1)
     guard = BLOWUP_FACTOR * np.maximum(amplitude, 1e-30)
     record(0, amplitude)
     A *= 0.5
@@ -276,7 +284,7 @@ def _leapfrog(inits: list[EvolutionState], spec: NonlinearSpec, t_final: float, 
     with np.errstate(over="ignore", invalid="ignore"):
         for step in range(1, n_steps + 1):
             X += U
-            amp = accelerate()
+            accelerate()
             if step % record_every == 0 or step == n_steps:
                 amplitude = amp.max(axis=1)
                 # written so that a NaN amplitude trips the guard as well

@@ -11,12 +11,13 @@ minimizers are written once.
 
 from __future__ import annotations
 
+import ctypes
 from dataclasses import dataclass, replace
 from functools import cached_property
+from pathlib import Path
 from typing import Any, NamedTuple
 
 import numpy as np
-from scipy.linalg.lapack import dgttrf, dgttrs
 
 FOUR_PI = 4.0 * np.pi
 
@@ -276,20 +277,67 @@ class Tridiagonal(NamedTuple):
         return out
 
 
+def _bundled_lapack(numpy_dir: Path) -> ctypes.CDLL:
+    """The ILP64 LAPACK of numpy's wheel, scipy-openblas64, which ``import numpy`` has loaded.
+
+    ``numpy_dir`` is numpy's install directory; the wheels keep the library
+    beside it in ``numpy.libs`` (Linux, Windows) or inside it in ``.dylibs``
+    (macOS).  Any other numpy build raises ImportError naming the build.
+    """
+    build = getattr(np.__config__, "CONFIG", {}).get("Build Dependencies", {}).get("lapack", {})
+    libs = [lib for where in (numpy_dir.parent / "numpy.libs", numpy_dir / ".dylibs")
+            for lib in sorted(where.glob("libscipy_openblas64_*"))]
+    if build.get("name") != "scipy-openblas" or not libs:
+        raise ImportError(f"hylomorph needs a numpy wheel that bundles scipy-openblas64; numpy {np.__version__} "
+                          f"at {numpy_dir} was built with LAPACK {build.get('name')!r} {build.get('version', '')}")
+    return ctypes.CDLL(str(libs[0]))
+
+
+_LAPACK = _bundled_lapack(Path(np.__file__).parent)
+# Fortran subroutines: every argument by reference, integers int64 (ILP64), and
+# dgttrs's character argument trans followed by its length as a size_t.  Each
+# call passes prebuilt ctypes objects with no argtypes conversion, which costs
+# microseconds a call; so every length is checked in Python before a pointer is made.
+dgttrf = _LAPACK.scipy_dgttrf_64_  # (n, dl, d, du, du2, ipiv, info)
+dgttrs = _LAPACK.scipy_dgttrs_64_  # (trans, n, nrhs, dl, d, du, du2, ipiv, b, ldb, info, len(trans))
+dgttrf.restype = dgttrs.restype = None
+_TRANS, _TRANS_LEN = ctypes.c_char_p(b"N"), ctypes.c_size_t(1)  # no transpose
+_ONE = ctypes.byref(ctypes.c_int64(1))
+
+
 class TridiagonalFactor:
     """LU factor (LAPACK gttrf) of a ``Tridiagonal`` of order >= 3.
 
-    Factored once at construction; every ``solve`` reuses it (gttrs) and
-    leaves its right-hand side untouched.
+    Factored once at construction into one buffer dl | d | du | du2 and the
+    pivots; every ``solve`` reuses it (gttrs) on a copy of its right-hand
+    side, which it leaves untouched.  The matrix's bands are not modified.
     """
 
     def __init__(self, matrix: Tridiagonal):
-        *self._lu, info = dgttrf(*matrix)
-        if info != 0:
-            raise InvariantError(f"tridiagonal matrix is singular (dgttrf info {info})")
+        lower, diag, upper = (np.asarray(band) for band in matrix)
+        n = len(diag)
+        if not (diag.shape == (n,) and n >= 3 and lower.shape == upper.shape == (n - 1,)):
+            raise ValueError(f"a tridiagonal factor needs bands of lengths n - 1, n >= 3 and n - 1, "
+                             f"got shapes {lower.shape}, {diag.shape} and {upper.shape}")
+        lu = np.empty(4 * n - 4)
+        lu[:n - 1], lu[n - 1:2 * n - 1], lu[2 * n - 1:3 * n - 2] = lower, diag, upper
+        start = ctypes.c_double.from_buffer(lu)
+        bands = tuple(ctypes.byref(start, lu.itemsize * offset) for offset in (0, n - 1, 2 * n - 1, 3 * n - 2))
+        pivots = ctypes.byref(ctypes.c_int64.from_buffer(np.empty(n, dtype=np.int64)))
+        order, info = ctypes.byref(ctypes.c_int64(n)), ctypes.c_int64()
+        dgttrf(order, *bands, pivots, ctypes.byref(info))
+        if info.value != 0:
+            raise InvariantError(f"tridiagonal matrix is singular (dgttrf info {info.value})")
+        self._n = n
+        # the byref objects hold the buffers they point into
+        self._head = (_TRANS, order, _ONE, *bands, pivots)
+        self._tail = (order, ctypes.byref(info), _TRANS_LEN)
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        x, _ = dgttrs(*self._lu, b)
+        x = np.array(b, dtype=float)
+        if x.shape != (self._n,):
+            raise ValueError(f"expected a right-hand side of shape ({self._n},), got {x.shape}")
+        dgttrs(*self._head, ctypes.byref(ctypes.c_double.from_buffer(x)), *self._tail)
         return x
 
 

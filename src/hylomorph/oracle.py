@@ -348,7 +348,12 @@ def shoot_ground_state(spec: NonlinearSpec, omega: float, grid: RadialGrid | Non
         raise ValueError(f"the zero of R, (-c_p/c_q)^(1/(q-p)) = exp({log_zero:.6g}) with -c_p/c_q = "
                          f"exp({log_ratio:.6g}), leaves float range: no amplitude range to scan")
     s_zero = (-c_p / c_q) ** (1.0 / (q - p))
-    s_c, lowest = find_binding_amplitude(spec, s_zero)
+    try:
+        s_c, lowest = find_binding_amplitude(spec, s_zero)
+    except ValueError:
+        # s_zero is positive and finite, so the level itself overflows
+        raise ValueError(f"the level W/(s^2/2) of {spec} overflows below the zero of R at s = {s_zero:g}: "
+                         "no amplitude range to scan") from None
     if lowest >= omega**2:
         raise ValueError("effective potential never negative: no ground state at this omega")
     u_in = _level_crossing(spec, omega**2, 0.0, s_c)

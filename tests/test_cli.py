@@ -50,6 +50,16 @@ def test_mass_not_positive_is_a_config_error(tmp_path, capsys, mass):
     assert not (out / "summary.txt").exists()
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
+def test_tol_outside_the_positive_floats_is_a_config_error(tmp_path, capsys, tol):
+    # SolveOptions is the one tol check; an infinite tol would let the unsolved start pass the residual test
+    cfg = write_config(tmp_path, "t.ini", f"[solver]\ntol = {tol}\n")
+    out = tmp_path / "t"
+    assert cli.main(["solve-nlkg", "--config", str(cfg), "--out", str(out)]) == cli.EXIT_CONFIG == 2
+    assert "tol must be positive and finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command, text", [
     ("construct", "[construct]\ncharge_target = inf\n"),
     ("solve-nlkg", "[solve]\ninit_r = 30.0\n"),  # the tent's ramp ends past r_max = 24
@@ -69,7 +79,6 @@ def test_mass_not_positive_is_a_config_error(tmp_path, capsys, mass):
     ("solve-vortex", "[solve]\ntorus_width = 0\n"),
     ("solve-vortex", "[solve]\ntorus_r0 = nan\n"),
     ("solve-vortex", "[solve]\ntorus_amplitude = inf\n"),
-    ("solve-nlkg", "[solver]\ntol = inf\n"),  # the unsolved start would pass the residual test
     ("solve-nlkg", "[grid]\nr_max = 1e308\n"),  # 6/h**2 of the origin row overflows
     ("solve-nlkg", "[grid]\nr_max = inf\n"),
     ("solve-vortex", "[grid]\nr_max = 1e308\n"),
@@ -79,7 +88,7 @@ def test_mass_not_positive_is_a_config_error(tmp_path, capsys, mass):
         "window-q_1e300", "window-q_1e154", "solve-kgm-q_inf", "solve-kgm-q_nan", "solve-kgm-q_1e300",
         "solve-nlkg-sigma_inf", "solve-nlkg-sigma_1e160", "solve-kgm-sigma_inf", "solve-kgm-sigma_1e160",
         "solve-vortex-sigma_inf", "solve-vortex-sigma_1e160", "solve-vortex-torus_width_0",
-        "solve-vortex-torus_r0_nan", "solve-vortex-torus_amplitude_inf", "solve-nlkg-tol_inf",
+        "solve-vortex-torus_r0_nan", "solve-vortex-torus_amplitude_inf",
         "solve-nlkg-r_max_1e308", "solve-nlkg-r_max_inf", "solve-vortex-r_max_1e308",
         "solve-vortex-z_max_1e308", "solve-vortex-r_max_1e-90"])
 def test_inputs_rejected_before_any_solve(tmp_path, monkeypatch, command, text):

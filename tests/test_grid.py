@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgttrf, dgttrs
 
+from hylomorph import grid as grid_module
 from hylomorph.grid import (
     InvariantError,
     RadialGrid,
@@ -212,6 +214,50 @@ def test_tridiagonal_apply_is_the_dense_product(n, seed):
 def test_singular_tridiagonal_factor_raises():
     with pytest.raises(InvariantError):
         TridiagonalFactor(Tridiagonal(np.zeros(15), np.zeros(16), np.zeros(15)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(3, 2000), st.integers(0, 2**32 - 1), st.booleans())
+def test_tridiagonal_factor_is_scipys_lapack_bit_for_bit(n, seed, dominant):
+    # the same gttrf and gttrs, reached through numpy's bundled LAPACK instead of scipy's
+    rng = np.random.default_rng(seed)
+    lower, diag, upper = rng.standard_normal(n - 1), rng.standard_normal(n), rng.standard_normal(n - 1)
+    if dominant:
+        diag = np.sign(diag) * (np.abs(np.append(upper, 0.0)) + np.abs(np.append(0.0, lower)) + np.abs(diag))
+    bands = [band.copy() for band in (lower, diag, upper)]
+    *lu, info = dgttrf(lower, diag, upper)
+    assert info == 0  # a standard normal draw is singular with probability 0
+    factor = TridiagonalFactor(Tridiagonal(lower, diag, upper))
+    for b in rng.standard_normal((2, n)):
+        b_in = b.copy()
+        assert np.array_equal(factor.solve(b), dgttrs(*lu, b)[0])
+        assert np.array_equal(b, b_in)
+    assert all(np.array_equal(band, copy) for band, copy in zip((lower, diag, upper), bands))
+
+
+@pytest.mark.parametrize("lower, diag, upper", [
+    (np.ones(1), np.ones(2), np.ones(1)),    # order 2
+    (np.ones(4), np.ones(4), np.ones(3)),    # a subdiagonal too long
+    (np.ones(3), np.ones(4), np.ones(2)),    # a superdiagonal too short
+    (np.ones(3), np.ones((4, 1)), np.ones(3)),
+], ids=["order_2", "long_lower", "short_upper", "2d_diag"])
+def test_tridiagonal_factor_rejects_bands_of_wrong_length(lower, diag, upper):
+    # the bands reach LAPACK as raw pointers, so no wrong length may get there
+    with pytest.raises(ValueError, match="bands of lengths"):
+        TridiagonalFactor(Tridiagonal(lower, diag, upper))
+
+
+@pytest.mark.parametrize("shape", [(15,), (17,), (16, 1), (2, 16), ()])
+def test_tridiagonal_solve_rejects_a_right_hand_side_of_wrong_shape(shape):
+    factor = TridiagonalFactor(Tridiagonal(np.ones(15), np.full(16, 4.0), np.ones(15)))
+    with pytest.raises(ValueError, match=r"right-hand side of shape \(16,\)"):
+        factor.solve(np.ones(shape))
+
+
+def test_lapack_outside_numpys_install_directory_is_an_import_error(tmp_path):
+    # a numpy whose wheel bundles no scipy-openblas64 is refused, naming its build
+    with pytest.raises(ImportError, match="scipy-openblas64.*built with LAPACK"):
+        grid_module._bundled_lapack(tmp_path / "numpy")
 
 
 def test_shift_moves_a_profile_by_whole_cells():

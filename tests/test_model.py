@@ -60,16 +60,19 @@ specs = st.one_of(
 
 @settings(max_examples=200, deadline=None)
 @given(specs, st.floats(0.0, 3.0))
+@example(NonlinearSpec.power_deficit(1.0, 0.0, 3.0, 4.0, mass=0.5), 1.0207152860756802e-157)  # W ~ 1.3e-315
 def test_power_sum_identities(spec, s):
     m2 = spec.mass**2
     w, w1, w2 = (eval_nonlinearity(spec, s, order) for order in (0, 1, 2))
-    # sums of the term magnitudes bound the round-off of each evaluation
+    # sums of the term magnitudes bound the round-off of each evaluation; where
+    # they are subnormal, relative bounds round to 0 and a few subnormal spacings remain
     mag0 = sum(abs(c) * s**k for c, k in spec.power_terms())
     mag1 = sum(abs(c * k) * s ** (k - 1.0) for c, k in spec.power_terms())
     mag2 = sum(abs(c * k * (k - 1.0)) * s ** (k - 2.0) for c, k in spec.power_terms())
-    assert abs(w - eval_remainder(spec, s, 0) - 0.5 * m2 * s**2) <= 1e-14 * mag0
-    assert abs(s * wprime_over_s(spec, s) - w1) <= 1e-14 * mag1
-    assert abs(0.5 * s**2 * binding_level(spec, s) - w) <= 1e-14 * mag0
+    floor = 4.0 * np.finfo(float).smallest_subnormal
+    assert abs(w - eval_remainder(spec, s, 0) - 0.5 * m2 * s**2) <= 1e-14 * mag0 + floor
+    assert abs(s * wprime_over_s(spec, s) - w1) <= 1e-14 * mag1 + floor
+    assert abs(0.5 * s**2 * binding_level(spec, s) - w) <= 1e-14 * mag0 + floor
     if s > 1e-6:
         hs = 1e-4 * s
         fd = (eval_nonlinearity(spec, s + hs, 1) - eval_nonlinearity(spec, s - hs, 1)) / (2.0 * hs)

@@ -298,6 +298,14 @@ class TestShooting:
         with pytest.raises(ValueError, match=r"zero of R, \(-c_p/c_q\)\^\(1/\(q-p\)\).*leaves float range"):
             shoot_ground_state(spec, 0.5)
 
+    def test_level_overflowing_below_the_zero_of_remainder_rejected(self):
+        # the zero of R (about 1.3e125) is in range, but b s^5 overflows there; the
+        # message names this spec's level, not the s_max its caller never sets
+        spec = NonlinearSpec.power_deficit(1.0, 1e-250, 3.0, 5.0)
+        with pytest.raises(ValueError, match=r"level W/\(s\^2/2\) of .*power_deficit.* overflows") as info:
+            shoot_ground_state(spec, 0.5)
+        assert "s_max" not in str(info.value)
+
 
 def _rescaled(family: str, lam: float) -> NonlinearSpec:
     """The spec whose ground states are lam times those of its lam = 1 member:

@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 SRC = Path(__file__).resolve().parents[1] / "src" / "hylomorph"
 
 
@@ -189,18 +191,18 @@ def test_no_module_imports_scipy_optimize_or_integrate():
 
 
 def test_package_import_leaves_scipy_integrate_unloaded():
-    # none of UNLOADED (scipy.integrate and the scipy.optimize it imports,
-    # scipy.fft and the scipy.special it imports) is loaded by the package or
-    # the CLI, so no start-up pays for them
+    # no scipy module at all, UNLOADED included, is loaded by the package or the
+    # CLI: the tridiagonal LAPACK comes from the library numpy has loaded, so no
+    # start-up pays for scipy
     code = ("import sys, hylomorph, hylomorph.cli; "
-            f"print(sorted(name for name in {UNLOADED!r} if name in sys.modules))")
+            "print(sorted(name for name in sys.modules if name == 'scipy' or name.startswith('scipy.')))")
     env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
 
 
-def test_scipy_enters_only_through_lapack_in_grid():
-    # the tridiagonal factor is the one use of scipy in the package
+def test_no_module_imports_scipy():
+    # scipy is a test reference only; the package's one LAPACK binding is grid's
     imports = set()
     for module, tree in _modules():
         for node in ast.walk(tree):
@@ -211,7 +213,35 @@ def test_scipy_enters_only_through_lapack_in_grid():
             else:
                 continue
             imports |= {(module, n) for n in names if n == "scipy" or n.startswith("scipy.")}
-    assert imports == {("grid", "scipy.linalg.lapack")}
+    assert imports == set()
+
+
+_LEAPFROG_FAULTS_SCRIPT = """
+import resource
+from hylomorph import NonlinearSpec, RadialGrid, TentProfile
+from hylomorph.evolve import stability_experiment
+
+grid = RadialGrid(32.0, 4096)
+profile, spec, dt = TentProfile(1.0, 3.0).realize(grid), NonlinearSpec.double_well(), grid.h / 2.0
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+stability_experiment(profile, 0.5, spec, 2000 * dt, dt, 0.01, record_every=1000)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="counts glibc's page faults")
+def test_leapfrog_step_allocates_no_fresh_pages():
+    # a (4, 4097) batch array is 131,104 bytes, just over glibc's 128 KiB mmap
+    # threshold; a step that allocated such arrays would map or grow the heap
+    # for them and fault in their pages again and again (tens of faults a step
+    # once the first records have fragmented the heap).  A fresh process runs
+    # the four-run ensemble for 2,000 steps with three records, then the
+    # reversal's 2,000 single-row steps: set-up and records included, it must
+    # average under one fault a batch step
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    out = subprocess.run([sys.executable, "-c", _LEAPFROG_FAULTS_SCRIPT], env=env, capture_output=True,
+                         text=True, check=True)
+    assert int(out.stdout) < 2000
 
 
 def test_grid_defines_each_operation_once():
