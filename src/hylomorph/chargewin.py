@@ -37,6 +37,12 @@ _COUPLING_NORM = 48.0 ** (1.0 / 3.0) * np.pi ** (2.0 / 3.0)
 # check, coarser for the construction, whose grid grows with its doubling radius.
 SCAN_RESOLUTION = 0.02
 CONSTRUCT_RESOLUTION = 0.05
+# Most nodes of a tent grid that construct_for_charge builds.  The grid has
+# about 40 (r + 1) of them at CONSTRUCT_RESOLUTION and doubles with the radius;
+# a million keeps each of its arrays at 8 MB.  For the double well the charge
+# grows fourfold a rung (3.1e6 at 111,963 nodes), so the last rung below the
+# cap, 895,410 nodes, reaches about 2e8
+CONSTRUCT_MAX_NODES = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -205,7 +211,7 @@ class ConstructionPlan:
     grid: RadialGrid          # the grid the charge was verified on
 
 
-def construct_for_charge(spec: NonlinearSpec, charge_target: float, r_cap: float = 1e6) -> ConstructionPlan:
+def construct_for_charge(spec: NonlinearSpec, charge_target: float) -> ConstructionPlan:
     """Build a verified plan whose electric charge reaches the target.
 
     The amplitude sits at the deepest binding level; alpha is the midpoint
@@ -214,7 +220,9 @@ def construct_for_charge(spec: NonlinearSpec, charge_target: float, r_cap: float
     ten percent; the coupling is half the screening-control threshold so
     the retention bound holds strictly.  The radius then doubles until the
     verified charge q m K reaches the target (charge grows like r^2, so
-    the loop terminates).
+    the loop terminates).  A radius whose tent grid has more than
+    CONSTRUCT_MAX_NODES nodes raises RuntimeError before any array of
+    that grid is built.
     """
     if not 0.0 < charge_target < np.inf:
         raise ValueError(f"charge target must be positive and finite, got {charge_target!r}")
@@ -235,15 +243,15 @@ def construct_for_charge(spec: NonlinearSpec, charge_target: float, r_cap: float
     while True:
         q = 0.5 * prefactor * (1.0 - h) / (h * s1 * r)
         tent = TentProfile(s1, r)
-        grid = tent.default_grid(CONSTRUCT_RESOLUTION)
+        grid = tent.default_grid(CONSTRUCT_RESOLUTION)  # no array of it exists before realize
+        if grid.n + 1 > CONSTRUCT_MAX_NODES:
+            raise RuntimeError(f"the tent of radius {r:g} needs {grid.n + 1} grid nodes, above CONSTRUCT_MAX_NODES = "
+                               f"{CONSTRUCT_MAX_NODES}, before its charge reached the target {charge_target:g}")
         u = tent.realize(grid)
         k, _ = screened_mass(u, q)
         charge = q * spec.mass * k
         if charge >= charge_target:
             break
-        if 2.0 * r > r_cap:
-            raise RuntimeError(
-                f"radius cap {r_cap:g} reached at verified charge {charge:g} < target {charge_target:g}")
         r *= 2.0
 
     predicted = (2.0 * np.pi / 3.0) * prefactor * spec.mass * h * (1.0 - h) * s1 * r**2

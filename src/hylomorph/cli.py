@@ -14,7 +14,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -59,9 +59,15 @@ _SCHEMA: dict[str, dict[str, object]] = {
 
 @dataclass
 class RunConfig:
+    """The resolved key values, and the objects built from them once, by ``parse_config``."""
+
     command: str
     out_dir: Path
-    values: dict[tuple[str, str], object] = field(default_factory=dict)
+    values: dict[tuple[str, str], object]
+    spec: model.NonlinearSpec
+    opts: minimize.SolveOptions
+    grid: RadialGrid            # [grid] r_max and n
+    axisym_grid: vortex.AxisymGrid  # [grid] r_max, z_max, n and n_z
 
     def get(self, section: str, key: str):
         return self.values[(section, key)]
@@ -107,27 +113,18 @@ def parse_config(path: Path, command: str, out_dir: Path) -> RunConfig:
                 continue
             values[(section, key)] = _convert(raw, type(_SCHEMA[section][key]), f"[{section}] {key}")
 
-    cfg = RunConfig(command=command, out_dir=out_dir, values=values)
-    _validate_config(cfg)
-    return cfg
-
-
-def _validate_config(cfg: RunConfig) -> None:
-    if cfg.get("grid", "n") <= 0 or cfg.get("grid", "r_max") <= 0:
-        raise ConfigError("grid parameters must be positive")
-    if cfg.get("grid", "n_z") <= 0 or cfg.get("grid", "z_max") <= 0:
-        raise ConfigError("axisymmetric grid parameters must be positive")
-    # NonlinearSpec and SolveOptions are the one check of their parameters
+    # the objects every command reads are built here, once; their constructors
+    # are the one check of their keys, so each bad key is a config error
+    r_max, n = values[("grid", "r_max")], values[("grid", "n")]
     try:
-        _nonlinearity(cfg)
-        _solver_opts(cfg)
+        spec = model.NonlinearSpec(values[("nonlinearity", "family")], values[("nonlinearity", "mass")],
+                                   tuple(_float_list(values[("nonlinearity", "params")])))
+        opts = minimize.SolveOptions(tol=values[("solver", "tol")], max_iters=values[("solver", "max_iters")])
+        grid = RadialGrid(r_max, n)
+        axisym_grid = vortex.AxisymGrid(r_max, values[("grid", "z_max")], n, values[("grid", "n_z")])
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-
-
-def _nonlinearity(cfg: RunConfig) -> model.NonlinearSpec:
-    return model.NonlinearSpec(cfg.get("nonlinearity", "family"), cfg.get("nonlinearity", "mass"),
-                               tuple(_float_list(cfg.get("nonlinearity", "params"))))
+    return RunConfig(command, out_dir, values, spec, opts, grid, axisym_grid)
 
 
 def _float_list(raw: str) -> list[float]:
@@ -186,17 +183,8 @@ def _write_solution(cfg: RunConfig, res: minimize.SolitonResult) -> None:
         write_profile_csv(cfg.out_dir, "phi.csv", {"r": grid.nodes, "phi": res.phi.values})
 
 
-def _grid(cfg: RunConfig) -> RadialGrid:
-    return RadialGrid(cfg.get("grid", "r_max"), cfg.get("grid", "n"))
-
-
-def _solver_opts(cfg: RunConfig) -> minimize.SolveOptions:
-    return minimize.SolveOptions(tol=cfg.get("solver", "tol"),
-                                 max_iters=cfg.get("solver", "max_iters"))
-
-
-def _tent_init(cfg: RunConfig, grid: RadialGrid) -> RadialProfile:
-    return chargewin.TentProfile(cfg.get("solve", "init_s1"), cfg.get("solve", "init_r")).realize(grid)
+def _tent_init(cfg: RunConfig) -> RadialProfile:
+    return chargewin.TentProfile(cfg.get("solve", "init_s1"), cfg.get("solve", "init_r")).realize(cfg.grid)
 
 
 def _result_scalars(res: minimize.SolitonResult) -> dict[str, object]:
@@ -219,9 +207,8 @@ def _result_scalars(res: minimize.SolitonResult) -> dict[str, object]:
 
 
 def _run_validate(cfg: RunConfig) -> dict[str, object]:
-    spec = _nonlinearity(cfg)
-    report = model.validate_assumptions(spec, cfg.get("validate", "s_max"))
-    crit = model.classify_charge_criteria(spec)
+    report = model.validate_assumptions(cfg.spec, cfg.get("validate", "s_max"))
+    crit = model.classify_charge_criteria(cfg.spec)
     out = {
         "mass_normalization": report.mass_normalization,
         "nonnegative": report.nonnegative,
@@ -238,9 +225,8 @@ def _run_validate(cfg: RunConfig) -> dict[str, object]:
 
 
 def _run_window(cfg: RunConfig) -> dict[str, object]:
-    spec = _nonlinearity(cfg)
     est = chargewin.estimate_admissible_window(
-        spec, cfg.get("window", "q"),
+        cfg.spec, cfg.get("window", "q"),
         _float_list(cfg.get("window", "s1_values")),
         _float_list(cfg.get("window", "r_values")))
     if est.empty:
@@ -261,17 +247,14 @@ def _run_window(cfg: RunConfig) -> dict[str, object]:
 
 
 def _run_solve_nlkg(cfg: RunConfig) -> dict[str, object]:
-    spec = _nonlinearity(cfg)
-    res = minimize.minimize_nlkg(spec, cfg.get("solve", "sigma"), _tent_init(cfg, _grid(cfg)),
-                                 _solver_opts(cfg))
+    res = minimize.minimize_nlkg(cfg.spec, cfg.get("solve", "sigma"), _tent_init(cfg), cfg.opts)
     _write_solution(cfg, res)
     return _result_scalars(res)
 
 
 def _run_solve_kgm(cfg: RunConfig) -> dict[str, object]:
-    spec = _nonlinearity(cfg)
-    res = minimize.minimize_kgm(spec, cfg.get("solve", "sigma"), cfg.get("solve", "q"),
-                                _tent_init(cfg, _grid(cfg)), _solver_opts(cfg))
+    res = minimize.minimize_kgm(cfg.spec, cfg.get("solve", "sigma"), cfg.get("solve", "q"), _tent_init(cfg),
+                                cfg.opts)
     _write_solution(cfg, res)
     out = _result_scalars(res)
     out["screened_mass"] = res.screened_mass
@@ -279,13 +262,10 @@ def _run_solve_kgm(cfg: RunConfig) -> dict[str, object]:
 
 
 def _run_solve_vortex(cfg: RunConfig) -> dict[str, object]:
-    spec = _nonlinearity(cfg)
-    grid = vortex.AxisymGrid(cfg.get("grid", "r_max"), cfg.get("grid", "z_max"),
-                             cfg.get("grid", "n"), cfg.get("grid", "n_z"))
-    init = vortex.torus_bump(grid, cfg.get("solve", "torus_amplitude"),
+    init = vortex.torus_bump(cfg.axisym_grid, cfg.get("solve", "torus_amplitude"),
                              cfg.get("solve", "torus_r0"),
                              cfg.get("solve", "torus_width"), cfg.get("solve", "ell"))
-    res = vortex.minimize_vortex(spec, cfg.get("solve", "sigma"), init, _solver_opts(cfg))
+    res = vortex.minimize_vortex(cfg.spec, cfg.get("solve", "sigma"), init, cfg.opts)
     _write_solution(cfg, res)
     out = _result_scalars(res)
     out["angular_momentum"] = res.winding * res.charge  # the axial angular momentum L_3
@@ -294,11 +274,10 @@ def _run_solve_vortex(cfg: RunConfig) -> dict[str, object]:
 
 
 def _run_construct(cfg: RunConfig) -> dict[str, object]:
-    spec = _nonlinearity(cfg)
-    plan = chargewin.construct_for_charge(spec, cfg.get("construct", "charge_target"))
-    report = chargewin.verify_tent_witness(spec, plan.s1, plan.r, plan.h, plan.q)
+    plan = chargewin.construct_for_charge(cfg.spec, cfg.get("construct", "charge_target"))
+    report = chargewin.verify_tent_witness(cfg.spec, plan.s1, plan.r, plan.h, plan.q)
     init = chargewin.TentProfile(plan.s1, plan.r).realize(plan.grid)
-    res = minimize.minimize_kgm(spec, plan.sigma, plan.q, init, _solver_opts(cfg))
+    res = minimize.minimize_kgm(cfg.spec, plan.sigma, plan.q, init, cfg.opts)
     _write_solution(cfg, res)
     out = {
         "plan_s1": plan.s1,
@@ -324,41 +303,43 @@ def _run_construct(cfg: RunConfig) -> dict[str, object]:
 
 
 def _soliton_for_evolution(cfg: RunConfig, section: str):
-    """Check an evolution's time stepping, then solve for its soliton: (spec, grid, res, t_final, dt, rec)."""
-    spec = _nonlinearity(cfg)
-    grid = _grid(cfg)
+    """Check an evolution's time stepping, then solve for its soliton: (res, t_final, dt, rec).
+
+    The soliton is solved to min([solver] tol, 1e-8); the manifest echoes
+    the configured tol.
+    """
+    spec, grid = cfg.spec, cfg.grid
     t_final = cfg.get(section, "t_final")
     dt = cfg.get(section, "dt") or grid.h / 2.0
     rec = cfg.get(section, "record_every") or None
     evolve.step_plan(grid, spec, t_final, dt, rec)
-    opts = minimize.SolveOptions(tol=min(cfg.get("solver", "tol"), 1e-8),
-                                 max_iters=cfg.get("solver", "max_iters"))
-    res = minimize.minimize_nlkg(spec, cfg.get(section, "sigma"), _tent_init(cfg, grid), opts)
+    opts = replace(cfg.opts, tol=min(cfg.opts.tol, 1e-8))
+    res = minimize.minimize_nlkg(spec, cfg.get(section, "sigma"), _tent_init(cfg), opts)
     if not res.converged:
         raise RuntimeError("soliton preparation did not converge; adjust sigma or the grid")
-    return spec, grid, res, t_final, dt, rec
+    return res, t_final, dt, rec
 
 
 def _run_evolve(cfg: RunConfig) -> dict[str, object]:
-    spec, grid, res, t_final, dt, rec = _soliton_for_evolution(cfg, "evolve")
+    res, t_final, dt, rec = _soliton_for_evolution(cfg, "evolve")
     state, ledger = evolve.evolve_nlkg(
-        evolve.soliton_state(res.u, res.omega), spec, t_final, dt,
+        evolve.soliton_state(res.u, res.omega), cfg.spec, t_final, dt,
         record_every=rec, localization_radius=evolve.soliton_radius(res.u),
         reference=(res.u, res.omega), free_field=cfg.get("evolve", "free"))
     write_profile_csv(cfg.out_dir, "ledger.csv", ledger.arrays())
-    write_profile_csv(cfg.out_dir, "profile.csv", {"r": grid.nodes, "u": np.abs(state.psi)})
+    write_profile_csv(cfg.out_dir, "profile.csv", {"r": cfg.grid.nodes, "u": np.abs(state.psi)})
     return {"t_final": state.t, **ledger.drifts(), "omega": res.omega, "sigma": res.charge,
-            "cfl_margin": evolve.cfl_margin(grid, spec, dt)}
+            "cfl_margin": evolve.cfl_margin(cfg.grid, cfg.spec, dt)}
 
 
 def _run_stability(cfg: RunConfig) -> dict[str, object]:
     delta = cfg.get("stability", "delta")
     evolve.check_delta(delta)
-    spec, grid, res, t_final, dt, rec = _soliton_for_evolution(cfg, "stability")
-    result = evolve.stability_experiment(res.u, res.omega, spec, t_final, dt, delta, record_every=rec)
+    res, t_final, dt, rec = _soliton_for_evolution(cfg, "stability")
+    result = evolve.stability_experiment(res.u, res.omega, cfg.spec, t_final, dt, delta, record_every=rec)
 
     out: dict[str, object] = {"sigma": res.charge, "omega": res.omega, "delta": delta,
-                              "cfl_margin": evolve.cfl_margin(grid, spec, dt),
+                              "cfl_margin": evolve.cfl_margin(cfg.grid, cfg.spec, dt),
                               "localization_radius": result.localization_radius,
                               "reversal_error": result.reversal_error,
                               "coarse_iterations": res.coarse_iterations,

@@ -16,6 +16,7 @@ of one; ``stability_experiment`` advances its four runs as one batch.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -170,7 +171,7 @@ def step_plan(grid: RadialGrid, spec: NonlinearSpec, t_final: float, dt: float,
     """Step count and record stride of a leapfrog run (None: about 256 records).
 
     Raises ValueError unless 0 < dt with ``cfl_margin < 2``, t_final is
-    finite and spans a step, and ``record_every`` is at least 1.
+    finite and spans a step, and ``record_every`` is an integer of at least 1.
     """
     if not (dt > 0.0 and cfl_margin(grid, spec, dt) < 2.0):
         raise ValueError("dt must be positive and below the leapfrog stability bound "
@@ -182,8 +183,8 @@ def step_plan(grid: RadialGrid, spec: NonlinearSpec, t_final: float, dt: float,
         raise ValueError(f"t_final must span at least one step dt = {dt:g}")
     if record_every is None:
         return n_steps, max(1, n_steps // 256)
-    if record_every < 1:
-        raise ValueError("record_every must be at least 1")
+    if not (isinstance(record_every, numbers.Integral) and record_every >= 1):
+        raise ValueError(f"record_every must be an integer of at least 1, got {record_every!r}")
     return n_steps, record_every
 
 
@@ -221,8 +222,8 @@ def _leapfrog(inits: list[EvolutionState], spec: NonlinearSpec, t_final: float, 
         X[b] = init.psi.real, init.psi.imag
         U[b] = init.psi_t.real, init.psi_t.imag
     # the outer node is pinned: its field, velocity and acceleration stay 0
-    X[..., -1] = 0.0
-    U[..., -1] = 0.0
+    grid.zero_boundary(X)
+    grid.zero_boundary(U)
     # |psi|^2 enters the force and |psi_t|^2 the energy; a finite field whose
     # squares overflow is a bad start, not a blow-up of the run
     with np.errstate(over="ignore"):
@@ -360,8 +361,7 @@ def stability_experiment(profile: RadialProfile, omega: float, spec: NonlinearSp
     base = soliton_state(profile, omega)  # rejects a non-radial profile first
     grid = profile.grid
     radius = soliton_radius(profile)
-    bump = delta * np.exp(-((grid.nodes - mass_radius(profile, 0.5)) ** 2))
-    bump[-1] = 0.0
+    bump = grid.zero_boundary(delta * np.exp(-((grid.nodes - mass_radius(profile, 0.5)) ** 2)))
     names = ["ledger", "ledger_scaled", "ledger_bump", "ledger_free"]
     starts = [base, EvolutionState(grid, (1.0 + delta) * base.psi, (1.0 + delta) * base.psi_t),
               EvolutionState(grid, base.psi + bump, base.psi_t), base]

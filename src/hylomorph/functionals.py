@@ -37,8 +37,20 @@ def deficiency(u: Profile, spec: NonlinearSpec, q: float = 0.0) -> tuple[float, 
     k = mass2 if q == 0.0 else screened_mass(u, q)[0]
     r_int = u.grid.integrate(eval_remainder(spec, u.values, 0))
     # q * integral of phi u^2 = ||u||^2 - K by the same quadrature, exactly
-    kinetic = u.gradient2 + u.grid.integrate(u.grid.centrifugal(u.winding) * u.values**2)
+    kinetic = gradient_energy(u.grid, u.values, u.grid.centrifugal(u.winding))
     return 0.5 * kinetic + r_int + 0.5 * spec.mass**2 * (mass2 - k), k
+
+
+def gradient_energy(grid, u: np.ndarray, potential: np.ndarray | float) -> float:
+    """Integral of |grad u|^2 + V u^2, twice the kinetic energy T of E_sigma and J.
+
+    ``grid`` is a RadialGrid or a vortex AxisymGrid.  V is the centrifugal
+    ell^2/r^2 of a vortex and 0, whose term is skipped, radially.
+    """
+    dirichlet = grid.dirichlet(u)
+    if not np.isscalar(potential) or potential:
+        dirichlet += grid.integrate(potential * u * u)
+    return dirichlet
 
 
 def reduced_energy(grid, u: np.ndarray, spec: NonlinearSpec, sigma: float, k: float,
@@ -47,13 +59,11 @@ def reduced_energy(grid, u: np.ndarray, spec: NonlinearSpec, sigma: float, k: fl
 
     ``grid`` is a RadialGrid or a vortex AxisymGrid.  K is the mass
     ||u||^2 in the ungauged theory and the screened mass K(u) in the
-    gauge-coupled one; at sigma = 0 the charge term is dropped.  V is the
-    centrifugal ell^2/r^2 of a vortex and 0, whose term is skipped, radially.
+    gauge-coupled one; at sigma = 0 the charge term is dropped.  V is that
+    of ``gradient_energy``.
     """
-    dirichlet = grid.dirichlet(u)
-    if not np.isscalar(potential) or potential:
-        dirichlet += grid.integrate(potential * u * u)
-    return 0.5 * dirichlet + grid.integrate(eval_nonlinearity(spec, u, 0)) + charge_energy(sigma, k)
+    return (0.5 * gradient_energy(grid, u, potential) + grid.integrate(eval_nonlinearity(spec, u, 0))
+            + charge_energy(sigma, k))
 
 
 def charge_energy(sigma: float, k: float) -> float:

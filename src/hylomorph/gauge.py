@@ -23,10 +23,11 @@ gives omega = -sigma/K and the reduced energy
     E_sigma(u) = integral of |grad u|^2/2 + W(u)  +  sigma^2 / (2 K(u)).
 
 ``ScreenedPoisson`` holds the grid-only part of the matrix; its
-``potential`` is the one assembly and solve, and its ``mass`` the one
-energy form of K.  ``solve_phi`` and ``screened_mass`` are its wrappers
-for a validated ``RadialProfile``; the minimizer builds one kernel per
-grid and calls it on the arrays of its projected iterates; it rejects a vortex grid.
+``potential`` is the one assembly and solve, and its ``mass`` returns K
+in its one energy form together with the phi_u it solved for.
+``solve_phi`` and ``screened_mass`` are its wrappers for a validated
+``RadialProfile``; the minimizer builds one kernel per grid and calls it
+on the arrays of its projected iterates; it rejects a vortex grid.
 
 This module provides phi_u and K(u) alone; the functionals built on them
 (``functionals.deficiency``, ``reduced_energy``, ``stationary_operator``)
@@ -149,26 +150,23 @@ class ScreenedPoisson:
             raise InvariantError("screened potential violated its a priori bounds; solver defect")
         return GaugePotential(self.grid, np.clip(phi, 0.0, 1.0 / q), q)
 
-    def energy_form(self, uu: np.ndarray, phi: GaugePotential) -> float:
-        """K as field energy, including the exterior tail 4 pi R phi(R)^2 of the
-        A/r continuation implied by the Robin closure."""
-        grid = self.grid
-        p = phi.values
-        tail = FOUR_PI * grid.r_max * p[-1] ** 2
-        return grid.dirichlet(p) + tail + grid.integrate(phi.screen * uu)
+    def mass(self, uu: np.ndarray, q: float) -> tuple[float, GaugePotential]:
+        """K(u) in its energy form, and the potential phi_u of ``potential`` it is evaluated at.
 
-    def mass(self, uu: np.ndarray, phi: GaugePotential) -> float:
-        """K(u) in its energy form at the potential phi_u of ``potential``.
-
+        K is the field energy of phi_u, including the exterior tail
+        4 pi R phi(R)^2 of the A/r continuation implied by the Robin closure.
         The energy form is stationary in phi, so solve noise enters K only at
         second order; the source form would leak it into finite differences.
         A coupling so strong that K falls below 1e6 eps^2 ||u||^2, where
         round-off in 1 - q phi dominates it, is rejected.
         """
-        k = self.energy_form(uu, phi)
-        if k < _MASS_FLOOR * self.grid.integrate(uu):
-            raise ValueError(f"coupling q = {phi.coupling!r} screens K(u) = {k:.3g} below float resolution")
-        return k
+        phi = self.potential(uu, q)
+        grid = self.grid
+        p = phi.values
+        k = grid.dirichlet(p) + FOUR_PI * grid.r_max * p[-1] ** 2 + grid.integrate(phi.screen * uu)
+        if k < _MASS_FLOOR * grid.integrate(uu):
+            raise ValueError(f"coupling q = {q!r} screens K(u) = {k:.3g} below float resolution")
+        return k, phi
 
 
 def solve_phi(u: RadialProfile, q: float) -> GaugePotential:
@@ -179,7 +177,4 @@ def solve_phi(u: RadialProfile, q: float) -> GaugePotential:
 def screened_mass(u: RadialProfile, q: float) -> tuple[float, GaugePotential]:
     """K(u) in its energy form, and the potential phi_u it is evaluated at;
     see ``ScreenedPoisson.mass``."""
-    kernel = ScreenedPoisson(u.grid)
-    uu = u.values**2
-    phi = kernel.potential(uu, q)
-    return kernel.mass(uu, phi), phi
+    return ScreenedPoisson(u.grid).mass(u.values**2, q)

@@ -12,6 +12,7 @@ minimizers are written once.
 from __future__ import annotations
 
 import ctypes
+import numbers
 from dataclasses import dataclass, replace
 from functools import cached_property
 from pathlib import Path
@@ -60,8 +61,8 @@ class RadialGrid:
     def __post_init__(self):
         if not 0 < self.r_max < np.inf:
             raise ValueError(f"r_max must be positive and finite, got {self.r_max}")
-        if self.n < 16:
-            raise ValueError(f"grid needs n >= 16, got {self.n}")
+        if not (isinstance(self.n, numbers.Integral) and self.n >= 16):
+            raise ValueError(f"grid needs an integer n >= 16, got {self.n!r}")
         r = float(self.r_max)  # Python floats overflow to inf without a warning
         h = r / self.n
         # the geometry runs from the node mass h^3 at r_1 to h^2, r_max^2, the
@@ -161,8 +162,12 @@ class RadialGrid:
         return self.laplacian_matrix.apply(self._samples(u))
 
     def zero_boundary(self, v: np.ndarray) -> np.ndarray:
-        """Zero v in place at the truncation node, its one Dirichlet node, and return it."""
-        v[-1] = 0.0
+        """Zero v in place at the truncation node, its one Dirichlet node, and return it.
+
+        The node is the last along the last axis, so a batch of fields of
+        shape (..., n + 1) is pinned at once.
+        """
+        v[..., -1] = 0.0
         return v
 
     def shift(self, u: np.ndarray, cells: float) -> np.ndarray:
@@ -223,11 +228,6 @@ class Profile:
     def mass2(self) -> float:
         """Integral of u^2 over R^3."""
         return self.grid.integrate(self.values**2)
-
-    @cached_property
-    def gradient2(self) -> float:
-        """Integral of |grad u|^2 over R^3."""
-        return self.grid.dirichlet(self.values)
 
     def resample(self, grid) -> "Profile":
         """Linear interpolation onto another grid of the same domain, along each axis in turn."""
@@ -341,7 +341,8 @@ class TridiagonalFactor:
         return x
 
 
-def weighted_norm(grid: RadialGrid, samples: np.ndarray) -> float:
-    """Grid L^2 norm sqrt(integral of |f|^2 over R^3); NaN if a sample is NaN."""
+def weighted_norm(grid, samples: np.ndarray) -> float:
+    """Grid L^2 norm sqrt(integral of |f|^2 over R^3) on a RadialGrid or a vortex
+    AxisymGrid; NaN if a sample is NaN."""
     samples = np.asarray(samples)
     return float(np.sqrt(np.real(weighted_sum(grid.volume_weights, samples, np.conj(samples)))))

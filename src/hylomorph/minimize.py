@@ -36,7 +36,7 @@ import numpy as np
 
 from .functionals import reduced_energy, stationary_operator
 from .gauge import GaugePotential, ScreenedPoisson, solve_phi
-from .grid import InvariantError, RadialProfile, weighted_sum
+from .grid import InvariantError, RadialProfile, weighted_norm, weighted_sum
 from .model import NonlinearSpec
 
 COLLAPSE_AMPLITUDE_FACTOR = 1e-3
@@ -110,7 +110,7 @@ def descend(
     weights: np.ndarray,
     pc_solve: Callable[[np.ndarray], np.ndarray],
     opts: SolveOptions,
-    start: tuple[float, Any] | None = None,
+    start: tuple[float, Any],
     step: tuple[np.ndarray, np.ndarray] | None = None,
     shift: Callable[[np.ndarray, float], np.ndarray] | None = None,
 ) -> tuple[np.ndarray, float, int, str, float, Any]:
@@ -120,9 +120,9 @@ def descend(
     way; ``gradient(u, state)`` receives the state of the same iterate, so
     work both need (the screened mass and its potential) is done once.
     Inner products and the residual norm use the quadrature ``weights``.
-    ``start``, when given, is ``energy(u0)`` as the caller already computed
-    it for a ``u0`` that ``project`` leaves unchanged; it is not evaluated again.
-    ``step``, when given with ``start``, is the gradient at ``u0`` and its
+    ``start`` is ``energy(u0)`` as the caller already computed it for a
+    ``u0`` that ``project`` leaves unchanged; it is not evaluated again.
+    ``step``, when given, is the gradient at ``u0`` and its
     ``pc_solve`` as the caller computed them; the first pass takes them
     instead of solving again, unless the wall search moved the start.
 
@@ -167,7 +167,7 @@ def descend(
 
     u = project(u0.copy())
     tau = STEP_INIT
-    e_cur, state = energy(u) if start is None else start
+    e_cur, state = start
     if shift is not None:
         shifted = _wall_search(u, e_cur, shift, project, energy)
         if shifted is not None:
@@ -343,9 +343,7 @@ def _problem(grid, spec: NonlinearSpec, sigma: float, q: float | None, winding: 
         if kernel is None:
             k, phi = grid.integrate(u * u), None
         else:
-            uu = u**2
-            phi = kernel.potential(uu, q)
-            k = kernel.mass(uu, phi)
+            k, phi = kernel.mass(u**2, q)
         return reduced_energy(grid, u, spec, sigma, k, potential), (k, phi)
 
     def gradient(u: np.ndarray, state: tuple[float, GaugePotential | None]) -> np.ndarray:
@@ -500,4 +498,4 @@ def residual_stationary(result, spec: NonlinearSpec, kind: str) -> float:
     screen = 1.0 if q is None else solve_phi(profile, q).screen
     g = stationary_operator(grid, profile.values, spec, result.omega**2, screen,
                             grid.centrifugal(profile.winding))
-    return float(np.sqrt(grid.integrate(g * g)))
+    return weighted_norm(grid, g)

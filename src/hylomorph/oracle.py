@@ -396,12 +396,10 @@ def shoot_ground_state(spec: NonlinearSpec, omega: float, grid: RadialGrid | Non
     vals[:idx + 1] = us[:idx + 1]
     tail = nodes[idx + 1:]
     vals[idx + 1:] = amp * np.exp(-kappa * tail) / tail
-    vals[-1] = 0.0
-    vals = np.maximum(vals, 0.0)
 
     return ShootResult(
         u0=u0,
-        profile=RadialProfile(grid, vals),
+        profile=RadialProfile(grid, grid.zero_boundary(vals)),
         omega=omega,
         bracket=(lo, hi),
         converged=hi - lo <= BRACKET_TOL * hi and r_event > 1.0,

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from numbers import Integral
 
 import numpy as np
 
@@ -44,8 +45,9 @@ class AxisymGrid:
         if not (0 < self.r_max < np.inf and 0 < self.z_max < np.inf):
             raise ValueError(f"domain extents must be positive and finite, got r_max = {self.r_max}, "
                              f"z_max = {self.z_max}")
-        if self.n_r < 16 or self.n_z < 16:
-            raise ValueError("axisymmetric grid needs at least 16 cells per direction")
+        if not all(isinstance(n, Integral) and n >= 16 for n in self.cells):
+            raise ValueError(f"axisymmetric grid needs an integer count of at least 16 cells per direction, "
+                             f"got n_r = {self.n_r!r}, n_z = {self.n_z!r}")
         r = float(self.r_max)  # Python floats overflow to inf without a warning
         h_r, h_z = r / self.n_r, 2.0 * float(self.z_max) / self.n_z
         # the geometry runs from the stencil's 1/h^2 and the node volume
@@ -162,12 +164,15 @@ class AxisymGrid:
 
 @dataclass
 class AxisymProfile(Profile):
-    """Nonnegative amplitude on an AxisymGrid winding ``winding`` != 0 times around
-    the axis, zero on the axis and the outer boundary."""
+    """Nonnegative amplitude on an AxisymGrid winding ``winding`` times around
+    the axis, a nonzero integer, zero on the axis and the outer boundary."""
 
     winding: int
 
     def __post_init__(self):
+        # e^{i ell theta} is single-valued only for an integer ell
+        if not isinstance(self.winding, Integral):
+            raise ValueError(f"the winding must be an integer, got {self.winding!r}")
         if self.winding == 0:
             raise ValueError("an axisymmetric profile needs a nonzero winding; winding 0 is the radial problem")
         super().__post_init__()
@@ -177,7 +182,8 @@ def torus_bump(grid: AxisymGrid, amplitude: float, r0: float, width: float,
                winding: int) -> AxisymProfile:
     """Gaussian torus initial guess centered at radius r0 in the z = 0 plane.
 
-    The amplitude, r0 and width must be finite and the width positive.
+    The amplitude, r0 and width must be finite and the width positive;
+    ``AxisymProfile`` checks the winding.
     """
     if not (np.isfinite([amplitude, r0, width]).all() and width > 0):
         raise ValueError(f"torus needs a finite amplitude and r0 and a finite positive width, "

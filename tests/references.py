@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from hylomorph.gauge import GaugePotential, ScreenedPoisson
+from hylomorph.gauge import ScreenedPoisson
 from hylomorph.grid import RadialProfile
 from hylomorph.model import NonlinearSpec
 
@@ -50,8 +50,9 @@ def tent_quadratures(s1: float, r: float, spec: NonlinearSpec) -> TentQuadrature
     return TentQuadratures(mass2=float(mass2), grad2=float(grad2), remainder_int=float(remainder_int))
 
 
-def screened_mass_two_forms(u: RadialProfile, phi: GaugePotential) -> tuple[float, float]:
-    """K evaluated as field energy and as screened source; equal at the solution."""
+def screened_mass_two_forms(u: RadialProfile, q: float) -> tuple[float, float]:
+    """K evaluated as field energy (``ScreenedPoisson.mass``) and as screened source
+    at the same phi_u; equal at the solution."""
     uu = u.values**2
-    source_form = u.grid.integrate((1.0 - phi.coupling * phi.values) * uu)
-    return ScreenedPoisson(u.grid).energy_form(uu, phi), source_form
+    energy_form, phi = ScreenedPoisson(u.grid).mass(uu, q)
+    return energy_form, u.grid.integrate((1.0 - q * phi.values) * uu)

@@ -132,7 +132,7 @@ def test_criterion_4_gauge_subproblem():
         phi = solve_phi(u, q)
         assert phi.values.min() >= 0.0
         assert phi.values.max() <= 1.0 / q
-        energy_form, source_form = screened_mass_two_forms(u, phi)
+        energy_form, source_form = screened_mass_two_forms(u, q)
         assert abs(energy_form - source_form) < 1e-6 * source_form
         moment = 4.0 * np.pi * grid.r_max * phi.values[-1]
         assert abs(moment - q * source_form) < 0.02 * q * source_form
@@ -153,7 +153,7 @@ def test_criterion_5_reduced_energy_identity():
         sigma = rng.uniform(0.1, 200.0)
         q = rng.uniform(0.01, 5.0)
         k, _ = screened_mass(u, q)
-        direct = (0.5 * u.gradient2 + grid.integrate(eval_nonlinearity(SPEC, vals, 0))
+        direct = (0.5 * grid.dirichlet(vals) + grid.integrate(eval_nonlinearity(SPEC, vals, 0))
                   + sigma**2 / (2.0 * k))
         assert abs(reduced_energy(grid, vals, SPEC, sigma, k) - direct) < 1e-10 * abs(direct)
     report(5, time.perf_counter() - t0, 5.0)

@@ -160,9 +160,22 @@ class TestConstruction:
         alpha = plan.alpha
         assert plan.r == pytest.approx(1.1 / ((1.0 - alpha) ** (-1.0 / 3.0) - 1.0), rel=1e-12)
 
-    def test_radius_cap_reported(self):
-        with pytest.raises(RuntimeError):
-            construct_for_charge(SPEC, 1e9, r_cap=100.0)
+    def test_radius_cap_reported(self, monkeypatch):
+        # the doubling radius stops at the node cap before a tent is realized
+        # on a grid above it, so no array of such a grid is ever built
+        cap = 4000
+        monkeypatch.setattr(chargewin, "CONSTRUCT_MAX_NODES", cap)
+        realized = []
+        realize = TentProfile.realize
+
+        def spy(tent, grid):
+            realized.append(grid.n + 1)
+            return realize(tent, grid)
+
+        monkeypatch.setattr(TentProfile, "realize", spy)
+        with pytest.raises(RuntimeError, match="CONSTRUCT_MAX_NODES"):
+            construct_for_charge(SPEC, 1e9)
+        assert cap // 2 < max(realized) <= cap
 
     @pytest.mark.parametrize("target", [np.inf, np.nan])
     def test_non_finite_target_rejected_before_any_tent(self, monkeypatch, target):

@@ -61,6 +61,25 @@ def test_tol_outside_the_positive_floats_is_a_config_error(tmp_path, capsys, tol
 
 
 @pytest.mark.parametrize("command, text", [
+    ("solve-nlkg", "[grid]\nn = 5\n"),
+    ("solve-nlkg", "[grid]\nr_max = nan\n"),
+    ("solve-nlkg", "[grid]\nr_max = inf\n"),
+    ("solve-nlkg", "[grid]\nr_max = 1e308\n"),  # 6/h**2 of the origin row overflows
+    ("solve-vortex", "[grid]\nr_max = 1e308\n"),
+    ("solve-vortex", "[grid]\nz_max = 1e308\n"),
+    ("validate", "[grid]\nn_z = 8\n"),  # every command builds both grids
+], ids=["solve-nlkg-n_5", "solve-nlkg-r_max_nan", "solve-nlkg-r_max_inf", "solve-nlkg-r_max_1e308",
+        "solve-vortex-r_max_1e308", "solve-vortex-z_max_1e308", "validate-n_z_8"])
+def test_grid_outside_its_range_is_a_config_error(tmp_path, capsys, command, text):
+    # parse_config builds RadialGrid and AxisymGrid once; their constructors are the one check of [grid]
+    cfg = write_config(tmp_path, "g.ini", text)
+    out = tmp_path / "g"
+    assert cli.main([command, "--config", str(cfg), "--out", str(out)]) == cli.EXIT_CONFIG == 2
+    assert "config error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, text", [
     ("construct", "[construct]\ncharge_target = inf\n"),
     ("solve-nlkg", "[solve]\ninit_r = 30.0\n"),  # the tent's ramp ends past r_max = 24
     ("window", "[window]\nq = inf\n"),
@@ -79,18 +98,12 @@ def test_tol_outside_the_positive_floats_is_a_config_error(tmp_path, capsys, tol
     ("solve-vortex", "[solve]\ntorus_width = 0\n"),
     ("solve-vortex", "[solve]\ntorus_r0 = nan\n"),
     ("solve-vortex", "[solve]\ntorus_amplitude = inf\n"),
-    ("solve-nlkg", "[grid]\nr_max = 1e308\n"),  # 6/h**2 of the origin row overflows
-    ("solve-nlkg", "[grid]\nr_max = inf\n"),
-    ("solve-vortex", "[grid]\nr_max = 1e308\n"),
-    ("solve-vortex", "[grid]\nz_max = 1e308\n"),
     ("solve-vortex", "[grid]\nr_max = 1e-90\n"),  # K ~ 1e-187, so (sigma/K)**2 overflows
 ], ids=["construct-charge_target_inf", "solve-nlkg-tent_past_r_max", "window-q_inf", "window-q_nan",
         "window-q_1e300", "window-q_1e154", "solve-kgm-q_inf", "solve-kgm-q_nan", "solve-kgm-q_1e300",
         "solve-nlkg-sigma_inf", "solve-nlkg-sigma_1e160", "solve-kgm-sigma_inf", "solve-kgm-sigma_1e160",
         "solve-vortex-sigma_inf", "solve-vortex-sigma_1e160", "solve-vortex-torus_width_0",
-        "solve-vortex-torus_r0_nan", "solve-vortex-torus_amplitude_inf",
-        "solve-nlkg-r_max_1e308", "solve-nlkg-r_max_inf", "solve-vortex-r_max_1e308",
-        "solve-vortex-z_max_1e308", "solve-vortex-r_max_1e-90"])
+        "solve-vortex-torus_r0_nan", "solve-vortex-torus_amplitude_inf", "solve-vortex-r_max_1e-90"])
 def test_inputs_rejected_before_any_solve(tmp_path, monkeypatch, command, text):
     def no_solve(*args, **kwargs):
         raise RuntimeError("a solve ran before the inputs were checked")

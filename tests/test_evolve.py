@@ -63,7 +63,7 @@ def test_leapfrog_stability_bound():
     assert final.t == pytest.approx(1.0, abs=grid.h)
 
 
-@pytest.mark.parametrize("record_every", [0, -1])
+@pytest.mark.parametrize("record_every", [0, -1, 2.5, np.nan])  # a stride is an integer
 def test_record_every_below_one_rejected(grid, record_every):
     state = EvolutionState(grid, np.zeros(grid.n + 1, complex), np.zeros(grid.n + 1, complex))
     with pytest.raises(ValueError, match="record_every"):

@@ -161,6 +161,9 @@ def test_grid_validation():
         RadialGrid(-1.0, 64)
     with pytest.raises(ValueError):
         RadialGrid(1.0, 8)
+    # a cell count is an integer; a float one would fail later, in numpy
+    with pytest.raises(ValueError, match="integer"):
+        RadialGrid(10.0, 32.0)
 
 
 @pytest.mark.parametrize("r_max", [np.inf, np.nan, 1e308, 1e150, 1e-120])

@@ -13,12 +13,12 @@ from hypothesis import strategies as st
 
 from hylomorph import minimize
 from hylomorph.chargewin import TentProfile, construct_for_charge
-from hylomorph.functionals import reduced_energy, reduced_energy_sigma, sigma_window
+from hylomorph.functionals import gradient_energy, reduced_energy, reduced_energy_sigma, sigma_window
 from hylomorph.gauge import screened_mass, solve_phi
-from hylomorph.grid import RadialGrid, RadialProfile, weighted_norm
+from hylomorph.grid import FOUR_PI, RadialGrid, RadialProfile, weighted_norm
 from hylomorph.minimize import (ARMIJO, DIVERGED_NOTE, SolveOptions, _solve, descend, minimize_kgm,
                                 minimize_nlkg, residual_stationary)
-from hylomorph.model import NonlinearSpec
+from hylomorph.model import NonlinearSpec, eval_nonlinearity
 
 SPEC = NonlinearSpec.double_well()
 
@@ -207,7 +207,7 @@ def test_descend_rejects_a_trial_of_minus_infinite_energy():
         return (-np.inf if u.max() > 1.5 else 0.5 * float(np.sum((u - 2.0) ** 2))), None
 
     u, _, _, _, e, _ = descend(np.zeros(8), energy, lambda u, _: u - 2.0, lambda u: u, np.ones(8),
-                               lambda g: g, SolveOptions(max_iters=20))
+                               lambda g: g, SolveOptions(max_iters=20), energy(np.zeros(8)))
     assert np.isfinite(e) and e == energy(u)[0]
 
 
@@ -236,7 +236,7 @@ def _quadratic_gradient(u, _):
 ])
 def test_descend_reports_why_it_stopped(opts, project, termination):
     _, _, _, reason, _, _ = descend(np.zeros(8), _quadratic_energy, _quadratic_gradient, project,
-                                    np.ones(8), lambda g: 0.1 * g, opts)
+                                    np.ones(8), lambda g: 0.1 * g, opts, _quadratic_energy(np.zeros(8)))
     assert reason == termination
 
 
@@ -256,7 +256,7 @@ def test_descend_reports_a_stall():
     gradient, calls = _counted(lambda u, _: np.full(8, 1e-6))
     _, _, iterations, reason, _, _ = descend(np.zeros(8), lambda u: (1e6, None), gradient,
                                              lambda u: u, np.ones(8),
-                                             lambda g: g, SolveOptions(tol=1e-30, max_iters=1000))
+                                             lambda g: g, SolveOptions(tol=1e-30, max_iters=1000), (1e6, None))
     assert reason == "stalled"
     assert iterations < 1000
     # one gradient per iterate 0..iterations: the stall leaves u where its
@@ -267,7 +267,8 @@ def test_descend_reports_a_stall():
 def test_failed_line_search_takes_one_gradient():
     gradient, calls = _counted(_quadratic_gradient)
     _, residual, _, reason, _, _ = descend(np.zeros(8), _quadratic_energy, gradient, np.zeros_like,
-                                           np.ones(8), lambda g: 0.1 * g, SolveOptions())
+                                           np.ones(8), lambda g: 0.1 * g, SolveOptions(),
+                                           _quadratic_energy(np.zeros(8)))
     assert reason == "line_search_failed"
     assert len(calls) == 1
     assert residual == pytest.approx(np.sqrt(8 * 4.0), rel=1e-15)
@@ -281,7 +282,7 @@ def test_spent_budget_takes_a_final_gradient(max_iters, evaluations):
     gradient, calls = _counted(_quadratic_gradient)
     opts = SimpleNamespace(tol=1e-30, max_iters=max_iters)
     u, residual, _, reason, _, _ = descend(np.zeros(8), _quadratic_energy, gradient, lambda u: u,
-                                           np.ones(8), lambda g: 0.1 * g, opts)
+                                           np.ones(8), lambda g: 0.1 * g, opts, _quadratic_energy(np.zeros(8)))
     assert reason == "max_iters"
     assert len(calls) == evaluations
     assert np.array_equal(calls[-1], u)
@@ -297,7 +298,8 @@ def _quadratic_trials(a, max_iters):
         return 0.5 * a * float(np.sum((u - 2.0) ** 2)), None
 
     *_, termination, _, _ = descend(np.zeros(8), energy, lambda u, _: a * (u - 2.0), lambda u: u,
-                                    np.ones(8), lambda g: g, SolveOptions(max_iters=max_iters))
+                                    np.ones(8), lambda g: g, SolveOptions(max_iters=max_iters),
+                                    energy(np.zeros(8)))
     return trials, termination
 
 
@@ -349,7 +351,7 @@ def _recorded_descent(n, energy, gradient, project, pc_scale, u0):
         return gradient(u, state)
 
     descend(u0, rec_energy, rec_gradient, rec_project, np.ones(n), lambda g: g / pc_scale,
-            SolveOptions(tol=1e-10, max_iters=40))
+            SolveOptions(tol=1e-10, max_iters=40), rec_energy(project(u0)))
     return groups
 
 
@@ -549,7 +551,7 @@ def test_wall_search_never_raises_the_energy(s1, r, sigma, q):
         assert (e, state[0]) == (again, k)
     # nor does the descent that may start with it
     *_, e_end, _ = descend(u, energy, gradient, project, weights, pc_solve, SolveOptions(max_iters=2),
-                           shift=shift)
+                           energy(u), shift=shift)
     assert e_end <= e0
 
 
@@ -619,3 +621,54 @@ def test_unconverged_level_leaves_no_error_estimate(grid):
     res = minimize_nlkg(SPEC, 300.0, TentProfile(1.0, 3.0).realize(grid), SolveOptions(max_iters=3))
     assert res.coarse_iterations > 0 and res.termination == "max_iters"
     assert np.isnan(res.discretization_error)
+
+
+# |P/T| of a converged solve at n = 2048 on RadialGrid(32, n): measured 1.5e-5 to 1.6e-5
+VIRIAL_TOL = 3e-5
+
+
+def _virial_ratio(res, spec) -> float:
+    """P/T of the virial (Derrick-Pohozaev) identity at a solved state; 0 in the continuum.
+
+    Scaling u(x) -> u(x/lambda) at fixed charge, E_sigma is stationary at
+    lambda = 1 when P = T + 3 integral of W - (sigma^2 / 2K^2)(A + 3B) = 0,
+    with T = (1/2) integral of |grad u|^2, A = integral of |grad phi|^2 +
+    4 pi R phi(R)^2 and B = integral of (1 - q phi)^2 u^2, so K = A + B.
+    Ungauged, A = 0 and B = K.
+    """
+    grid, u, k = res.u.grid, res.u.values, res.screened_mass
+    if res.phi is None:
+        a, b = 0.0, k
+    else:
+        p = res.phi.values
+        a = grid.dirichlet(p) + FOUR_PI * grid.r_max * p[-1] ** 2
+        b = grid.integrate(res.phi.screen * u * u)
+        assert k == pytest.approx(a + b, rel=1e-12)
+    t = 0.5 * gradient_energy(grid, u, 0.0)
+    w = grid.integrate(eval_nonlinearity(spec, u, 0))
+    return (t + 3.0 * w - res.charge**2 / (2.0 * k * k) * (a + 3.0 * b)) / t
+
+
+def _virial_solve(q, sigma, grid):
+    init, opts = TentProfile(1.0, 3.0).realize(grid), SolveOptions(tol=1e-9)
+    res = minimize_nlkg(SPEC, sigma, init, opts) if q is None else minimize_kgm(SPEC, sigma, q, init, opts)
+    assert res.converged
+    return _virial_ratio(res, SPEC)
+
+
+@pytest.mark.parametrize("q", [None, 0.05, 0.2])
+def test_converged_solves_satisfy_the_virial_identity(q):
+    # P/T is a second-order discretization error: small at n = 2048 and four
+    # times smaller at n = 4096.  Halving A, or dropping its Robin tail, leaves
+    # a flat 1e-3 to 8e-2 instead
+    coarse, fine = (_virial_solve(q, 80.0, RadialGrid(32.0, n)) for n in (2048, 4096))
+    assert abs(coarse) < VIRIAL_TOL
+    assert 3.5 < coarse / fine < 4.5
+
+
+def test_virial_identity_flags_a_state_squeezed_by_the_box():
+    # at sigma = 1000 the soliton does not fit in r_max = 12: the solve converges
+    # against the Dirichlet wall, and P/T reads about -0.9 there against -1.5e-5
+    # at r_max = 40
+    assert abs(_virial_solve(None, 1000.0, RadialGrid(40.0, 2048))) < VIRIAL_TOL
+    assert abs(_virial_solve(None, 1000.0, RadialGrid(12.0, 2048))) > 0.5

@@ -97,8 +97,10 @@ def test_screened_poisson_matrix_is_assembled_once():
                         and node.func.id == "TridiagonalFactor"):
                     factoring.add(fn.name if top is fn else f"{top.name}.{fn.name}")
     assert factoring == {"ScreenedPoisson.potential"}
-    assert _callers("potential") == {("gauge", "solve_phi"), ("gauge", "screened_mass"),
-                                     ("minimize", "_problem")}
+    # K comes with its phi from ScreenedPoisson.mass, the one caller of
+    # potential beside solve_phi; no second energy form of K exists
+    assert _callers("potential") == {("gauge", "solve_phi"), ("gauge", "ScreenedPoisson")}
+    assert _mentions("energy_form") == set()
 
 
 def test_gauge_does_not_import_functionals():
@@ -112,6 +114,46 @@ def test_one_energy_and_one_operator_serve_every_solve():
     # the radial, gauge-coupled and vortex descents are all built by minimize._problem
     assert _callers("reduced_energy") == {("functionals", "reduced_energy_sigma"), ("minimize", "_problem")}
     assert _callers("stationary_operator") == {("minimize", "_problem"), ("minimize", "residual_stationary")}
+
+
+def test_one_gradient_integral_serves_the_energy_and_the_deficiency():
+    # 2T = integral of |grad u|^2 + V u^2 is functionals.gradient_energy, read by
+    # E_sigma and J alike; no profile member or second sum restates it
+    assert _mentions("gradient2") == set()
+    assert _callers("gradient_energy") == {("functionals", "reduced_energy"), ("functionals", "deficiency")}
+    assert {site for site in _call_sites("dirichlet") if site.startswith("functionals.")} == {
+        "functionals.gradient_energy"}
+
+
+def _last_node_assignments() -> set[tuple[str, str]]:
+    """(module, assigned name) of every assignment to x[-1] or x[..., -1]."""
+    out = set()
+    for module, tree in _modules():
+        for node in ast.walk(tree):
+            targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
+            for target in targets:
+                if not isinstance(target, ast.Subscript):
+                    continue
+                index = target.slice.elts[-1] if isinstance(target.slice, ast.Tuple) else target.slice
+                if ast.unparse(index) == "-1":
+                    out.add((module, ast.unparse(target.value)))
+    return out
+
+
+def test_the_grid_owns_its_dirichlet_node():
+    # fields are pinned at r_max only by grid.zero_boundary (and the vortex grid's);
+    # the leapfrog's diag and lower pin a row of its operator, not a field
+    assert {site for site in _last_node_assignments() if site[0] not in ("grid", "vortex")} == {
+        ("evolve", "diag"), ("evolve", "lower")}
+
+
+def test_cli_builds_each_config_object_once():
+    # parse_config builds the spec, the solver options and both grids; the
+    # runners read them, and the evolution soliton derives its options by replace
+    for name in ("NonlinearSpec", "SolveOptions", "RadialGrid", "AxisymGrid"):
+        assert [site for site in _call_sites(name) if site.startswith("cli.")] == ["cli.parse_config"], name
+    for name in ("_nonlinearity", "_solver_opts", "_grid", "_validate_config"):
+        assert _mentions(name) == set(), name
 
 
 def test_vortex_defines_no_functional_of_its_own():

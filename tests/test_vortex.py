@@ -39,6 +39,12 @@ def test_grid_geometry_outside_float_range_rejected(r_max, z_max):
         AxisymGrid(r_max, z_max, 32, 32)
 
 
+@pytest.mark.parametrize("n_r, n_z", [(64.0, 48), (64, 48.0), (64, 8), (8, 48)])
+def test_cell_counts_must_be_integers_of_at_least_16(n_r, n_z):
+    with pytest.raises(ValueError, match="integer count of at least 16"):
+        AxisymGrid(8.0, 6.0, n_r, n_z)
+
+
 def test_laplacian_of_quadratic(grid):
     rr = grid.r[:, None]
     zz = grid.z[None, :]
@@ -219,6 +225,10 @@ def test_profile_needs_a_finite_amplitude_and_a_winding(grid):
     vals = torus_bump(grid, 1.0, 4.0, 1.5, winding=1).values.copy()
     with pytest.raises(ValueError, match="winding"):
         AxisymProfile(grid, vals, winding=0)
+    # e^{i ell theta} is single-valued only for an integer winding
+    for bad in (0.5, np.nan, np.inf, 1.0):
+        with pytest.raises(ValueError, match="winding must be an integer"):
+            torus_bump(grid, 1.0, 4.0, 1.5, winding=bad)
     for bad in (np.nan, np.inf):
         vals[5, 5] = bad
         with pytest.raises(ValueError, match="finite"):
