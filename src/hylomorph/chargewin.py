@@ -30,8 +30,8 @@ from .model import NonlinearSpec, eval_remainder, find_binding_amplitude
 # sufficient, so this is sound.
 SOBOLEV_C3 = 5.4685
 
-# 48^(1/3) * pi^(2/3), the normalization entering the coupling threshold
-_COUPLING_NORM = 48.0 ** (1.0 / 3.0) * np.pi ** (2.0 / 3.0)
+# sqrt(c3 / (48^(1/3) pi^(2/3))), the prefactor of the screening-control threshold
+_COUPLING_PREFACTOR = float(np.sqrt(SOBOLEV_C3 / (48.0 ** (1.0 / 3.0) * np.pi ** (2.0 / 3.0))))
 
 # Largest spacing of a tent's grid: fine for the window scan and the witness
 # check, coarser for the construction, whose grid grows with its doubling radius.
@@ -164,7 +164,7 @@ def verify_tent_witness(spec: NonlinearSpec, s1: float, r: float, h: float, q: f
     upper = 0.5 * s1**2 * ((1.0 + m2 * h**2) * volume_fraction - (1.0 + m2))
     amplitude_ok = (r_s1 >= -0.5 * m2 * s1**2 - 1e-12 * s1**2) and (r_s1 < upper)
 
-    margin = np.sqrt(SOBOLEV_C3 / _COUPLING_NORM) * (1.0 - h) / (q * h) - s1 * r
+    margin = _COUPLING_PREFACTOR * (1.0 - h) / (q * h) - s1 * r
     coupling_ok = margin > 0.0
 
     tent = TentProfile(s1, r)
@@ -214,7 +214,9 @@ class ConstructionPlan:
 def construct_for_charge(spec: NonlinearSpec, charge_target: float) -> ConstructionPlan:
     """Build a verified plan whose electric charge reaches the target.
 
-    The amplitude sits at the deepest binding level; alpha is the midpoint
+    The amplitude sits at the deepest binding level on (0, 10], the
+    default range of ``find_binding_amplitude``, which is not the deepest
+    level overall when the level still falls at 10; alpha is the midpoint
     of (0, (m^2 - lambda)/(m^2 + 1)); h^2 the midpoint of its admissible
     interval; the starting radius exceeds the volume-fraction threshold by
     ten percent; the coupling is half the screening-control threshold so
@@ -239,9 +241,8 @@ def construct_for_charge(spec: NonlinearSpec, charge_target: float) -> Construct
     h = float(np.sqrt(0.5 * (h2_lo + 1.0)))
     r = 1.1 / ((1.0 - alpha) ** (-1.0 / 3.0) - 1.0)
 
-    prefactor = float(np.sqrt(SOBOLEV_C3 / _COUPLING_NORM))
     while True:
-        q = 0.5 * prefactor * (1.0 - h) / (h * s1 * r)
+        q = 0.5 * _COUPLING_PREFACTOR * (1.0 - h) / (h * s1 * r)
         tent = TentProfile(s1, r)
         grid = tent.default_grid(CONSTRUCT_RESOLUTION)  # no array of it exists before realize
         if grid.n + 1 > CONSTRUCT_MAX_NODES:
@@ -254,7 +255,7 @@ def construct_for_charge(spec: NonlinearSpec, charge_target: float) -> Construct
             break
         r *= 2.0
 
-    predicted = (2.0 * np.pi / 3.0) * prefactor * spec.mass * h * (1.0 - h) * s1 * r**2
+    predicted = (2.0 * np.pi / 3.0) * _COUPLING_PREFACTOR * spec.mass * h * (1.0 - h) * s1 * r**2
     return ConstructionPlan(
         s1=s1, binding=lam, alpha=alpha, h=h, r=r, q=q,
         sigma=spec.mass * k, charge=charge,

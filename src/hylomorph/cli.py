@@ -66,6 +66,7 @@ class RunConfig:
     values: dict[tuple[str, str], object]
     spec: model.NonlinearSpec
     opts: minimize.SolveOptions
+    window: tuple[list[float], list[float]]  # [window] s1_values and r_values
     grid: RadialGrid            # [grid] r_max and n
     axisym_grid: vortex.AxisymGrid  # [grid] r_max, z_max, n and n_z
 
@@ -120,11 +121,14 @@ def parse_config(path: Path, command: str, out_dir: Path) -> RunConfig:
         spec = model.NonlinearSpec(values[("nonlinearity", "family")], values[("nonlinearity", "mass")],
                                    tuple(_float_list(values[("nonlinearity", "params")])))
         opts = minimize.SolveOptions(tol=values[("solver", "tol")], max_iters=values[("solver", "max_iters")])
+        window = (_float_list(values[("window", "s1_values")]), _float_list(values[("window", "r_values")]))
+        if not all(window):
+            raise ValueError("[window] s1_values and r_values must each list at least one value")
         grid = RadialGrid(r_max, n)
         axisym_grid = vortex.AxisymGrid(r_max, values[("grid", "z_max")], n, values[("grid", "n_z")])
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    return RunConfig(command, out_dir, values, spec, opts, grid, axisym_grid)
+    return RunConfig(command, out_dir, values, spec, opts, window, grid, axisym_grid)
 
 
 def _float_list(raw: str) -> list[float]:
@@ -225,10 +229,7 @@ def _run_validate(cfg: RunConfig) -> dict[str, object]:
 
 
 def _run_window(cfg: RunConfig) -> dict[str, object]:
-    est = chargewin.estimate_admissible_window(
-        cfg.spec, cfg.get("window", "q"),
-        _float_list(cfg.get("window", "s1_values")),
-        _float_list(cfg.get("window", "r_values")))
+    est = chargewin.estimate_admissible_window(cfg.spec, cfg.get("window", "q"), *cfg.window)
     if est.empty:
         return {"window_found": False}
     rows = {"s1": np.array([t.s1 for t in est.admissible]),

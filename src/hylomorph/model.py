@@ -11,10 +11,11 @@ Two parametric families are shipped:
 Both remainders are two power terms R(s) = c_p s^p + c_q s^q with
 c_p < 0 <= c_q and 2 < p < q, which ``NonlinearSpec`` enforces.  The
 binding level W(s)/(s^2/2) = m^2 + 2 c_p s^(p-2) + 2 c_q s^(q-2) therefore
-falls from m^2 and turns up at most once, so the structural checks
-(zero-point normalization, nonnegativity, a binding amplitude,
-subcritical growth of R'') and the charge criteria are exact for both
-families: they are read from the two terms, not sampled.  The one
+falls from m^2, turns up at most once and is back at m^2 at the zero of R
+(``remainder_zero``), so the structural checks (zero-point normalization,
+nonnegativity, a binding amplitude, subcritical growth of R'') and the
+charge criteria are exact for both families: they are read from the two
+terms, not sampled, with no cap on the amplitude.  The one
 numeric step is a crossing of the level (``_level_crossing``, a bracketed
 root): the zero of W and the ends of the shooting oracle's scan.
 """
@@ -163,6 +164,43 @@ def find_binding_amplitude(spec: NonlinearSpec, s_max: float = 10.0) -> tuple[fl
     return s0, level
 
 
+_LOG_TINY, _LOG_MAX = math.log(sys.float_info.min), math.log(sys.float_info.max)  # the normal floats
+
+
+def remainder_zero(spec: NonlinearSpec) -> float:
+    """alpha = (-c_p/c_q)^(1/(q-p)), where R turns positive and the level is back
+    at m^2; inf when c_q = 0.  Read first in logs, which cannot overflow, so a
+    zero outside the normal floats raises ValueError."""
+    (c_p, p), (c_q, q) = spec.remainder_powers()
+    if c_q == 0.0:
+        return math.inf
+    log_ratio = math.log(-c_p) - math.log(c_q)
+    log_zero = log_ratio / (q - p)
+    if not (_LOG_TINY < log_ratio < _LOG_MAX and _LOG_TINY < log_zero < _LOG_MAX):
+        raise ValueError(f"the zero of R, (-c_p/c_q)^(1/(q-p)) = exp({log_zero:.6g}) with -c_p/c_q = "
+                         f"exp({log_ratio:.6g}), leaves float range")
+    return (-c_p / c_q) ** (1.0 / (q - p))
+
+
+def _level_turn(spec: NonlinearSpec) -> tuple[float, float, float]:
+    """(alpha, s_c, level at s_c) = (alpha, *find_binding_amplitude(spec, alpha)),
+    alpha the zero of R; ValueError when c_q = 0 or either leaves float range."""
+    alpha = remainder_zero(spec)
+    if alpha == math.inf:
+        raise ValueError("W is unbounded below (c_q = 0): the level has no turn and no outer zero")
+    try:
+        return (alpha, *find_binding_amplitude(spec, alpha))
+    except ValueError:
+        # alpha is positive and finite, so the level itself overflows
+        raise ValueError(f"the level W/(s^2/2) of {spec} overflows below the zero of R at s = {alpha:g}") from None
+
+
+def _level_roundoff(spec: NonlinearSpec, s: float) -> float:
+    """Bound on the round-off of the level at s: 1e-12 times the magnitudes of its three terms."""
+    (c_p, p), (c_q, q) = spec.remainder_powers()
+    return 1e-12 * (spec.mass**2 - 2.0 * c_p * s ** (p - 2.0) + 2.0 * c_q * s ** (q - 2.0))
+
+
 def _bracketed_root(f: Callable[[float], float], lo: float, f_lo: float, hi: float, f_hi: float,
                     xtol: float) -> tuple[float, float]:
     """Close the bracket [lo, hi] of a sign change of f to a width of at most
@@ -277,8 +315,7 @@ def validate_assumptions(spec: NonlinearSpec, s_max: float) -> AssumptionReport:
     mass_ok = abs(w0) < 1e-12 and abs(w0p) < 1e-12 and abs(w0pp - m2) < 1e-12 * max(1.0, m2)
 
     (c_p, p), (c_q, q) = spec.remainder_powers()
-    # round-off in the level scales with the magnitudes of its three terms
-    nonneg_ok = level >= -1e-12 * (m2 - 2.0 * c_p * s0 ** (p - 2.0) + 2.0 * c_q * s0 ** (q - 2.0))
+    nonneg_ok = level >= -_level_roundoff(spec, s0)
     binding_ok = level < m2 * (1.0 - 1e-12)
     violation = None
     if not nonneg_ok:
@@ -326,66 +363,43 @@ class CriteriaReport:
 
 
 _EXPONENT_BOUND = 2.0 + 4.0 / 3.0
-_EXPONENT_MARGIN = 0.1
-_CRITERIA_S_MAX = 10.0  # upper end of the amplitudes behind the classification
 
 
 def classify_charge_criteria(spec: NonlinearSpec) -> CriteriaReport:
     """Classify the admissible-charge behaviour of a validated nonlinearity.
 
     R = s^p (c_p + c_q s^(q-p)) with c_p < 0 is negative on (0, alpha),
-    alpha = (-c_p/c_q)^(1/(q-p)) (capped at 10), and |R| ~ |c_p| s^p near
-    zero, so the small-s exponent is p.
+    alpha = ``remainder_zero(spec)``, and |R| ~ |c_p| s^p near zero, so the
+    small-s exponent is p; it is compared with 2 + 4/3 exactly.
+
+    The second vacuum is the first zero of W at positive amplitude.  With
+    c_q = 0 the level m^2 + 2 c_p t is linear in t = s^(p-2), and W
+    vanishes at t = m^2/(-2 c_p).  Otherwise the level turns once, at s_c
+    below alpha (``_level_turn``): a level there within round-off of 0
+    makes s_c the vacuum, a negative one puts the zero of W below s_c, and
+    a positive one keeps W > 0 for all s > 0.  Raises ValueError when
+    alpha, or the level at s_c, leaves float range.
     """
+    (c_p, p), (c_q, _) = spec.remainder_powers()
+    alpha = remainder_zero(spec)
     notes: list[str] = []
+    small = "holds" if p < _EXPONENT_BOUND else "fails" if p > _EXPONENT_BOUND else "inconclusive"
+    if small == "inconclusive":
+        notes.append("small-s exponent sits at the decision boundary 2 + 4/3")
 
-    (c_p, p), (c_q, q) = spec.remainder_powers()
-    # the sign of R at the cap decides before the power is taken
-    if c_q * _CRITERIA_S_MAX ** (q - p) <= -c_p:
-        alpha = _CRITERIA_S_MAX
+    if c_q == 0.0:
+        with np.errstate(over="ignore"):
+            witness = float(np.float64(spec.mass**2 / (-2.0 * c_p)) ** (1.0 / (p - 2.0)))
     else:
-        alpha = (-c_p / c_q) ** (1.0 / (q - p))
-
-    if p < _EXPONENT_BOUND - _EXPONENT_MARGIN:
-        small_verdict = "holds"
-    elif p > _EXPONENT_BOUND + _EXPONENT_MARGIN:
-        small_verdict = "fails"
-    else:
-        small_verdict = "inconclusive"
-        notes.append("small-s exponent sits at the decision boundary")
-
-    witness, value, verdict, why = _find_second_vacuum(spec)
-    if why:
-        notes.append(why)
-
-    return CriteriaReport(
-        small_charge_threshold_vanishes=small_verdict,
-        small_s_exponent=p,
-        negative_up_to=alpha,
-        second_vacuum=verdict,
-        second_vacuum_witness=witness,
-        second_vacuum_value=value,
-        notes=notes,
-    )
-
-
-def _find_second_vacuum(spec: NonlinearSpec) -> tuple[float | None, float | None, str, str]:
-    """Zero of W at positive amplitude, read from the deepest level W/(s^2/2)
-    on (0, 10] so the trivial vacuum at zero cannot masquerade as a witness.
-
-    Returns (witness, W(witness), verdict, why); ``why`` explains an
-    inconclusive verdict and is empty otherwise.
-    """
-    s1, level = find_binding_amplitude(spec, _CRITERIA_S_MAX)
-    m2 = spec.mass**2
-    if level < 0.0:
-        s1 = _level_crossing(spec, 0.0, 0.0, s1)
-    elif level >= 1e-5 * m2:
-        return None, None, "fails", ""
-    value = float(eval_nonlinearity(spec, s1, 0))
-    if not 0.0 < s1 < np.inf:
-        # a zero of W below the smallest double comes back as 0, the trivial vacuum
-        return s1, value, "inconclusive", f"zero of W at s = {s1!r} is not a positive, finite amplitude"
-    if level >= 1e-9 * m2:
-        return s1, value, "inconclusive", "W minimum is near zero but outside tolerance; refine the parameters"
-    return s1, value, "holds", ""
+        _, witness, level = _level_turn(spec)
+        if level > _level_roundoff(spec, witness):
+            return CriteriaReport(small, p, alpha, "fails", None, None, notes)
+        if level < -_level_roundoff(spec, witness):
+            witness = _level_crossing(spec, 0.0, 0.0, witness)
+    value = float(eval_nonlinearity(spec, witness, 0)) if witness < np.inf else None
+    vacuum = "holds" if 0.0 < witness < np.inf else "inconclusive"
+    if vacuum == "inconclusive":
+        # a zero of W below the smallest double comes back as 0, the trivial
+        # vacuum; one above the largest as inf
+        notes.append(f"zero of W at s = {witness!r} is not a positive, finite amplitude")
+    return CriteriaReport(small, p, alpha, vacuum, witness, value, notes)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import RadialGrid, RadialProfile
-from .model import NonlinearSpec, _bracketed_root, _level_crossing, find_binding_amplitude
+from .model import NonlinearSpec, _bracketed_root, _level_crossing, _level_turn
 
 RTOL = 1e-12  # DOP853 relative tolerance; it rejects 10 eps and below
 ATOL = 1e-16  # absolute floor, far below the event amplitudes of about 1e-8
@@ -22,7 +22,6 @@ MAX_STEPS = 100_000  # DOP853 step budget of one run; a run to r_stop takes a fe
 R_START = 1e-3  # radius of the regular series start
 BRACKET_TOL = 1e-12  # relative width of the closed bracket
 N_SCAN = 35  # central amplitudes scanned for the first bracket
-_LOG_TINY, _LOG_MAX = math.log(sys.float_info.min), math.log(sys.float_info.max)  # the normal floats
 
 OVERSHOOT = "overshoot"
 UNDERSHOOT = "undershoot"
@@ -314,7 +313,7 @@ def _integrate(spec: NonlinearSpec, omega: float, u0: float, r_stop: float,
     return outcome, r_event, samples
 
 
-def shoot_ground_state(spec: NonlinearSpec, omega: float, grid: RadialGrid | None = None) -> ShootResult:
+def shoot_ground_state(spec: NonlinearSpec, omega: float, n: int = 4096) -> ShootResult:
     """Shooting for the monotone radial ground state.
 
     Friction makes u'^2/2 - W + omega^2 u^2/2 fall along a shot, so a ground
@@ -325,10 +324,10 @@ def shoot_ground_state(spec: NonlinearSpec, omega: float, grid: RadialGrid | Non
     bracketed Brent-Dekker root of the miss signal +-exp(-2 kappa r_event),
     which is close to linear in the central amplitude near the ground
     state; the lower end always undershoots and the upper end overshoots.
-    The default grid spans the integration horizon max(40, 25/kappa),
-    kappa = sqrt(m^2 - omega^2), with 4096 cells, so it depends on kappa
-    alone.  One more run, from the bracket midpoint, gives the core of the
-    profile: (u, u') at each node comes from the quintic Hermite through
+    The profile's grid spans the integration horizon max(40, 25/kappa),
+    kappa = sqrt(m^2 - omega^2), with n cells, so no shot is cut off.  One
+    more run, from the bracket midpoint, gives the core of the profile:
+    (u, u') at each node comes from the quintic Hermite through
     (u, u', u'') at the integrator's own step ends around it.  Beyond the
     node where that trajectory stops tracking the decaying solution, the
     profile continues with the exact linear far field A e^{-kappa r} / r.
@@ -338,28 +337,14 @@ def shoot_ground_state(spec: NonlinearSpec, omega: float, grid: RadialGrid | Non
         raise ValueError("no bound state: need omega^2 below the squared mass")
     kappa = float(np.sqrt(m2 - omega**2))
 
-    (c_p, p), (c_q, q) = spec.remainder_powers()
-    if c_q == 0.0:
-        raise ValueError("W is unbounded below (c_q = 0): the effective potential has no outer zero to scan to")
-    # R = 0, so the level is m^2 > omega^2, at s_zero; read in logs, which cannot overflow
-    log_ratio = math.log(-c_p) - math.log(c_q)
-    log_zero = log_ratio / (q - p)
-    if not (_LOG_TINY < log_ratio < _LOG_MAX and _LOG_TINY < log_zero < _LOG_MAX):
-        raise ValueError(f"the zero of R, (-c_p/c_q)^(1/(q-p)) = exp({log_zero:.6g}) with -c_p/c_q = "
-                         f"exp({log_ratio:.6g}), leaves float range: no amplitude range to scan")
-    s_zero = (-c_p / c_q) ** (1.0 / (q - p))
-    try:
-        s_c, lowest = find_binding_amplitude(spec, s_zero)
-    except ValueError:
-        # s_zero is positive and finite, so the level itself overflows
-        raise ValueError(f"the level W/(s^2/2) of {spec} overflows below the zero of R at s = {s_zero:g}: "
-                         "no amplitude range to scan") from None
+    s_zero, s_c, lowest = _level_turn(spec)
     if lowest >= omega**2:
         raise ValueError("effective potential never negative: no ground state at this omega")
     u_in = _level_crossing(spec, omega**2, 0.0, s_c)
     u_out = _level_crossing(spec, omega**2, s_c, s_zero)
 
     r_stop = max(40.0, 25.0 / kappa)
+    grid = RadialGrid(r_stop, n)  # checks n before any run
     accel = _accel(spec, omega)
 
     def miss(u0: float) -> float:
@@ -385,8 +370,6 @@ def shoot_ground_state(spec: NonlinearSpec, omega: float, grid: RadialGrid | Non
     lo, hi = _bracketed_root(miss, *prev, c, m, (BRACKET_TOL - 4.0 * EPS) * prev[0])
     u0 = 0.5 * (lo + hi)
 
-    if grid is None:
-        grid = RadialGrid(r_stop, 4096)
     nodes = grid.nodes
     _, r_event, (us, vs) = _integrate(spec, omega, u0, r_stop, nodes, accel)
     idx = _graft_point(nodes[:us.size], us, vs, kappa, u0)

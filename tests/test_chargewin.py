@@ -97,6 +97,11 @@ class TestTentWitness:
         with pytest.raises(ValueError):
             verify_tent_witness(SPEC, 1.0, 5.0, 1.5, 0.1)
 
+    @pytest.mark.parametrize("q", [0.0, -0.1])
+    def test_coupling_not_positive_rejected(self, q):
+        with pytest.raises(ValueError, match="coupling q must be positive"):
+            verify_tent_witness(SPEC, 1.0, 5.0, 0.8, q)
+
     @pytest.mark.parametrize("r", [0.3, 1.0, 4.0])
     def test_slope_check_reads_the_peak_of_the_comparison_term(self, r):
         rho = np.linspace(0.0, r + 1.0, 100_001)

@@ -126,6 +126,21 @@ def test_window_rejects_a_coupling_that_screens_k_below_float_resolution(tmp_pat
     assert not (out / "summary.txt").exists()
 
 
+@pytest.mark.parametrize("text", [
+    "[window]\ns1_values = 1.0,abc\n",
+    "[window]\nr_values = 2,3,x\n",
+    "[window]\ns1_values =\n",
+    "[window]\nr_values = ,\n",
+], ids=["s1_values-not_a_float", "r_values-not_a_float", "s1_values-empty", "r_values-empty"])
+def test_window_lists_are_config_errors(tmp_path, capsys, text):
+    # parse_config reads both lists once, as it reads [nonlinearity] params
+    cfg = write_config(tmp_path, "w.ini", text)
+    out = tmp_path / "w"
+    assert cli.main(["window", "--config", str(cfg), "--out", str(out)]) == cli.EXIT_CONFIG == 2
+    assert "config error" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_config_error_leaves_no_artifacts(tmp_path):
     cfg = write_config(tmp_path, "bad.ini", "[grid]\nn = -5\n")
     out = tmp_path / "out"
@@ -256,6 +271,15 @@ r_values = 4.0,5.0
     assert cli.main(["window", "--config", str(cfg), "--out", str(out)]) == 0
     assert "window_found = True" in (out / "summary.txt").read_text()
     assert (out / "window.csv").exists()
+
+
+def test_window_command_without_a_witness(tmp_path):
+    # a shallow tent never binds: the search fails, which is no error
+    cfg = write_config(tmp_path, "w.ini", "[window]\ns1_values = 0.05\nr_values = 2.0\n")
+    out = tmp_path / "w"
+    assert cli.main(["window", "--config", str(cfg), "--out", str(out)]) == 0
+    assert (out / "summary.txt").read_text() == "window_found = False\n"
+    assert not (out / "window.csv").exists()
 
 
 def test_construct_summary_records_the_plan_grid(tmp_path):

@@ -257,6 +257,13 @@ def test_manifold_distance_of_a_nan_sample_is_nan(grid, ground):
     assert np.isnan(manifold_distance(state, ground.u, ground.omega))
 
 
+def test_manifold_distance_rejects_a_reference_on_another_grid(grid, ground):
+    state = soliton_state(ground.u, ground.omega)
+    other = ground.u.resample(RadialGrid(grid.r_max, 2 * grid.n))
+    with pytest.raises(ValueError, match="incompatible grid"):
+        manifold_distance(state, other, ground.omega)
+
+
 def test_perturbed_soliton_stays_near_orbit(grid, ground):
     base = soliton_state(ground.u, ground.omega)
     state = EvolutionState(grid, 1.01 * base.psi, 1.01 * base.psi_t)

@@ -156,6 +156,13 @@ def test_origin_row_carries_the_largest_laplacian_eigenvalue():
     assert np.max(np.abs(eig)) == pytest.approx(origin, rel=1e-12)
 
 
+def test_radial_grid_has_no_centrifugal_potential_for_a_winding():
+    grid = RadialGrid(4.0, 16)
+    assert grid.centrifugal(0) == 0.0
+    with pytest.raises(ValueError, match="winding 0, not 1"):
+        grid.centrifugal(1)
+
+
 def test_grid_validation():
     with pytest.raises(ValueError):
         RadialGrid(-1.0, 64)

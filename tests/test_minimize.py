@@ -87,6 +87,12 @@ def test_sigma_validation(tent_init):
         minimize_nlkg(SPEC, -1.0, tent_init)
 
 
+def test_identically_zero_start_rejected(grid):
+    # the zero field carries no charge to rescale to sigma
+    with pytest.raises(ValueError, match="must not vanish identically"):
+        _solve(SPEC, 10.0, RadialProfile(grid, np.zeros(grid.n + 1)), None)
+
+
 def test_kgm_decoupling_limit(grid, tent_init, ground):
     res = minimize_kgm(SPEC, ground.charge, 1e-8, tent_init)
     assert res.converged

@@ -7,6 +7,7 @@ from hylomorph.model import (
     NonlinearSpec,
     _bracketed_root,
     _level_crossing,
+    _level_roundoff,
     _power_sum,
     binding_level,
     classify_charge_criteria,
@@ -174,6 +175,90 @@ def test_classify_power_deficit():
     assert report.small_s_exponent == pytest.approx(3.0, abs=0.05)
     # W = s^2/2 - s^3/3 + s^4/4 is strictly positive for s > 0
     assert report.second_vacuum == "fails"
+
+
+@pytest.mark.parametrize("s_star", [0.5, 1.0, 5.0, 12.0, 100.0])
+def test_double_well_landmarks_at_any_scale(s_star):
+    # W vanishes at s_star and R < 0 up to 2 s_star, however far out they lie
+    report = classify_charge_criteria(NonlinearSpec.double_well(s_star))
+    assert report.second_vacuum == "holds"
+    assert report.second_vacuum_witness == pytest.approx(s_star, rel=1e-12)
+    assert report.negative_up_to == pytest.approx(2.0 * s_star, rel=1e-15)
+
+
+def test_second_vacuum_without_repulsion_in_closed_form():
+    # with c_q = 0, W = s^2/2 - s^3/3000 vanishes at s = 1500 and R < 0 for every s > 0
+    report = classify_charge_criteria(NonlinearSpec.power_deficit(0.001, 0.0, 3.0, 4.0))
+    assert report.second_vacuum == "holds"
+    assert report.second_vacuum_witness == pytest.approx(1500.0, rel=1e-12)
+    assert report.negative_up_to == np.inf
+
+
+def test_second_vacuum_overflowing_to_inf_is_inconclusive():
+    # with c_q = 0, W = s^2/2 - (1e-300/2.5) s^2.5 vanishes near s = 1.6e600
+    report = classify_charge_criteria(NonlinearSpec.power_deficit(1e-300, 0.0, 2.5, 4.0))
+    assert (report.second_vacuum, report.second_vacuum_witness, report.second_vacuum_value) == (
+        "inconclusive", np.inf, None)
+    assert any("not a positive, finite amplitude" in note for note in report.notes)
+
+
+@pytest.mark.parametrize("gap, verdict", [(1e-8, "fails"), (-1e-8, "holds")])
+def test_second_vacuum_verdict_at_a_level_just_off_zero(gap, verdict):
+    # the level 1 - s + (b/2) s^2 of W = s^2/2 - s^3/2 + b s^4/4 is lowest at
+    # s = 1/b, where it is 1 - 1/(2b) = gap, far outside its round-off
+    b = 0.5 / (1.0 - gap)
+    report = classify_charge_criteria(NonlinearSpec.power_deficit(1.5, b, 3.0, 4.0))
+    assert report.second_vacuum == verdict
+    if verdict == "holds":
+        # the witness is the level's first zero, not its turn at 1/b
+        assert report.second_vacuum_witness == pytest.approx((1.0 - np.sqrt(1.0 - 2.0 * b)) / b, rel=1e-8)
+
+
+BOUND = 2.0 + 4.0 / 3.0
+
+
+@pytest.mark.parametrize("p, verdict", [(3.3, "holds"), (np.nextafter(BOUND, 0.0), "holds"), (BOUND, "inconclusive"),
+                                        (np.nextafter(BOUND, 6.0), "fails"), (3.5, "fails")])
+def test_small_charge_verdict_compares_the_exponent_exactly(p, verdict):
+    report = classify_charge_criteria(NonlinearSpec.power_deficit(1.0, 1.0, float(p), 5.0))
+    assert report.small_charge_threshold_vanishes == verdict
+
+
+@pytest.mark.parametrize("b, q, match", [(1e-320, 4.0, "zero of R.*leaves float range"),
+                                         (1e-250, 5.0, "overflows below the zero of R")])
+def test_criteria_refuse_landmarks_outside_float_range(b, q, match):
+    with pytest.raises(ValueError, match=match):
+        classify_charge_criteria(NonlinearSpec.power_deficit(1.0, b, 3.0, q))
+
+
+landmark_specs = st.one_of(
+    st.builds(NonlinearSpec.double_well, st.floats(0.01, 100.0)),
+    st.builds(lambda a, b, p, dq, m: NonlinearSpec.power_deficit(a, b, p, min(p + dq, 5.99), mass=m),
+              st.floats(0.1, 3.0), st.just(0.0) | st.floats(0.01, 3.0), st.floats(2.2, 5.5),
+              st.floats(0.05, 3.0), st.floats(0.5, 2.0)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(landmark_specs)
+@example(NonlinearSpec.power_deficit(3.0, 0.1, 3.0, 4.0, mass=0.5))  # the level crosses 0 below its turn
+@example(NonlinearSpec.power_deficit(1.0, 1.0, 3.0, 4.0))  # W > 0 for s > 0
+@example(NonlinearSpec.power_deficit(0.001, 0.0, 3.0, 4.0))  # c_q = 0
+def test_second_vacuum_matches_dense_samples_of_the_level(spec):
+    # every landmark of these specs is a normal float: the verdict is never
+    # inconclusive, a witness is the first zero of the level, and "fails"
+    # leaves the level positive up to twice the zero of R, past which it exceeds m^2
+    report = classify_charge_criteria(spec)
+    witness = report.second_vacuum_witness
+    if report.second_vacuum == "fails":
+        assert witness is None
+        s = 2.0 * report.negative_up_to * np.linspace(0.0, 1.0, 8193)[1:]
+        assert np.all(binding_level(spec, s) > 0.0)
+        return
+    assert report.second_vacuum == "holds"
+    assert abs(binding_level(spec, witness)) <= 1e3 * _level_roundoff(spec, witness)
+    assert report.second_vacuum_value == eval_nonlinearity(spec, witness, 0)
+    below = witness * np.linspace(0.0, 1.0, 8193)[1:-1]
+    assert np.all(binding_level(spec, below) > 0.0)
 
 
 def test_growth_check_constants(dw):

@@ -97,8 +97,8 @@ class TestShooting:
         assert slope == pytest.approx(-kappa, rel=0.05)
 
     def test_residual_small_on_fine_grid(self, shot):
-        grid = RadialGrid(shot.profile.grid.r_max, 8192)
-        fine = shoot_ground_state(SPEC, 0.5, grid=grid)
+        fine = shoot_ground_state(SPEC, 0.5, n=8192)
+        assert fine.profile.grid == RadialGrid(shot.profile.grid.r_max, 8192)
         assert residual_stationary(fine, SPEC, "nlkg") < 1e-4
 
     @pytest.mark.parametrize("omega", [0.5, 0.9])
@@ -270,9 +270,16 @@ class TestShooting:
         assert np.allclose(ends, scipy_ends, rtol=1e-3, atol=0.0)
 
     def test_even_in_omega(self, shot):
-        grid = shot.profile.grid
-        other = shoot_ground_state(SPEC, -0.5, grid=grid)
+        other = shoot_ground_state(SPEC, -0.5)
+        assert other.profile.grid == shot.profile.grid
         assert np.array_equal(other.profile.values, shot.profile.values)
+
+    @pytest.mark.parametrize("n", [0, 2.5])
+    def test_cell_count_checked_before_any_run(self, monkeypatch, n):
+        # the box is built before the search, so no run is wasted on a bad n
+        monkeypatch.setattr(oracle, "_integrate", None)
+        with pytest.raises(ValueError, match="integer n >= 16"):
+            shoot_ground_state(SPEC, 0.5, n=n)
 
     def test_frequency_above_mass_rejected(self):
         with pytest.raises(ValueError):
@@ -283,6 +290,12 @@ class TestShooting:
         spec = NonlinearSpec.power_deficit(0.01, 0.01, 3.0, 4.0)
         with pytest.raises(ValueError):
             shoot_ground_state(spec, 0.05)
+
+    def test_thin_wall_ground_state_fails_loudly(self):
+        # the double well's ground state at omega = 0.3 exists, but its window of
+        # overshooting starts falls between two scan points: the shot must say so
+        with pytest.raises(ValueError, match="no undershoot/overshoot sign change"):
+            shoot_ground_state(SPEC, 0.3)
 
     def test_remainder_without_a_positive_power_rejected(self):
         # with b = 0, W falls without bound and W_eff has no outer zero to scan to

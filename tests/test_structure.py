@@ -154,6 +154,8 @@ def test_cli_builds_each_config_object_once():
         assert [site for site in _call_sites(name) if site.startswith("cli.")] == ["cli.parse_config"], name
     for name in ("_nonlinearity", "_solver_opts", "_grid", "_validate_config"):
         assert _mentions(name) == set(), name
+    # the lists of [nonlinearity] and [window] are read there too, so a bad token is a config error
+    assert _call_sites("_float_list") == ["cli.parse_config"] * 3
 
 
 def test_vortex_defines_no_functional_of_its_own():
@@ -195,11 +197,44 @@ def test_hypothesis_checks_minimize_nothing_numerically():
     assert _mentions("_amplitude_scan_limit") == set()
     assert _callers("_bracketed_root") == {("model", "_level_crossing"), ("oracle", "shoot_ground_state"),
                                            ("oracle", "_hermite_zero")}
-    assert _callers("_level_crossing") == {("model", "validate_assumptions"), ("model", "_find_second_vacuum"),
+    assert _callers("_level_crossing") == {("model", "validate_assumptions"), ("model", "classify_charge_criteria"),
                                            ("oracle", "shoot_ground_state")}
     roots = {(module, node.name) for module, tree in _modules() for node in ast.walk(tree)
              if isinstance(node, ast.FunctionDef) and "root" in node.name}
     assert roots == {("model", "_bracketed_root")}
+
+
+def _expression_sites(*texts: str) -> set[tuple[str, str]]:
+    """(module, enclosing top-level function) of every expression that unparses to one of ``texts``."""
+    return {(module, getattr(top, "name", "<module>")) for module, tree in _modules() for top in tree.body
+            for node in ast.walk(top) if isinstance(node, ast.expr) and ast.unparse(node) in texts}
+
+
+def test_the_zero_of_the_remainder_is_computed_once():
+    # (-c_p/c_q)^(1/(q-p)) and its range in logs live in model.remainder_zero;
+    # the oracle and the charge criteria read it, the oracle through the level's turn
+    assert _expression_sites("-c_p / c_q", "math.log(-c_p) - math.log(c_q)") == {("model", "remainder_zero")}
+    assert _callers("remainder_zero") == {("model", "_level_turn"), ("model", "classify_charge_criteria")}
+    assert _callers("_level_turn") == {("model", "classify_charge_criteria"), ("oracle", "shoot_ground_state")}
+    for name in ("_LOG_TINY", "_LOG_MAX"):
+        assert _mentions(name) == {"model"}, name
+    # the criteria and the nonnegativity check share one round-off bound of the level
+    assert _callers("_level_roundoff") == {("model", "validate_assumptions"), ("model", "classify_charge_criteria")}
+
+
+def test_no_amplitude_cap_or_band_in_the_charge_criteria():
+    # the criteria are exact: no cap on the amplitudes, no margin around 2 + 4/3
+    for name in ("_CRITERIA_S_MAX", "_EXPONENT_MARGIN"):
+        assert _mentions(name) == set(), name
+        assert not any(name in path.read_text() for path in SRC.glob("*.py")), name
+
+
+def test_the_oracle_builds_its_own_box():
+    # the profile's grid spans the shot's own horizon; a caller sets only its cell count
+    shoot = next(node for node in ast.walk(dict(_modules())["oracle"])
+                 if isinstance(node, ast.FunctionDef) and node.name == "shoot_ground_state")
+    args = shoot.args
+    assert [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs] == ["spec", "omega", "n"]
 
 
 def _dotted(node: ast.AST) -> str | None:
