@@ -217,8 +217,9 @@ def construct_for_charge(spec: NonlinearSpec, charge_target: float) -> Construct
     The amplitude sits at the deepest binding level on (0, 10], the
     default range of ``find_binding_amplitude``, which is not the deepest
     level overall when the level still falls at 10; alpha is the midpoint
-    of (0, (m^2 - lambda)/(m^2 + 1)); h^2 the midpoint of its admissible
-    interval; the starting radius exceeds the volume-fraction threshold by
+    of (0, (m^2 - lambda)/(m^2 + 1)), below 1 unless lambda <= -(m^2 + 2),
+    which raises ValueError; h^2 the midpoint of its admissible interval;
+    the starting radius exceeds the volume-fraction threshold by
     ten percent; the coupling is half the screening-control threshold so
     the retention bound holds strictly.  The radius then doubles until the
     verified charge q m K reaches the target (charge grows like r^2, so
@@ -233,6 +234,8 @@ def construct_for_charge(spec: NonlinearSpec, charge_target: float) -> Construct
     s1, lam = find_binding_amplitude(spec)
     if not lam < m2:
         raise ValueError("nonlinearity has no binding amplitude; construction hypotheses fail")
+    if not lam > -(m2 + 2.0):  # alpha would reach 1, where the start radius has no real value
+        raise ValueError(f"the binding level W/(s^2/2) = {lam:g} at s1 = {s1:g} is at or below -(m^2 + 2)")
 
     alpha = 0.5 * (m2 - lam) / (m2 + 1.0)
     if not lam < m2 * (1.0 - alpha) - alpha:

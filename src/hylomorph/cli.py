@@ -44,7 +44,6 @@ _SCHEMA: dict[str, dict[str, object]] = {
     "nonlinearity": {"family": "double_well", "mass": 1.0, "params": "1.0"},
     "grid": {"r_max": 24.0, "n": 2048, "z_max": 12.0, "n_z": 256},
     "solver": {"tol": 1e-6, "max_iters": 50_000},
-    "validate": {"s_max": 3.0},
     "window": {"q": 0.0, "s1_values": "0.8,0.9,1.0,1.1,1.2", "r_values": "2,3,4,5,6,7,8,10"},
     "solve": {"sigma": 300.0, "q": 1.0, "ell": 1, "init_s1": 1.0, "init_r": 5.0,
               "torus_r0": 4.0, "torus_width": 1.5, "torus_amplitude": 1.0},
@@ -211,21 +210,22 @@ def _result_scalars(res: minimize.SolitonResult) -> dict[str, object]:
 
 
 def _run_validate(cfg: RunConfig) -> dict[str, object]:
-    report = model.validate_assumptions(cfg.spec, cfg.get("validate", "s_max"))
+    report = model.validate_assumptions(cfg.spec)
     crit = model.classify_charge_criteria(cfg.spec)
     out = {
         "mass_normalization": report.mass_normalization,
         "nonnegative": report.nonnegative,
+        "nonnegative_violation": report.nonnegative_violation,
         "binding": report.binding,
-        "binding_witness": report.binding_witness if report.binding_witness is not None else "none",
+        "binding_witness": report.binding_witness,
         "growth": report.growth,
         "all_pass": report.all_pass,
         "small_charge_threshold_vanishes": crit.small_charge_threshold_vanishes,
         "small_s_exponent": crit.small_s_exponent,
         "second_vacuum": crit.second_vacuum,
-        "second_vacuum_witness": crit.second_vacuum_witness if crit.second_vacuum_witness is not None else "none",
+        "second_vacuum_witness": crit.second_vacuum_witness,
     }
-    return out
+    return {key: "none" if value is None else value for key, value in out.items()}
 
 
 def _run_window(cfg: RunConfig) -> dict[str, object]:

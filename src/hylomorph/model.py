@@ -101,6 +101,8 @@ def _power_sum(terms, s, order: int, shift: float = 0.0):
         raise ValueError("order must be 0, 1 or 2")
     out = 0.0
     for coef, k in terms:
+        if coef == 0.0:
+            continue  # 0 * s^k would be nan where s^k overflows
         for j in range(order):
             coef *= k - j
         e = k - (order + shift)
@@ -176,9 +178,11 @@ def remainder_zero(spec: NonlinearSpec) -> float:
         return math.inf
     log_ratio = math.log(-c_p) - math.log(c_q)
     log_zero = log_ratio / (q - p)
-    if not (_LOG_TINY < log_ratio < _LOG_MAX and _LOG_TINY < log_zero < _LOG_MAX):
+    if not _LOG_TINY < log_zero < _LOG_MAX:
         raise ValueError(f"the zero of R, (-c_p/c_q)^(1/(q-p)) = exp({log_zero:.6g}) with -c_p/c_q = "
                          f"exp({log_ratio:.6g}), leaves float range")
+    if not _LOG_TINY < log_ratio < _LOG_MAX:
+        return math.exp(log_zero)  # the quotient leaves float range, its root does not
     return (-c_p / c_q) ** (1.0 / (q - p))
 
 
@@ -197,8 +201,7 @@ def _level_turn(spec: NonlinearSpec) -> tuple[float, float, float]:
 
 def _level_roundoff(spec: NonlinearSpec, s: float) -> float:
     """Bound on the round-off of the level at s: 1e-12 times the magnitudes of its three terms."""
-    (c_p, p), (c_q, q) = spec.remainder_powers()
-    return 1e-12 * (spec.mass**2 - 2.0 * c_p * s ** (p - 2.0) + 2.0 * c_q * s ** (q - 2.0))
+    return 2e-12 * _power_sum([(abs(c), k) for c, k in spec.power_terms()], np.float64(s), 0, 2.0)
 
 
 def _bracketed_root(f: Callable[[float], float], lo: float, f_lo: float, hi: float, f_hi: float,
@@ -276,6 +279,33 @@ def _level_crossing(spec: NonlinearSpec, level: float, s_lo: float, s_hi: float)
     return float(min(ends, key=lambda t: abs(gap(t))) ** (1.0 / (p - 2.0)))
 
 
+def _zero_of_w(spec: NonlinearSpec) -> tuple[float, float, float | None]:
+    """(s_b, the level at s_b, W's first zero at positive amplitude or None when W > 0).
+
+    s_b is the level's turn s_c (``_level_turn``) or, where that leaves
+    float range or c_q = 0, the probe t = s^(p-2) = m^2/(-c_p) clipped to
+    [1, max/2], where W and the round trip s -> t -> s stay finite.  A
+    probe level that is not negative raises ValueError, unless c_q = 0,
+    where a positive one leaves the zero past the floats: inf.  A level at
+    s_b within ``_level_roundoff`` makes s_b the zero; a lower one, the
+    level's crossing of 0 below s_b.
+    """
+    (c_p, p), (c_q, _) = spec.remainder_powers()
+    try:
+        _, s_b, level = _level_turn(spec)
+    except ValueError:
+        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+            probe = float(np.float64(spec.mass**2 / -c_p) ** (1.0 / (p - 2.0)))
+            s_b = min(max(probe, 1.0), 0.5 * sys.float_info.max)
+            level = float(binding_level(spec, s_b))
+        if not (level < 0.0 or c_q == 0.0):
+            raise ValueError(f"the level of {spec} is {level!r}, not negative, at the probe s = {s_b!r}") from None
+    tol = _level_roundoff(spec, s_b)
+    if level > tol:
+        return s_b, level, math.inf if c_q == 0.0 else None
+    return s_b, level, s_b if level >= -tol else _level_crossing(spec, 0.0, 0.0, s_b)
+
+
 @dataclass
 class AssumptionReport:
     """Verdicts of the structural checks for one nonlinearity."""
@@ -296,17 +326,16 @@ class AssumptionReport:
         return self.mass_normalization and self.nonnegative and self.binding and self.growth
 
 
-def validate_assumptions(spec: NonlinearSpec, s_max: float) -> AssumptionReport:
-    """Check the structural conditions on (0, s_max] from the two power terms of R.
+def validate_assumptions(spec: NonlinearSpec) -> AssumptionReport:
+    """Check the structural conditions at every amplitude from the two power terms of R.
 
-    The checks are: W(0) = W'(0) = 0 and W''(0) = m^2; W >= 0 and an
-    amplitude with R < 0, both read from the deepest level W/(s^2/2) at
-    s0 = find_binding_amplitude(spec, s_max), with the zero of W below s0
-    (s0 itself when that zero underflows) as the witness of a violation;
-    and the subcritical growth bound
-    |R''(s)| <= |c_p| p (p-1) s^(p-2) + |c_q| q (q-1) s^(q-2) with q < 6.
+    The checks are: W(0) = W'(0) = 0 and W''(0) = m^2; W >= 0, failing
+    exactly when W changes sign, and R < 0, both read at ``_zero_of_w``'s
+    s_b.  A violation's witness is W's zero, s_b (where W < 0) when that
+    zero underflows, inf when it lies past the largest float.  The growth
+    bound is |R''(s)| <= |c_p| p (p-1) s^(p-2) + |c_q| q (q-1) s^(q-2), q < 6.
     """
-    s0, level = find_binding_amplitude(spec, s_max)
+    s_b, level, zero = _zero_of_w(spec)
     m2 = spec.mass**2
 
     w0 = eval_nonlinearity(spec, 0.0, 0)
@@ -315,22 +344,19 @@ def validate_assumptions(spec: NonlinearSpec, s_max: float) -> AssumptionReport:
     mass_ok = abs(w0) < 1e-12 and abs(w0p) < 1e-12 and abs(w0pp - m2) < 1e-12 * max(1.0, m2)
 
     (c_p, p), (c_q, q) = spec.remainder_powers()
-    nonneg_ok = level >= -_level_roundoff(spec, s0)
+    nonneg_ok = zero is None or zero == s_b  # W touching 0 at its turn (the double well) keeps its sign
     binding_ok = level < m2 * (1.0 - 1e-12)
-    violation = None
-    if not nonneg_ok:
-        # a zero of W that underflows is no usable witness; s0, where W < 0, is
-        violation = _level_crossing(spec, 0.0, 0.0, s0)
-        if violation < np.finfo(float).tiny:
-            violation = s0
+    violation = None if nonneg_ok else zero if zero >= np.finfo(float).tiny else s_b
+    with np.errstate(over="ignore"):
+        depth = float(eval_remainder(spec, s_b, 0))
 
     return AssumptionReport(
         mass_normalization=bool(mass_ok),
         nonnegative=bool(nonneg_ok),
         nonnegative_violation=violation,
         binding=bool(binding_ok),
-        binding_witness=s0 if binding_ok else None,
-        binding_depth=float(eval_remainder(spec, s0, 0)) if binding_ok else None,
+        binding_witness=s_b if binding_ok else None,
+        binding_depth=depth if binding_ok else None,
         binding_level=level if binding_ok else None,
         growth=2.0 < p < q < 6.0,
         growth_constants=(-c_p * p * (p - 1.0), c_q * q * (q - 1.0)),
@@ -369,37 +395,30 @@ def classify_charge_criteria(spec: NonlinearSpec) -> CriteriaReport:
     """Classify the admissible-charge behaviour of a validated nonlinearity.
 
     R = s^p (c_p + c_q s^(q-p)) with c_p < 0 is negative on (0, alpha),
-    alpha = ``remainder_zero(spec)``, and |R| ~ |c_p| s^p near zero, so the
-    small-s exponent is p; it is compared with 2 + 4/3 exactly.
-
-    The second vacuum is the first zero of W at positive amplitude.  With
-    c_q = 0 the level m^2 + 2 c_p t is linear in t = s^(p-2), and W
-    vanishes at t = m^2/(-2 c_p).  Otherwise the level turns once, at s_c
-    below alpha (``_level_turn``): a level there within round-off of 0
-    makes s_c the vacuum, a negative one puts the zero of W below s_c, and
-    a positive one keeps W > 0 for all s > 0.  Raises ValueError when
-    alpha, or the level at s_c, leaves float range.
+    alpha = ``remainder_zero(spec)`` (inf past the largest float), and
+    |R| ~ |c_p| s^p near zero, so the small-s exponent is p; it is compared
+    with 2 + 4/3 exactly.  The second vacuum is W's first zero at positive
+    amplitude, from ``_zero_of_w``, which raises ValueError where it cannot
+    place it.
     """
-    (c_p, p), (c_q, _) = spec.remainder_powers()
-    alpha = remainder_zero(spec)
+    (_, p), _ = spec.remainder_powers()
+    _, _, witness = _zero_of_w(spec)
+    try:
+        alpha = remainder_zero(spec)
+    except ValueError:  # the level is negative at the probe, so R's zero overflows
+        alpha = math.inf
     notes: list[str] = []
     small = "holds" if p < _EXPONENT_BOUND else "fails" if p > _EXPONENT_BOUND else "inconclusive"
     if small == "inconclusive":
         notes.append("small-s exponent sits at the decision boundary 2 + 4/3")
 
-    if c_q == 0.0:
-        with np.errstate(over="ignore"):
-            witness = float(np.float64(spec.mass**2 / (-2.0 * c_p)) ** (1.0 / (p - 2.0)))
-    else:
-        _, witness, level = _level_turn(spec)
-        if level > _level_roundoff(spec, witness):
-            return CriteriaReport(small, p, alpha, "fails", None, None, notes)
-        if level < -_level_roundoff(spec, witness):
-            witness = _level_crossing(spec, 0.0, 0.0, witness)
-    value = float(eval_nonlinearity(spec, witness, 0)) if witness < np.inf else None
+    if witness is None:
+        return CriteriaReport(small, p, alpha, "fails", None, None, notes)
+    with np.errstate(over="ignore", invalid="ignore"):  # W's terms can overflow at a far zero
+        value = float(eval_nonlinearity(spec, witness, 0)) if witness < np.inf else None
     vacuum = "holds" if 0.0 < witness < np.inf else "inconclusive"
     if vacuum == "inconclusive":
         # a zero of W below the smallest double comes back as 0, the trivial
-        # vacuum; one above the largest as inf
+        # vacuum; one past the probe's cap as inf
         notes.append(f"zero of W at s = {witness!r} is not a positive, finite amplitude")
     return CriteriaReport(small, p, alpha, vacuum, witness, value, notes)

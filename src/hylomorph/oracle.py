@@ -264,8 +264,7 @@ def _dop853_steps(accel: Callable[[float, float, float], float], r: float, u: fl
     raise RuntimeError(f"DOP853 took {max_steps} steps without reaching r = {r_end!r} from r = {r!r}")
 
 
-def _integrate(spec: NonlinearSpec, omega: float, u0: float, r_stop: float,
-               nodes: Sequence[float] = (), accel=None):
+def _integrate(accel: Callable[[float, float, float], float], u0: float, r_stop: float, nodes: Sequence[float] = ()):
     """One DOP853 run from the regular series start; classify the outcome.
 
     Events: the amplitude reaching zero is an overshoot, a turning point
@@ -282,7 +281,6 @@ def _integrate(spec: NonlinearSpec, omega: float, u0: float, r_stop: float,
     ``accel`` is the shot's ``_accel(spec, omega)``, built once for all its runs.
     Returns (outcome, r_event, (u, u') at the leading nodes).
     """
-    accel = accel or _accel(spec, omega)
     f0 = accel(u0, 0.0, R_START)  # v = 0 at the origin
 
     def series(r):
@@ -351,7 +349,7 @@ def shoot_ground_state(spec: NonlinearSpec, omega: float, n: int = 4096) -> Shoo
         # a start u0* + delta leaves the decaying solution where
         # |delta| e^{2 kappa r} is of order one, so exp(-2 kappa r_event)
         # is close to linear in delta: + for an overshoot, - for an undershoot
-        outcome, r_event, _ = _integrate(spec, omega, u0, r_stop, accel=accel)
+        outcome, r_event, _ = _integrate(accel, u0, r_stop)
         # capped so a run to r_stop at large kappa cannot underflow to a signless 0
         m = math.exp(-min(2.0 * kappa * r_event, 700.0))
         return m if outcome == OVERSHOOT else -m
@@ -371,7 +369,7 @@ def shoot_ground_state(spec: NonlinearSpec, omega: float, n: int = 4096) -> Shoo
     u0 = 0.5 * (lo + hi)
 
     nodes = grid.nodes
-    _, r_event, (us, vs) = _integrate(spec, omega, u0, r_stop, nodes, accel)
+    _, r_event, (us, vs) = _integrate(accel, u0, r_stop, nodes)
     idx = _graft_point(nodes[:us.size], us, vs, kappa, u0)
     r_graft = float(nodes[idx])
     amp = float(us[idx] * r_graft * np.exp(kappa * r_graft))

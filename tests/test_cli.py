@@ -23,13 +23,54 @@ def test_validate_command_writes_report(tmp_path):
 
 
 @pytest.mark.parametrize("s_max", ["3", "5000", "1e6"])
-def test_validate_double_well_binds_at_any_s_max(tmp_path, s_max):
-    # the deepest binding level of the double well is its second vacuum at s = 1
+def test_validate_s_max_is_a_config_error(tmp_path, s_max):
+    # W >= 0 is checked at every amplitude; no amplitude cap is configurable
     cfg = write_config(tmp_path, "v.ini", f"[validate]\ns_max = {s_max}\n")
+    out = tmp_path / "out"
+    assert cli.main(["validate", "--config", str(cfg), "--out", str(out)]) == cli.EXIT_CONFIG == 2
+    assert not out.exists()
+
+
+def _validate_summary(tmp_path, params):
+    cfg = write_config(tmp_path, "v.ini", f"[nonlinearity]\nfamily = power_deficit\nparams = {params}\n")
+    out = tmp_path / "out"
+    assert cli.main(["validate", "--config", str(cfg), "--out", str(out)]) == 0
+    return dict(line.split(" = ", 1) for line in (out / "summary.txt").read_text().splitlines())
+
+
+@pytest.mark.parametrize("s_star", [0.5, 1.0, 5.0, 12.0, 100.0])
+def test_validate_double_well_binds_at_its_second_vacuum(tmp_path, s_star):
+    cfg = write_config(tmp_path, "v.ini", f"[nonlinearity]\nparams = {s_star}\n")
     out = tmp_path / "out"
     assert cli.main(["validate", "--config", str(cfg), "--out", str(out)]) == 0
     summary = dict(line.split(" = ", 1) for line in (out / "summary.txt").read_text().splitlines())
-    assert (summary["binding"], summary["binding_witness"], summary["all_pass"]) == ("True", "1", "True")
+    assert (summary["nonnegative"], summary["nonnegative_violation"], summary["all_pass"]) == ("True", "none", "True")
+    assert float(summary["binding_witness"]) == pytest.approx(s_star, rel=1e-12)
+
+
+def test_validate_reports_the_violation_past_any_cap(tmp_path):
+    # W = s^2/2 - s^3/3000 turns negative at 1500, far past the old default cap of 3
+    summary = _validate_summary(tmp_path, "0.001,0.0,3.0,4.0")
+    assert (summary["nonnegative"], summary["all_pass"]) == ("False", "False")
+    assert float(summary["nonnegative_violation"]) == pytest.approx(1500.0, rel=1e-12)
+    assert summary["nonnegative_violation"] == summary["second_vacuum_witness"]
+
+
+@pytest.mark.parametrize("params", ["1.0,1e-320,3.0,4.0", "1.0,1e-250,3.0,5.0"])
+def test_validate_answers_where_the_landmarks_leave_float_range(tmp_path, params):
+    summary = _validate_summary(tmp_path, params)
+    assert (summary["second_vacuum"], summary["nonnegative"]) == ("holds", "False")
+    assert float(summary["second_vacuum_witness"]) == pytest.approx(1.5, rel=1e-12)
+
+
+@pytest.mark.parametrize("params", ["1.0,0.0,3.0,4.0", "10.0,1.0,3.0,5.0"])
+def test_construct_refuses_a_level_that_puts_alpha_at_one(tmp_path, capsys, params):
+    # a binding level at or below -(m^2 + 2) makes the volume margin alpha >= 1
+    cfg = write_config(tmp_path, "c.ini", f"[nonlinearity]\nfamily = power_deficit\nparams = {params}\n")
+    out = tmp_path / "c"
+    assert cli.main(["construct", "--config", str(cfg), "--out", str(out)]) == cli.EXIT_PRECONDITION
+    assert "binding level" in capsys.readouterr().err
+    assert not (out / "summary.txt").exists()
 
 
 def test_n_samples_is_not_a_config_key(tmp_path):

@@ -8,6 +8,7 @@ from hylomorph.model import (
     _bracketed_root,
     _level_crossing,
     _level_roundoff,
+    _zero_of_w,
     _power_sum,
     binding_level,
     classify_charge_criteria,
@@ -101,7 +102,7 @@ def test_power_deficit_parameter_validation():
 
 
 def test_validate_double_well_all_pass(dw):
-    report = validate_assumptions(dw, s_max=3.0)
+    report = validate_assumptions(dw)
     assert report.all_pass
     # the binding witness sits at the second vacuum with R(1) = -1/2
     assert report.binding_witness == pytest.approx(1.0, abs=1e-6)
@@ -112,7 +113,7 @@ def test_validate_double_well_all_pass(dw):
 def test_validate_power_deficit_without_repulsion_fails_nonnegativity():
     # R(s) = -s^4/4 dips below -s^2/2 past sqrt(2)
     spec = NonlinearSpec.power_deficit(1.0, 0.0, 4.0, 5.0)
-    report = validate_assumptions(spec, s_max=3.0)
+    report = validate_assumptions(spec)
     assert not report.nonnegative
     assert report.nonnegative_violation == pytest.approx(np.sqrt(2.0), rel=1e-14)
     assert eval_nonlinearity(spec, 1.4, 0) > 0 > eval_nonlinearity(spec, 1.45, 0)
@@ -120,13 +121,12 @@ def test_validate_power_deficit_without_repulsion_fails_nonnegativity():
 
 def test_violation_witness_is_a_normal_amplitude_where_w_is_negative():
     # p this close to 2 puts the zero of W below the smallest normal double;
-    # the violation witness is then s0 itself, where the level is negative,
+    # the violation witness is then the probe, where the level is negative,
     # while the second-vacuum witness stays a zero of W
     spec = NonlinearSpec.power_deficit(2.30, 0.0, 2.000214, 2.2133, mass=0.68)
-    report = validate_assumptions(spec, 3338.0)
-    s0, level = find_binding_amplitude(spec, 3338.0)
-    assert not report.nonnegative and level < 0.0
-    assert report.nonnegative_violation == s0 >= np.finfo(float).tiny
+    report = validate_assumptions(spec)
+    assert not report.nonnegative and report.binding_level < 0.0
+    assert report.nonnegative_violation == report.binding_witness >= np.finfo(float).tiny
     assert eval_nonlinearity(spec, report.nonnegative_violation, 0) < 0.0
     assert classify_charge_criteria(spec).second_vacuum_value == 0.0
 
@@ -139,16 +139,6 @@ def test_second_vacuum_underflowed_to_zero_is_inconclusive():
     assert report.second_vacuum_witness == 0.0
     assert report.second_vacuum == "inconclusive"
     assert any("not a positive, finite amplitude" in note for note in report.notes)
-
-
-def test_validate_preconditions(dw):
-    with pytest.raises(ValueError):
-        validate_assumptions(dw, s_max=0.0)
-    with pytest.raises(ValueError, match="s_max"):
-        validate_assumptions(dw, s_max=np.inf)
-    # W(s) = s^2/2 - s^4/4 overflows long before s = 1e200
-    with pytest.raises(ValueError, match="s_max"):
-        validate_assumptions(NonlinearSpec.power_deficit(1.0, 0.0, 4.0, 5.0), s_max=1e200)
 
 
 def test_binding_amplitude_refinement(dw):
@@ -196,10 +186,14 @@ def test_second_vacuum_without_repulsion_in_closed_form():
 
 def test_second_vacuum_overflowing_to_inf_is_inconclusive():
     # with c_q = 0, W = s^2/2 - (1e-300/2.5) s^2.5 vanishes near s = 1.6e600
-    report = classify_charge_criteria(NonlinearSpec.power_deficit(1e-300, 0.0, 2.5, 4.0))
+    spec = NonlinearSpec.power_deficit(1e-300, 0.0, 2.5, 4.0)
+    report = classify_charge_criteria(spec)
     assert (report.second_vacuum, report.second_vacuum_witness, report.second_vacuum_value) == (
         "inconclusive", np.inf, None)
     assert any("not a positive, finite amplitude" in note for note in report.notes)
+    # W changes sign past the largest float: nonnegativity fails with that zero as its witness
+    assumptions = validate_assumptions(spec)
+    assert (assumptions.nonnegative, assumptions.nonnegative_violation) == (False, np.inf)
 
 
 @pytest.mark.parametrize("gap, verdict", [(1e-8, "fails"), (-1e-8, "holds")])
@@ -224,11 +218,30 @@ def test_small_charge_verdict_compares_the_exponent_exactly(p, verdict):
     assert report.small_charge_threshold_vanishes == verdict
 
 
-@pytest.mark.parametrize("b, q, match", [(1e-320, 4.0, "zero of R.*leaves float range"),
-                                         (1e-250, 5.0, "overflows below the zero of R")])
-def test_criteria_refuse_landmarks_outside_float_range(b, q, match):
-    with pytest.raises(ValueError, match=match):
-        classify_charge_criteria(NonlinearSpec.power_deficit(1.0, b, 3.0, q))
+@pytest.mark.parametrize("b, q, negative_up_to", [(1e-320, 4.0, np.inf), (1e-250, 5.0, np.sqrt(5e250 / 3.0))],
+                         ids=["zero_of_R_overflows", "level_overflows_at_turn"])
+def test_checks_answer_where_the_landmarks_leave_float_range(b, q, negative_up_to):
+    # the zero of R overflows (b = 1e-320), or the level overflows at its turn
+    # (b = 1e-250); W = s^2/2 - s^3/3 + ... still vanishes at 1.5, below the probe s = 3
+    spec = NonlinearSpec.power_deficit(1.0, b, 3.0, q)
+    report = classify_charge_criteria(spec)
+    assert report.second_vacuum == "holds"
+    assert report.second_vacuum_witness == pytest.approx(1.5, rel=1e-12)
+    assert report.negative_up_to == pytest.approx(negative_up_to, rel=1e-12)
+    assumptions = validate_assumptions(spec)
+    assert not assumptions.nonnegative and not assumptions.all_pass
+    assert assumptions.nonnegative_violation == report.second_vacuum_witness
+    assert (assumptions.binding_witness, assumptions.binding_level) == (3.0, pytest.approx(-1.0, rel=1e-12))
+
+
+def test_a_probe_whose_level_is_not_negative_is_refused():
+    # the zero of R underflows, so R > 0 at every normal amplitude and the
+    # level at the probe exceeds m^2: W's zero cannot be placed
+    spec = NonlinearSpec.power_deficit(1e-300, 1.0, 2.5, 2.51)
+    with pytest.raises(ValueError, match="not negative, at the probe"):
+        validate_assumptions(spec)
+    with pytest.raises(ValueError, match="not negative, at the probe"):
+        classify_charge_criteria(spec)
 
 
 landmark_specs = st.one_of(
@@ -261,8 +274,35 @@ def test_second_vacuum_matches_dense_samples_of_the_level(spec):
     assert np.all(binding_level(spec, below) > 0.0)
 
 
+@settings(max_examples=200, deadline=None)
+@given(landmark_specs)
+@example(NonlinearSpec.double_well(12.0))  # W touches 0 at its turn without changing sign
+@example(NonlinearSpec.power_deficit(3.0, 0.1, 3.0, 4.0, mass=0.5))  # the level crosses 0 below its turn
+@example(NonlinearSpec.power_deficit(1.0, 1.0, 3.0, 4.0))  # W > 0 for s > 0
+@example(NonlinearSpec.power_deficit(0.001, 0.0, 3.0, 4.0))  # c_q = 0: W < 0 past 1500
+def test_nonnegativity_matches_dense_samples_past_both_landmarks(spec):
+    # the samples run to twice the zero of R, past which W > m^2 s^2 / 2, or with
+    # c_q = 0 to twice the probe, past W's zero; the turn or probe s_b is one of them
+    report = validate_assumptions(spec)
+    s_b, _, _ = _zero_of_w(spec)
+    alpha = classify_charge_criteria(spec).negative_up_to
+    s = np.append(2.0 * (alpha if alpha < np.inf else s_b) * np.linspace(0.0, 1.0, 16_385)[1:], s_b)
+    w = eval_nonlinearity(spec, s, 0)
+    roundoff = 0.5 * s * s * _level_roundoff(spec, s)
+    assert report.nonnegative == bool(np.all(w >= -roundoff))
+    if report.nonnegative:
+        assert report.nonnegative_violation is None
+        return
+    # the witness is a zero of W where it changes sign: positive below, negative at s_b above
+    z = report.nonnegative_violation
+    assert 0.0 < z < s_b
+    assert abs(binding_level(spec, z)) <= 1e3 * _level_roundoff(spec, z)
+    assert np.all(binding_level(spec, z * np.linspace(0.0, 1.0, 8193)[1:-1]) > 0.0)
+    assert binding_level(spec, s_b) < 0.0
+
+
 def test_growth_check_constants(dw):
-    report = validate_assumptions(dw, s_max=3.0)
+    report = validate_assumptions(dw)
     c1, c2 = report.growth_constants
     p, q = report.growth_exponents
     s = np.linspace(1e-3, 3.0, 400)
@@ -288,14 +328,6 @@ def test_exact_checks_match_dense_samples(spec, s_max):
     assert 0.0 < s0 <= s_max
     i = int(np.argmin(levels))
     assert level <= levels[i] + 1e-12 * magnitude(ss[i])
-
-    report = validate_assumptions(spec, s_max)
-    w = eval_nonlinearity(spec, ss, 0)
-    assert report.nonnegative == bool(np.all(w >= -1e-12 * 0.5 * ss**2 * magnitude(ss)))
-    if not report.nonnegative:
-        z = report.nonnegative_violation
-        assert 0.0 < z < s0
-        assert abs(binding_level(spec, z)) <= 1e-12 * magnitude(z)
 
 
 @settings(max_examples=100, deadline=None)

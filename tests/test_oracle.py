@@ -105,8 +105,8 @@ class TestShooting:
     def test_bracket_ends_undershoot_and_overshoot(self, omega):
         lo, hi = shoot_ground_state(SPEC, omega).bracket
         # past the oracle's own stop radius, so no late event is missed
-        assert oracle._integrate(SPEC, omega, lo, 100.0)[0] == UNDERSHOOT
-        assert oracle._integrate(SPEC, omega, hi, 100.0)[0] == OVERSHOOT
+        assert oracle._integrate(oracle._accel(SPEC, omega), lo, 100.0)[0] == UNDERSHOOT
+        assert oracle._integrate(oracle._accel(SPEC, omega), hi, 100.0)[0] == OVERSHOOT
 
     def test_u0_matches_bisection(self, shot):
         # the central amplitude bisection on the outcome alone converged to
@@ -117,7 +117,7 @@ class TestShooting:
         integrate = oracle._integrate
 
         def counted(*args, **kwargs):
-            calls.append(args[2])
+            calls.append(args[1])
             return integrate(*args, **kwargs)
 
         monkeypatch.setattr(oracle, "_integrate", counted)
@@ -166,7 +166,7 @@ class TestShooting:
 
         before = alive()
         for u0 in (1.0, 1.05, 1.1):
-            oracle._integrate(SPEC, 0.5, u0, 40.0, np.linspace(0.0, 40.0, 101))
+            oracle._integrate(oracle._accel(SPEC, 0.5), u0, 40.0, np.linspace(0.0, 40.0, 101))
         assert alive() == before
 
     def test_each_shot_keeps_at_most_one_integrator(self, monkeypatch):
@@ -223,7 +223,7 @@ class TestShooting:
         lo, hi = shoot_ground_state(SPEC, omega).bracket
         offsets = 1e-11 * np.arange(1, 41)
         for starts, outcome in ((hi + offsets, OVERSHOOT), (lo - offsets, UNDERSHOOT)):
-            runs = [oracle._integrate(SPEC, omega, float(u0), 100.0) for u0 in starts]
+            runs = [oracle._integrate(oracle._accel(SPEC, omega), float(u0), 100.0) for u0 in starts]
             assert {run[0] for run in runs} == {outcome}
             assert np.all(np.diff([run[1] for run in runs]) < 0.0)
 

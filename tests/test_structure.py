@@ -197,8 +197,9 @@ def test_hypothesis_checks_minimize_nothing_numerically():
     assert _mentions("_amplitude_scan_limit") == set()
     assert _callers("_bracketed_root") == {("model", "_level_crossing"), ("oracle", "shoot_ground_state"),
                                            ("oracle", "_hermite_zero")}
-    assert _callers("_level_crossing") == {("model", "validate_assumptions"), ("model", "classify_charge_criteria"),
-                                           ("oracle", "shoot_ground_state")}
+    assert _callers("_level_crossing") == {("model", "_zero_of_w"), ("oracle", "shoot_ground_state")}
+    # W's first zero has one computing function, which both reports read
+    assert _callers("_zero_of_w") == {("model", "validate_assumptions"), ("model", "classify_charge_criteria")}
     roots = {(module, node.name) for module, tree in _modules() for node in ast.walk(tree)
              if isinstance(node, ast.FunctionDef) and "root" in node.name}
     assert roots == {("model", "_bracketed_root")}
@@ -215,11 +216,12 @@ def test_the_zero_of_the_remainder_is_computed_once():
     # the oracle and the charge criteria read it, the oracle through the level's turn
     assert _expression_sites("-c_p / c_q", "math.log(-c_p) - math.log(c_q)") == {("model", "remainder_zero")}
     assert _callers("remainder_zero") == {("model", "_level_turn"), ("model", "classify_charge_criteria")}
-    assert _callers("_level_turn") == {("model", "classify_charge_criteria"), ("oracle", "shoot_ground_state")}
+    assert _callers("_level_turn") == {("model", "_zero_of_w"), ("oracle", "shoot_ground_state")}
+    assert _callers("find_binding_amplitude") == {("model", "_level_turn"), ("chargewin", "construct_for_charge")}
     for name in ("_LOG_TINY", "_LOG_MAX"):
         assert _mentions(name) == {"model"}, name
     # the criteria and the nonnegativity check share one round-off bound of the level
-    assert _callers("_level_roundoff") == {("model", "validate_assumptions"), ("model", "classify_charge_criteria")}
+    assert _callers("_level_roundoff") == {("model", "_zero_of_w")}
 
 
 def test_no_amplitude_cap_or_band_in_the_charge_criteria():
@@ -227,6 +229,22 @@ def test_no_amplitude_cap_or_band_in_the_charge_criteria():
     for name in ("_CRITERIA_S_MAX", "_EXPONENT_MARGIN"):
         assert _mentions(name) == set(), name
         assert not any(name in path.read_text() for path in SRC.glob("*.py")), name
+
+
+def test_nonnegativity_has_no_amplitude_cap():
+    # validate_assumptions checks W >= 0 at every amplitude: it takes the spec alone and no config sets a cap
+    from hylomorph import cli
+    tree = dict(_modules())["model"]
+    fn = next(node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "validate_assumptions")
+    assert [a.arg for a in fn.args.posonlyargs + fn.args.args + fn.args.kwonlyargs] == ["spec"]
+    assert "validate" not in cli._SCHEMA
+
+
+def test_each_run_of_a_shot_takes_its_force_one_way():
+    # as the closure _accel builds, once per shot; no spec and omega to rebuild it from
+    tree = dict(_modules())["oracle"]
+    fn = next(node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "_integrate")
+    assert [a.arg for a in fn.args.args] == ["accel", "u0", "r_stop", "nodes"]
 
 
 def test_the_oracle_builds_its_own_box():
