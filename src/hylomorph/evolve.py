@@ -10,8 +10,11 @@ control experiment.
 
 Every run goes through one private kernel, ``_leapfrog``, which advances
 a batch of runs on one grid with the grid's Laplacian matrix and the force
-of ``model._power_sum``, both scaled by dt^2.  ``evolve_nlkg`` is a batch
-of one; ``stability_experiment`` advances its four runs as one batch.
+of ``model._power_sum``, both scaled by dt^2.  The kick of each run is one
+tridiagonal product (``grid.BatchTridiagonalProduct``, LAPACK's lagtm) of
+the scaled Laplacian, with the run's force subtracted on its diagonal.
+``evolve_nlkg`` is a batch of one; ``stability_experiment`` advances its
+four runs as one batch.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import RadialGrid, RadialProfile, weighted_sum
+from .grid import BatchTridiagonalProduct, RadialGrid, RadialProfile, weighted_sum
 from .model import NonlinearSpec, _power_sum, eval_nonlinearity
 
 BLOWUP_FACTOR = 1e6
@@ -206,10 +209,10 @@ def _leapfrog(inits: list[EvolutionState], spec: NonlinearSpec, t_final: float, 
     kick U += A, U holding the velocity at the half step.  At a record step
     the full kick splits into two half kicks with the record in between,
     so the ledger and the returned states see the synchronised
-    (psi, psi_t).  Every pass is elementwise along the batch, so each row
-    is bit-identical to the same run advanced alone.  The last ``n_free``
-    rows are free-field runs, so the force is evaluated on the leading
-    slice (a view) of forced rows only.
+    (psi, psi_t).  Every pass is elementwise along the batch, and A is one
+    lagtm call a row, so each row is bit-identical to the same run
+    advanced alone.  The last ``n_free`` rows are free-field runs, so the
+    force is evaluated on the leading slice (a view) of forced rows only.
     """
     grid = inits[0].grid
     n_steps, record_every = step_plan(grid, spec, t_final, dt, record_every)
@@ -238,25 +241,21 @@ def _leapfrog(inits: list[EvolutionState], spec: NonlinearSpec, t_final: float, 
     factor = np.empty((len(inits), grid.n + 1))
     factor[forced:] = diag - dt * dt * spec.mass**2
     A = np.empty_like(X)
-    off = np.empty_like(X[..., 1:])
+    # row b of A is T_b X[b], T_b the scaled Laplacian with factor[b] on its diagonal
+    kick = BatchTridiagonalProduct(lower, upper, factor, X, A)
     # every step writes into buffers made once: a (4, 4097) array just exceeds
     # glibc's 128 KiB mmap threshold, so a fresh one would be mapped and
     # unmapped, and its pages faulted in, at every step
     amp = np.empty_like(factor)
-    square = np.empty_like(factor)
+    square = np.empty_like(X)
 
     def accelerate():
         """Fill A from X, and amp with the amplitude |psi| of every node of every row."""
-        np.multiply(X[:, 0], X[:, 0], out=square)
-        np.multiply(X[:, 1], X[:, 1], out=amp)
-        np.add(square, amp, out=amp)
+        np.square(X, out=square)
+        np.add(square[:, 0], square[:, 1], out=amp)
         np.sqrt(amp, out=amp)
         np.subtract(diag, _power_sum(terms, amp[:forced], 1, 1.0), out=factor[:forced])
-        np.multiply(factor[:, None], X, out=A)
-        np.multiply(upper, X[..., 1:], out=off)
-        A[..., :-1] += off
-        np.multiply(lower, X[..., :-1], out=off)
-        A[..., 1:] += off
+        kick()
 
     ledgers = [EvolutionLedger() for _ in inits]
 

@@ -300,9 +300,12 @@ _LAPACK = _bundled_lapack(Path(np.__file__).parent)
 # microseconds a call; so every length is checked in Python before a pointer is made.
 dgttrf = _LAPACK.scipy_dgttrf_64_  # (n, dl, d, du, du2, ipiv, info)
 dgttrs = _LAPACK.scipy_dgttrs_64_  # (trans, n, nrhs, dl, d, du, du2, ipiv, b, ldb, info, len(trans))
-dgttrf.restype = dgttrs.restype = None
+dlagtm = _LAPACK.scipy_dlagtm_64_  # (trans, n, nrhs, alpha, dl, d, du, x, ldx, beta, b, ldb, len(trans))
+dgttrf.restype = dgttrs.restype = dlagtm.restype = None
 _TRANS, _TRANS_LEN = ctypes.c_char_p(b"N"), ctypes.c_size_t(1)  # no transpose
 _ONE = ctypes.byref(ctypes.c_int64(1))
+# dlagtm reads any alpha or beta other than 0 and +-1 as 0: B = 1 * T X + 0 * B
+_ALPHA, _BETA = ctypes.byref(ctypes.c_double(1.0)), ctypes.byref(ctypes.c_double(0.0))
 
 
 class TridiagonalFactor:
@@ -339,6 +342,48 @@ class TridiagonalFactor:
             raise ValueError(f"expected a right-hand side of shape ({self._n},), got {x.shape}")
         dgttrs(*self._head, ctypes.byref(ctypes.c_double.from_buffer(x)), *self._tail)
         return x
+
+
+class BatchTridiagonalProduct:
+    """out[b] = T_b x[b] for every row b of a batch, one LAPACK lagtm call a row.
+
+    The matrices T_b of order m share the off-diagonals ``lower`` and
+    ``upper``, copied at construction, and T_b's diagonal is ``diags[b]``.
+    ``x`` and ``out`` have shape (B, k, m): row b holds k vectors of length
+    m, which lagtm takes as k right-hand sides.  ``diags``, ``x`` and
+    ``out`` are held, not copied: each call reads the current values of
+    the first two and overwrites the third through pointers made once
+    here, so a call costs B LAPACK calls and no argument set-up.  Each row
+    is its own call, so it keeps its bits whatever the other rows hold,
+    and a NaN stays in its row.
+    """
+
+    def __init__(self, lower: np.ndarray, upper: np.ndarray, diags: np.ndarray, x: np.ndarray, out: np.ndarray):
+        if not all(isinstance(a, np.ndarray) and a.dtype == np.float64 and a.flags.c_contiguous
+                   and a.flags.writeable for a in (diags, x, out)):
+            raise ValueError("diags, x and out must be writeable C-contiguous float64 arrays")
+        bands = np.concatenate([np.asarray(lower, dtype=float), np.asarray(upper, dtype=float)])
+        m = diags.shape[1] if diags.ndim == 2 else 0
+        if not (m >= 2 and x.ndim == 3 and x.shape[::2] == (len(diags), m) and x.shape[1] >= 1
+                and out.shape == x.shape and np.shape(lower) == np.shape(upper) == (m - 1,)):
+            raise ValueError(f"a batch product needs off-diagonals of length m - 1, diagonals (B, m) and x and "
+                             f"out (B, k, m) with m >= 2 and k >= 1, got {np.shape(lower)}, {np.shape(upper)}, "
+                             f"{diags.shape}, {x.shape} and {out.shape}")
+        if np.shares_memory(out, x) or np.shares_memory(out, diags):
+            raise ValueError("out must not overlap x or diags")  # lagtm zeroes out before it reads them
+
+        def pointer(a: np.ndarray, offset: int = 0):
+            # the byref object holds the buffer it points into
+            return ctypes.byref(ctypes.c_double.from_buffer(a), a.itemsize * offset)
+
+        order, nrhs = ctypes.byref(ctypes.c_int64(m)), ctypes.byref(ctypes.c_int64(x.shape[1]))
+        dl, du = pointer(bands), pointer(bands, m - 1)
+        self._rows = tuple((_TRANS, order, nrhs, _ALPHA, dl, pointer(d), du, pointer(xb), order, _BETA,
+                            pointer(ob), order, _TRANS_LEN) for d, xb, ob in zip(diags, x, out))
+
+    def __call__(self) -> None:
+        for args in self._rows:
+            dlagtm(*args)
 
 
 def weighted_norm(grid, samples: np.ndarray) -> float:

@@ -172,13 +172,16 @@ _LOG_TINY, _LOG_MAX = math.log(sys.float_info.min), math.log(sys.float_info.max)
 def remainder_zero(spec: NonlinearSpec) -> float:
     """alpha = (-c_p/c_q)^(1/(q-p)), where R turns positive and the level is back
     at m^2; inf when c_q = 0.  Read first in logs, which cannot overflow, so a
-    zero outside the normal floats raises ValueError."""
+    zero past the largest float raises ValueError, and one below the smallest
+    normal float is 0: R > 0 at every normal amplitude."""
     (c_p, p), (c_q, q) = spec.remainder_powers()
     if c_q == 0.0:
         return math.inf
     log_ratio = math.log(-c_p) - math.log(c_q)
     log_zero = log_ratio / (q - p)
-    if not _LOG_TINY < log_zero < _LOG_MAX:
+    if log_zero <= _LOG_TINY:
+        return 0.0
+    if log_zero >= _LOG_MAX:
         raise ValueError(f"the zero of R, (-c_p/c_q)^(1/(q-p)) = exp({log_zero:.6g}) with -c_p/c_q = "
                          f"exp({log_ratio:.6g}), leaves float range")
     if not _LOG_TINY < log_ratio < _LOG_MAX:
@@ -188,10 +191,25 @@ def remainder_zero(spec: NonlinearSpec) -> float:
 
 def _level_turn(spec: NonlinearSpec) -> tuple[float, float, float]:
     """(alpha, s_c, level at s_c) = (alpha, *find_binding_amplitude(spec, alpha)),
-    alpha the zero of R; ValueError when c_q = 0 or either leaves float range."""
+    alpha the zero of R; ValueError when c_q = 0 or either leaves float range.
+
+    s_c = alpha ((p-2)/(q-2))^(1/(q-p)) can lie below the normal floats
+    (always when alpha does), where the level would read m^2 at s = 0.
+    Its dip there, -2 c_p s_c^(p-2) (q-p)/(q-2), is read in logs: within
+    the level's round-off at s = 0 the turn is (alpha, 0, m^2); a deeper
+    dip (binding, and maybe a zero of W, below the normal floats) raises
+    ValueError."""
     alpha = remainder_zero(spec)
     if alpha == math.inf:
         raise ValueError("W is unbounded below (c_q = 0): the level has no turn and no outer zero")
+    (c_p, p), (c_q, q) = spec.remainder_powers()
+    log_s_c = (math.log(-c_p) + math.log(p - 2.0) - math.log(c_q) - math.log(q - 2.0)) / (q - p)
+    if log_s_c <= _LOG_TINY:
+        log_dip = math.log(2.0 * (q - p) / (q - 2.0)) + math.log(-c_p) + (p - 2.0) * log_s_c
+        if log_dip > math.log(_level_roundoff(spec, 0.0)):
+            raise ValueError(f"the level W/(s^2/2) of {spec} dips exp({log_dip:.6g}) below m^2 at its "
+                             f"turn s_c = exp({log_s_c:.6g}), below the normal floats")
+        return alpha, 0.0, spec.mass**2
     try:
         return (alpha, *find_binding_amplitude(spec, alpha))
     except ValueError:
@@ -282,24 +300,25 @@ def _level_crossing(spec: NonlinearSpec, level: float, s_lo: float, s_hi: float)
 def _zero_of_w(spec: NonlinearSpec) -> tuple[float, float, float | None]:
     """(s_b, the level at s_b, W's first zero at positive amplitude or None when W > 0).
 
-    s_b is the level's turn s_c (``_level_turn``) or, where that leaves
-    float range or c_q = 0, the probe t = s^(p-2) = m^2/(-c_p) clipped to
-    [1, max/2], where W and the round trip s -> t -> s stay finite.  A
-    probe level that is not negative raises ValueError, unless c_q = 0,
-    where a positive one leaves the zero past the floats: inf.  A level at
-    s_b within ``_level_roundoff`` makes s_b the zero; a lower one, the
-    level's crossing of 0 below s_b.
+    s_b is the level's turn s_c (``_level_turn``; 0, with the level m^2,
+    when s_c underflows and the level's dip there is round-off) or, where
+    ``_level_turn`` raises, the probe t = s^(p-2) = m^2/(-c_p) clipped to
+    [1, max/2], where W and the round trip s -> t -> s stay finite.  A probe level that is not negative raises ValueError naming
+    the turn's failure, unless c_q = 0, where a positive one leaves the
+    zero past the floats: inf.  A level at s_b within ``_level_roundoff``
+    makes s_b the zero; a lower one, the level's crossing of 0 below s_b.
     """
     (c_p, p), (c_q, _) = spec.remainder_powers()
     try:
         _, s_b, level = _level_turn(spec)
-    except ValueError:
+    except ValueError as turn_error:
         with np.errstate(over="ignore", under="ignore", invalid="ignore"):
             probe = float(np.float64(spec.mass**2 / -c_p) ** (1.0 / (p - 2.0)))
             s_b = min(max(probe, 1.0), 0.5 * sys.float_info.max)
             level = float(binding_level(spec, s_b))
         if not (level < 0.0 or c_q == 0.0):
-            raise ValueError(f"the level of {spec} is {level!r}, not negative, at the probe s = {s_b!r}") from None
+            raise ValueError(f"the level of {spec} is {level!r}, not negative, at the probe s = {s_b!r}, "
+                             f"and at its turn: {turn_error}") from None
     tol = _level_roundoff(spec, s_b)
     if level > tol:
         return s_b, level, math.inf if c_q == 0.0 else None
@@ -395,11 +414,11 @@ def classify_charge_criteria(spec: NonlinearSpec) -> CriteriaReport:
     """Classify the admissible-charge behaviour of a validated nonlinearity.
 
     R = s^p (c_p + c_q s^(q-p)) with c_p < 0 is negative on (0, alpha),
-    alpha = ``remainder_zero(spec)`` (inf past the largest float), and
-    |R| ~ |c_p| s^p near zero, so the small-s exponent is p; it is compared
-    with 2 + 4/3 exactly.  The second vacuum is W's first zero at positive
-    amplitude, from ``_zero_of_w``, which raises ValueError where it cannot
-    place it.
+    alpha = ``remainder_zero(spec)`` (inf past the largest float, 0 below
+    the smallest normal one), and |R| ~ |c_p| s^p near zero, so the
+    small-s exponent is p; it is compared with 2 + 4/3 exactly.  The
+    second vacuum is W's first zero at positive amplitude, from
+    ``_zero_of_w``, which raises ValueError where it cannot place it.
     """
     (_, p), _ = spec.remainder_powers()
     _, _, witness = _zero_of_w(spec)

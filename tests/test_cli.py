@@ -63,6 +63,22 @@ def test_validate_answers_where_the_landmarks_leave_float_range(tmp_path, params
     assert float(summary["second_vacuum_witness"]) == pytest.approx(1.5, rel=1e-12)
 
 
+def test_validate_answers_where_the_zero_of_r_underflows(tmp_path):
+    # R > 0 at every normal amplitude: W > 0 and nothing binds, with exit 0
+    summary = _validate_summary(tmp_path, "1e-300,1.0,2.5,2.51")
+    assert (summary["nonnegative"], summary["nonnegative_violation"]) == ("True", "none")
+    assert (summary["binding"], summary["binding_witness"], summary["all_pass"]) == ("False", "none", "False")
+    assert (summary["second_vacuum"], summary["second_vacuum_witness"]) == ("fails", "none")
+
+
+def test_validate_refuses_a_turn_below_the_normal_floats_where_the_level_dips(tmp_path, capsys):
+    # the level falls to 1 - 50 at s_c ~ 8e-431: binding, and maybe a zero of W, below the floats
+    cfg = write_config(tmp_path, "v.ini", "[nonlinearity]\nfamily = power_deficit\nparams = 2.01e6,2.02e10,2.01,2.02\n")
+    out = tmp_path / "out"
+    assert cli.main(["validate", "--config", str(cfg), "--out", str(out)]) == cli.EXIT_PRECONDITION == 3
+    assert "below the normal floats" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("params", ["1.0,0.0,3.0,4.0", "10.0,1.0,3.0,5.0"])
 def test_construct_refuses_a_level_that_puts_alpha_at_one(tmp_path, capsys, params):
     # a binding level at or below -(m^2 + 2) makes the volume margin alpha >= 1

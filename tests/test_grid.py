@@ -9,6 +9,7 @@ from scipy.linalg.lapack import dgttrf, dgttrs
 
 from hylomorph import grid as grid_module
 from hylomorph.grid import (
+    BatchTridiagonalProduct,
     InvariantError,
     RadialGrid,
     RadialProfile,
@@ -219,6 +220,88 @@ def test_tridiagonal_apply_is_the_dense_product(n, seed):
     # each row sums at most three products, in an order the dense product may not share
     bound = 4.0 * np.finfo(float).eps * (np.abs(dense) @ np.abs(x))
     assert np.all(np.abs(matrix.apply(x) - dense @ x) <= bound)
+
+
+def _batch_problem(rng, n, rows, planes=2):
+    """Random shared off-diagonals, per-row diagonals and (rows, planes, n) fields."""
+    lower, upper = rng.standard_normal(n - 1), rng.standard_normal(n - 1)
+    return lower, upper, rng.standard_normal((rows, n)), rng.standard_normal((rows, planes, n))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(3, 300), st.integers(1, 5), st.integers(1, 3), st.integers(0, 2**32 - 1))
+def test_batch_tridiagonal_product_is_each_rows_apply(n, rows, planes, seed):
+    # row b of the product is Tridiagonal(lower, diags[b], upper) applied to
+    # each plane of x[b], within the apply-vs-dense rounding bound; the
+    # object reads the diagonals and x as they are at each call
+    rng = np.random.default_rng(seed)
+    lower, upper, diags, x = _batch_problem(rng, n, rows, planes)
+    out = np.empty_like(x)
+    product = BatchTridiagonalProduct(lower, upper, diags, x, out)
+    for _ in range(2):
+        product()
+        for b in range(rows):
+            matrix = Tridiagonal(lower, diags[b], upper)
+            for plane in range(planes):
+                bound = 4.0 * np.finfo(float).eps * (np.abs(_dense(matrix)) @ np.abs(x[b, plane]))
+                assert np.all(np.abs(out[b, plane] - matrix.apply(x[b, plane])) <= bound)
+        diags[...], x[...] = rng.standard_normal(diags.shape), rng.standard_normal(x.shape)
+
+
+def test_batch_tridiagonal_product_rows_equal_lone_rows_bit_for_bit():
+    # each row is its own LAPACK call, so a batch of B rows is B lone products
+    rng = np.random.default_rng(7)
+    lower, upper, diags, x = _batch_problem(rng, 257, 4)
+    out = np.empty_like(x)
+    BatchTridiagonalProduct(lower, upper, diags, x, out)()
+    for b in range(4):
+        alone = np.empty_like(x[b:b + 1])
+        BatchTridiagonalProduct(lower, upper, diags[b:b + 1].copy(), x[b:b + 1].copy(), alone)()
+        assert np.array_equal(out[b], alone[0])
+
+
+def test_batch_tridiagonal_product_keeps_a_nan_in_its_row():
+    rng = np.random.default_rng(8)
+    lower, upper, diags, x = _batch_problem(rng, 64, 3)
+    out = np.full_like(x, np.nan)  # the product overwrites out: stale values do not leak in
+    product = BatchTridiagonalProduct(lower, upper, diags, x, out)
+    product()
+    clean = out.copy()
+    assert np.isfinite(clean).all()
+    diags[1, 10] = np.nan
+    product()
+    assert np.array_equal(out[[0, 2]], clean[[0, 2]])
+    assert np.isnan(out[1, :, 10]).all() and np.isfinite(np.delete(out[1], 10, axis=1)).all()
+
+
+@pytest.mark.parametrize("case", ["short_lower", "diag_length", "rows", "out_shape", "no_planes", "order_1",
+                                  "float32", "strided", "read_only", "out_is_x"])
+def test_batch_tridiagonal_product_rejects_what_lapack_would_misread(case):
+    # the arrays reach LAPACK as raw pointers, so no wrong shape, layout or overlap may get there
+    lower, upper, diags, x = _batch_problem(np.random.default_rng(9), 16, 2)
+    out = np.empty_like(x)
+    if case == "short_lower":
+        lower = lower[:-1]
+    elif case == "diag_length":
+        diags = np.ones((2, 15))
+    elif case == "rows":
+        diags = np.ones((3, 16))
+    elif case == "out_shape":
+        out = np.empty((2, 1, 16))
+    elif case == "no_planes":
+        x, out = np.empty((2, 0, 16)), np.empty((2, 0, 16))
+    elif case == "order_1":
+        lower, upper, diags, x, out = np.empty(0), np.empty(0), np.ones((2, 1)), np.ones((2, 2, 1)), np.ones((2, 2, 1))
+    elif case == "float32":
+        x = x.astype(np.float32)
+    elif case == "strided":
+        x = np.repeat(x, 2, axis=-1)[..., ::2]
+    elif case == "read_only":
+        diags.setflags(write=False)
+    elif case == "out_is_x":
+        out = x
+    with pytest.raises(ValueError):
+        BatchTridiagonalProduct(lower, upper, diags, x, out)
 
 
 def test_singular_tridiagonal_factor_raises():

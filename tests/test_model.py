@@ -8,6 +8,7 @@ from hylomorph.model import (
     _bracketed_root,
     _level_crossing,
     _level_roundoff,
+    _level_turn,
     _zero_of_w,
     _power_sum,
     binding_level,
@@ -15,6 +16,7 @@ from hylomorph.model import (
     eval_nonlinearity,
     eval_remainder,
     find_binding_amplitude,
+    remainder_zero,
     validate_assumptions,
 )
 
@@ -234,10 +236,37 @@ def test_checks_answer_where_the_landmarks_leave_float_range(b, q, negative_up_t
     assert (assumptions.binding_witness, assumptions.binding_level) == (3.0, pytest.approx(-1.0, rel=1e-12))
 
 
-def test_a_probe_whose_level_is_not_negative_is_refused():
-    # the zero of R underflows, so R > 0 at every normal amplitude and the
-    # level at the probe exceeds m^2: W's zero cannot be placed
+def test_checks_answer_where_the_zero_of_r_underflows():
+    # the zero of R, (4e-301 * 2.51)^100, underflows, so R > 0 at every normal
+    # amplitude: the level exceeds m^2 there, W > 0 and nothing binds
     spec = NonlinearSpec.power_deficit(1e-300, 1.0, 2.5, 2.51)
+    assert remainder_zero(spec) == 0.0
+    assumptions = validate_assumptions(spec)
+    assert (assumptions.nonnegative, assumptions.nonnegative_violation) == (True, None)
+    assert (assumptions.binding, assumptions.binding_witness, assumptions.binding_level) == (False, None, None)
+    assert assumptions.mass_normalization and assumptions.growth and not assumptions.all_pass
+    report = classify_charge_criteria(spec)
+    assert (report.second_vacuum, report.second_vacuum_witness, report.negative_up_to) == ("fails", None, 0.0)
+
+
+@pytest.mark.parametrize("b", [2.02e10, 2.02e9])
+def test_a_turn_below_the_normal_floats_where_the_level_dips_is_refused(b):
+    # c_p = -1e6, p = 2.01, q = 2.02: the zero of R is 1e-400 (b = 2.02e10) or
+    # 1e-300 (b = 2.02e9), and the turn s_c = alpha / 2^100 underflows in both;
+    # the level there is 1 - 50 or 1 - 500, so W may change sign below the
+    # normal floats, and the checks refuse rather than read the level at 0 as m^2
+    spec = NonlinearSpec.power_deficit(2.01e6, b, 2.01, 2.02)
+    with pytest.raises(ValueError, match=r"dips exp\(.*\) below m\^2 at its turn"):
+        _level_turn(spec)
+    for check in (validate_assumptions, classify_charge_criteria):
+        with pytest.raises(ValueError, match=r"not negative, at the probe s = 1.0, and at its turn: .* dips"):
+            check(spec)
+
+
+def test_a_probe_whose_level_is_not_negative_past_an_overflowing_zero_of_r_is_refused():
+    # the zero of R, 1e1000, overflows and c_q > 0; at the probe, clipped to
+    # max/2, the level rounds to m^2, so W's zero cannot be placed
+    spec = NonlinearSpec.power_deficit(1e-300, 1e-310, 2.5, 2.51)
     with pytest.raises(ValueError, match="not negative, at the probe"):
         validate_assumptions(spec)
     with pytest.raises(ValueError, match="not negative, at the probe"):

@@ -311,6 +311,18 @@ class TestShooting:
         with pytest.raises(ValueError, match=r"zero of R, \(-c_p/c_q\)\^\(1/\(q-p\)\).*leaves float range"):
             shoot_ground_state(spec, 0.5)
 
+    def test_zero_of_remainder_below_the_normal_floats_leaves_no_ground_state(self):
+        # the zero of R underflows: the level exceeds m^2 at every normal amplitude
+        spec = NonlinearSpec.power_deficit(1e-300, 1.0, 2.5, 2.51)
+        with pytest.raises(ValueError, match="never negative: no ground state"):
+            shoot_ground_state(spec, 0.5)
+
+    def test_level_dipping_at_a_turn_below_the_normal_floats_rejected(self):
+        # the zero of R is 1e-300, its turn underflows, and the level dips to 1 - 500 there
+        spec = NonlinearSpec.power_deficit(2.01e6, 2.02e9, 2.01, 2.02)
+        with pytest.raises(ValueError, match="below the normal floats"):
+            shoot_ground_state(spec, 0.5)
+
     def test_level_overflowing_below_the_zero_of_remainder_rejected(self):
         # the zero of R (about 1.3e125) is in range, but b s^5 overflows there; the
         # message names this spec's level, not the s_max its caller never sets

@@ -175,8 +175,9 @@ def _mentions(name: str) -> set[str]:
 
 
 def test_lapack_tridiagonal_calls_live_in_grid():
-    # the factor-once tridiagonal solve is grid.TridiagonalFactor; no module calls LAPACK beside it
-    for name in ("dgttrf", "dgttrs"):
+    # the factor-once tridiagonal solve is grid.TridiagonalFactor and the batched
+    # product grid.BatchTridiagonalProduct; no module calls LAPACK beside them
+    for name in ("dgttrf", "dgttrs", "dlagtm"):
         assert _mentions(name) == {"grid"}, name
     # every banded system is a grid.Tridiagonal of LAPACK's unpadded diagonals; no
     # module keeps scipy's padded solve_banded layout or a product of its own for it
@@ -220,8 +221,9 @@ def test_the_zero_of_the_remainder_is_computed_once():
     assert _callers("find_binding_amplitude") == {("model", "_level_turn"), ("chargewin", "construct_for_charge")}
     for name in ("_LOG_TINY", "_LOG_MAX"):
         assert _mentions(name) == {"model"}, name
-    # the criteria and the nonnegativity check share one round-off bound of the level
-    assert _callers("_level_roundoff") == {("model", "_zero_of_w")}
+    # the criteria and the nonnegativity check share one round-off bound of the level,
+    # which also decides whether a dip at a turn below the normal floats is round-off
+    assert _callers("_level_roundoff") == {("model", "_zero_of_w"), ("model", "_level_turn")}
 
 
 def test_no_amplitude_cap_or_band_in_the_charge_criteria():
